@@ -3,16 +3,27 @@
 Whole waves of subcells are enclosed at once through the VI lane.  Lanes that
 intersect to nothing are vacuous (no surface points: the subcell lies beyond
 the sigma_p curve); lanes that poison to NaN are undecided and get split.
-Everything here is a tighter-but-equivalent evaluation strategy for the same
-natural extensions the scalar enclosure module defines; soundness per lane is
-the scalar argument verbatim.
+The fixed-point map and the boundary formulas are the generic-scalar ones of
+jets.py, evaluated on the VI lane, so soundness per lane is the scalar
+argument verbatim; the functions here are the VI-lane entry points.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .jets import delta_p_deriv, delta_scalar, delta_sigma_derivs
+from .jets import (
+    d_delta_edge_low_scalar,
+    d_sigma_p_scalar,
+    delta_edge_low_scalar,
+    delta_p_deriv,
+    delta_scalar,
+    delta_sigma_derivs,
+    phi_consts,
+    phi_scalar,
+    sigma_p_scalar,
+    tau_p_scalar,
+)
 from .vints import VI
 
 __all__ = [
@@ -26,15 +37,6 @@ __all__ = [
     "subpave_delta_above",
 ]
 
-_LN2 = (
-    np.nextafter(np.log(2.0), 0.0),
-    np.nextafter(np.log(2.0), 1.0),
-)
-_LN4 = (
-    np.nextafter(np.log(4.0), 0.0),
-    np.nextafter(np.log(4.0), 4.0),
-)
-
 SEED = (0.0, 0.36)
 
 
@@ -43,18 +45,12 @@ def tau_enclose_batch(P: VI, S: VI, iters: int = 48) -> tuple[VI, np.ndarray]:
 
     Returns (tau VI, vacuous mask).  Vacuous lanes intersected to nothing:
     no (p, sigma) in the subcell carries a surface point."""
-    inv_p = 1 / P
-    a0 = (1 + S.pow(P)).pow(-inv_p)
-    sa0 = S * a0
+    consts = phi_consts(P, S)
     T = VI.full_like(P, *SEED)
     vacuous = np.zeros(P.lo.shape, dtype=bool)
     prev_w = None
     for k in range(iters):
-        u = 1 + T.pow_nonneg(P)
-        A = u.pow(-inv_p) - a0
-        inner = 1 - A.pow(P)
-        phi = u.pow(inv_p) * (inner.pow(inv_p) - sa0)
-        T, empty = phi.intersect(T)
+        T, empty = phi_scalar(P, *consts, T).intersect(T)
         vacuous |= empty
         if k % 8 == 7:
             w = T.width
@@ -67,63 +63,30 @@ def tau_enclose_batch(P: VI, S: VI, iters: int = 48) -> tuple[VI, np.ndarray]:
     return T, vacuous
 
 
-def tau_p_enclose_batch(P: VI, iters: int = 60) -> VI:
-    """Per-lane bracket of tau_p over the lane's p-interval (sign bisection
-    of 2(1-t)^p - 1 - t^p, decreasing in t).
-
-    Each endpoint is bisected on its own verified sign, so an indecisive
-    midpoint residual cannot leave a stale far bracket behind."""
-
-    def resid(t):
-        m = VI.point(t)
-        return 2 * (1 - m).pow(P) - 1 - m.pow(P)
-
-    lo = np.zeros(P.lo.shape)
-    lo_cap = np.full(P.lo.shape, 0.5)
-    for _ in range(iters):
-        mid = 0.5 * (lo + lo_cap)
-        pos = resid(mid).lo > 0.0
-        lo = np.where(pos, mid, lo)
-        lo_cap = np.where(pos, lo_cap, mid)
-    hi = np.full(P.lo.shape, 0.5)
-    hi_cap = np.zeros(P.lo.shape)
-    for _ in range(iters):
-        mid = 0.5 * (hi + hi_cap)
-        neg = resid(mid).hi < 0.0
-        hi = np.where(neg, mid, hi)
-        hi_cap = np.where(neg, hi_cap, mid)
-    return VI(lo, hi)
+def tau_p_enclose_batch(P: VI, iters: int = 80) -> VI:
+    """Per-lane bracket of tau_p over the lane's p-interval (see
+    jets.tau_p_scalar)."""
+    return tau_p_scalar(P, iters)
 
 
 def sigma_p_batch(P: VI) -> VI:
     """(2^P - 1)^(1/P) per lane."""
-    return (VI.point(np.full(P.lo.shape, 2.0)).pow(P) - 1).pow(1 / P)
+    return sigma_p_scalar(P)
 
 
 def edge_low_batch(P: VI) -> VI:
     """Delta(P, 1) = 4^(-1/P)(1 + tau_p)/(1 - tau_p) per lane."""
-    tp = tau_p_enclose_batch(P)
-    four = VI.point(np.full(P.lo.shape, 4.0))
-    return four.pow(-(1 / P)) * (1 + tp) / (1 - tp)
+    return delta_edge_low_scalar(P, tau_p_enclose_batch(P))
 
 
 def d_sigma_p_batch(P: VI) -> VI:
     """d sigma_p/dp = sigma_p [2^p ln2/(p(2^p-1)) - ln(2^p-1)/p^2] per lane."""
-    two_p = VI.point(np.full(P.lo.shape, 2.0)).pow(P)
-    u = two_p - 1
-    ln2 = VI(np.full(P.lo.shape, _LN2[0]), np.full(P.lo.shape, _LN2[1]))
-    return sigma_p_batch(P) * (two_p * ln2 / (P * u) - u.log() / (P * P))
+    return d_sigma_p_scalar(P)
 
 
 def d_edge_low_batch(P: VI) -> VI:
     """d/dp of Delta(p, 1) via tau_p'(p) = -h_p/h_tau per lane."""
-    tp = tau_p_enclose_batch(P)
-    one_m = 1 - tp
-    ln4 = VI(np.full(P.lo.shape, _LN4[0]), np.full(P.lo.shape, _LN4[1]))
-    h_p = 2 * one_m.pow(P) * one_m.log() - tp.pow(P) * tp.log()
-    h_t = -(2 * P * one_m.pow(P - 1)) - P * tp.pow(P - 1)
-    tp_prime = -(h_p / h_t)
-    return edge_low_batch(P) * (ln4 / (P * P) + 2 * tp_prime / (1 - tp * tp))
+    return d_delta_edge_low_scalar(P, tau_p_enclose_batch(P))
 
 
 def _mid_delta_batch(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray, VI]:

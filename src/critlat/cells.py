@@ -1,86 +1,40 @@
-"""Interval cellular cells, coverings, subdivision, faces, adjacency, and
-constant-sign continuation.
+"""Interval cells: the axis-aligned (p, sigma) leaves of a certification run.
 
-Cells are axis-aligned only.  A covering is a finite set of full-dimensional
-cells tiling a rectangular region; subdivision replaces one cell by its two
-midpoint halves and preserves the union.  Adjacency requires a shared face of
-positive (n-1)-measure; corner contact does not connect cells.
+A cell names each axis and carries a closed interval of positive width on it;
+its id is the leaf's bisection path (the parent id plus "0" or "1").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
 
-from .enclosure import EifElement
-from .interval import EMPTY, Box, Interval, intersect
+from .interval import Box, Interval
 
-__all__ = [
-    "ICell",
-    "Covering",
-    "SignContinuation",
-    "AdjacencyGraph",
-    "CellError",
-    "DegenerateRegion",
-    "UnknownCell",
-    "FixedAxis",
-    "ZeroDimensionalCell",
-    "SeedNotSignDefinite",
-    "make_covering",
-    "subdivide",
-    "faces",
-    "adjacency_graph",
-    "sign_continuation",
-    "covering_area",
-    "validate_covering",
-    "covering_to_lines",
-    "covering_from_lines",
-]
+__all__ = ["ICell", "CellError", "FixedAxis"]
 
 
 class CellError(Exception):
     pass
 
 
-class DegenerateRegion(CellError):
-    pass
-
-
-class UnknownCell(CellError):
-    pass
-
-
 class FixedAxis(CellError):
-    pass
-
-
-class ZeroDimensionalCell(CellError):
-    pass
-
-
-class SeedNotSignDefinite(CellError):
-    pass
+    """The cell has no free axis of the requested name."""
 
 
 @dataclass(frozen=True)
 class ICell:
-    """Axis-aligned cell: free axes carry intervals, fixed axes carry points."""
+    """Axis-aligned cell: each named free axis carries an interval."""
 
     id: str
     free_axes: tuple[tuple[str, Interval], ...]
-    fixed_axes: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
-        names = [a for a, _ in self.free_axes] + [a for a, _ in self.fixed_axes]
+        names = [a for a, _ in self.free_axes]
         if len(set(names)) != len(names):
             raise CellError(f"duplicate axis in cell {self.id}")
         for a, iv in self.free_axes:
             if iv.width == 0.0:
                 raise CellError(f"free axis {a} of {self.id} has zero width")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.free_axes)
 
     def interval(self, axis: str) -> Interval:
         for a, iv in self.free_axes:
@@ -88,291 +42,7 @@ class ICell:
                 return iv
         raise FixedAxis(f"axis {axis} is not free in cell {self.id}")
 
-    def signature(self):
-        """Geometry-only identity (ids differ across construction paths)."""
-        return (
-            tuple(sorted((a, iv.lo, iv.hi) for a, iv in self.free_axes)),
-            tuple(sorted(self.fixed_axes)),
-        )
-
     def as_box(self) -> Box:
         """View a full-dimensional (p, sigma) cell as a Box."""
         d = dict(self.free_axes)
         return Box(d["p"], d["sigma"])
-
-
-@dataclass(frozen=True)
-class Covering:
-    """Finite set of full-dimensional cells whose union contains `region`."""
-
-    cells: tuple[ICell, ...]
-    region: tuple[tuple[str, Interval], ...]
-
-    def cell(self, cell_id: str) -> ICell:
-        for c in self.cells:
-            if c.id == cell_id:
-                return c
-        raise UnknownCell(cell_id)
-
-    @property
-    def axes(self) -> tuple[str, ...]:
-        return tuple(a for a, _ in self.region)
-
-
-@dataclass(frozen=True)
-class AdjacencyGraph:
-    nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
-    connected: bool
-
-
-@dataclass(frozen=True)
-class SignContinuation:
-    members: tuple[tuple[str, EifElement], ...]
-    sign: int
-    fid: str
-
-
-def make_covering(
-    region: Iterable[tuple[str, Interval]], grid: Iterable[int]
-) -> Covering:
-    """Regular grid covering; cut coordinates are shared between neighbors so
-    the face-intersection property holds by construction."""
-    region = tuple(region)
-    grid = tuple(grid)
-    if len(grid) != len(region):
-        raise DegenerateRegion("grid rank does not match region rank")
-    for (a, iv), n in zip(region, grid):
-        if n < 1:
-            raise DegenerateRegion(f"cut count {n} < 1 on axis {a}")
-        if iv.width == 0.0:
-            raise DegenerateRegion(f"region axis {a} has zero width")
-    axis_cuts = []
-    for (a, iv), n in zip(region, grid):
-        cuts = [iv.lo + (iv.hi - iv.lo) * k / n for k in range(n + 1)]
-        cuts[0], cuts[-1] = iv.lo, iv.hi
-        axis_cuts.append(cuts)
-
-    cells = []
-
-    def build(idx: list[int], depth: int):
-        if depth == len(region):
-            free = tuple(
-                (region[d][0], Interval(axis_cuts[d][idx[d]], axis_cuts[d][idx[d] + 1]))
-                for d in range(len(region))
-            )
-            cells.append(ICell(id="r" + "x".join(map(str, idx)), free_axes=free))
-            return
-        for k in range(len(axis_cuts[depth]) - 1):
-            build(idx + [k], depth + 1)
-
-    build([], 0)
-    return Covering(cells=tuple(cells), region=region)
-
-
-def subdivide(cov: Covering, cell_id: str, axis: str) -> Covering:
-    """Replace one cell by its two halves split at the axis midpoint."""
-    target = cov.cell(cell_id)
-    iv = target.interval(axis)  # raises FixedAxis if not free
-    mid = iv.mid
-    if mid == iv.lo or mid == iv.hi:
-        raise CellError(f"axis {axis} of {cell_id} too thin to split")
-    halves = []
-    for tag, piece in (("0", Interval(iv.lo, mid)), ("1", Interval(mid, iv.hi))):
-        free = tuple(
-            (a, piece if a == axis else v) for a, v in target.free_axes
-        )
-        halves.append(
-            ICell(id=f"{cell_id}{tag}", free_axes=free, fixed_axes=target.fixed_axes)
-        )
-    new_cells = []
-    for c in cov.cells:
-        if c.id == cell_id:
-            new_cells.extend(halves)
-        else:
-            new_cells.append(c)
-    return Covering(cells=tuple(new_cells), region=cov.region)
-
-
-def faces(cell: ICell) -> list[ICell]:
-    """The 2*dimension faces, each with one free axis frozen to an endpoint."""
-    if cell.dimension == 0:
-        raise ZeroDimensionalCell(cell.id)
-    out = []
-    for a, iv in cell.free_axes:
-        for side, val in (("lo", iv.lo), ("hi", iv.hi)):
-            free = tuple((x, v) for x, v in cell.free_axes if x != a)
-            fixed = tuple(sorted(cell.fixed_axes + ((a, val),)))
-            out.append(ICell(id=f"{cell.id}|{a}={side}", free_axes=free, fixed_axes=fixed))
-    return out
-
-
-def _adjacent(a: ICell, b: ICell) -> bool:
-    touching = 0
-    for (ax, ia), (bx, ib) in zip(a.free_axes, b.free_axes):
-        if ax != bx:
-            raise CellError("cells with mismatched axes")
-        if ia.hi == ib.lo or ib.hi == ia.lo:
-            touching += 1
-        else:
-            ov = intersect(ia, ib)
-            if ov is EMPTY or ov.width == 0.0:
-                return False
-    return touching == 1
-
-
-def adjacency_graph(cov: Covering) -> AdjacencyGraph:
-    """Edge iff two cells share a positive-measure (n-1)-face."""
-    ids = sorted(c.id for c in cov.cells)
-    cells = {c.id: c for c in cov.cells}
-    edges = []
-    for i, u in enumerate(ids):
-        for v in ids[i + 1 :]:
-            try:
-                if _adjacent(cells[u], cells[v]):
-                    edges.append((u, v))
-            except CellError:
-                raise
-    neighbours: dict[str, list[str]] = {u: [] for u in ids}
-    for u, v in edges:
-        neighbours[u].append(v)
-        neighbours[v].append(u)
-    connected = True
-    if ids:
-        seen = {ids[0]}
-        stack = [ids[0]]
-        while stack:
-            u = stack.pop()
-            for v in neighbours[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        connected = len(seen) == len(ids)
-    return AdjacencyGraph(nodes=tuple(ids), edges=tuple(edges), connected=connected)
-
-
-def sign_continuation(
-    cov: Covering,
-    evaluator: Callable[[Box], Interval],
-    seed_id: str,
-    fid: str = "f",
-) -> tuple[SignContinuation, tuple[str, ...]]:
-    """Grow the maximal connected same-strict-sign set of cells from the seed.
-
-    Returns the continuation and the frontier of adjacent cells whose interval
-    value failed the sign test.  Traversal order does not affect the result
-    (breadth-first over the adjacency graph, neighbours in id order).
-    """
-    graph = adjacency_graph(cov)
-    neighbours: dict[str, list[str]] = {u: [] for u in graph.nodes}
-    for u, v in graph.edges:
-        neighbours[u].append(v)
-        neighbours[v].append(u)
-    for u in neighbours:
-        neighbours[u].sort()
-
-    seed = cov.cell(seed_id)
-    seed_val = evaluator(seed.as_box())
-    if seed_val.contains_zero():
-        raise SeedNotSignDefinite(f"seed {seed_id} has interval {seed_val!r}")
-    sign = 1 if seed_val.lo > 0.0 else -1
-
-    members = {seed_id: EifElement(box=seed.as_box(), value=seed_val, fid=fid)}
-    frontier: set[str] = set()
-    queue = [seed_id]
-    while queue:
-        u = queue.pop(0)
-        for v in neighbours[u]:
-            if v in members or v in frontier:
-                continue
-            val = evaluator(cov.cell(v).as_box())
-            ok = val.lo > 0.0 if sign > 0 else val.hi < 0.0
-            if ok:
-                members[v] = EifElement(box=cov.cell(v).as_box(), value=val, fid=fid)
-                queue.append(v)
-            else:
-                frontier.add(v)
-    ordered = tuple((cid, members[cid]) for cid in sorted(members))
-    return (
-        SignContinuation(members=ordered, sign=sign, fid=fid),
-        tuple(sorted(frontier)),
-    )
-
-
-def covering_area(cov: Covering) -> float:
-    total = 0.0
-    for c in cov.cells:
-        area = 1.0
-        for _, iv in c.free_axes:
-            area *= iv.hi - iv.lo
-        total += area
-    return total
-
-
-def region_area(cov: Covering) -> float:
-    area = 1.0
-    for _, iv in cov.region:
-        area *= iv.hi - iv.lo
-    return area
-
-
-def validate_covering(cov: Covering, rel_tol: float = 1e-9) -> bool:
-    """Union-equals-region by area accounting, containment, and pairwise
-    interior disjointness."""
-    for c in cov.cells:
-        for (a, iv), (_, reg) in zip(c.free_axes, cov.region):
-            if iv.lo < reg.lo - 1e-15 or iv.hi > reg.hi + 1e-15:
-                return False
-    ra = region_area(cov)
-    if abs(covering_area(cov) - ra) > rel_tol * max(ra, 1.0):
-        return False
-    cells = sorted(cov.cells, key=lambda c: c.id)
-    for i, a in enumerate(cells):
-        for b in cells[i + 1 :]:
-            overlap = 1.0
-            for (_, ia), (_, ib) in zip(a.free_axes, b.free_axes):
-                lo = max(ia.lo, ib.lo)
-                hi = min(ia.hi, ib.hi)
-                overlap *= max(0.0, hi - lo)
-            if overlap > rel_tol * max(ra, 1.0):
-                return False
-    return True
-
-
-# -- line-oriented serialization (certificate embedding) -------------------------
-
-
-def covering_to_lines(cov: Covering) -> list[str]:
-    lines = ["region\t" + "\t".join(f"{a}={iv.lo!r}:{iv.hi!r}" for a, iv in cov.region)]
-    for c in sorted(cov.cells, key=lambda c: c.id):
-        parts = [c.id]
-        parts += [f"{a}={iv.lo!r}:{iv.hi!r}" for a, iv in c.free_axes]
-        parts += [f"{a}@{v!r}" for a, v in c.fixed_axes]
-        lines.append("\t".join(parts))
-    return lines
-
-
-def covering_from_lines(lines: list[str]) -> Covering:
-    if not lines or not lines[0].startswith("region\t"):
-        raise CellError("missing region header")
-    region = []
-    for tok in lines[0].split("\t")[1:]:
-        a, rng = tok.split("=")
-        lo, hi = rng.split(":")
-        region.append((a, Interval(float(lo), float(hi))))
-    cells = []
-    for line in lines[1:]:
-        parts = line.split("\t")
-        free, fixed = [], []
-        for tok in parts[1:]:
-            if "@" in tok:
-                a, v = tok.split("@")
-                fixed.append((a, float(v)))
-            else:
-                a, rng = tok.split("=")
-                lo, hi = rng.split(":")
-                free.append((a, Interval(float(lo), float(hi))))
-        cells.append(
-            ICell(id=parts[0], free_axes=tuple(free), fixed_axes=tuple(fixed))
-        )
-    return Covering(cells=tuple(cells), region=tuple(region))

@@ -40,7 +40,6 @@ class RunConfig:
     """Resolved configuration: flags > environment > config file."""
 
     workers: int = 1
-    precision: str = "double"
     node_budget: int = 24000
     output: str | None = None
     format: str = "structured"
@@ -71,7 +70,6 @@ class RunConfig:
             node_budget = args.node_budget
         return cls(
             workers=workers,
-            precision=cfg.get("precision", "double"),
             node_budget=node_budget,
             output=getattr(args, "out", None) or cfg.get("output"),
             format=getattr(args, "format", None) or cfg.get("format", "structured"),

@@ -2,9 +2,10 @@
 
 The tau enclosure comes from the interval fixed-point iteration
 tau <- (1 + tau^p)^(1/p) * ((1 - A^p)^(1/p) - sigma*a0), seeded and clamped at
-[0, 0.36], intersected with the previous iterate after every step (natural
-extension mode, the soundness anchor).  The classical endpoint-mixed
-recurrences are available as mode="mixed" with the end clamp only.
+[0, 0.36], intersected with the previous iterate after every step.  The map
+and the boundary formulas (sigma_p, tau_p, Delta(p, 1) and the p-slopes) are
+written once over the generic scalar in jets.py; the functions here are the
+scalar-Interval entry points and add the p > 1 domain checks.
 
 Delta and its five constraint-surface derivatives get interval extensions via
 the jet engine; boundary-column second-derivative enclosures use the explicit
@@ -13,25 +14,24 @@ atom formulas so they stay valid where the tau enclosure touches zero.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .interval import (
-    EMPTY,
-    Box,
-    DomainError,
-    Interval,
-    intersect,
-    ipow,
-)
+from .interval import EMPTY, Box, DomainError, Interval, intersect
 from .jets import (
     SingularConstraint,
+    d_delta_edge_low_scalar,
+    d_sigma_p_scalar,
+    delta_edge_low_scalar,
     delta_jet,
     delta_scalar,
     delta_sigma_derivs,
+    phi_consts,
     phi_prime,
+    phi_scalar,
+    sigma_p_scalar,
     solve_tau_jet,
-    spow_nonneg,
+    tau_p_resid_scalar,
+    tau_p_scalar,
 )
 from .moduli import sigma_p, tau_point
 
@@ -57,8 +57,7 @@ __all__ = [
 ]
 
 DEFAULT_SEED = Interval(0.0, 0.36)
-_ONE = Interval(1.0, 1.0)
-_TWO = Interval(2.0, 2.0)
+_STALL_TOL = 1e-15  # width change below which the iteration has stalled
 
 
 class EmptyEnclosure(Exception):
@@ -100,111 +99,47 @@ class TauEnclosure:
     iterations: int
     converged: bool
     precheck: bool
-    seed: Interval
-    mode: str
 
 
 # -- closed-form boundary enclosures ------------------------------------------
 
 
+def _require_p_above_1(P: Interval, what: str) -> None:
+    if P.lo <= 1.0:
+        raise DomainError(f"{what} needs p > 1, got {P!r}")
+
+
 def sigma_p_enclosure(P: Interval) -> Interval:
     """(2^P - 1)^(1/P)."""
-    if P.lo <= 1.0:
-        raise DomainError(f"sigma_p needs p > 1, got {P!r}")
-    u = ipow(_TWO, P) - _ONE
-    return ipow(u, _ONE / P)
-
-
-def _tau_p_resid_enclosure(tau: float, P: Interval) -> Interval:
-    t = Interval.point(tau)
-    lhs = _TWO * ipow(_ONE - t, P)
-    rhs = _ONE + (spow_nonneg(t, P) if tau <= 0.0 else ipow(t, P))
-    return lhs - rhs
+    _require_p_above_1(P, "sigma_p")
+    return sigma_p_scalar(P)
 
 
 def tau_p_enclosure(P: Interval, max_iter: int = 80) -> Interval:
-    """Bracket of {tau_p(p) : p in P} by interval-sign bisection.
-
-    The residual 2(1-t)^p - 1 - t^p is decreasing in t for every p, so a
-    verified positive sign at t pushes the lower bracket and a verified
-    negative sign pushes the upper one; an indecisive midpoint ends the
-    refinement with the bracket still sound.
-    """
-    if P.lo <= 1.0:
-        raise DomainError(f"tau_p needs p > 1, got {P!r}")
-    lo, hi = 0.0, 0.5
-    if _tau_p_resid_enclosure(hi, P).hi >= 0.0:
-        raise DomainError("tau_p bracket failed at 0.5")
-    stuck = None
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        r = _tau_p_resid_enclosure(mid, P)
-        if r.lo > 0.0:
-            lo = mid
-        elif r.hi < 0.0:
-            hi = mid
-        else:
-            stuck = mid
-            break
-    if stuck is not None:
-        # the midpoint became indecisive: push each endpoint independently
-        # toward it as far as its verified sign allows
-        a, b = lo, stuck
-        for _ in range(max_iter):
-            m = 0.5 * (a + b)
-            if m == a or m == b:
-                break
-            if _tau_p_resid_enclosure(m, P).lo > 0.0:
-                a = m
-            else:
-                b = m
-        lo = a
-        a, b = stuck, hi
-        for _ in range(max_iter):
-            m = 0.5 * (a + b)
-            if m == a or m == b:
-                break
-            if _tau_p_resid_enclosure(m, P).hi < 0.0:
-                b = m
-            else:
-                a = m
-        hi = b
-    return Interval(lo, hi)
+    """Bracket of {tau_p(p) : p in P} (see jets.tau_p_scalar)."""
+    _require_p_above_1(P, "tau_p")
+    return tau_p_scalar(P, max_iter)
 
 
 def delta_edge_low_enclosure(P: Interval) -> Interval:
     """Delta(P, 1) = 4^(-1/P) (1 + tau_p)/(1 - tau_p)."""
-    tp = tau_p_enclosure(P)
-    return ipow(Interval(4.0, 4.0), -(_ONE / P)) * (_ONE + tp) / (_ONE - tp)
+    return delta_edge_low_scalar(P, tau_p_enclosure(P))
 
 
 def delta_edge_high_enclosure(P: Interval) -> Interval:
     """Delta(P, sigma_p) = sigma_p / 2."""
-    return sigma_p_enclosure(P) / _TWO
+    return sigma_p_enclosure(P) / 2
 
 
 def d_sigma_p_enclosure(P: Interval) -> Interval:
     """d sigma_p / dp = sigma_p * [2^p ln2 / (p(2^p-1)) - ln(2^p-1)/p^2]."""
-    two_p = ipow(_TWO, P)
-    u = two_p - _ONE
-    ln2 = Interval(math.nextafter(math.log(2.0), 0.0), math.nextafter(math.log(2.0), 1.0))
-    term1 = two_p * ln2 / (P * u)
-    term2 = u.log() / (P * P)
-    return sigma_p_enclosure(P) * (term1 - term2)
+    _require_p_above_1(P, "d sigma_p/dp")
+    return d_sigma_p_scalar(P)
 
 
 def d_delta_edge_low_enclosure(P: Interval) -> Interval:
     """d/dp of Delta(p, 1), via implicit tau_p'(p) = -h_p/h_tau."""
-    tp = tau_p_enclosure(P)
-    one_m = _ONE - tp
-    ln4 = Interval(math.nextafter(math.log(4.0), 0.0), math.nextafter(math.log(4.0), 4.0))
-    h_p = _TWO * ipow(one_m, P) * one_m.log() - ipow(tp, P) * tp.log()
-    h_t = -_TWO * P * ipow(one_m, P - _ONE) - P * ipow(tp, P - _ONE)
-    tp_prime = -(h_p / h_t)
-    dl = delta_edge_low_enclosure(P)
-    return dl * (ln4 / (P * P) + _TWO * tp_prime / (_ONE - tp * tp))
+    return d_delta_edge_low_scalar(P, tau_p_enclosure(P))
 
 
 # -- Remark-1 convergence precheck ----------------------------------------------
@@ -241,104 +176,38 @@ def precheck_clamped(X: Box) -> bool:
 # -- the interval fixed-point iteration ------------------------------------------
 
 
-def _phi_interval(P: Interval, S: Interval, a0: Interval, sa0: Interval, T: Interval) -> Interval:
-    """Natural interval extension of the fixed-point map at tau interval T."""
-    inv_p = _ONE / P
-    u = _ONE + spow_nonneg(T, P)
-    b0 = ipow(u, -inv_p)
-    A = b0 - a0
-    if A.lo <= 0.0:
-        raise DomainError(f"A enclosure {A!r} not positive (box too wide)")
-    inner = _ONE - ipow(A, P)
-    if inner.lo <= 0.0:
-        raise DomainError(f"1 - A^p enclosure {inner!r} not positive")
-    return ipow(u, inv_p) * (ipow(inner, inv_p) - sa0)
-
-
-def _check_seed_clamp(P: Interval, seed: Interval) -> None:
+def _check_seed_clamp(P: Interval) -> None:
     # tau_p(p) < seed.hi for all p in P iff the residual at seed.hi is negative.
-    r = _tau_p_resid_enclosure(seed.hi, P)
+    r = tau_p_resid_scalar(P, DEFAULT_SEED.hi)
     if r.hi >= 0.0:
         raise DomainError(
-            f"cannot verify tau_p < {seed.hi} over {P!r}: residual {r!r}"
+            f"cannot verify tau_p < {DEFAULT_SEED.hi} over {P!r}: residual {r!r}"
         )
 
 
-def _phi_mixed_endpoint(P: Interval, S: Interval, t: float, side: str) -> Interval:
-    # Endpoint-mixed recurrence: contracting positions get the far exponent
-    # and parameter endpoints, expanding positions the near ones.
-    if side == "lo":
-        p_pre, p_in, s_in = Interval.point(P.hi), Interval.point(P.lo), Interval.point(S.hi)
-    else:
-        p_pre, p_in, s_in = Interval.point(P.lo), Interval.point(P.hi), Interval.point(S.lo)
-    ti = Interval.point(t)
-    u = _ONE + spow_nonneg(ti, p_pre)
-    a0 = ipow(_ONE + ipow(s_in, p_in), -(_ONE / p_in))
-    A = ipow(u, -(_ONE / p_pre)) - a0
-    if A.lo <= 0.0:
-        raise DomainError("A not positive in mixed step")
-    inner = _ONE - ipow(A, p_in)
-    if inner.lo <= 0.0:
-        raise DomainError("1 - A^p not positive in mixed step")
-    return ipow(u, _ONE / p_pre) * (ipow(inner, _ONE / p_in) - s_in * a0)
-
-
-def tau_interval(
-    X: Box,
-    max_iterations: int = 200,
-    stall_tol: float = 1e-15,
-    seed: Interval = DEFAULT_SEED,
-    mode: str = "natural",
-) -> TauEnclosure:
+def tau_interval(X: Box, max_iterations: int = 200) -> TauEnclosure:
     """Enclosure of {tau(p, sigma) : (p, sigma) in X within the domain}.
 
-    Natural mode intersects the interval image with the current iterate every
-    step, so every true fixed point present at the start is present at the
-    end; convergence is declared when the width stalls (or the float fixpoint
-    is reached exactly).  EmptyEnclosure means the box holds no surface point.
+    The interval image of the fixed-point map is intersected with the current
+    iterate every step, so every true fixed point present in the seed is
+    present at the end; convergence is declared when the width stalls (or the
+    float fixpoint is reached exactly).  EmptyEnclosure means the box holds no
+    surface point.
     """
-    _check_seed_clamp(X.p, seed)
+    _check_seed_clamp(X.p)
     pre = precheck_clamped(X)
-    P, S = X.p, X.sigma
-
-    if mode == "mixed":
-        lo, hi = seed.lo, seed.hi
-        n = 0
-        for n in range(1, max_iterations + 1):
-            new_lo = _phi_mixed_endpoint(P, S, lo, "lo").lo
-            new_hi = _phi_mixed_endpoint(P, S, hi, "hi").hi
-            ch = max(abs(new_lo - lo), abs(new_hi - hi))
-            lo, hi = new_lo, new_hi
-            if ch <= stall_tol:
-                break
-        else:
-            raise NotConverged(f"mixed iteration stalled after {max_iterations}")
-        final = intersect(Interval(min(lo, hi), max(lo, hi)), seed)
-        if final is EMPTY:
-            raise EmptyEnclosure(f"mixed-mode clamp emptied on {X!r}")
-        return TauEnclosure(
-            box=X, tau=final, iterations=n, converged=True, precheck=pre,
-            seed=seed, mode=mode,
-        )
-
-    if mode != "natural":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    inv_p = _ONE / P
-    a0 = ipow(_ONE + ipow(S, P), -inv_p)
-    sa0 = S * a0
-    T = seed
+    P = X.p
+    consts = phi_consts(P, X.sigma)
+    T = DEFAULT_SEED
     for n in range(1, max_iterations + 1):
-        phi = _phi_interval(P, S, a0, sa0, T)
-        Tn = intersect(phi, T)
+        Tn = intersect(phi_scalar(P, *consts, T), T)
         if Tn is EMPTY:
             raise EmptyEnclosure(f"iteration emptied on {X!r} at step {n}")
-        stalled = (Tn == T) or abs(T.width - Tn.width) <= stall_tol
+        stalled = (Tn == T) or abs(T.width - Tn.width) <= _STALL_TOL
         T = Tn
         if stalled:
             return TauEnclosure(
-                box=X, tau=T, iterations=n, converged=True, precheck=pre,
-                seed=seed, mode=mode,
+                box=X, tau=T, iterations=n, converged=True, precheck=pre
             )
     raise NotConverged(f"no stall within {max_iterations} iterations on {X!r}")
 

@@ -26,14 +26,7 @@ __all__ = [
     "IntervalError",
     "IntervalOverflow",
     "DivisionByZeroInterval",
-    "EmptyIntervalError",
     "DomainError",
-    "arith",
-    "elem",
-    "setops",
-    "metrics",
-    "iexp",
-    "ilog",
     "ipow",
     "intersect",
     "hull",
@@ -55,10 +48,6 @@ class IntervalOverflow(IntervalError):
 
 class DivisionByZeroInterval(IntervalError):
     """Division by an interval containing zero."""
-
-
-class EmptyIntervalError(IntervalError):
-    """Operation requires a nonempty interval."""
 
 
 class DomainError(IntervalError):
@@ -188,15 +177,6 @@ class Interval:
     def is_point(self) -> bool:
         return self.lo == self.hi
 
-    def strictly_positive(self) -> bool:
-        return self.lo > 0.0
-
-    def strictly_negative(self) -> bool:
-        return self.hi < 0.0
-
-    def widened(self, ulps: int = 1) -> "Interval":
-        return Interval(_down_n(self.lo, ulps), _up_n(self.hi, ulps))
-
     # -- arithmetic ----------------------------------------------------------
 
     @staticmethod
@@ -321,14 +301,6 @@ def _div_bounds(x: float, y: float, q: float) -> tuple[float, float]:
     return _down(q), q
 
 
-def iexp(x: Interval) -> Interval:
-    return x.exp()
-
-
-def ilog(x: Interval) -> Interval:
-    return x.log()
-
-
 def ipow(x: Interval, y) -> Interval:
     """Enclosure of {a**b : a in x, b in y}; requires x.lo > 0.
 
@@ -368,53 +340,6 @@ def intersect(a: Interval, b: Interval):
 
 def hull(a: Interval, b: Interval) -> Interval:
     return Interval(min(a.lo, b.lo), max(a.hi, b.hi))
-
-
-# -- named-operation facades ---------------------------------------------------
-
-_ARITH = {
-    "add": Interval.__add__,
-    "sub": Interval.__sub__,
-    "mul": Interval.__mul__,
-    "div": Interval.__truediv__,
-}
-
-
-def arith(a: Interval, b: Interval, op: str) -> Interval:
-    """Dispatch {add, sub, mul, div} by name."""
-    try:
-        f = _ARITH[op]
-    except KeyError:
-        raise ValueError(f"unknown arith op {op!r}") from None
-    return f(a, b)
-
-
-def elem(x: Interval, f: str, exponent=None) -> Interval:
-    """Dispatch {exp, ln, pow} by name; pow takes the exponent interval."""
-    if f == "exp":
-        return x.exp()
-    if f == "ln":
-        return x.log()
-    if f == "pow":
-        if exponent is None:
-            raise ValueError("pow requires an exponent")
-        return ipow(x, exponent)
-    raise ValueError(f"unknown elementary function {f!r}")
-
-
-def setops(a: Interval, b: Interval, op: str):
-    if op == "intersect":
-        return intersect(a, b)
-    if op == "hull":
-        return hull(a, b)
-    raise ValueError(f"unknown set op {op!r}")
-
-
-def metrics(a) -> tuple[float, float]:
-    """(width rounded up, a midpoint guaranteed to lie in a)."""
-    if a is EMPTY:
-        raise EmptyIntervalError("metrics of EMPTY")
-    return a.width, a.mid
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,22 @@
 """Truncated bivariate Taylor jets over a generic scalar type.
 
 A jet carries Taylor coefficients of a function of (sigma, p) up to sigma-degree
-`mi` and p-degree `mj` (total degree <= mi + mj, which keeps every series
-recurrence below exact).  Coefficients may be floats, Intervals, numpy arrays
-or anything else with ring operators plus exp/log, so the identical formulas
-produce machine-double derivatives, rigorous interval enclosures of
-derivatives, or vectorized derivative samples.
+`mi` and p-degree `mj`, with mi + mj <= 3 because the series of recip, exp
+and log stop at the cubic term (a larger order raises ValueError).
+Coefficients may be floats, Intervals, numpy arrays or anything else with
+ring operators plus exp/log, so the identical formulas produce machine-double
+derivatives, rigorous interval enclosures of derivatives, or vectorized
+derivative samples.
 
 The implicit function tau(sigma, p) defined by F(tau, sigma, p) = A^p + B^p - 1
 is transported order by order: each new Taylor coefficient of tau equals
 -(residual coefficient of F)/F_tau, i.e. implicit differentiation mechanized.
+
+The same generic-scalar style carries every other formula the enclosures
+need, each written once: the atom formulas for the sigma-derivatives and
+d/dp, the tau fixed-point map, and the boundary values sigma_p, tau_p,
+Delta(p, 1) and their p-slopes.  enclosure.py evaluates them on the Interval
+lane and batch.py on the VI lane.
 """
 
 from __future__ import annotations
@@ -31,8 +38,16 @@ __all__ = [
     "f_tau_scalar",
     "atoms_f",
     "delta_scalar",
+    "lift",
+    "phi_consts",
     "phi_scalar",
     "phi_prime",
+    "sigma_p_scalar",
+    "d_sigma_p_scalar",
+    "tau_p_resid_scalar",
+    "tau_p_scalar",
+    "delta_edge_low_scalar",
+    "d_delta_edge_low_scalar",
     "delta_sigma_derivs",
     "delta_p_deriv",
     "tau_pow_log",
@@ -99,6 +114,18 @@ def spow_nonneg(x, y):
     return x**y
 
 
+def lift(p, lo, hi=None):
+    """The constant [lo, hi] (the point lo when hi is None) in the lane of p.
+
+    lo and hi are floats, or per-lane float arrays on the VI lane."""
+    if hi is None:
+        hi = lo
+    if isinstance(p, VI):
+        shape = p.lo.shape
+        return VI(np.full(shape, lo), np.full(shape, hi))
+    return Interval(lo, hi)
+
+
 # -- moduli atoms in generic scalars -------------------------------------------
 
 
@@ -160,6 +187,8 @@ class Jet:
     __slots__ = ("c", "mi", "mj")
 
     def __init__(self, coeffs: list, mi: int, mj: int):
+        if mi + mj > 3:
+            raise ValueError(f"jet order ({mi}, {mj}) exceeds total degree 3")
         self.c = coeffs
         self.mi = mi
         self.mj = mj
@@ -311,15 +340,23 @@ def delta_scalar(p, sigma, tau):
     return (tau + sigma) * a0 * b0
 
 
-def phi_scalar(p, sigma, tau):
-    """Fixed-point map for tau: (1+tau^p)^(1/p) * ((1 - A^p)^(1/p) - sigma*a0)."""
-    one = 1
-    inv_p = one / p
-    a0 = spow(one + spow(sigma, p), -inv_p)
-    u = one + spow_nonneg(tau, p)
+def phi_consts(p, sigma):
+    """(1/p, a0, sigma*a0), a0 = (1 + sigma^p)^(-1/p): the tau-free part of
+    the fixed-point map, computed once before the iteration."""
+    inv_p = 1 / p
+    a0 = spow(1 + spow(sigma, p), -inv_p)
+    return inv_p, a0, sigma * a0
+
+
+def phi_scalar(p, inv_p, a0, sa0, tau):
+    """Fixed-point map for tau: (1+tau^p)^(1/p) * ((1 - A^p)^(1/p) - sigma*a0)
+    with A = (1+tau^p)^(-1/p) - a0 and (inv_p, a0, sa0) from phi_consts.
+
+    On the Interval lane a box too wide for A > 0 or 1 - A^p > 0 raises the
+    DomainError of the kernel pow; on the VI lane such lanes turn NaN."""
+    u = 1 + spow_nonneg(tau, p)
     A = spow(u, -inv_p) - a0
-    inner = one - spow(A, p)
-    return spow(u, inv_p) * (spow(inner, inv_p) - sigma * a0)
+    return spow(u, inv_p) * (spow(1 - spow(A, p), inv_p) - sa0)
 
 
 def phi_prime(p, sigma, tau):
@@ -503,6 +540,80 @@ def delta_sigma_derivs(p, sigma, tau):
         + G * (H_ss + 2 * H_st * tau1 + H_tt * tau1 * tau1 + H_t * tau2)
     )
     return dds, dds2
+
+
+# -- boundary values on the p-axis ---------------------------------------------
+#
+# Functions of p alone, for the two edges of the parameter domain: sigma = 1,
+# where Delta(p, 1) is fixed by tau_p, and the curve sigma = sigma_p(p), where
+# Delta = sigma_p/2.  p is an Interval or a VI.
+
+_LN2 = (math.nextafter(math.log(2.0), 0.0), math.nextafter(math.log(2.0), 1.0))
+_LN4 = (math.nextafter(math.log(4.0), 0.0), math.nextafter(math.log(4.0), 4.0))
+
+
+def sigma_p_scalar(p):
+    """sigma_p = (2^p - 1)^(1/p)."""
+    return spow(spow(lift(p, 2.0), p) - 1, 1 / p)
+
+
+def d_sigma_p_scalar(p):
+    """d sigma_p/dp = sigma_p [2^p ln2/(p(2^p-1)) - ln(2^p-1)/p^2]."""
+    two_p = spow(lift(p, 2.0), p)
+    u = two_p - 1
+    return sigma_p_scalar(p) * (two_p * lift(p, *_LN2) / (p * u) - slog(u) / (p * p))
+
+
+def tau_p_resid_scalar(p, t):
+    """h(t) = 2(1-t)^p - (1 + t^p) at the float t > 0 (per-lane floats on
+    the VI lane); tau_p is its root in (0, 1/2)."""
+    T = lift(p, t)
+    return 2 * spow(1 - T, p) - (1 + spow(T, p))
+
+
+def tau_p_scalar(p, max_steps: int = 80):
+    """Bracket of {tau_p(q) : q in p} by sign bisection of the residual h.
+
+    h decreases in t, h(0) = 1 and h(1/2) = 2^-p - 1 < 0, so [0, 1/2] brackets
+    tau_p for every p > 0.  Each endpoint is bisected on its own verified
+    sign: lo only moves to midpoints with h > 0, hi only to midpoints with
+    h < 0, so an indecisive midpoint cannot leave a stale far bracket.  The
+    loop ends when no midpoint is a float strictly inside its bracket; a
+    bracket that got there earlier stays put, since its midpoint is then an
+    end already evaluated with the same sign.
+    """
+    shape = p.lo.shape if isinstance(p, VI) else ()
+    lo, lo_cap = np.zeros(shape), np.full(shape, 0.5)
+    hi, hi_cap = np.full(shape, 0.5), np.zeros(shape)
+    for _ in range(max_steps):
+        m_lo = 0.5 * (lo + lo_cap)
+        m_hi = 0.5 * (hi + hi_cap)
+        if not np.any((lo < m_lo) & (m_lo < lo_cap) | (hi_cap < m_hi) & (m_hi < hi)):
+            break
+        r_lo = tau_p_resid_scalar(p, m_lo)
+        # until a midpoint turns indecisive both brackets share it
+        r_hi = r_lo if np.array_equal(m_lo, m_hi) else tau_p_resid_scalar(p, m_hi)
+        pos = r_lo.lo > 0.0
+        neg = r_hi.hi < 0.0
+        lo, lo_cap = np.where(pos, m_lo, lo), np.where(pos, lo_cap, m_lo)
+        hi, hi_cap = np.where(neg, m_hi, hi), np.where(neg, hi_cap, m_hi)
+    return lift(p, lo, hi)
+
+
+def delta_edge_low_scalar(p, tp):
+    """Delta(p, 1) = 4^(-1/p) (1 + tau_p)/(1 - tau_p); tp encloses tau_p."""
+    return spow(lift(p, 4.0), -(1 / p)) * (1 + tp) / (1 - tp)
+
+
+def d_delta_edge_low_scalar(p, tp):
+    """d/dp of Delta(p, 1) with tau_p'(p) = -h_p/h_t; tp encloses tau_p."""
+    one_m = 1 - tp
+    h_p = 2 * spow(one_m, p) * slog(one_m) - spow(tp, p) * slog(tp)
+    h_t = -2 * p * spow(one_m, p - 1) - p * spow(tp, p - 1)
+    tp_prime = -(h_p / h_t)
+    return delta_edge_low_scalar(p, tp) * (
+        lift(p, *_LN4) / (p * p) + 2 * tp_prime / (1 - tp * tp)
+    )
 
 
 def _f_jet(t: Jet, s: Jet, pj: Jet) -> Jet:

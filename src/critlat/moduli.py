@@ -305,13 +305,6 @@ def derivatives(p: float, sigma: float) -> DeltaDerivatives:
     )
 
 
-def tau_slope(p: float, sigma: float) -> tuple[float, float]:
-    """(d tau/d sigma, d tau/d p) of the implicit root."""
-    tau0 = tau_point(p, sigma)
-    t, _, _ = solve_tau_jet(float(p), float(sigma), float(tau0), 1, 1)
-    return t.deriv(1, 0), t.deriv(0, 1)
-
-
 # -- critical lattice bases --------------------------------------------------------
 
 

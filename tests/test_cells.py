@@ -1,226 +1,29 @@
-"""Interval cells: coverings, subdivision, faces, adjacency, continuation."""
-
-import random
+"""Interval cells: the construction rules of ICell."""
 
 import pytest
 
 from critlat.interval import Box, Interval
-from critlat.cells import (
-    DegenerateRegion,
-    FixedAxis,
-    ICell,
-    SeedNotSignDefinite,
-    UnknownCell,
-    ZeroDimensionalCell,
-    adjacency_graph,
-    covering_area,
-    covering_from_lines,
-    covering_to_lines,
-    faces,
-    make_covering,
-    region_area,
-    sign_continuation,
-    subdivide,
-    validate_covering,
-)
+from critlat.cells import CellError, FixedAxis, ICell
 
-REGION = (("p", Interval(2.0, 3.0)), ("sigma", Interval(1.0, 1.5)))
+P = ("p", Interval(2.0, 3.0))
+SIGMA = ("sigma", Interval(1.0, 1.5))
 
 
-class TestMakeCovering:
-    def test_2x2_grid(self):
-        cov = make_covering(REGION, (2, 2))
-        assert len(cov.cells) == 4
-        for c in cov.cells:
-            assert abs(c.interval("p").width - 0.5) < 1e-15
-            assert abs(c.interval("sigma").width - 0.25) < 1e-15
-        assert validate_covering(cov)
+class TestICell:
+    def test_duplicate_axis_rejected(self):
+        with pytest.raises(CellError):
+            ICell(id="d", free_axes=(P, ("p", Interval(2.5, 3.5))))
 
-    def test_identity_covering(self):
-        cov = make_covering(REGION, (1, 1))
-        assert len(cov.cells) == 1
-        c = cov.cells[0]
-        assert c.interval("p") == Interval(2.0, 3.0)
-        assert c.interval("sigma") == Interval(1.0, 1.5)
+    def test_zero_width_axis_rejected(self):
+        with pytest.raises(CellError):
+            ICell(id="z", free_axes=(P, ("sigma", Interval(1.2, 1.2))))
 
-    def test_area_accounting_random_grids(self):
-        rng = random.Random(11)
-        for _ in range(25):
-            n, m = rng.randint(1, 9), rng.randint(1, 9)
-            cov = make_covering(REGION, (n, m))
-            assert abs(covering_area(cov) - region_area(cov)) < 1e-12
-            assert validate_covering(cov)
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateRegion):
-            make_covering(REGION, (0, 2))
-        with pytest.raises(DegenerateRegion):
-            make_covering((("p", Interval(2.0, 2.0)),), (2,))
-
-
-class TestSubdivide:
-    def test_single_split_shares_face(self):
-        cov = make_covering(REGION, (1, 1))
-        cid = cov.cells[0].id
-        cov2 = subdivide(cov, cid, "p")
-        assert len(cov2.cells) == 2
-        a, b = cov2.cells
-        assert a.interval("p").hi == b.interval("p").lo
-        assert a.interval("sigma") == b.interval("sigma")
-        assert validate_covering(cov2)
-
-    def test_union_preserved(self):
-        cov = make_covering(REGION, (2, 2))
-        cov2 = subdivide(cov, cov.cells[0].id, "sigma")
-        assert abs(covering_area(cov2) - region_area(cov2)) < 1e-12
-
-    def test_children_inside_parent(self):
-        cov = make_covering(REGION, (1, 1))
-        parent = cov.cells[0]
-        cov2 = subdivide(cov, parent.id, "p")
-        for c in cov2.cells:
-            assert parent.interval("p").contains_interval(c.interval("p"))
-
-    def test_deep_subdivision_stays_in_region(self):
-        rng = random.Random(5)
-        cov = make_covering(REGION, (1, 1))
-        for _ in range(20):
-            cell = rng.choice(cov.cells)
-            axis = rng.choice(("p", "sigma"))
-            cov = subdivide(cov, cell.id, axis)
-        assert validate_covering(cov)
-        for c in cov.cells:
-            for (a, iv), (_, reg) in zip(c.free_axes, cov.region):
-                assert reg.lo <= iv.lo and iv.hi <= reg.hi
-
-    def test_errors(self):
-        cov = make_covering(REGION, (1, 1))
-        with pytest.raises(UnknownCell):
-            subdivide(cov, "nope", "p")
-        cell = ICell(
-            id="f",
-            free_axes=(("p", Interval(2.0, 3.0)),),
-            fixed_axes=(("sigma", 1.0),),
-        )
+    def test_absent_axis_raises_fixed_axis(self):
+        cell = ICell(id="f", free_axes=(P,))
+        assert cell.interval("p") == Interval(2.0, 3.0)
         with pytest.raises(FixedAxis):
             cell.interval("sigma")
 
-
-class TestFaces:
-    def test_2d_cell_has_4_faces(self):
-        cov = make_covering(REGION, (1, 1))
-        fs = faces(cov.cells[0])
-        assert len(fs) == 4
-        assert all(f.dimension == 1 for f in fs)
-
-    def test_1d_cell_has_2_point_faces(self):
-        cell = ICell(id="e", free_axes=(("p", Interval(0.0, 1.0)),))
-        fs = faces(cell)
-        assert len(fs) == 2
-        assert all(f.dimension == 0 for f in fs)
-        vals = sorted(dict(f.fixed_axes)["p"] for f in fs)
-        assert vals == [0.0, 1.0]
-
-    def test_face_of_face_gives_corners(self):
-        cov = make_covering(REGION, (1, 1))
-        corners = set()
-        for f in faces(cov.cells[0]):
-            for ff in faces(f):
-                corners.add(ff.signature())
-        assert len(corners) == 4
-
-    def test_zero_dimensional_rejected(self):
-        corner = ICell(id="c", free_axes=(), fixed_axes=(("p", 2.0), ("sigma", 1.0)))
-        with pytest.raises(ZeroDimensionalCell):
-            faces(corner)
-
-
-class TestAdjacency:
-    def test_2x2_grid(self):
-        g = adjacency_graph(make_covering(REGION, (2, 2)))
-        assert len(g.nodes) == 4
-        assert len(g.edges) == 4
-        assert g.connected
-
-    def test_single_cell(self):
-        g = adjacency_graph(make_covering(REGION, (1, 1)))
-        assert len(g.nodes) == 1
-        assert len(g.edges) == 0
-        assert g.connected
-
-    def test_corner_contact_is_not_adjacency(self):
-        a = ICell(id="a", free_axes=(("p", Interval(0, 1)), ("sigma", Interval(0, 1))))
-        b = ICell(id="b", free_axes=(("p", Interval(1, 2)), ("sigma", Interval(1, 2))))
-        cov_region = (("p", Interval(0, 2)), ("sigma", Interval(0, 2)))
-        from critlat.cells import Covering
-
-        g = adjacency_graph(Covering(cells=(a, b), region=cov_region))
-        assert len(g.edges) == 0
-        assert not g.connected
-
-
-class TestSignContinuation:
-    def evaluator_const(self, box: Box) -> Interval:
-        return Interval(1.0, 2.0)
-
-    def test_constant_positive_covers_everything(self):
-        cov = make_covering(REGION, (3, 3))
-        cont, frontier = sign_continuation(cov, self.evaluator_const, cov.cells[0].id)
-        assert len(cont.members) == 9
-        assert cont.sign == 1
-        assert frontier == ()
-
-    def test_zero_seed_rejected(self):
-        cov = make_covering(REGION, (2, 2))
-        with pytest.raises(SeedNotSignDefinite):
-            sign_continuation(cov, lambda b: Interval(-1.0, 1.0), cov.cells[0].id)
-
-    def test_sigma_threshold_collects_exact_set(self):
-        # interval extension of f(p, sigma) = sigma - 1.25 on a 4x4 grid
-        cov = make_covering(REGION, (4, 4))
-
-        def ev(box: Box) -> Interval:
-            return box.sigma - 1.2
-
-        seed = next(c for c in cov.cells if c.interval("sigma").lo > 1.2)
-        cont, frontier = sign_continuation(cov, ev, seed.id)
-        expect = {c.id for c in cov.cells if c.interval("sigma").lo > 1.2}
-        assert {cid for cid, _ in cont.members} == expect
-        # frontier cells straddle the threshold
-        for cid in frontier:
-            iv = cov.cell(cid).interval("sigma")
-            assert iv.lo < 1.2 < iv.hi
-
-    def test_order_independence(self):
-        cov = make_covering(REGION, (4, 4))
-
-        def ev(box: Box) -> Interval:
-            return box.sigma - 1.2
-
-        seeds = [c.id for c in cov.cells if c.interval("sigma").lo > 1.2]
-        results = {
-            frozenset(cid for cid, _ in sign_continuation(cov, ev, s)[0].members)
-            for s in seeds
-        }
-        assert len(results) == 1
-
-    def test_members_are_c_elements(self):
-        cov = make_covering(REGION, (4, 4))
-        cont, _ = sign_continuation(cov, lambda b: b.sigma - 1.25,
-                                    next(c.id for c in cov.cells
-                                         if c.interval("sigma").lo >= 1.375))
-        for _, eif in cont.members:
-            assert eif.is_c_element
-            assert eif.sign == cont.sign
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        cov = make_covering(REGION, (3, 2))
-        cov = subdivide(cov, cov.cells[0].id, "p")
-        lines = covering_to_lines(cov)
-        back = covering_from_lines(lines)
-        assert {c.signature() for c in back.cells} == {
-            c.signature() for c in cov.cells
-        }
-        assert back.region == cov.region
+    def test_as_box(self):
+        cell = ICell(id="c0", free_axes=(SIGMA, P))
+        assert cell.as_box() == Box(Interval(2.0, 3.0), Interval(1.0, 1.5))

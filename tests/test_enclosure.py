@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from critlat.interval import Box, DomainError, Interval
+from critlat import batch as B
 from critlat import enclosure as E
 from critlat import moduli as M
 from critlat.batch import (
@@ -14,7 +15,7 @@ from critlat.batch import (
     subpave_delta_above,
     tau_enclose_batch,
 )
-from critlat.jets import delta_sigma_derivs, phi_prime
+from critlat.jets import Jet, delta_sigma_derivs, phi_consts, phi_prime, phi_scalar
 from critlat.vints import VI
 
 SQRT3 = math.sqrt(3.0)
@@ -30,9 +31,8 @@ class TestPrecheck:
         pm, sm = X.mid
         tau = M.tau_point(pm, sm)
         h = 1e-7
-        from critlat.jets import phi_scalar
-
-        fd = (phi_scalar(pm, sm, tau + h) - phi_scalar(pm, sm, tau - h)) / (2 * h)
+        consts = phi_consts(pm, sm)
+        fd = (phi_scalar(pm, *consts, tau + h) - phi_scalar(pm, *consts, tau - h)) / (2 * h)
         assert E.convergence_precheck(X) == (abs(fd) < 1.0)
 
     def test_degenerate_point_at_curve(self):
@@ -68,7 +68,7 @@ class TestTauInterval:
 
     def test_seed_recorded(self):
         enc = E.tau_interval(point_box(2.3, 1.3))
-        assert enc.seed == Interval(0.0, 0.36)
+        assert E.DEFAULT_SEED == Interval(0.0, 0.36)
         assert enc.tau.lo >= 0.0 and enc.tau.hi <= 0.36
         assert enc.precheck
 
@@ -96,39 +96,14 @@ class TestTauInterval:
         X = Box.of(2.3, 2.32, 1.25, 1.27)
         widths = []
         T = E.DEFAULT_SEED
-        inv_p = Interval(1.0, 1.0) / X.p
-        from critlat.interval import ipow
-
-        a0 = ipow(Interval(1.0, 1.0) + ipow(X.sigma, X.p), -inv_p)
-        sa0 = X.sigma * a0
-        from critlat.enclosure import _phi_interval
+        consts = phi_consts(X.p, X.sigma)
         from critlat.interval import intersect
 
         for _ in range(30):
-            T2 = intersect(_phi_interval(X.p, X.sigma, a0, sa0, T), T)
+            T2 = intersect(phi_scalar(X.p, *consts, T), T)
             widths.append(T2.width)
             T = T2
         assert all(w2 <= w1 + 1e-15 for w1, w2 in zip(widths, widths[1:]))
-
-    def test_mixed_mode_point_box(self):
-        # on point boxes both endpoint iterates converge to the root
-        enc = E.tau_interval(point_box(2.0, 1.0), mode="mixed")
-        assert enc.tau.contains(2.0 - SQRT3)
-        assert enc.tau.width < 1e-10
-
-    def test_mixed_mode_containment_defect_pinned(self):
-        # the classical endpoint-mixed recurrences are NOT a guaranteed
-        # enclosure: on this box the lower iterate lands above true values.
-        # The natural mode is the soundness anchor; mixed stays opt-in.
-        X = Box.of(2.29, 2.31, 1.19, 1.21)
-        mixed = E.tau_interval(X, mode="mixed")
-        natural = E.tau_interval(X)
-        rng = np.random.default_rng(4)
-        ps = rng.uniform(X.p.lo, X.p.hi, 2000)
-        ss = rng.uniform(X.sigma.lo, X.sigma.hi, 2000)
-        taus = M.tau_point_vec(ps, ss)
-        assert natural.tau.lo <= taus.min() and taus.max() <= natural.tau.hi
-        assert mixed.tau.lo > taus.min()  # the documented gap
 
     def test_refinement_nesting(self):
         outer = Box.of(2.3, 2.34, 1.2, 1.24)
@@ -288,35 +263,67 @@ class TestAtomFormulaEnclosures:
             E.sigma_derivs_enclosure(X, enc)
 
 
+def both_lanes(scalar_fn, batch_fn, p_lo, p_hi):
+    """The enclosure over [p_lo, p_hi] on the Interval lane and on a one-lane
+    VI, each as a (lo, hi) pair: every generic formula is checked on both."""
+    s = scalar_fn(Interval(p_lo, p_hi))
+    v = batch_fn(VI(np.array([p_lo]), np.array([p_hi])))
+    return [(s.lo, s.hi), (float(v.lo[0]), float(v.hi[0]))]
+
+
 class TestBoundaryEnclosures:
     def test_sigma_p_enclosure(self):
         for p in (1.5, 2.0, 3.0):
-            iv = E.sigma_p_enclosure(Interval.point(p))
-            assert iv.contains(M.sigma_p(p))
-            assert iv.width < 1e-13
+            for lo, hi in both_lanes(E.sigma_p_enclosure, B.sigma_p_batch, p, p):
+                assert lo <= M.sigma_p(p) <= hi
+                assert hi - lo < 1e-13
 
     def test_tau_p_enclosure_tight(self):
-        iv = E.tau_p_enclosure(Interval.point(2.0))
-        assert iv.contains(2.0 - SQRT3)
-        assert iv.width < 1e-13
+        for lo, hi in both_lanes(E.tau_p_enclosure, B.tau_p_enclose_batch, 2.0, 2.0):
+            assert lo <= 2.0 - SQRT3 <= hi
+            assert hi - lo < 1e-13
 
     def test_edges_contain_closed_forms(self):
-        P = Interval(2.3, 2.4)
-        lo_iv = E.delta_edge_low_enclosure(P)
-        hi_iv = E.delta_edge_high_enclosure(P)
+        lows = both_lanes(E.delta_edge_low_enclosure, B.edge_low_batch, 2.3, 2.4)
+        highs = both_lanes(
+            E.delta_edge_high_enclosure, lambda P: B.sigma_p_batch(P) * 0.5, 2.3, 2.4
+        )
         for p in np.linspace(2.3, 2.4, 7):
-            assert lo_iv.contains(M.delta_edge_low(p))
-            assert hi_iv.contains(M.delta_edge_high(p))
+            for lo, hi in lows:
+                assert lo <= M.delta_edge_low(p) <= hi
+            for lo, hi in highs:
+                assert lo <= M.delta_edge_high(p) <= hi
 
     def test_derivative_enclosures_contain_fd(self):
-        P = Interval.point(2.4)
         h = 1e-6
         fd_sp = (M.sigma_p(2.4 + h) - M.sigma_p(2.4 - h)) / (2 * h)
-        iv_sp = E.d_sigma_p_enclosure(P)
-        assert iv_sp.lo - 1e-8 <= fd_sp <= iv_sp.hi + 1e-8
+        for lo, hi in both_lanes(E.d_sigma_p_enclosure, B.d_sigma_p_batch, 2.4, 2.4):
+            assert lo - 1e-8 <= fd_sp <= hi + 1e-8
         fd_low = (M.delta_edge_low(2.4 + h) - M.delta_edge_low(2.4 - h)) / (2 * h)
-        iv = E.d_delta_edge_low_enclosure(P)
-        assert iv.lo - 1e-9 <= fd_low <= iv.hi + 1e-9
+        for lo, hi in both_lanes(
+            E.d_delta_edge_low_enclosure, B.d_edge_low_batch, 2.4, 2.4
+        ):
+            assert lo - 1e-9 <= fd_low <= hi + 1e-9
+
+    def test_p_at_most_1_rejected_on_scalar_lane(self):
+        for fn in (E.sigma_p_enclosure, E.tau_p_enclosure, E.d_sigma_p_enclosure,
+                   E.delta_edge_low_enclosure, E.d_delta_edge_low_enclosure):
+            with pytest.raises(DomainError):
+                fn(Interval(0.9, 1.2))
+
+
+class TestJet:
+    def test_degree_3_accepted(self):
+        x = Jet.var_sigma(0.5, 3, 0)
+        assert abs(x.exp().coeff(3, 0) - math.exp(0.5) / 6.0) < 1e-15
+
+    def test_degree_above_3_rejected(self):
+        # the series stop at the cubic term: a quartic jet would silently
+        # read 0 for exp(x) at order 4 instead of e^0.5/24
+        with pytest.raises(ValueError):
+            Jet.var_sigma(0.5, 4, 0)
+        with pytest.raises(ValueError):
+            Jet.const(1.0, 2, 2)
 
 
 class TestBatchLane:

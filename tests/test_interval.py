@@ -1,6 +1,7 @@
 """Interval kernel: anchor examples, containment, isotonicity, rounding direction."""
 
 import math
+import operator
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -13,17 +14,19 @@ from critlat.interval import (
     Box,
     DivisionByZeroInterval,
     DomainError,
-    EmptyIntervalError,
     Interval,
     IntervalOverflow,
-    arith,
-    elem,
     hull,
     intersect,
     ipow,
-    metrics,
-    setops,
 )
+
+OPS = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": operator.truediv,
+}
 
 
 def ulps_wide(iv: Interval) -> int:
@@ -38,22 +41,22 @@ def ulps_wide(iv: Interval) -> int:
 
 class TestArith:
     def test_add_exact(self):
-        r = arith(Interval(1, 2), Interval(3, 4), "add")
+        r = Interval(1, 2) + Interval(3, 4)
         assert r == Interval(4, 6)
 
     def test_mul_sign_cases(self):
-        r = arith(Interval(1, 2), Interval(-1, 1), "mul")
+        r = Interval(1, 2) * Interval(-1, 1)
         assert r == Interval(-2, 2)
 
     def test_div_third_tight(self):
-        r = arith(Interval(1, 1), Interval(3, 3), "div")
+        r = Interval(1, 1) / Interval(3, 3)
         third = Fraction(1, 3)
         assert Fraction(r.lo) <= third <= Fraction(r.hi)
         assert ulps_wide(r) <= 2
 
     def test_div_by_zero_interval(self):
         with pytest.raises(DivisionByZeroInterval):
-            arith(Interval(1, 1), Interval(-1, 2), "div")
+            Interval(1, 1) / Interval(-1, 2)
 
     def test_overflow_is_explicit(self):
         big = Interval(1e308, 1e308)
@@ -79,19 +82,19 @@ class TestArith:
 
 class TestElem:
     def test_pow_sqrt4(self):
-        r = elem(Interval(4, 4), "pow", Interval(0.5, 0.5))
+        r = ipow(Interval(4, 4), Interval(0.5, 0.5))
         assert r.contains(2.0)
         assert ulps_wide(r) <= 4
 
     def test_ln_one_contains_zero(self):
-        r = elem(Interval(1, 1), "ln")
+        r = Interval(1, 1).log()
         assert r.lo < 0.0 < r.hi
 
     def test_pow_interval_base(self):
         getcontext().prec = 40
         lo_exact = Decimal(2) ** Decimal("1.5")
         hi_exact = Decimal(3) ** Decimal("1.5")
-        r = elem(Interval(2, 3), "pow", Interval(1.5, 1.5))
+        r = ipow(Interval(2, 3), Interval(1.5, 1.5))
         assert Decimal(r.lo) <= lo_exact
         assert Decimal(r.hi) >= hi_exact
         # stays reasonably tight
@@ -104,7 +107,7 @@ class TestElem:
 
     def test_ln_rejects_nonpositive(self):
         with pytest.raises(DomainError):
-            elem(Interval(0.0, 1.0), "ln")
+            Interval(0.0, 1.0).log()
 
     def test_exp_log_roundtrip_contains(self):
         x = Interval(0.3, 0.7)
@@ -114,15 +117,13 @@ class TestElem:
 
 class TestSetOps:
     def test_intersect_overlap(self):
-        assert setops(Interval(0, 0.36), Interval(0.2, 0.5), "intersect") == Interval(
-            0.2, 0.36
-        )
+        assert intersect(Interval(0, 0.36), Interval(0.2, 0.5)) == Interval(0.2, 0.36)
 
     def test_intersect_disjoint_empty(self):
-        assert setops(Interval(0, 1), Interval(2, 3), "intersect") is EMPTY
+        assert intersect(Interval(0, 1), Interval(2, 3)) is EMPTY
 
     def test_hull(self):
-        assert setops(Interval(0, 1), Interval(2, 3), "hull") == Interval(0, 3)
+        assert hull(Interval(0, 1), Interval(2, 3)) == Interval(0, 3)
 
     def test_commutative_idempotent(self):
         a, b = Interval(0.1, 0.9), Interval(0.5, 1.7)
@@ -134,21 +135,18 @@ class TestSetOps:
 
 class TestMetrics:
     def test_simple(self):
-        assert metrics(Interval(1, 3)) == (2.0, 2.0)
+        iv = Interval(1, 3)
+        assert (iv.width, iv.mid) == (2.0, 2.0)
 
     def test_iteration_seed_interval(self):
-        w, m = metrics(Interval(0, 0.36))
-        assert w == 0.36
-        assert m == 0.18
+        iv = Interval(0, 0.36)
+        assert iv.width == 0.36
+        assert iv.mid == 0.18
 
     def test_degenerate(self):
-        w, m = metrics(Interval(0.7, 0.7))
-        assert w == 0.0
-        assert m == 0.7
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyIntervalError):
-            metrics(EMPTY)
+        iv = Interval(0.7, 0.7)
+        assert iv.width == 0.0
+        assert iv.mid == 0.7
 
     def test_midpoint_always_member(self):
         rng = random.Random(7)
@@ -191,12 +189,12 @@ class TestContainment:
             for i in idx:
                 a = Interval(alo[i], ahi[i])
                 b = Interval(blo[i], bhi[i])
-                r = arith(a, b, op)
+                r = OPS[op](a, b)
                 assert r.lo <= pts[i] <= r.hi, (op, i)
             # full-vector check against a single hull interval
             a = Interval(float(alo.min()), float(ahi.max()))
             b = Interval(float(blo.min()), float(bhi.max()))
-            r = arith(a, b, op)
+            r = OPS[op](a, b)
             assert r.lo <= pts.min() and pts.max() <= r.hi
 
     def test_containment_elem(self):
@@ -250,8 +248,8 @@ class TestIsotonicity:
             b = Interval(blo, blo + rng.uniform(0.01, 1))
             b_sub = Interval(b.lo + 0.003, b.hi - 0.003)
             for op in ("add", "sub", "mul", "div"):
-                outer = arith(a, b, op)
-                inner = arith(a_sub, b_sub, op)
+                outer = OPS[op](a, b)
+                inner = OPS[op](a_sub, b_sub)
                 assert outer.contains_interval(inner), op
             if a_sub.lo > 0:
                 assert a.exp().contains_interval(a_sub.exp())
