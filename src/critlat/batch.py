@@ -6,6 +6,14 @@ the sigma_p curve); lanes that poison to NaN are undecided and get split.
 The fixed-point map and the boundary formulas are the generic-scalar ones of
 jets.py, evaluated on the VI lane, so soundness per lane is the scalar
 argument verbatim; the functions here are the VI-lane entry points.
+
+tau_p depends on p alone, and its bisection is lane-independent: every op is
+elementwise and a finished lane's bracket stays put while the others iterate
+(jets.tau_p_scalar).  So the low-side subpaving bisects each distinct
+p-interval of a wave once, box lanes and midpoints together, and hands the
+brackets of the previous wave on to the next, whose sigma-split children
+carry their parent's p-interval; the boundary functions take the bracket as
+an argument.
 """
 
 from __future__ import annotations
@@ -74,9 +82,10 @@ def sigma_p_batch(P: VI) -> VI:
     return sigma_p_scalar(P)
 
 
-def edge_low_batch(P: VI) -> VI:
-    """Delta(P, 1) = 4^(-1/P)(1 + tau_p)/(1 - tau_p) per lane."""
-    return delta_edge_low_scalar(P, tau_p_enclose_batch(P))
+def edge_low_batch(P: VI, tp: VI) -> VI:
+    """Delta(P, 1) = 4^(-1/P)(1 + tau_p)/(1 - tau_p) per lane; tp encloses
+    tau_p over the lane's p-interval."""
+    return delta_edge_low_scalar(P, tp)
 
 
 def d_sigma_p_batch(P: VI) -> VI:
@@ -84,9 +93,30 @@ def d_sigma_p_batch(P: VI) -> VI:
     return d_sigma_p_scalar(P)
 
 
-def d_edge_low_batch(P: VI) -> VI:
-    """d/dp of Delta(p, 1) via tau_p'(p) = -h_p/h_tau per lane."""
-    return d_delta_edge_low_scalar(P, tau_p_enclose_batch(P))
+def d_edge_low_batch(P: VI, tp: VI) -> VI:
+    """d/dp of Delta(p, 1) via tau_p'(p) = -h_p/h_tau per lane; tp encloses
+    tau_p over the lane's p-interval."""
+    return d_delta_edge_low_scalar(P, tp)
+
+
+def _tau_p_wave(P: VI, pm: np.ndarray, known: dict) -> tuple[VI, VI, dict]:
+    """tau_p brackets for the box lanes P and the midpoints pm of one wave,
+    and this wave's (p lo, p hi) -> (tau lo, tau hi) dict for the next one.
+
+    Only the distinct p-intervals absent from `known`, the previous wave's
+    dict, are bisected: in one tau_p_enclose_batch call, or none.
+    """
+    lanes = list(
+        zip(np.concatenate([P.lo, pm]).tolist(), np.concatenate([P.hi, pm]).tolist())
+    )
+    new = [k for k in dict.fromkeys(lanes) if k not in known]
+    if new:
+        lo, hi = np.array(new).T.copy()
+        T = tau_p_enclose_batch(VI(lo, hi))
+        known = {**known, **dict(zip(new, zip(T.lo.tolist(), T.hi.tolist())))}
+    tlo, thi = np.array([known[k] for k in lanes]).T.copy()
+    n = len(pm)
+    return VI(tlo[:n], thi[:n]), VI(tlo[n:], thi[n:]), {k: known[k] for k in lanes}
 
 
 def _mid_delta_batch(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray, VI]:
@@ -194,12 +224,18 @@ def subpave_delta_above(
 
     Splitting is by absolute width: the mean-value error is roughly isotropic
     in (p, sigma), so thin initial cells must not starve the other axis.
+
+    On side "low" each wave makes at most one tau_p_enclose_batch call
+    (_tau_p_wave) and keeps its brackets for the next wave only; as tau_p
+    lanes are independent, the result is bit for bit that of bisecting every
+    lane afresh.
     """
     boxes = np.array([[p_lo, p_hi, s_lo, s_hi]], dtype=float)
     scale_p = 1.0
     scale_s = 1.0
     nodes = 0
     wlo, whi = np.inf, -np.inf
+    known: dict = {}  # side "low": the previous wave's tau_p brackets
     while len(boxes):
         nodes += len(boxes)
         if nodes > max_nodes:
@@ -210,23 +246,22 @@ def subpave_delta_above(
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             delta = delta_scalar(P, S, T)
             sp_box = sigma_p_batch(P)
+            pm, sm, dm = _mid_delta_batch(boxes)
             if side == "high":
                 bound = sp_box * 0.5
                 bound_slope = d_sigma_p_batch(P) * 0.5
+                bm = sigma_p_batch(VI.point(pm)) * 0.5
             else:
-                bound = edge_low_batch(P)
-                bound_slope = d_edge_low_batch(P)
+                tp, tp_mid, known = _tau_p_wave(P, pm, known)
+                bound = edge_low_batch(P, tp)
+                bound_slope = d_edge_low_batch(P, tp)
+                bm = edge_low_batch(VI.point(pm), tp_mid)
             diff_lo = np.nextafter(delta.lo - bound.hi, -np.inf)
             diff_hi = np.nextafter(delta.hi - bound.lo, np.inf)
 
             in_domain = ~vac & (S.hi <= sp_box.lo)
             dds, _ = delta_sigma_derivs(P, S, T)
             ddp = delta_p_deriv(P, S, T)
-            pm, sm, dm = _mid_delta_batch(boxes)
-            if side == "high":
-                bm = sigma_p_batch(VI.point(pm)) * 0.5
-            else:
-                bm = edge_low_batch(VI.point(pm))
             mvf = (
                 (dm - bm)
                 + dds * VI(S.lo - sm, S.hi - sm)

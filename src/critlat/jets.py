@@ -580,24 +580,40 @@ def tau_p_scalar(p, max_steps: int = 80):
     h < 0, so an indecisive midpoint cannot leave a stale far bracket.  The
     loop ends when no midpoint is a float strictly inside its bracket; a
     bracket that got there earlier stays put, since its midpoint is then an
-    end already evaluated with the same sign.
+    end already evaluated with the same sign.  As every op is per lane and
+    the step cap is shared, a lane's bracket does not depend on the other
+    lanes of its call.
+
+    The bracket is kept in per-lane arrays on the VI lane and in plain floats
+    on the Interval lane, where numpy 0-d bookkeeping would cost more than the
+    residual itself; both round alike, so the bits agree.
     """
-    shape = p.lo.shape if isinstance(p, VI) else ()
-    lo, lo_cap = np.zeros(shape), np.full(shape, 0.5)
-    hi, hi_cap = np.full(shape, 0.5), np.zeros(shape)
+    if isinstance(p, VI):
+        shape = p.lo.shape
+        lo, lo_cap = np.zeros(shape), np.full(shape, 0.5)
+        hi, hi_cap = np.full(shape, 0.5), np.zeros(shape)
+        where, any_, same = np.where, np.any, np.array_equal
+    else:
+        lo, lo_cap, hi, hi_cap = 0.0, 0.5, 0.5, 0.0
+        where, any_, same = _pick, bool, float.__eq__
     for _ in range(max_steps):
         m_lo = 0.5 * (lo + lo_cap)
         m_hi = 0.5 * (hi + hi_cap)
-        if not np.any((lo < m_lo) & (m_lo < lo_cap) | (hi_cap < m_hi) & (m_hi < hi)):
+        if not any_((lo < m_lo) & (m_lo < lo_cap) | (hi_cap < m_hi) & (m_hi < hi)):
             break
         r_lo = tau_p_resid_scalar(p, m_lo)
         # until a midpoint turns indecisive both brackets share it
-        r_hi = r_lo if np.array_equal(m_lo, m_hi) else tau_p_resid_scalar(p, m_hi)
+        r_hi = r_lo if same(m_lo, m_hi) else tau_p_resid_scalar(p, m_hi)
         pos = r_lo.lo > 0.0
         neg = r_hi.hi < 0.0
-        lo, lo_cap = np.where(pos, m_lo, lo), np.where(pos, lo_cap, m_lo)
-        hi, hi_cap = np.where(neg, m_hi, hi), np.where(neg, hi_cap, m_hi)
+        lo, lo_cap = where(pos, m_lo, lo), where(pos, lo_cap, m_lo)
+        hi, hi_cap = where(neg, m_hi, hi), where(neg, hi_cap, m_hi)
     return lift(p, lo, hi)
+
+
+def _pick(c: bool, a: float, b: float) -> float:
+    """np.where for one float lane."""
+    return a if c else b
 
 
 def delta_edge_low_scalar(p, tp):

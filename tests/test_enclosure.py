@@ -284,7 +284,12 @@ class TestBoundaryEnclosures:
             assert hi - lo < 1e-13
 
     def test_edges_contain_closed_forms(self):
-        lows = both_lanes(E.delta_edge_low_enclosure, B.edge_low_batch, 2.3, 2.4)
+        lows = both_lanes(
+            E.delta_edge_low_enclosure,
+            lambda P: B.edge_low_batch(P, B.tau_p_enclose_batch(P)),
+            2.3,
+            2.4,
+        )
         highs = both_lanes(
             E.delta_edge_high_enclosure, lambda P: B.sigma_p_batch(P) * 0.5, 2.3, 2.4
         )
@@ -301,9 +306,31 @@ class TestBoundaryEnclosures:
             assert lo - 1e-8 <= fd_sp <= hi + 1e-8
         fd_low = (M.delta_edge_low(2.4 + h) - M.delta_edge_low(2.4 - h)) / (2 * h)
         for lo, hi in both_lanes(
-            E.d_delta_edge_low_enclosure, B.d_edge_low_batch, 2.4, 2.4
+            E.d_delta_edge_low_enclosure,
+            lambda P: B.d_edge_low_batch(P, B.tau_p_enclose_batch(P)),
+            2.4,
+            2.4,
         ):
             assert lo - 1e-9 <= fd_low <= hi + 1e-9
+
+    def test_tau_p_lanes_are_independent(self):
+        # subpave_delta_above reuses a tau_p bracket across waves, which is
+        # sound only if a lane's bracket ignores the other lanes of its call
+        rng = np.random.default_rng(20)
+        lo = rng.uniform(1.05, 4.5, 200)
+        lo[150:] = lo[rng.integers(0, 150, 50)]
+        hi = lo + rng.choice([0.0, 1e-9, 1e-4, 0.05], 200)
+        whole = B.tau_p_enclose_batch(VI(lo, hi))
+
+        def bits(T, lanes):
+            return T.lo[lanes].tobytes(), T.hi[lanes].tobytes()
+
+        order = rng.permutation(200)
+        shuffled = B.tau_p_enclose_batch(VI(lo[order], hi[order]))
+        assert bits(shuffled, slice(None)) == bits(whole, order)
+        for i in range(200):
+            alone = B.tau_p_enclose_batch(VI(lo[i : i + 1], hi[i : i + 1]))
+            assert bits(alone, slice(None)) == bits(whole, [i])
 
     def test_p_at_most_1_rejected_on_scalar_lane(self):
         for fn in (E.sigma_p_enclosure, E.tau_p_enclosure, E.d_sigma_p_enclosure,
