@@ -14,9 +14,22 @@ p-interval of a wave once, box lanes and midpoints together, and hands the
 brackets of the previous wave on to the next, whose sigma-split children
 carry their parent's p-interval; the boundary functions take the bracket as
 an argument.
+
+The two subpavings take a list of jobs (Job: a box and a node budget) and
+run them as one merged subpaving: every wave concatenates the
+boxes of all running jobs into one VI array, which keeps numpy busy on wide
+arrays instead of many narrow ones.  The argument that this changes no bit:
+everything in a wave is elementwise except the fixed point's stopping rule,
+so tau_enclose_batch takes the jobs' contiguous lane groups and stops each
+group under the rule of a call of its own; the tau_p brackets shared across
+jobs are lane-independent; each job keeps its own budget, split scales and
+hull, and leaves before a wave that would break its budget.  So
+every job ends (Subpaving) as it would alone.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +48,8 @@ from .jets import (
 from .vints import VI
 
 __all__ = [
+    "Job",
+    "Subpaving",
     "tau_enclose_batch",
     "tau_p_enclose_batch",
     "sigma_p_batch",
@@ -48,27 +63,58 @@ __all__ = [
 SEED = (0.0, 0.36)
 
 
-def tau_enclose_batch(P: VI, S: VI, iters: int = 48) -> tuple[VI, np.ndarray]:
+def tau_enclose_batch(
+    P: VI, S: VI, iters: int = 48, groups=None
+) -> tuple[VI, np.ndarray]:
     """Natural-extension fixed-point iteration, one lane per subcell.
 
     Returns (tau VI, vacuous mask).  Vacuous lanes intersected to nothing:
-    no (p, sigma) in the subcell carries a surface point."""
-    consts = phi_consts(P, S)
+    no (p, sigma) in the subcell carries a surface point.
+
+    groups splits the lanes into contiguous groups of the given sizes (by
+    default one group of all lanes).  Every 8 iterations a group whose lanes
+    all narrowed by at most 1e-15 since the previous check stops, and its
+    lanes are compacted out of the working arrays.  As the map is elementwise,
+    a group's lanes come out bit for bit as in a call of that group alone.
+    """
+    n = P.lo.size
+    sizes = np.asarray([n] if groups is None else groups, dtype=np.intp)
+    sizes = sizes[sizes > 0]
+    inv_p, a0, sa0 = phi_consts(P, S)
     T = VI.full_like(P, *SEED)
     vacuous = np.zeros(P.lo.shape, dtype=bool)
+    out = VI(np.empty(n), np.empty(n))
+    out_vac = np.zeros(n, dtype=bool)
+    lanes = np.arange(n)  # the output lane of each working lane
     prev_w = None
     for k in range(iters):
-        T, empty = phi_scalar(P, *consts, T).intersect(T)
+        T, empty = phi_scalar(P, inv_p, a0, sa0, T).intersect(T)
         vacuous |= empty
         if k % 8 == 7:
             w = T.width
             if prev_w is not None:
                 with np.errstate(invalid="ignore"):
-                    moving = np.any(prev_w - w > 1e-15)
-                if not moving:
-                    break
+                    moved = prev_w - w > 1e-15
+                starts = np.cumsum(sizes) - sizes
+                moving = np.logical_or.reduceat(moved, starts)
+                if not moving.all():
+                    stop = np.repeat(~moving, sizes)
+                    out.lo[lanes[stop]] = T.lo[stop]
+                    out.hi[lanes[stop]] = T.hi[stop]
+                    out_vac[lanes[stop]] = vacuous[stop]
+                    keep = ~stop
+                    if not keep.any():
+                        return out, out_vac
+                    P, inv_p, a0, sa0, T = (
+                        VI(x.lo[keep], x.hi[keep]) for x in (P, inv_p, a0, sa0, T)
+                    )
+                    vacuous, lanes, w = vacuous[keep], lanes[keep], w[keep]
+                    sizes = sizes[moving]
             prev_w = w
-    return T, vacuous
+    out.lo[lanes] = T.lo
+    out.hi[lanes] = T.hi
+    out_vac[lanes] = vacuous
+    return out, out_vac
 
 
 def tau_p_enclose_batch(P: VI, iters: int = 80) -> VI:
@@ -119,13 +165,14 @@ def _tau_p_wave(P: VI, pm: np.ndarray, known: dict) -> tuple[VI, VI, dict]:
     return VI(tlo[:n], thi[:n]), VI(tlo[n:], thi[n:]), {k: known[k] for k in lanes}
 
 
-def _mid_delta_batch(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray, VI]:
-    """Rigorous Delta enclosures at box midpoints (point-lane iteration)."""
+def _mid_delta_batch(boxes: np.ndarray, groups) -> tuple[np.ndarray, np.ndarray, VI]:
+    """Rigorous Delta enclosures at box midpoints (point-lane iteration, one
+    lane group per job as in the box lanes)."""
     pm = 0.5 * (boxes[:, 0] + boxes[:, 1])
     sm = 0.5 * (boxes[:, 2] + boxes[:, 3])
     Pm = VI.point(pm)
     Sm = VI.point(sm)
-    Tm, vac = tau_enclose_batch(Pm, Sm, iters=64)
+    Tm, vac = tau_enclose_batch(Pm, Sm, iters=64, groups=groups)
     dm = delta_scalar(Pm, Sm, Tm)
     bad = vac | Tm.invalid()
     dm = VI(np.where(bad, np.nan, dm.lo), np.where(bad, np.nan, dm.hi))
@@ -151,108 +198,175 @@ def _split_boxes(boxes: np.ndarray, scale_p: float, scale_s: float) -> np.ndarra
     return out
 
 
-def subpave_convex_positive(
-    p_lo: float,
-    p_hi: float,
-    s_lo: float,
-    s_hi: float,
-    max_nodes: int = 60000,
-    min_width: float = 1e-6,
-    sigma_bias: float = 8.0,
-) -> tuple[float, float] | None:
-    """Certify d2Delta/dsigma2 > 0 over the box (within the domain) by
-    adaptive subpaving; returns the hull (lo, hi) of the subcell enclosures,
-    with hull lo > 0, or None when the budget or width floor is hit.
+class Job(NamedTuple):
+    """One box to subpave, with its own node budget."""
+
+    p_lo: float
+    p_hi: float
+    s_lo: float
+    s_hi: float
+    max_nodes: int
+
+
+CERTIFIED = "certified"
+BUDGET_HIT = "node budget hit"
+FLOOR_HIT = "width floor hit"
+VACUOUS = "no in-domain subcell"
+
+
+class Subpaving(NamedTuple):
+    """How a job ended: hull (lo, hi) of its subcell enclosures when
+    certified (hull lo > 0), else None; end is one of CERTIFIED, BUDGET_HIT,
+    FLOOR_HIT or VACUOUS; nodes counts its boxes so far."""
+
+    hull: tuple[float, float] | None
+    end: str
+    nodes: int
+
+
+def _subpave(jobs, scales, min_width: float, wave) -> list[Subpaving]:
+    """Adaptive subpaving of all jobs at once, one merged VI array per wave.
+
+    wave(boxes, groups) evaluates the concatenated boxes of the running jobs
+    (groups: their box counts) and returns per-lane (vacuous, ok, lo, hi),
+    ok meaning the enclosure [lo, hi] is positive.  A job passes when every
+    box is vacuous or ok; otherwise its failing boxes are split on the job's
+    scales.  A job whose node count would exceed its budget stops before the
+    wave is evaluated, and one with a failing box thinner than min_width
+    stops after it.  Each job sees exactly the waves of a run of its
+    own, so its result does not depend on the other jobs.
+    """
+    boxes = [np.array([job[:4]], dtype=float) for job in jobs]
+    nodes = [0] * len(jobs)
+    hull = [(np.inf, -np.inf)] * len(jobs)
+    result: list = [None] * len(jobs)
+    running = list(range(len(jobs)))
+    while running:
+        batch = []
+        for j in running:
+            nodes[j] += len(boxes[j])
+            if nodes[j] > jobs[j].max_nodes:
+                result[j] = Subpaving(None, BUDGET_HIT, nodes[j])
+            else:
+                batch.append(j)
+        if not batch:
+            break
+        sizes = [len(boxes[j]) for j in batch]
+        vac, ok, lo, hi = wave(np.concatenate([boxes[j] for j in batch]), sizes)
+        good = vac | ok
+        live = ok & ~vac
+        running = []
+        for j, b, a in zip(batch, np.cumsum(sizes), np.cumsum(sizes) - sizes):
+            wlo, whi = hull[j]
+            if np.any(live[a:b]):
+                wlo = min(wlo, float(lo[a:b][live[a:b]].min()))
+                whi = max(whi, float(hi[a:b][live[a:b]].max()))
+                hull[j] = wlo, whi
+            fails = boxes[j][~good[a:b]]
+            if not len(fails):
+                if np.isfinite(wlo):
+                    result[j] = Subpaving((wlo, whi), CERTIFIED, nodes[j])
+                else:  # every box vacuous: nothing to witness
+                    result[j] = Subpaving(None, VACUOUS, nodes[j])
+                continue
+            too_thin = np.minimum(
+                fails[:, 1] - fails[:, 0], fails[:, 3] - fails[:, 2]
+            ) < min_width
+            if np.any(too_thin):
+                result[j] = Subpaving(None, FLOOR_HIT, nodes[j])
+                continue
+            boxes[j] = _split_boxes(fails, *scales[j])
+            running.append(j)
+    return result
+
+
+MAX_LANES = 4096  # lanes evaluated at once; wider waves only cost memory
+
+
+def _in_chunks(boxes: np.ndarray, groups, evaluate) -> tuple:
+    """evaluate(boxes, groups) on consecutive runs of whole lane groups of at
+    most MAX_LANES lanes (a larger group runs alone), its per-lane outputs
+    concatenated.  Past a few thousand lanes numpy's cost per lane is flat,
+    while a wave's temporaries grow with its lanes."""
+    parts, a, run = [], 0, []
+    for n in groups:
+        if run and sum(run) + n > MAX_LANES:
+            parts.append(evaluate(boxes[a : a + sum(run)], run))
+            a, run = a + sum(run), []
+        run.append(n)
+    parts.append(evaluate(boxes[a:], run))
+    return tuple(np.concatenate(out) for out in zip(*parts))
+
+
+def subpave_convex_positive(jobs, sigma_bias: float = 8.0) -> list[Subpaving]:
+    """Certify d2Delta/dsigma2 > 0 over each job's box (within the domain) by
+    adaptive subpaving; all jobs run as one merged subpaving (_subpave).  A
+    certified job's hull is that of its subcell enclosures, hull lo > 0.
+    The width floor is 1e-6.
 
     sigma_bias > 1 refines sigma ahead of p: the second-derivative enclosure
     is far more sensitive to the sigma/tau spread than to p.
     """
-    boxes = np.array([[p_lo, p_hi, s_lo, s_hi]], dtype=float)
-    scale_p = max(p_hi - p_lo, 1e-12)
-    scale_s = max(s_hi - s_lo, 1e-12) / sigma_bias
-    nodes = 0
-    wlo, whi = np.inf, -np.inf
-    while len(boxes):
-        nodes += len(boxes)
-        if nodes > max_nodes:
-            return None
+    scales = [
+        (max(j.p_hi - j.p_lo, 1e-12), max(j.s_hi - j.s_lo, 1e-12) / sigma_bias)
+        for j in jobs
+    ]
+
+    def chunk(boxes, groups):
         P = VI(boxes[:, 0], boxes[:, 1])
         S = VI(boxes[:, 2], boxes[:, 3])
-        T, vac = tau_enclose_batch(P, S)
+        T, vac = tau_enclose_batch(P, S, groups=groups)
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             _, dds2 = delta_sigma_derivs(P, S, T)
             ok = dds2.lo > 0.0
-        good = vac | ok
-        live = ok & ~vac
-        if np.any(live):
-            wlo = min(wlo, float(dds2.lo[live].min()))
-            whi = max(whi, float(dds2.hi[live].max()))
-        fails = boxes[~good]
-        if not len(fails):
-            if not np.isfinite(wlo):
-                return None  # entire column vacuous: nothing to witness
-            return (wlo, whi)
-        too_thin = np.minimum(
-            fails[:, 1] - fails[:, 0], fails[:, 3] - fails[:, 2]
-        ) < min_width
-        if np.any(too_thin):
-            return None
-        boxes = _split_boxes(fails, scale_p, scale_s)
-    return None
+        return vac, ok, dds2.lo, dds2.hi
+
+    def wave(boxes, groups):
+        return _in_chunks(boxes, groups, chunk)
+
+    return _subpave(jobs, scales, 1e-6, wave)
 
 
-def subpave_delta_above(
-    p_lo: float,
-    p_hi: float,
-    s_lo: float,
-    s_hi: float,
-    side: str,
-    max_nodes: int = 40000,
-    min_width: float = 1e-7,
-) -> tuple[float, float] | None:
-    """Certify Delta(p, sigma) > boundary(p) over the box by adaptive
-    subpaving of the correlated difference.
+def subpave_delta_above(jobs, side: str) -> list[Subpaving]:
+    """Certify Delta(p, sigma) > boundary(p) over each job's box by adaptive
+    subpaving of the correlated difference; all jobs run as one merged
+    subpaving (_subpave).  The width floor is 1e-7.
 
     side "high": boundary = sigma_p(p)/2;  side "low": boundary = Delta(p, 1).
     Each subcell is tested with the natural difference and, when the subcell
     is verified fully inside the domain (so the mean-value segment stays
     there), with a midpoint-centered mean-value form whose gradient comes
     from the atom-formula enclosures; the boundary slope is subtracted inside
-    the p-gradient, which is where the two terms cancel.  Returns the hull of
-    the per-subcell difference enclosures (hull lo > 0), or None.  Vacuous
-    subcells (beyond the curve) pass.
+    the p-gradient, which is where the two terms cancel.  A certified job's
+    hull is that of its per-subcell difference enclosures (hull lo > 0).
+    Vacuous subcells (beyond the curve) pass.
 
     Splitting is by absolute width: the mean-value error is roughly isotropic
     in (p, sigma), so thin initial cells must not starve the other axis.
 
-    On side "low" each wave makes at most one tau_p_enclose_batch call
-    (_tau_p_wave) and keeps its brackets for the next wave only; as tau_p
-    lanes are independent, the result is bit for bit that of bisecting every
-    lane afresh.
+    On side "low" each wave makes at most one tau_p_enclose_batch call per
+    chunk (_tau_p_wave, _in_chunks) and keeps its brackets for the next wave
+    only; as tau_p lanes are independent, the result is bit for bit that of
+    bisecting every lane afresh.
     """
-    boxes = np.array([[p_lo, p_hi, s_lo, s_hi]], dtype=float)
-    scale_p = 1.0
-    scale_s = 1.0
-    nodes = 0
-    wlo, whi = np.inf, -np.inf
     known: dict = {}  # side "low": the previous wave's tau_p brackets
-    while len(boxes):
-        nodes += len(boxes)
-        if nodes > max_nodes:
-            return None
+    fresh: dict = {}  # and those of the current wave's chunks so far
+
+    def chunk(boxes, groups):
         P = VI(boxes[:, 0], boxes[:, 1])
         S = VI(boxes[:, 2], boxes[:, 3])
-        T, vac = tau_enclose_batch(P, S)
+        T, vac = tau_enclose_batch(P, S, groups=groups)
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             delta = delta_scalar(P, S, T)
             sp_box = sigma_p_batch(P)
-            pm, sm, dm = _mid_delta_batch(boxes)
+            pm, sm, dm = _mid_delta_batch(boxes, groups)
             if side == "high":
                 bound = sp_box * 0.5
                 bound_slope = d_sigma_p_batch(P) * 0.5
                 bm = sigma_p_batch(VI.point(pm)) * 0.5
             else:
-                tp, tp_mid, known = _tau_p_wave(P, pm, known)
+                tp, tp_mid, seen = _tau_p_wave(P, pm, {**known, **fresh})
+                fresh.update(seen)
                 bound = edge_low_batch(P, tp)
                 bound_slope = d_edge_low_batch(P, tp)
                 bm = edge_low_batch(VI.point(pm), tp_mid)
@@ -272,20 +386,12 @@ def subpave_delta_above(
             best_lo = np.fmax(diff_lo, mlo)
             best_hi = np.fmin(diff_hi, mhi)
             ok = best_lo > 0.0
-        good = vac | ok
-        live = ok & ~vac
-        if np.any(live):
-            wlo = min(wlo, float(best_lo[live].min()))
-            whi = max(whi, float(best_hi[live].max()))
-        fails = boxes[~good]
-        if not len(fails):
-            if not np.isfinite(wlo):
-                return None
-            return (wlo, whi)
-        too_thin = np.minimum(
-            fails[:, 1] - fails[:, 0], fails[:, 3] - fails[:, 2]
-        ) < min_width
-        if np.any(too_thin):
-            return None
-        boxes = _split_boxes(fails, scale_p, scale_s)
-    return None
+        return vac, ok, best_lo, best_hi
+
+    def wave(boxes, groups):
+        nonlocal known, fresh
+        out = _in_chunks(boxes, groups, chunk)
+        known, fresh = fresh, {}
+        return out
+
+    return _subpave(jobs, [(1.0, 1.0)] * len(jobs), 1e-7, wave)

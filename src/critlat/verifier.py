@@ -22,18 +22,31 @@ carries the monotone certificates instead.  All claims are restricted to the
 parameter domain 1 < sigma < sigma_p(p); evaluation boxes may straddle the
 curved upper boundary, where enclosures remain valid for in-domain points by
 inclusion isotonicity.
+
+Each generation of leaves is certified in rounds (_certify_rounds).  A leaf's
+attempts are a generator (_certify_steps) that runs its prescreens and cost
+models lazily and yields one subpaving job per attempt that gets past them.
+Round r gathers the next job of every leaf still undecided and runs all jobs
+of one kind (convex column, delta above sigma_p/2, delta above Delta(p, 1))
+as one merged subpaving in batch.py, whose jobs end as they would alone; so
+each leaf gets the status, and the certificate the bytes, of certifying it
+on its own.  certify_box is the one-leaf case.  With several workers one
+process pool serves the run, and each worker certifies one contiguous chunk
+of the generation (sorted by cell id) the same way.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__ as _version
 from .batch import (
+    Job,
     subpave_convex_positive,
     subpave_delta_above,
 )
@@ -174,6 +187,9 @@ def _float_dds2(pm: float, sm: float) -> float:
         return float("nan")
 
 
+_ENCLOSURE_ERRORS = (DomainError, SingularConstraint, EmptyEnclosure, NotConverged)
+
+
 def certify_box(
     X: Box,
     bound_low: Interval,
@@ -186,7 +202,22 @@ def certify_box(
 
     bound_low/bound_high are enclosures of the two boundary values over the
     cell's p-range; sigma_top is a verified upper bound for sigma_p over the
-    p-range (needed for the monotone-high column).
+    p-range (needed for the monotone-high column).  This is the one-cell
+    case of _certify_rounds.
+    """
+    return _certify_rounds(
+        [_certify_steps(X, bound_low, bound_high, band, sigma_top, node_budget)]
+    )[0]
+
+
+def _certify_steps(X, bound_low, bound_high, band, sigma_top, node_budget, tau=None):
+    """certify_box for one cell as a generator: it yields (kind, batch.Job)
+    for each attempt that needs a subpaving, with kind "convex" (a column
+    for subpave_convex_positive) or the side "high"/"low" of
+    subpave_delta_above, is sent the job's batch.Subpaving, and returns the
+    CertStatus.  An Undecided status's reason lists how each attempt ended,
+    in order, the last one last.  tau is tau_interval(X) or the exception it
+    raised, computed here if the quick interior test needs it and it is None.
     """
     p_lo, p_hi = X.p.lo, X.p.hi
     s_lo, s_hi = X.sigma.lo, X.sigma.hi
@@ -216,25 +247,32 @@ def certify_box(
     # quick interior test from the plain natural extension
     bound_hi = min(bound_low.hi, bound_high.hi)
     if max(mh, ml) > 1e-7:
-        try:
-            enc = tau_interval(X)
-            nat = delta_eif(X, enc, refine=True)
-            if nat.value.lo > bound_hi:
-                return CertStatus(
-                    verdict=VERDICT_INTERIOR,
-                    witness=EifElement(
-                        box=X, value=nat.value - bound_hi, fid="delta_minus_bound"
-                    ),
-                )
-        except (EmptyEnclosure, NotConverged, DomainError, SingularConstraint):
-            pass
+        if tau is None:
+            try:
+                tau = tau_interval(X)
+            except _ENCLOSURE_ERRORS as e:
+                tau = e
+        nat = None
+        if not isinstance(tau, Exception):
+            try:
+                nat = delta_eif(X, tau, refine=True)
+            except _ENCLOSURE_ERRORS:
+                pass
+        if nat is not None and nat.value.lo > bound_hi:
+            return CertStatus(
+                verdict=VERDICT_INTERIOR,
+                witness=EifElement(
+                    box=X, value=nat.value - bound_hi, fid="delta_minus_bound"
+                ),
+            )
 
     # cost models: subpaving with the mean-value form needs ~area*C/margin
     # nodes inside the domain; curve-straddling regions fall back to natural
     # extensions, ~area*(C/margin)^2, and the second-derivative columns carry
     # a heavier dependency constant.  Attempts whose estimate dwarfs the node
     # budget are skipped and attempts get cost-proportional budgets (the leaf
-    # splits instead; estimates tune cost, never soundness).
+    # splits instead; estimates tune cost, never soundness).  An attempt
+    # returns (kind, job, witness builder) or why it was skipped.
     def _interior_est(margin_min: float, margin_mean: float, area: float) -> float:
         # straddling cells pay the quadratic natural-extension price along the
         # whole curve edge, where the minimum margin binds; in-domain cells
@@ -250,37 +288,30 @@ def certify_box(
 
     area = (p_hi - p_lo) * (s_hi - s_lo)
 
-    def try_interior_high():
-        est = _interior_est(mh, mh_mean, area)
-        if not mh > 1e-7 or est > 3.0 * node_budget:
-            return None
-        w = subpave_delta_above(
-            p_lo, p_hi, s_lo, s_hi, "high", max_nodes=_attempt_nodes(est)
-        )
-        if w is not None:
-            return CertStatus(
-                verdict=VERDICT_INTERIOR,
-                witness=EifElement(
-                    box=X, value=Interval(*w), fid="delta_minus_edge_high"
-                ),
-            )
+    def _skip(margin: float, floor: float, est: float, cap: float) -> str | None:
+        if not margin > floor:
+            return f"skipped by prescreen (margin {margin:.3g} <= {floor:g})"
+        if est > cap:
+            return f"skipped by cost model (estimate {est:.3g} > {cap:.0f} nodes)"
         return None
 
-    def try_interior_low():
-        est = _interior_est(ml, ml_mean, area)
-        if not ml > 1e-7 or est > 3.0 * node_budget:
-            return None
-        w = subpave_delta_above(
-            p_lo, p_hi, s_lo, s_hi, "low", max_nodes=_attempt_nodes(est)
+    def interior(side: str, margin: float, margin_mean: float):
+        est = _interior_est(margin, margin_mean, area)
+        skip = _skip(margin, 1e-7, est, 3.0 * node_budget)
+        if skip:
+            return skip
+        job = Job(p_lo, p_hi, s_lo, s_hi, _attempt_nodes(est))
+        fid = f"delta_minus_edge_{side}"
+        return side, job, lambda w: CertStatus(
+            verdict=VERDICT_INTERIOR,
+            witness=EifElement(box=X, value=Interval(*w), fid=fid),
         )
-        if w is not None:
-            return CertStatus(
-                verdict=VERDICT_INTERIOR,
-                witness=EifElement(
-                    box=X, value=Interval(*w), fid="delta_minus_edge_low"
-                ),
-            )
-        return None
+
+    def try_interior_high():
+        return interior("high", mh, mh_mean)
+
+    def try_interior_low():
+        return interior("low", ml, ml_mean)
 
     def _column_est(margin: float, col_area: float, dep: float) -> float:
         # dep ~ 30 for the sigma=1 anchor (tau ~ 0.27 fattens every atom),
@@ -292,58 +323,40 @@ def certify_box(
     def _column_nodes(est: float) -> int:
         return int(min(6.0 * node_budget, max(float(node_budget), 4.0 * est)))
 
+    def column(verdict: str, fid: str, c_lo: float, c_hi: float, probes, dep):
+        m = min(probes) if probes else 0.0
+        est = _column_est(m, (p_hi - p_lo) * (c_hi - c_lo), dep)
+        skip = _skip(m, 1e-8, est, 4.0 * node_budget)
+        if skip:
+            return skip
+        job = Job(p_lo, p_hi, c_lo, c_hi, _column_nodes(est))
+        col = Box(X.p, Interval(c_lo, c_hi))
+        return "convex", job, lambda w: CertStatus(
+            verdict=verdict,
+            witness=EifElement(box=col, value=Interval(*w), fid=fid),
+        )
+
     def try_mono_low():
         probes = [
             _float_dds2(pp, ss)
             for pp in (p_lo, pm, p_hi)
             for ss in (1.0 + 1e-9, 1.0 + 0.5 * (s_hi - 1.0), s_hi)
         ]
-        m = min(probes) if probes else 0.0
-        est = _column_est(m, (p_hi - p_lo) * (s_hi - 1.0), 30.0)
-        if not m > 1e-8 or est > 4.0 * node_budget:
-            return None
-        w = subpave_convex_positive(
-            p_lo, p_hi, 1.0, s_hi, max_nodes=_column_nodes(est)
-        )
-        if w is not None:
-            return CertStatus(
-                verdict=VERDICT_MONO_LOW,
-                witness=EifElement(
-                    box=Box(X.p, Interval(1.0, s_hi)),
-                    value=Interval(*w),
-                    fid="d_sigma2_column_low",
-                ),
-            )
-        return None
+        return column(VERDICT_MONO_LOW, "d_sigma2_column_low", 1.0, s_hi, probes, 30.0)
 
     def try_mono_high():
         top = sigma_top if sigma_top is not None else _sigma_p_sup(p_lo, p_hi)
         if s_hi >= top:
             top = s_hi  # high-band cells already cover the curve
         if p_lo <= 2.0:
-            return None  # tau^(p-2) atoms degenerate at the curve for p <= 2
+            # tau^(p-2) atoms degenerate at the curve for p <= 2
+            return "skipped, p <= 2"
         probes = [
             _float_dds2(pp, ss)
             for pp in (p_lo, pm, p_hi)
             for ss in (s_lo, 0.5 * (s_lo + sigma_p(pm)), sigma_p(pm) * (1.0 - 1e-9))
         ]
-        m = min(probes) if probes else 0.0
-        est = _column_est(m, (p_hi - p_lo) * (top - s_lo), 12.0)
-        if not m > 1e-8 or est > 4.0 * node_budget:
-            return None
-        w = subpave_convex_positive(
-            p_lo, p_hi, s_lo, top, max_nodes=_column_nodes(est)
-        )
-        if w is not None:
-            return CertStatus(
-                verdict=VERDICT_MONO_HIGH,
-                witness=EifElement(
-                    box=Box(X.p, Interval(s_lo, top)),
-                    value=Interval(*w),
-                    fid="d_sigma2_column_high",
-                ),
-            )
-        return None
+        return column(VERDICT_MONO_HIGH, "d_sigma2_column_high", s_lo, top, probes, 12.0)
 
     if band == "high":
         attempts = [try_mono_high, try_interior_low, try_interior_high]
@@ -359,14 +372,61 @@ def certify_box(
             if mh >= ml
             else [try_interior_low, try_interior_high, try_mono_low]
         )
+    ends = []
     for attempt in attempts:
+        name = attempt.__name__[4:].replace("_", "-")
         try:
-            st = attempt()
-        except (DomainError, SingularConstraint, EmptyEnclosure, NotConverged):
-            st = None
-        if st is not None:
-            return st
-    return CertStatus(verdict=VERDICT_UNDECIDED, reason="all tests inconclusive")
+            plan = attempt()
+        except _ENCLOSURE_ERRORS as e:
+            ends.append(f"{name}: {type(e).__name__}")
+            continue
+        if isinstance(plan, str):
+            ends.append(f"{name}: {plan}")
+            continue
+        kind, job, witness = plan
+        done = yield kind, job
+        if done.hull is not None:
+            return witness(done.hull)
+        ends.append(f"{name}: {done.end} ({done.nodes} nodes)")
+    return CertStatus(verdict=VERDICT_UNDECIDED, reason="; ".join(ends))
+
+
+def _certify_rounds(steps: list) -> list[CertStatus]:
+    """Run the _certify_steps generators of many cells in rounds.
+
+    A round gathers the next subpaving job of every cell still undecided
+    (each cell's prescreens and cost-model skips run lazily, in its own
+    attempt order, when the cell reaches them) and runs all jobs of one kind
+    as one merged subpaving.  Subpaving jobs are independent of each other
+    (batch._subpave), so every cell gets the status it gets alone.
+    """
+    status: list = [None] * len(steps)
+    pending: dict = {}
+
+    def advance(i: int, sent) -> None:
+        try:
+            pending[i] = steps[i].send(sent)
+        except StopIteration as done:
+            status[i] = done.value
+
+    for i in range(len(steps)):
+        advance(i, None)
+    while pending:
+        round_, done = sorted(pending.items()), {}
+        pending.clear()
+        for kind in ("convex", "high", "low"):
+            cells = [i for i, (k, _) in round_ if k == kind]
+            if not cells:
+                continue
+            jobs = [job for i, (k, job) in round_ if k == kind]
+            if kind == "convex":
+                ends = subpave_convex_positive(jobs)
+            else:
+                ends = subpave_delta_above(jobs, kind)
+            done.update(zip(cells, ends))
+        for i, _ in round_:
+            advance(i, done[i])
+    return status
 
 
 def _leaf_bounds(p_lo: float, p_hi: float) -> tuple[Interval, Interval]:
@@ -374,22 +434,27 @@ def _leaf_bounds(p_lo: float, p_hi: float) -> tuple[Interval, Interval]:
     return delta_edge_low_enclosure(P), delta_edge_high_enclosure(P)
 
 
-def _certify_leaf(args) -> tuple[str, CertStatus, Interval, Interval, Interval | None, bool | None]:
+def _certify_leaf(args):
+    """A leaf's record fields (bounds, tau, precheck) and its _certify_steps,
+    not yet started; tau_interval runs once and feeds both."""
     cell, band, sigma_top, node_budget = args
     X = cell.as_box()
     bl, bh = _leaf_bounds(X.p.lo, X.p.hi)
-    tau_iv = None
-    pre = None
     try:
         enc = tau_interval(X)
-        tau_iv = enc.tau
-        pre = enc.precheck
-    except (EmptyEnclosure, NotConverged, DomainError):
-        pre = precheck_clamped(X)
-    status = certify_box(
-        X, bl, bh, band=band, sigma_top=sigma_top, node_budget=node_budget
-    )
-    return cell.id, status, bl, bh, tau_iv, pre
+        tau_iv, pre = enc.tau, enc.precheck
+    except _ENCLOSURE_ERRORS as e:
+        enc, tau_iv, pre = e, None, precheck_clamped(X)
+    steps = _certify_steps(X, bl, bh, band, sigma_top, node_budget, enc)
+    return (bl, bh, tau_iv, pre), steps
+
+
+def _certify_chunk(tasks) -> list[tuple]:
+    """(status, bound_low, bound_high, tau, precheck) per task, all leaves
+    certified together in rounds of merged subpavings."""
+    leaves = [_certify_leaf(t) for t in tasks]
+    statuses = _certify_rounds([steps for _, steps in leaves])
+    return [(st, *rec) for (rec, _), st in zip(leaves, statuses)]
 
 
 def verify_strip(
@@ -406,9 +471,9 @@ def verify_strip(
     sigma_policy "full" covers the whole domain with boundary bands of width
     `strip`; "interior" covers only [1 + strip, sigma_p - strip].  Leaves are
     certified generation by generation (a work queue; `workers` only shards
-    the generation, results merge by cell id, so output is worker-count
-    independent), undecided leaves split on their widest relative axis until
-    certification or `budget` total leaves.
+    the generation into contiguous chunks, results merge by cell id, so
+    output is worker-count independent), undecided leaves split on their
+    widest relative axis until certification or `budget` total leaves.
 
     Raises BudgetExhausted (carrying the partial certificate) when the budget
     runs out with undecided leaves.
@@ -463,52 +528,62 @@ def verify_strip(
     scale_p = p_hi - p_lo
     scale_s = region.sigma.hi - region.sigma.lo
 
-    while frontier:
-        frontier.sort(key=lambda w: w.cell.id)
-        tasks = [(w.cell, w.band, s_sup, node_budget) for w in frontier]
-        if workers > 1 and len(tasks) > 1:
-            from concurrent.futures import ProcessPoolExecutor
+    # one pool for the run (spawned workers: fork is unsafe once threads
+    # exist); each generation is cut into one contiguous chunk per worker,
+    # certified there in merged rounds like the serial path
+    pool = None
+    if workers > 1:
+        import multiprocessing  # imported here: ~1.5 MB a serial run need not pay
+        from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_certify_leaf, tasks))
-        else:
-            results = [_certify_leaf(t) for t in tasks]
-
-        next_frontier: list[_Work] = []
-        for w, (cid, status, bl, bh, tau_iv, pre) in zip(frontier, results):
-            rec = LeafRecord(
-                cell=w.cell, band=w.band, status=status,
-                bound_low=bl, bound_high=bh, tau=tau_iv, precheck=pre,
-            )
-            leaves[cid] = rec
-            if status.verdict != VERDICT_UNDECIDED:
-                continue
-            if n_leaves + 1 > budget:
-                continue  # cannot split further: stays undecided
-            # split: high band keeps covering the curve, so p only there
-            iv_p = w.cell.interval("p")
-            iv_s = w.cell.interval("sigma")
-            if w.band == "high":
-                axis = "p"
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    with pool or nullcontext():
+        while frontier:
+            frontier.sort(key=lambda w: w.cell.id)
+            tasks = [(w.cell, w.band, s_sup, node_budget) for w in frontier]
+            if pool is None or len(tasks) < 2:
+                results = _certify_chunk(tasks)
             else:
-                axis = (
-                    "p"
-                    if (iv_p.width / scale_p) >= (iv_s.width / scale_s)
-                    else "sigma"
+                size = -(-len(tasks) // workers)
+                chunks = [tasks[k : k + size] for k in range(0, len(tasks), size)]
+                results = [r for part in pool.map(_certify_chunk, chunks) for r in part]
+
+            next_frontier: list[_Work] = []
+            for w, (status, bl, bh, tau_iv, pre) in zip(frontier, results):
+                cid = w.cell.id
+                rec = LeafRecord(
+                    cell=w.cell, band=w.band, status=status,
+                    bound_low=bl, bound_high=bh, tau=tau_iv, precheck=pre,
                 )
-            iv = w.cell.interval(axis)
-            mid = iv.mid
-            if mid == iv.lo or mid == iv.hi:
-                continue  # cannot split thinner than floats allow
-            del leaves[cid]
-            n_leaves += 1
-            for tag, piece in (("0", Interval(iv.lo, mid)), ("1", Interval(mid, iv.hi))):
-                free = tuple(
-                    (a, piece if a == axis else v) for a, v in w.cell.free_axes
-                )
-                child = ICell(id=f"{cid}{tag}", free_axes=free)
-                next_frontier.append(_Work(cell=child, band=w.band, depth=w.depth + 1))
-        frontier = next_frontier
+                leaves[cid] = rec
+                if status.verdict != VERDICT_UNDECIDED:
+                    continue
+                if n_leaves + 1 > budget:
+                    continue  # cannot split further: stays undecided
+                # split: high band keeps covering the curve, so p only there
+                iv_p = w.cell.interval("p")
+                iv_s = w.cell.interval("sigma")
+                if w.band == "high":
+                    axis = "p"
+                else:
+                    axis = (
+                        "p"
+                        if (iv_p.width / scale_p) >= (iv_s.width / scale_s)
+                        else "sigma"
+                    )
+                iv = w.cell.interval(axis)
+                mid = iv.mid
+                if mid == iv.lo or mid == iv.hi:
+                    continue  # cannot split thinner than floats allow
+                del leaves[cid]
+                n_leaves += 1
+                for tag, piece in (("0", Interval(iv.lo, mid)), ("1", Interval(mid, iv.hi))):
+                    free = tuple(
+                        (a, piece if a == axis else v) for a, v in w.cell.free_axes
+                    )
+                    child = ICell(id=f"{cid}{tag}", free_axes=free)
+                    next_frontier.append(_Work(cell=child, band=w.band, depth=w.depth + 1))
+            frontier = next_frontier
 
     ordered = [leaves[k] for k in sorted(leaves)]
     totals: dict[str, int] = {}

@@ -136,15 +136,16 @@ class VI:
 
     def pow_nonneg(self, other) -> "VI":
         """self**other for self >= 0 and positive exponents: the zero-touching
-        lower bound maps to 0 instead of poisoning the lane."""
+        lower bound maps to 0 instead of poisoning the lane.  One pow serves
+        both: zero-touching lanes take it on the point [hi, hi] (1 if hi <= 0,
+        then discarded) for their upper bound."""
         o = self._coerce(other)
         touches = self.lo <= 0.0
-        reg = self.pow(o)  # NaN on zero-touching lanes
-        hi_safe = np.where(self.hi > 0.0, self.hi, 1.0)
-        top = VI(hi_safe, hi_safe.copy()).pow(o).hi
-        top = np.where(self.hi > 0.0, top, 0.0)
-        lo = np.where(touches, 0.0, reg.lo)
-        hi = np.where(touches, top, reg.hi)
+        pos = self.hi > 0.0
+        top = np.where(pos, self.hi, 1.0)
+        r = VI(np.where(touches, top, self.lo), np.where(touches, top, self.hi)).pow(o)
+        lo = np.where(touches, 0.0, r.lo)
+        hi = np.where(touches & ~pos, 0.0, r.hi)
         bad = (self.lo < 0.0) | ~(o.lo > 0.0)
         return VI(np.where(bad, np.nan, lo), np.where(bad, np.nan, hi))
 

@@ -4,6 +4,9 @@ import io
 import json
 import math
 import os
+import re
+
+import pytest
 
 from critlat.cli import main
 from critlat.verifier import parse_certificate
@@ -136,6 +139,22 @@ class TestVerify:
         assert run(argv + ["--out", str(b)])[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--p", "2.33", "2.345", "--policy", "interior", "--budget", "400"],
+            ["--p", "2.33", "2.35", "--budget", "600"],  # three leaves to shard
+        ],
+    )
+    def test_worker_count_keeps_documents(self, tmp_path, argv):
+        docs = []
+        for workers in ("1", "2"):
+            path = tmp_path / f"w{workers}.json"
+            argv_w = ["--workers", workers, "verify", *argv, "--out", str(path)]
+            assert run(argv_w)[0] == 0
+            docs.append(path.read_bytes())
+        assert docs[0] == docs[1]
+
 
 class TestConfig:
     def test_dump_config_defaults(self):
@@ -176,19 +195,41 @@ class TestConfig:
 
 
 class TestVerifyNearTwo:
-    def test_full_policy_exhausts_near_equality_line(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def near2(self, tmp_path_factory):
         # the equality line p = 2 can never certify; a small budget exhausts
         # with the partial certificate still written
-        path = tmp_path / "near2.json"
+        path = tmp_path_factory.mktemp("near2") / "near2.json"
         code, _ = run(
             ["verify", "--p", "1.99", "2.01", "--strip", "0.02",
              "--budget", "24", "--out", str(path)]
         )
+        return code, parse_certificate(path.read_text())
+
+    def test_full_policy_exhausts_near_equality_line(self, near2):
+        code, doc = near2
         assert code == 3
-        doc = parse_certificate(path.read_text())
         assert doc["complete"] is False
         undecided = [l for l in doc["leaves"] if l["verdict"] == "Undecided"]
         assert undecided
         assert any(
             float(l["p"][0]) <= 2.0 <= float(l["p"][1]) for l in undecided
         )
+
+    def test_undecided_leaves_say_why(self, near2):
+        # each Undecided leaf lists how each of its three attempts ended
+        undecided = [l for l in near2[1]["leaves"] if l["verdict"] == "Undecided"]
+        end = re.compile(
+            r"(interior-high|interior-low|mono-low|mono-high): ("
+            r"skipped by prescreen \(margin \S+ <= \S+\)"
+            r"|skipped by cost model \(estimate \S+ > \d+ nodes\)"
+            r"|skipped, p <= 2"
+            r"|(node budget hit|width floor hit|no in-domain subcell) \(\d+ nodes\)"
+            r"|[A-Za-z]+)$"
+        )
+        ends = [e for l in undecided for e in l["reason"].split("; ")]
+        assert len(ends) == 3 * len(undecided)
+        assert all(end.match(e) for e in ends), ends
+        for what in ("p <= 2", "prescreen", "cost model", "node budget hit",
+                     "width floor hit"):
+            assert any(what in e for e in ends), what

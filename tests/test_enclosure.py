@@ -11,6 +11,7 @@ from critlat import batch as B
 from critlat import enclosure as E
 from critlat import moduli as M
 from critlat.batch import (
+    Job,
     subpave_convex_positive,
     subpave_delta_above,
     tau_enclose_batch,
@@ -354,6 +355,43 @@ class TestJet:
 
 
 class TestBatchLane:
+    def test_pow_nonneg_one_pow_matches_two(self):
+        # the former formula: pow on [lo, hi], then again on [hi, hi] for the
+        # upper bound of zero-touching lanes
+        def two_pows(x, o):
+            touches = x.lo <= 0.0
+            reg = x.pow(o)
+            hi_safe = np.where(x.hi > 0.0, x.hi, 1.0)
+            top = VI(hi_safe, hi_safe.copy()).pow(o).hi
+            top = np.where(x.hi > 0.0, top, 0.0)
+            lo = np.where(touches, 0.0, reg.lo)
+            hi = np.where(touches, top, reg.hi)
+            bad = (x.lo < 0.0) | ~(o.lo > 0.0)
+            return np.where(bad, np.nan, lo), np.where(bad, np.nan, hi)
+
+        rng = np.random.default_rng(21)
+        n = 200_000
+        edges = np.array([0.0, -0.0, -1.0, np.nan, np.inf, -np.inf, 5e-324,
+                          2.2e-308, 1e-300, 1.0, 0.36, 1e300])
+
+        def draw(lo, hi, frac):
+            v = rng.uniform(lo, hi, n)
+            pick = rng.random(n) < frac
+            v[pick] = rng.choice(edges, pick.sum())
+            return v
+
+        a, b = draw(-0.1, 1.5, 0.3), draw(-0.1, 1.5, 0.3)
+        flip = rng.random(n) < 0.05  # some inverted lanes too
+        x = VI(np.where(flip, np.maximum(a, b), np.minimum(a, b)),
+               np.where(flip, np.minimum(a, b), np.maximum(a, b)))
+        e1, e2 = draw(-0.5, 4.0, 0.2), rng.uniform(-0.5, 4.0, n)
+        o = VI(np.minimum(e1, e2), np.maximum(e1, e2))
+        with np.errstate(all="ignore"):
+            got = x.pow_nonneg(o)
+            lo, hi = two_pows(x, o)
+        assert got.lo.tobytes() == lo.tobytes()
+        assert got.hi.tobytes() == hi.tobytes()
+
     def test_tau_batch_matches_scalar(self):
         P = VI(np.array([2.29, 2.0]), np.array([2.31, 2.0]))
         S = VI(np.array([1.19, 1.0]), np.array([1.21, 1.0]))
@@ -372,8 +410,8 @@ class TestBatchLane:
         assert vac.all()
 
     def test_subpave_delta_above_is_true_claim(self):
-        w = subpave_delta_above(2.31, 2.33, 1.1, 1.3, "high", max_nodes=30000)
-        assert w is not None and w[0] > 0.0
+        [done] = subpave_delta_above([Job(2.31, 2.33, 1.1, 1.3, 30000)], "high")
+        assert done.hull is not None and done.hull[0] > 0.0
         rng = np.random.default_rng(11)
         ps = rng.uniform(2.31, 2.33, 4000)
         ss = rng.uniform(1.1, 1.3, 4000)
@@ -381,8 +419,8 @@ class TestBatchLane:
         assert excess.min() > 0.0
 
     def test_subpave_convex_is_true_claim(self):
-        w = subpave_convex_positive(2.33, 2.35, 1.75, 1.82, max_nodes=30000)
-        assert w is not None and w[0] > 0.0
+        [done] = subpave_convex_positive([Job(2.33, 2.35, 1.75, 1.82, 30000)])
+        assert done.hull is not None and done.hull[0] > 0.0
         for p in (2.33, 2.34, 2.35):
             for s in (1.75, 1.78, 1.81):
                 assert M.derivatives(p, s).d_sigma2 > 0.0

@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from critlat.cells import ICell
 from critlat.interval import Box, DomainError, Interval
+from critlat import batch as B
 from critlat import moduli as M
 from critlat import verifier as V
 
@@ -70,6 +72,88 @@ class TestCertifyBox:
         st = V.certify_box(X, bl, bh, band="low")
         assert st.verdict == V.VERDICT_MONO_LOW
         assert st.witness.fid == "d_sigma2_column_low"
+
+
+# leaves whose first subpaving jobs, all in the first round, end in every way
+_MIXED_LEAVES = [
+    # (p_lo, p_hi, s_lo, s_hi), band, node budget: the first job's end
+    ((2.7, 2.72, 1.0, 1.02), "low", 24000),  # convex column certifies
+    ((2.55, 2.57, 1.0, 1.0 + 5e-7), "low", 24000),  # "high" certifies
+    ((2.65, 2.66, 1.3, 1.3 + 5e-8), "mid", 24000),  # "low" certifies
+    ((2.45, 2.46, 1.4, 1.821332860508517), "mid", 300),  # "high" over budget
+    ((2.75, 2.76, 1.02, 1.2), "mid", 100),  # "low" over budget
+    ((2.6, 2.7, 1.0, 1.0 + 5e-7), "low", 24000),  # column under its floor
+    ((2.6, 2.62, 1.9, 1.95), "high", 24000),  # column beyond the curve
+    ((2.3, 2.302, 1.2, 1.202), "mid", 24000),  # quick interior test, no job
+]
+
+
+class TestMergedRounds:
+    def test_generation_matches_certify_box(self, monkeypatch):
+        tasks = [
+            (ICell(id=f"c{i}", free_axes=(("p", Interval(a, b)), ("sigma", Interval(c, d)))),
+             band, V._sigma_p_sup(a, b), nb)
+            for i, ((a, b, c, d), band, nb) in enumerate(_MIXED_LEAVES)
+        ]
+        lanes = [0]  # fixed-point lane-iterations on the VI lane
+        phi = B.phi_scalar
+
+        def counted_phi(*a):
+            lanes[0] += a[-1].lo.size
+            return phi(*a)
+
+        monkeypatch.setattr(B, "phi_scalar", counted_phi)
+        alone = []
+        for cell, band, top, nb in tasks:
+            X = cell.as_box()
+            bl, bh = V._leaf_bounds(X.p.lo, X.p.hi)
+            alone.append(V.certify_box(X, bl, bh, band=band, sigma_top=top, node_budget=nb))
+        alone_lanes, lanes[0] = lanes[0], 0
+
+        rounds = []
+        for name in ("subpave_convex_positive", "subpave_delta_above"):
+            def spy(jobs, *a, _fn=getattr(V, name)):
+                out = _fn(jobs, *a)
+                rounds.append([o.end for o in out])
+                return out
+
+            monkeypatch.setattr(V, name, spy)
+        merged = V._certify_chunk(tasks)
+
+        assert [m[0] for m in merged] == alone
+        # a stalled lane group leaves the fixed point: merging adds no work
+        assert lanes[0] == alone_lanes
+        first_round = {e for ends in rounds[:3] for e in ends}
+        assert first_round == {B.CERTIFIED, B.BUDGET_HIT, B.FLOOR_HIT, B.VACUOUS}
+        assert [st.verdict for st in alone[:3]] == [
+            V.VERDICT_MONO_LOW, V.VERDICT_INTERIOR, V.VERDICT_INTERIOR]
+        assert alone[-1].witness.fid == "delta_minus_bound"
+        assert "node budget hit" in alone[3].reason
+        assert "node budget hit" in alone[4].reason
+        assert "width floor hit" in alone[5].reason
+        assert "no in-domain subcell" in alone[6].reason
+
+    def test_leaf_record_feeds_its_tau_enclosure_to_certify(self, monkeypatch):
+        # tau_interval runs once per leaf: the record and the quick interior
+        # test share the enclosure
+        made, used = [], []
+        tau_interval, delta_eif = V.tau_interval, V.delta_eif
+
+        def spy_tau(X, *a):
+            made.append(tau_interval(X, *a))
+            return made[-1]
+
+        def spy_eif(X, enc, *a, **k):
+            used.append(enc)
+            return delta_eif(X, enc, *a, **k)
+
+        monkeypatch.setattr(V, "tau_interval", spy_tau)
+        monkeypatch.setattr(V, "delta_eif", spy_eif)
+        cell = ICell(id="c0", free_axes=(("p", Interval(2.3, 2.302)), ("sigma", Interval(1.2, 1.202))))
+        [(status, _, _, tau, _)] = V._certify_chunk([(cell, "mid", 1.82, 24000)])
+        assert status.witness.fid == "delta_minus_bound"
+        assert len(made) == 1 and used == made
+        assert tau == made[0].tau
 
 
 class TestVerifyStrip:
