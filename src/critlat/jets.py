@@ -263,25 +263,33 @@ class Jet:
         c[0] = 0.0
         return self._like(c)
 
-    def _poly123(self, k1, k2, k3) -> "Jet":
-        # k1*t + k2*t^2 + k3*t^3 truncated; t has zero constant term.
+    def _poly123(self, k1, k2, d3, scale=None) -> "Jet":
+        # k1*t + k2*t^2 + t^3/d3 truncated, t = self without its constant
+        # term; with a scale, (1 + that) * scale.  The cubic coefficient is a
+        # divisor applied after the scale: 1/6 and 1/3 are not floats, and a
+        # lane-typed coefficient divided by the exact 6.0 or 3.0 rounds
+        # outward on the interval lanes.
         t = self._tilde()
         total = self.mi + self.mj
         acc = t * k1
         if total >= 2:
             t2 = t * t
             acc = acc + t2 * k2
-            if total >= 3:
-                acc = acc + (t2 * t) * k3
+        if scale is not None:
+            acc.c[0] = acc.c[0] + 1.0
+            acc = acc * scale
+        if total >= 3:
+            t3 = t2 * t
+            if scale is not None:
+                t3 = t3 * scale
+            acc = acc + t3._like([a / d3 for a in t3.c])
         return acc
 
     def recip(self) -> "Jet":
         u0 = self.c[0]
         inv = 1 / u0
         w = self * inv  # constant becomes 1
-        series = w._poly123(-1.0, 1.0, -1.0)
-        series.c[0] = series.c[0] + 1.0
-        return series * inv
+        return w._poly123(-1.0, 1.0, -1.0, inv)
 
     def __truediv__(self, other) -> "Jet":
         if isinstance(other, Jet):
@@ -292,15 +300,12 @@ class Jet:
         return self.recip() * other
 
     def exp(self) -> "Jet":
-        e0 = sexp(self.c[0])
-        series = self._poly123(1.0, 0.5, 1.0 / 6.0)
-        series.c[0] = series.c[0] + 1.0
-        return series * e0
+        return self._poly123(1.0, 0.5, 6.0, sexp(self.c[0]))
 
     def log(self) -> "Jet":
         u0 = self.c[0]
         w = self * (1 / u0)
-        series = w._poly123(1.0, -0.5, 1.0 / 3.0)
+        series = w._poly123(1.0, -0.5, 3.0)
         series.c[0] = slog(u0)
         return series
 

@@ -1,7 +1,9 @@
 """Complexified lattices, Eisenstein invariants, Weierstrass curves, doubling
 dynamics."""
 
+import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +21,58 @@ def hex_lattice():
 
 def square_lattice():
     return EL.ComplexLattice(1.0 + 0j, 1j)
+
+
+def thin_lattice():
+    # reduces to Im tau ~ 5: q ~ 2e-14, so the discriminant still clears its
+    # error bound (the 0.5 + 0.001j lattice of the guard test does not)
+    return EL.ComplexLattice(1.0 + 0j, 0.5 + 0.05j)
+
+
+def oracle_lattices():
+    out = {"hex": hex_lattice(), "square": square_lattice()}
+    for kind in ("L0", "L1"):
+        for p in (2.5, 3.0):
+            out[f"{kind}@{p}"] = EL.complexify(M.lattice_basis(kind, p))
+    return out
+
+
+def disk_p(L, z, target):
+    """p(z) by the defining series 1/z^2 + sum'((z+alpha)^-2 - alpha^-2) over
+    a symmetric disk, so the +-alpha pairing is exact and the tail behaves
+    like |z|^2 |alpha|^-4.  Returns (value, tail bound)."""
+    rho = EL.covering_radius_bound(L)
+    az = abs(z)
+    radius = max(8.0 * rho, 4.0 * az, 4.0)
+
+    def p_tail(R):
+        if R <= 2.0 * az:
+            return math.inf
+        q = 1.0 - (az / R) ** 2
+        pair_const = 2.0 * az**2 * (3.0 + (az / R) ** 2) / q**2
+        return pair_const * EL.tail_bound(L, R, 4.0)
+
+    while p_tail(radius) > target:
+        radius *= 1.5
+    pts = EL.lattice_points(L, radius)
+    terms = 1.0 / (z + pts) ** 2 - 1.0 / pts**2
+    return 1.0 / z**2 + complex(np.sum(terms)), p_tail(radius)
+
+
+def exact_reduced_basis(L):
+    """Lagrange-Gauss reduction over the rationals (independent of
+    elliptic._reduce): the reduced pair as Fraction coordinates."""
+    v1 = (Fraction(L.omega1.real), Fraction(L.omega1.imag))
+    v2 = (Fraction(L.omega2.real), Fraction(L.omega2.imag))
+    if v1[0] * v2[1] - v1[1] * v2[0] < 0:
+        v2 = (-v2[0], -v2[1])
+    while True:
+        n1 = v1[0] ** 2 + v1[1] ** 2
+        k = round((v1[0] * v2[0] + v1[1] * v2[1]) / n1)
+        v2 = (v2[0] - k * v1[0], v2[1] - k * v1[1])
+        if v2[0] ** 2 + v2[1] ** 2 >= n1:
+            return v1, v2
+        v1, v2 = v2, (-v1[0], -v1[1])
 
 
 class TestComplexify:
@@ -97,6 +151,77 @@ class TestWeierstrassCurve:
         assert abs(E.g3) <= 1e-8
         assert abs(E.g2) > 1.0
         assert abs(E.discriminant) > 0.0
+
+    def test_invariants_match_disk_sums(self):
+        # the q-series against the Eisenstein disk sums: within the oracle's
+        # tail plus the reported error
+        for name, L in oracle_lattices().items():
+            E = EL.weierstrass_curve(L)
+            c2 = EL.eisenstein(L, 2, target=1e-5)
+            c3 = EL.eisenstein(L, 3, target=1e-5)
+            assert abs(E.g2 - 60.0 * c2.value) <= 60.0 * c2.tail + E.g2_err, name
+            assert abs(E.g3 - 140.0 * c3.value) <= 140.0 * c3.tail + E.g3_err, name
+
+    def test_errors_cover_rounding(self):
+        # truncation alone would leave the hexagonal g2 error far below the
+        # rounding noise |g2| of the cancelling E4 = 0
+        E = EL.weierstrass_curve(hex_lattice())
+        assert 0.0 < abs(E.g2) <= E.g2_err <= 1e-10
+        assert E.g3_err <= 1e-9 * abs(E.g3)
+
+    def test_basis_changes_keep_invariants(self):
+        # the same lattice from a non-reduced, swapped, negated or mixed
+        # basis; the copies sL scale g2 by s^-4 and g3 by s^-6 (multiplying
+        # by 2 or by i is exact in binary floats)
+        for name, L in oracle_lattices().items():
+            E = EL.weierstrass_curve(L)
+            w1, w2 = L.omega1, L.omega2
+            variants = [
+                (w1, w2 + 3.0 * w1),
+                (w2, w1),
+                (-w1, w2),
+                (w2 - 2.0 * w1, w1 - w2),
+            ]
+            for v1, v2 in variants:
+                Ev = EL.weierstrass_curve(EL.ComplexLattice(v1, v2))
+                assert abs(Ev.g2 - E.g2) <= Ev.g2_err + E.g2_err, (name, v1, v2)
+                assert abs(Ev.g3 - E.g3) <= Ev.g3_err + E.g3_err, (name, v1, v2)
+            for s in (2.0, 1j):
+                Es = EL.weierstrass_curve(EL.ComplexLattice(s * w1, s * w2))
+                s4, s6 = abs(s) ** 4, abs(s) ** 6
+                assert abs(s**4 * Es.g2 - E.g2) <= s4 * Es.g2_err + E.g2_err, (name, s)
+                assert abs(s**6 * Es.g3 - E.g3) <= s6 * Es.g3_err + E.g3_err, (name, s)
+
+    def test_errors_bound_50_digit_series(self):
+        # the same q-series at 50 digits on the exactly reduced basis: the
+        # reported errors cover truncation and every rounding
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(41)
+        lattices = [hex_lattice(), square_lattice(), thin_lattice()]
+        for _ in range(200):
+            x = rng.uniform(-0.5, 0.5)
+            y = math.sqrt(1.0 - x * x) + rng.uniform(0.0, 2.5)
+            lattices.append(EL.ComplexLattice(1.0 + 0j, complex(x, y)))
+        with mpmath.workdps(50):
+            def mp(c):
+                return mpmath.mpc(mpmath.mpf(c[0].numerator) / c[0].denominator,
+                                  mpmath.mpf(c[1].numerator) / c[1].denominator)
+
+            for L in lattices:
+                E = EL.weierstrass_curve(L)
+                v1, v2 = exact_reduced_basis(L)
+                w1 = mp(v1)
+                q = mpmath.exp(2j * mpmath.pi * mp(v2) / w1)
+                e4 = e6 = mpmath.mpf(1)
+                n = 1
+                while abs(q) ** n * n**5 > mpmath.mpf(10) ** -55:
+                    lam = q**n / (1 - q**n)
+                    e4 += 240 * n**3 * lam
+                    e6 -= 504 * n**5 * lam
+                    n += 1
+                a = 2 * mpmath.pi / w1
+                assert abs(E.g2 - a**4 * e4 / 12) <= E.g2_err, L
+                assert abs(E.g3 - a**6 * e6 / 216) <= E.g3_err, L
 
     def test_degenerate_curve_guard(self):
         # a near-collapsed lattice: the tail bounds cannot be brought below
@@ -208,7 +333,113 @@ class TestLattes:
         assert min(abs(e1 - r) for r in roots) < 1e-4
 
 
+class TestWeierstrassP:
+    def test_matches_disk_sum(self):
+        rng = np.random.default_rng(19)
+        for name, L in oracle_lattices().items():
+            for _ in range(3):
+                z = complex(*rng.uniform(0.05, 0.3, 2))
+                ref, tail = disk_p(L, z, 1e-5)
+                got = EL.weierstrass_p(L, z, target=1e-12)
+                # oracle tail + q-series target + rounding of both sums
+                assert abs(got - ref) <= tail + 1e-12 + 1e-12 * abs(ref), (name, z)
+
+    def test_periodic(self):
+        rng = np.random.default_rng(23)
+        for name, L in oracle_lattices().items():
+            for _ in range(5):
+                z = complex(*rng.uniform(-0.5, 0.5, 2))
+                pz = EL.weierstrass_p(L, z)
+                for w in (L.omega1, L.omega2, -L.omega1 - L.omega2):
+                    assert abs(EL.weierstrass_p(L, z + w) - pz) <= 1e-9 * (1.0 + abs(pz)), name
+
+    def test_even(self):
+        L = EL.complexify(M.lattice_basis("L1", 2.5))
+        for z in (0.1 + 0.2j, -0.31 + 0.05j, 0.4 - 0.3j):
+            pz = EL.weierstrass_p(L, z)
+            assert abs(EL.weierstrass_p(L, -z) - pz) <= 1e-12 * (1.0 + abs(pz))
+
+    def test_lattice_points_are_infinity(self):
+        for name, L in oracle_lattices().items():
+            w1, w2 = L.omega1, L.omega2
+            for z in (0j, w1, w2, -w1, 2.0 * w2, -4.0 * w1):
+                assert EL.is_infinity(EL.weierstrass_p(L, z)), (name, z)
+        hexL = hex_lattice()  # w1 = 1: these integer combinations are exact
+        for z in (hexL.omega1 + hexL.omega2, 3.0 - hexL.omega2):
+            assert EL.is_infinity(EL.weierstrass_p(hexL, z))
+
+    def test_small_z_keeps_relative_accuracy(self):
+        # 1 - u is taken without cancellation, so p(z) ~ 1/z^2 holds to
+        # rounding far below |z| ~ 1e-6
+        L = EL.complexify(M.lattice_basis("L0", 2.5))
+        for z in (1e-6 + 2e-6j, -3e-9 + 1e-9j, 1e-12j):
+            pz = EL.weierstrass_p(L, z)
+            assert abs(pz * z**2 - 1.0) <= 1e-12
+
+    def test_target_must_be_positive(self):
+        with pytest.raises(ValueError):
+            EL.weierstrass_p(hex_lattice(), 0.1 + 0.1j, target=0.0)
+
+
+def _old_orbit_stats(E, z0, n):
+    """orbit_stats with the unfused step: num and den built once for the
+    image and once more inside the derivative."""
+    g2, g3 = E.g2, E.g3
+
+    def deriv(x):
+        den = 4.0 * x**3 - g2 * x - g3
+        num = x**4 + 0.5 * g2 * x**2 + 2.0 * g3 * x + g2**2 / 16.0
+        dnum = 4.0 * x**3 + g2 * x + 2.0 * g3
+        dden = 12.0 * x**2 - g2
+        return (dnum * den - num * dden) / den**2
+
+    x, total, sample = z0, 0.0, [z0]
+    for k in range(n):
+        if cmath.isinf(x):
+            step, x = math.log(4.0), EL.INFINITY
+        else:
+            den = 4.0 * x**3 - g2 * x - g3
+            num = x**4 + 0.5 * g2 * x**2 + 2.0 * g3 * x + g2**2 / 16.0
+            if den == 0:
+                c = num / (12.0 * x**2 - g2)
+                step, x = math.log((1.0 + abs(x) ** 2) / abs(c)), EL.INFINITY
+            else:
+                fx = num / den
+                sd = abs(deriv(x)) * (1.0 + abs(x) ** 2) / (1.0 + abs(fx) ** 2)
+                step, x = math.log(sd), fx
+        total += step
+        if (k + 1) % 50 == 0:
+            sample.append(x)
+    if sample[-1] != x:
+        sample.append(x)
+    return sample, total / n
+
+
 class TestOrbitStats:
+    def test_fused_step_is_bitwise_the_old_formula(self):
+        E = EL.weierstrass_curve(hex_lattice())
+        E_syn = EL.EllipticCurve(
+            g2=7.0 + 0j, g3=-3.0 + 0j, discriminant=100.0 + 0j,
+            g2_err=0.0, g3_err=0.0,
+        )
+        rng = np.random.default_rng(31)
+        runs = [(E, complex(*rng.uniform(-2.0, 2.0, 2)), 1000) for _ in range(6)]
+        # x = 1 is a pole of the synthetic curve, then the orbit stays at
+        # infinity; also start at infinity
+        runs += [(E_syn, 1.0 + 0j, 200), (E_syn, EL.INFINITY, 200), (E, EL.INFINITY, 100)]
+        for curve, z0, n in runs:
+            new, old = EL.orbit_stats(curve, z0, n), _old_orbit_stats(curve, z0, n)
+            assert repr(new) == repr(old), z0
+        for _ in range(50):
+            x = complex(*rng.uniform(-2.0, 2.0, 2))
+            num = x**4 + 0.5 * E.g2 * x**2 + 2.0 * E.g3 * x + E.g2**2 / 16.0
+            den = 4.0 * x**3 - E.g2 * x - E.g3
+            dnum = 4.0 * x**3 + E.g2 * x + 2.0 * E.g3
+            dden = 12.0 * x**2 - E.g2
+            assert repr(EL.lattes_step(E, x)) == repr(num / den)
+            assert repr(EL.lattes_derivative(E, x)) == repr((dnum * den - num * dden) / den**2)
+
+
     def test_positive_mean_log_derivative(self):
         E = EL.weierstrass_curve(hex_lattice())
         rng = np.random.default_rng(12)

@@ -2,6 +2,7 @@
 eif-elements, boundary enclosures, and the batch lane."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -344,6 +345,16 @@ class TestJet:
     def test_degree_3_accepted(self):
         x = Jet.var_sigma(0.5, 3, 0)
         assert abs(x.exp().coeff(3, 0) - math.exp(0.5) / 6.0) < 1e-15
+
+    def test_cubic_exp_log_coefficients_contain_exact_rationals(self):
+        # exp(s) = 1 + s + s^2/2 + s^3/6 and log(1 + s) = s - s^2/2 + s^3/3
+        # at s = 0: 1/6 and 1/3 are not floats, so a point-float constant
+        # would leave the exact coefficient outside the interval
+        for f, exact in ((Jet.exp, Fraction(1, 6)), (Jet.log, Fraction(1, 3))):
+            s0 = Interval(0.0, 0.0) if f is Jet.exp else Interval(1.0, 1.0)
+            c = f(Jet.var_sigma(s0, 3, 0)).coeff(3, 0)
+            assert isinstance(c, Interval)
+            assert Fraction(c.lo) <= exact <= Fraction(c.hi), (f.__name__, c)
 
     def test_degree_above_3_rejected(self):
         # the series stop at the cubic term: a quartic jet would silently

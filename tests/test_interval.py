@@ -1,5 +1,6 @@
 """Interval kernel: anchor examples, containment, isotonicity, rounding direction."""
 
+import cmath
 import math
 import operator
 import random
@@ -283,3 +284,48 @@ class TestBox:
         assert b.contains_point(pm, sm)
         assert b.contains_box(Box.of(2.2, 2.8, 1.1, 1.4))
         assert not b.contains_box(Box.of(2.2, 3.2, 1.1, 1.4))
+
+
+def test_trusted_libm_within_2_ulp():
+    # The trusted base (module docstring of critlat.interval): each libm and
+    # numpy elementary function the enclosures and the q-series error model
+    # call is within 2 ulp of the exact value, per real part for cmath.exp.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20260)
+    n = 5000
+
+    def ulps(got, exact):
+        return abs(mpmath.mpf(got) - exact) / math.ulp(float(exact))
+
+    wide = rng.uniform(-700.0, 700.0, n // 2)
+    near = rng.uniform(-2.0, 2.0, n - n // 2)
+    xs = np.concatenate([wide, near])
+    pos = np.exp(rng.uniform(-700.0, 700.0, n))
+    pos[: n // 4] = rng.uniform(0.5, 1.5, n // 4)  # near log's zero at 1
+    bases = rng.uniform(0.01, 3.0, n)
+    expos = rng.uniform(-4.0, 4.0, n)
+    ys = rng.uniform(-100.0, 100.0, n)
+    worst = {}
+    with mpmath.workprec(120):
+        np_exp, np_log = np.exp(xs), np.log(pos)
+        for i in range(n):
+            x, y, r = float(xs[i]), float(ys[i]), float(pos[i])
+            ex = mpmath.exp(x)
+            lr = mpmath.log(r)
+            cz = mpmath.exp(mpmath.mpc(x, y))
+            got = cmath.exp(complex(x, y))
+            errs = {
+                "np.exp": ulps(float(np_exp[i]), ex),
+                "math.exp": ulps(math.exp(x), ex),
+                "np.log": ulps(float(np_log[i]), lr) if r != 1.0 else 0.0,
+                "math.log": ulps(math.log(r), lr) if r != 1.0 else 0.0,
+                "math.pow": ulps(
+                    math.pow(float(bases[i]), float(expos[i])),
+                    mpmath.power(float(bases[i]), float(expos[i])),
+                ),
+                "cmath.exp.real": ulps(got.real, cz.real),
+                "cmath.exp.imag": ulps(got.imag, cz.imag),
+            }
+            for k, e in errs.items():
+                worst[k] = max(worst.get(k, 0.0), float(e))
+    assert all(e <= 2.0 for e in worst.values()), worst
