@@ -15,16 +15,17 @@ brackets of the previous wave on to the next, whose sigma-split children
 carry their parent's p-interval; the boundary functions take the bracket as
 an argument.
 
+The tau fixed point stops each lane on its own, once a step returns the
+lane's iterate unchanged bit for bit: the step depends on that lane alone,
+so the lane sits on an exact fixed point and the result is that of the full
+step count (tau_enclose_batch).
+
 The two subpavings take a list of jobs (Job: a box and a node budget) and
-run them as one merged subpaving: every wave concatenates the
-boxes of all running jobs into one VI array, which keeps numpy busy on wide
-arrays instead of many narrow ones.  The argument that this changes no bit:
-everything in a wave is elementwise except the fixed point's stopping rule,
-so tau_enclose_batch takes the jobs' contiguous lane groups and stops each
-group under the rule of a call of its own; the tau_p brackets shared across
-jobs are lane-independent; each job keeps its own budget, split scales and
-hull, and leaves before a wave that would break its budget.  So
-every job ends (Subpaving) as it would alone.
+run them as one merged subpaving: every wave concatenates the boxes of all
+running jobs into one VI array, which keeps numpy busy on wide arrays
+instead of many narrow ones.  Every op in a wave is elementwise and each job
+keeps its own budget, split scales and hull, so every job ends (Subpaving)
+as it would alone.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .jets import (
     sigma_p_scalar,
     tau_p_scalar,
 )
-from .vints import VI
+from .vints import VI, _dn, _up
 
 __all__ = [
     "Job",
@@ -63,58 +64,49 @@ __all__ = [
 SEED = (0.0, 0.36)
 
 
-def tau_enclose_batch(
-    P: VI, S: VI, iters: int = 48, groups=None
-) -> tuple[VI, np.ndarray]:
+def _unchanged(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per lane: a and b have the same bits, or are both NaN."""
+    return (a.view(np.int64) == b.view(np.int64)) | (np.isnan(a) & np.isnan(b))
+
+
+def tau_enclose_batch(P: VI, S: VI, iters: int = 48) -> tuple[VI, np.ndarray]:
     """Natural-extension fixed-point iteration, one lane per subcell.
 
     Returns (tau VI, vacuous mask).  Vacuous lanes intersected to nothing:
     no (p, sigma) in the subcell carries a surface point.
 
-    groups splits the lanes into contiguous groups of the given sizes (by
-    default one group of all lanes).  Every 8 iterations a group whose lanes
-    all narrowed by at most 1e-15 since the previous check stops, and its
-    lanes are compacted out of the working arrays.  As the map is elementwise,
-    a group's lanes come out bit for bit as in a call of that group alone.
+    A lane stops as soon as one step returns its iterate unchanged, bit for
+    bit (a NaN bound staying NaN counts as unchanged), or after `iters`
+    steps; it is written out and compacted out of the working arrays.  A step
+    is a function of the lane's own iterate and constants only, so an
+    unchanged iterate is an exact fixed point that every later step keeps (an
+    emptied lane is NaN and stays so, and is marked vacuous on the step that
+    emptied it): the result is bit for bit that of `iters` plain steps.
     """
     n = P.lo.size
-    sizes = np.asarray([n] if groups is None else groups, dtype=np.intp)
-    sizes = sizes[sizes > 0]
     inv_p, a0, sa0 = phi_consts(P, S)
     T = VI.full_like(P, *SEED)
-    vacuous = np.zeros(P.lo.shape, dtype=bool)
     out = VI(np.empty(n), np.empty(n))
-    out_vac = np.zeros(n, dtype=bool)
+    vacuous = np.zeros(n, dtype=bool)
     lanes = np.arange(n)  # the output lane of each working lane
-    prev_w = None
-    for k in range(iters):
-        T, empty = phi_scalar(P, inv_p, a0, sa0, T).intersect(T)
-        vacuous |= empty
-        if k % 8 == 7:
-            w = T.width
-            if prev_w is not None:
-                with np.errstate(invalid="ignore"):
-                    moved = prev_w - w > 1e-15
-                starts = np.cumsum(sizes) - sizes
-                moving = np.logical_or.reduceat(moved, starts)
-                if not moving.all():
-                    stop = np.repeat(~moving, sizes)
-                    out.lo[lanes[stop]] = T.lo[stop]
-                    out.hi[lanes[stop]] = T.hi[stop]
-                    out_vac[lanes[stop]] = vacuous[stop]
-                    keep = ~stop
-                    if not keep.any():
-                        return out, out_vac
-                    P, inv_p, a0, sa0, T = (
-                        VI(x.lo[keep], x.hi[keep]) for x in (P, inv_p, a0, sa0, T)
-                    )
-                    vacuous, lanes, w = vacuous[keep], lanes[keep], w[keep]
-                    sizes = sizes[moving]
-            prev_w = w
+    for _ in range(iters):
+        Tn, empty = phi_scalar(P, inv_p, a0, sa0, T).intersect(T)
+        vacuous[lanes[empty]] = True
+        stop = _unchanged(Tn.lo, T.lo) & _unchanged(Tn.hi, T.hi)
+        T = Tn
+        if stop.any():
+            out.lo[lanes[stop]] = T.lo[stop]
+            out.hi[lanes[stop]] = T.hi[stop]
+            keep = ~stop
+            if not keep.any():
+                return out, vacuous
+            P, inv_p, a0, sa0, T = (
+                VI(x.lo[keep], x.hi[keep]) for x in (P, inv_p, a0, sa0, T)
+            )
+            lanes = lanes[keep]
     out.lo[lanes] = T.lo
     out.hi[lanes] = T.hi
-    out_vac[lanes] = vacuous
-    return out, out_vac
+    return out, vacuous
 
 
 def tau_p_enclose_batch(P: VI, iters: int = 80) -> VI:
@@ -165,14 +157,13 @@ def _tau_p_wave(P: VI, pm: np.ndarray, known: dict) -> tuple[VI, VI, dict]:
     return VI(tlo[:n], thi[:n]), VI(tlo[n:], thi[n:]), {k: known[k] for k in lanes}
 
 
-def _mid_delta_batch(boxes: np.ndarray, groups) -> tuple[np.ndarray, np.ndarray, VI]:
-    """Rigorous Delta enclosures at box midpoints (point-lane iteration, one
-    lane group per job as in the box lanes)."""
+def _mid_delta_batch(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray, VI]:
+    """Rigorous Delta enclosures at box midpoints (point-lane iteration)."""
     pm = 0.5 * (boxes[:, 0] + boxes[:, 1])
     sm = 0.5 * (boxes[:, 2] + boxes[:, 3])
     Pm = VI.point(pm)
     Sm = VI.point(sm)
-    Tm, vac = tau_enclose_batch(Pm, Sm, iters=64, groups=groups)
+    Tm, vac = tau_enclose_batch(Pm, Sm, iters=64)
     dm = delta_scalar(Pm, Sm, Tm)
     bad = vac | Tm.invalid()
     dm = VI(np.where(bad, np.nan, dm.lo), np.where(bad, np.nan, dm.hi))
@@ -227,14 +218,14 @@ class Subpaving(NamedTuple):
 def _subpave(jobs, scales, min_width: float, wave) -> list[Subpaving]:
     """Adaptive subpaving of all jobs at once, one merged VI array per wave.
 
-    wave(boxes, groups) evaluates the concatenated boxes of the running jobs
-    (groups: their box counts) and returns per-lane (vacuous, ok, lo, hi),
-    ok meaning the enclosure [lo, hi] is positive.  A job passes when every
-    box is vacuous or ok; otherwise its failing boxes are split on the job's
-    scales.  A job whose node count would exceed its budget stops before the
-    wave is evaluated, and one with a failing box thinner than min_width
-    stops after it.  Each job sees exactly the waves of a run of its
-    own, so its result does not depend on the other jobs.
+    wave(boxes) evaluates the concatenated boxes of the running jobs and
+    returns per-lane (vacuous, ok, lo, hi), ok meaning the enclosure
+    [lo, hi] is positive.  A job passes when every box is vacuous or ok;
+    otherwise its failing boxes are split on the job's scales.  A job whose
+    node count would exceed its budget stops before the wave is evaluated,
+    and one with a failing box thinner than min_width stops after it.  Each
+    job sees exactly the waves of a run of its own, so its result does not
+    depend on the other jobs.
     """
     boxes = [np.array([job[:4]], dtype=float) for job in jobs]
     nodes = [0] * len(jobs)
@@ -252,7 +243,7 @@ def _subpave(jobs, scales, min_width: float, wave) -> list[Subpaving]:
         if not batch:
             break
         sizes = [len(boxes[j]) for j in batch]
-        vac, ok, lo, hi = wave(np.concatenate([boxes[j] for j in batch]), sizes)
+        vac, ok, lo, hi = wave(np.concatenate([boxes[j] for j in batch]))
         good = vac | ok
         live = ok & ~vac
         running = []
@@ -283,18 +274,11 @@ def _subpave(jobs, scales, min_width: float, wave) -> list[Subpaving]:
 MAX_LANES = 4096  # lanes evaluated at once; wider waves only cost memory
 
 
-def _in_chunks(boxes: np.ndarray, groups, evaluate) -> tuple:
-    """evaluate(boxes, groups) on consecutive runs of whole lane groups of at
-    most MAX_LANES lanes (a larger group runs alone), its per-lane outputs
-    concatenated.  Past a few thousand lanes numpy's cost per lane is flat,
-    while a wave's temporaries grow with its lanes."""
-    parts, a, run = [], 0, []
-    for n in groups:
-        if run and sum(run) + n > MAX_LANES:
-            parts.append(evaluate(boxes[a : a + sum(run)], run))
-            a, run = a + sum(run), []
-        run.append(n)
-    parts.append(evaluate(boxes[a:], run))
+def _in_chunks(boxes: np.ndarray, evaluate) -> tuple:
+    """evaluate(boxes) on consecutive slices of at most MAX_LANES lanes, its
+    per-lane outputs concatenated.  Past a few thousand lanes numpy's cost
+    per lane is flat, while a wave's temporaries grow with its lanes."""
+    parts = [evaluate(boxes[a : a + MAX_LANES]) for a in range(0, len(boxes), MAX_LANES)]
     return tuple(np.concatenate(out) for out in zip(*parts))
 
 
@@ -312,19 +296,16 @@ def subpave_convex_positive(jobs, sigma_bias: float = 8.0) -> list[Subpaving]:
         for j in jobs
     ]
 
-    def chunk(boxes, groups):
+    def chunk(boxes):
         P = VI(boxes[:, 0], boxes[:, 1])
         S = VI(boxes[:, 2], boxes[:, 3])
-        T, vac = tau_enclose_batch(P, S, groups=groups)
+        T, vac = tau_enclose_batch(P, S)
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             _, dds2 = delta_sigma_derivs(P, S, T)
             ok = dds2.lo > 0.0
         return vac, ok, dds2.lo, dds2.hi
 
-    def wave(boxes, groups):
-        return _in_chunks(boxes, groups, chunk)
-
-    return _subpave(jobs, scales, 1e-6, wave)
+    return _subpave(jobs, scales, 1e-6, lambda boxes: _in_chunks(boxes, chunk))
 
 
 def subpave_delta_above(jobs, side: str) -> list[Subpaving]:
@@ -352,14 +333,14 @@ def subpave_delta_above(jobs, side: str) -> list[Subpaving]:
     known: dict = {}  # side "low": the previous wave's tau_p brackets
     fresh: dict = {}  # and those of the current wave's chunks so far
 
-    def chunk(boxes, groups):
+    def chunk(boxes):
         P = VI(boxes[:, 0], boxes[:, 1])
         S = VI(boxes[:, 2], boxes[:, 3])
-        T, vac = tau_enclose_batch(P, S, groups=groups)
+        T, vac = tau_enclose_batch(P, S)
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             delta = delta_scalar(P, S, T)
             sp_box = sigma_p_batch(P)
-            pm, sm, dm = _mid_delta_batch(boxes, groups)
+            pm, sm, dm = _mid_delta_batch(boxes)
             if side == "high":
                 bound = sp_box * 0.5
                 bound_slope = d_sigma_p_batch(P) * 0.5
@@ -370,8 +351,8 @@ def subpave_delta_above(jobs, side: str) -> list[Subpaving]:
                 bound = edge_low_batch(P, tp)
                 bound_slope = d_edge_low_batch(P, tp)
                 bm = edge_low_batch(VI.point(pm), tp_mid)
-            diff_lo = np.nextafter(delta.lo - bound.hi, -np.inf)
-            diff_hi = np.nextafter(delta.hi - bound.lo, np.inf)
+            diff_lo = _dn(delta.lo - bound.hi)
+            diff_hi = _up(delta.hi - bound.lo)
 
             in_domain = ~vac & (S.hi <= sp_box.lo)
             dds, _ = delta_sigma_derivs(P, S, T)
@@ -388,9 +369,9 @@ def subpave_delta_above(jobs, side: str) -> list[Subpaving]:
             ok = best_lo > 0.0
         return vac, ok, best_lo, best_hi
 
-    def wave(boxes, groups):
+    def wave(boxes):
         nonlocal known, fresh
-        out = _in_chunks(boxes, groups, chunk)
+        out = _in_chunks(boxes, chunk)
         known, fresh = fresh, {}
         return out
 

@@ -10,8 +10,9 @@ ten terms reach double precision.  g2 and g3 come from the Eisenstein
 series E4 and E6 in Lambert form; each reported error is the closed-form
 geometric tail of the truncated series plus an a-priori bound on the
 rounding of every operation, the libm calls included (see
-`weierstrass_curve`).  The discriminant's error bound also covers the
-rounding of g2^3 - 27 g3^2.
+`weierstrass_curve`).  The discriminant comes from Jacobi's product, which
+keeps its full relative precision where g2^3 - 27 g3^2 cancels, with an
+error bound of the same kind.
 
 The Eisenstein disk sums c_n = sum' alpha^(-2n) (`eisenstein`,
 `lattice_points`, `tail_bound`) remain as an independent oracle: the tail is
@@ -308,6 +309,19 @@ def weierstrass_curve(L: ComplexLattice, target: float = 6e-3) -> EllipticCurve:
     an absolute floor for underflow; g2_err is |prefactor|/12 times that
     plus the tail.  cmath.exp, math.exp and the libm calls behind them are
     trusted to 2 ulp (see interval.py).
+
+    The discriminant g2^3 - 27 g3^2 = (2 pi/w1)^12 q prod (1 - q^n)^24 is
+    taken from the product, since the difference cancels to rounding noise
+    once the reduced Im tau passes about 6.  Its counts: (2 pi/w1)^12 as the
+    square of the 6th power 129; a factor 1 - q^n 1 + m_q |q|^n/(1 - |q|^n),
+    and 3 for its product into the running product, c_P in all; the 24th
+    power by squarings (2, 4, 8, 16, then 16 * 8) 24 c_P + 69; the products
+    with q and the prefactor k_q + 6, so K = 204 + k_q + 24 c_P.  The factors
+    n > N change the product by a relative x/(1 - x) at most, x = 24
+    |q|^(N+1)/(1-|q|)^2, and they run until x is below the unit roundoff.
+    An underflowed q or product errs by at most 2^-1073 absolute, which the
+    floor (|2 pi/w1|^12 + 2) 2^-1070 covers; so a lattice whose q underflows
+    to 0 raises DegenerateCurve.
     """
     if target <= 0.0:
         raise ValueError("target accuracy must be positive")
@@ -358,13 +372,24 @@ def weierstrass_curve(L: ComplexLattice, target: float = 6e-3) -> EllipticCurve:
     rnd6 = lin * (c6 + 504.0 * (wt6 + c6 * abs6)) + _FLOOR
     g2_err = abs(s4) / 12.0 * (rnd4 + 240.0 * tail(n, 3)) * _SLACK
     g3_err = abs(s6) / 216.0 * (rnd6 + 504.0 * tail(n, 5)) * _SLACK
-    disc = g2**3 - 27.0 * g3**2
-    b2 = abs(g2) + g2_err
-    b3 = abs(g3) + g3_err
-    # propagation of the g2, g3 errors, then the rounding of the two powers
-    # (6 and 4), the difference (2 for the complex sum) and the factor 27
+    n = 0
+    qn = prod = 1.0 + 0j
+    c_p = 0.0  # rounding count of prod
+    while 24.0 * qa ** (n + 1) / (1.0 - qa) ** 2 > _U:
+        n += 1
+        qn = q if n == 1 else qn * q
+        prod *= 1.0 - qn
+        c_p += 4.0 + (n * k_q + 3.0 * (n - 1)) * qa**n / (1.0 - qa**n)
+    p8 = prod * prod
+    p8 *= p8
+    p8 *= p8
+    disc = s6 * s6 * q * (p8 * p8 * p8)
+    k = 204.0 + k_q + 24.0 * c_p
+    gamma = k * _U / (1.0 - k * _U)
+    x = 24.0 * qa ** (n + 1) / (1.0 - qa) ** 2
     disc_err = (
-        3.0 * b2**2 * g2_err + 54.0 * b3 * g3_err + 8.0 * lin * (b2**3 + 27.0 * b3**2)
+        abs(disc) * (gamma + x / (1.0 - x)) / (1.0 - gamma)
+        + (abs(s6 * s6) + 2.0) * 2.0**-1070
     ) * _SLACK
     if abs(disc) <= disc_err:
         raise DegenerateCurve(

@@ -1,6 +1,7 @@
 """The VI-lane subpaving: tau_p brackets are reused across waves, never
-recomputed for a p-interval the previous wave already bisected; merged jobs
-and lane groups end bit for bit as they would alone."""
+recomputed for a p-interval the previous wave already bisected; the tau
+fixed point stops each lane at its exact fixed point; merged jobs end bit
+for bit as they would alone."""
 
 import numpy as np
 import pytest
@@ -69,46 +70,52 @@ def phi_lanes(monkeypatch):
     return count
 
 
-def _tau_groups(rng):
-    """Lane groups of (P, S) boxes whose fixed points stop at different
-    iterations: points, thin and wide boxes, some beyond the curve."""
-    groups = []
-    for g in range(24):
-        n = int(rng.integers(1, 25))
-        p = rng.uniform(1.5, 3.5, n)
-        s = 1.0 + rng.uniform(0.0, 1.05, n) * ((2.0**p - 1.0) ** (1.0 / p) - 1.0)
-        w = [0.0, 1e-9, 1e-4, 0.02][g % 4]
-        groups.append((p, p + w, s, s + w))
-    return groups
+def _tau_boxes(seed):
+    """(P, S) lanes whose fixed points stop at different iterations: points,
+    thin and wide boxes, some beyond the curve and some out of the domain."""
+    rng = np.random.default_rng(seed)
+    n = 400
+    p = rng.uniform(1.5, 3.5, n)
+    s = 1.0 + rng.uniform(0.0, 1.05, n) * ((2.0**p - 1.0) ** (1.0 / p) - 1.0)
+    w = np.array([0.0, 1e-9, 1e-4, 0.02, 0.5])[np.arange(n) % 5]
+    s = np.where(w == 0.5, s - 1.0, s)  # wide boxes reaching below sigma = 1 poison
+    return VI(p, p + w), VI(s, s + w)
+
+
+def _plain_tau(P, S, iters):
+    """The fixed point without any stopping rule: `iters` intersected steps."""
+    inv_p, a0, sa0 = B.phi_consts(P, S)
+    T = VI.full_like(P, *B.SEED)
+    vacuous = np.zeros(P.lo.size, dtype=bool)
+    for _ in range(iters):
+        T, empty = B.phi_scalar(P, inv_p, a0, sa0, T).intersect(T)
+        vacuous |= empty
+    return T, vacuous
 
 
 def _bits(*arrays):
-    return tuple(np.asarray(a).tobytes() for a in arrays)
+    # NaN lanes compare as NaN, whatever their payload
+    return tuple(
+        np.where(np.isnan(a), np.nan, a).tobytes() if a.dtype.kind == "f" else a.tobytes()
+        for a in map(np.asarray, arrays)
+    )
 
 
-def test_tau_groups_stop_as_if_alone(phi_lanes):
-    # bit equality alone does not tell a shared stopping rule apart: a lane
-    # that has stalled sits on its fixed point, so extra iterations keep its
-    # bits; the lane-iteration count does
-    rng = np.random.default_rng(22)
-    groups = _tau_groups(rng)
-    alone, iterations = [], []
-    for p_lo, p_hi, s_lo, s_hi in groups:
-        before = phi_lanes[0]
-        T, vac = B.tau_enclose_batch(VI(p_lo, p_hi), VI(s_lo, s_hi))
-        alone.append(_bits(T.lo, T.hi, vac))
-        iterations.append((phi_lanes[0] - before) // len(p_lo))
-    assert len(set(iterations)) >= 3  # the groups stop at different iterations
-    assert any(np.any(np.frombuffer(v, bool)) for _, _, v in alone)
-    alone_lanes, phi_lanes[0] = phi_lanes[0], 0
+@pytest.mark.parametrize("iters", [3, 48, 64])
+def test_tau_equals_plain_iteration(iters):
+    P, S = _tau_boxes(22)
+    T, vac = B.tau_enclose_batch(P, S, iters=iters)
+    T0, vac0 = _plain_tau(P, S, iters)
+    assert _bits(T.lo, T.hi, vac) == _bits(T0.lo, T0.hi, vac0)
+    if iters >= 48:  # the data covers vacuous, poisoned and finite lanes
+        assert vac.any() and (T.invalid() & ~vac).any() and (~T.invalid()).any()
 
-    order = rng.permutation(len(groups))
-    cat = [np.concatenate([groups[i][k] for i in order]) for k in range(4)]
-    sizes = [len(groups[i][0]) for i in order]
-    T, vac = B.tau_enclose_batch(VI(cat[0], cat[1]), VI(cat[2], cat[3]), groups=sizes)
-    for i, b, a in zip(order, np.cumsum(sizes), np.cumsum(sizes) - sizes):
-        assert _bits(T.lo[a:b], T.hi[a:b], vac[a:b]) == alone[i]
-    assert phi_lanes[0] == alone_lanes
+
+def test_tau_lanes_stop_early(phi_lanes):
+    P, S = _tau_boxes(23)
+    iters = 48
+    B.tau_enclose_batch(P, S, iters=iters)
+    assert phi_lanes[0] < iters * P.lo.size
 
 
 # per kind: a job that certifies, one over its node budget, one that splits
@@ -152,4 +159,23 @@ def test_merged_jobs_end_as_if_alone(kind, phi_lanes, monkeypatch):
     assert _subpave(kind, jobs[::-1]) == alone[::-1]
     # waves evaluated in many runs of whole jobs end the same
     monkeypatch.setattr(B, "MAX_LANES", 100)
+    assert _subpave(kind, jobs) == alone
+
+
+@pytest.mark.parametrize("kind", sorted(_MIXED_JOBS))
+def test_job_split_across_chunks_ends_as_if_alone(kind, monkeypatch):
+    waves = []
+    in_chunks = B._in_chunks
+
+    def spy(boxes, evaluate):
+        waves.append(len(boxes))
+        return in_chunks(boxes, evaluate)
+
+    monkeypatch.setattr(B, "_in_chunks", spy)
+    jobs = _MIXED_JOBS[kind]
+    alone = [_subpave(kind, [job])[0] for job in jobs]
+    # some job alone has a wave wider than the cap, so a slice boundary falls
+    # inside its run of lanes in the merged wave
+    assert max(waves) > 37
+    monkeypatch.setattr(B, "MAX_LANES", 37)
     assert _subpave(kind, jobs) == alone

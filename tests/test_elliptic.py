@@ -224,11 +224,33 @@ class TestWeierstrassCurve:
                 assert abs(E.g3 - a**6 * e6 / 216) <= E.g3_err, L
 
     def test_degenerate_curve_guard(self):
-        # a near-collapsed lattice: the tail bounds cannot be brought below
-        # the discriminant scale within the point cap
+        # a near-collapsed lattice, reduced Im tau = 250: q underflows to 0,
+        # and so does the discriminant
         thin = EL.ComplexLattice(1.0 + 0j, 0.5 + 0.001j)
-        with pytest.raises((EL.DegenerateCurve, ValueError)):
+        with pytest.raises(EL.DegenerateCurve):
             EL.weierstrass_curve(thin)
+
+    @pytest.mark.parametrize("tau", [0.3 + 6.6j, -0.5 + 7.4j, 0.1 + 8.8j, 0.45 + 10.2j])
+    def test_thin_reduced_lattices_accepted(self, tau):
+        # g2^3 - 27 g3^2 cancels to rounding noise at these Im tau; the
+        # product form keeps the discriminant to full relative precision
+        L = EL.ComplexLattice(2.0 + 0j, 2.0 * tau + 6.0)
+        E = EL.weierstrass_curve(L)
+        v1, v2 = exact_reduced_basis(L)
+        im_tau = (v1[0] * v2[1] - v1[1] * v2[0]) / (v1[0] ** 2 + v1[1] ** 2)
+        assert 6.6 <= im_tau <= 10.2
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            def mp(c):
+                return mpmath.mpc(mpmath.mpf(c[0].numerator) / c[0].denominator,
+                                  mpmath.mpf(c[1].numerator) / c[1].denominator)
+
+            w1 = mp(v1)
+            q = mpmath.exp(2j * mpmath.pi * mp(v2) / w1)
+            disc = (2 * mpmath.pi / w1) ** 12 * q
+            for n in range(1, 8):
+                disc *= (1 - q**n) ** 24
+            assert abs(E.discriminant - disc) <= 1e-13 * abs(disc)
 
 
 class TestMultipliers:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from critlat.interval import Box, DomainError, Interval
+from critlat.interval import Box, DomainError, Interval, ipow
 from critlat import batch as B
 from critlat import enclosure as E
 from critlat import moduli as M
@@ -17,7 +17,14 @@ from critlat.batch import (
     subpave_delta_above,
     tau_enclose_batch,
 )
-from critlat.jets import Jet, delta_sigma_derivs, phi_consts, phi_prime, phi_scalar
+from critlat.jets import (
+    Jet,
+    delta_sigma_derivs,
+    phi_consts,
+    phi_prime,
+    phi_scalar,
+    tau_p_resid_scalar,
+)
 from critlat.vints import VI
 
 SQRT3 = math.sqrt(3.0)
@@ -73,6 +80,20 @@ class TestTauInterval:
         assert E.DEFAULT_SEED == Interval(0.0, 0.36)
         assert enc.tau.lo >= 0.0 and enc.tau.hi <= 0.36
         assert enc.precheck
+
+    def test_seed_holds_every_in_domain_tau(self):
+        # in-domain tau lies in [0, tau_p], and tau_p < 0.36 iff the residual
+        # h(0.36) = 2(1 - 0.36)^p - (1 + 0.36^p) is negative, h decreasing in
+        # t: checked for every p > 1, the range the CLI accepts
+        seed = E.DEFAULT_SEED.hi
+        assert B.SEED == (E.DEFAULT_SEED.lo, seed)
+        edges = np.linspace(1.0, 1.6, 61).tolist()
+        for lo, hi in zip(edges, edges[1:]):
+            assert tau_p_resid_scalar(Interval(lo, hi), seed).hi < 0.0, (lo, hi)
+        # p >= 1.6: h(0.36) < 2 (1 - 0.36)^p - 1 <= 2 (1 - 0.36)^1.6 - 1
+        base = 1.0 - Interval.point(seed)
+        assert base.hi < 1.0
+        assert (2.0 * ipow(base, Interval.point(edges[-1])) - 1.0).hi < 0.0
 
     def test_sampling_never_escapes(self):
         X = Box.of(2.29, 2.31, 1.19, 1.21)
