@@ -35,6 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .jets import (
+    TAU_SEED,
+    TAU_STEPS,
     d_delta_edge_low_scalar,
     d_sigma_p_scalar,
     delta_edge_low_scalar,
@@ -61,15 +63,13 @@ __all__ = [
     "subpave_delta_above",
 ]
 
-SEED = (0.0, 0.36)
-
 
 def _unchanged(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per lane: a and b have the same bits, or are both NaN."""
     return (a.view(np.int64) == b.view(np.int64)) | (np.isnan(a) & np.isnan(b))
 
 
-def tau_enclose_batch(P: VI, S: VI, iters: int = 48) -> tuple[VI, np.ndarray]:
+def tau_enclose_batch(P: VI, S: VI, iters: int = TAU_STEPS) -> tuple[VI, np.ndarray]:
     """Natural-extension fixed-point iteration, one lane per subcell.
 
     Returns (tau VI, vacuous mask).  Vacuous lanes intersected to nothing:
@@ -85,7 +85,7 @@ def tau_enclose_batch(P: VI, S: VI, iters: int = 48) -> tuple[VI, np.ndarray]:
     """
     n = P.lo.size
     inv_p, a0, sa0 = phi_consts(P, S)
-    T = VI.full_like(P, *SEED)
+    T = VI.full_like(P, *TAU_SEED)
     out = VI(np.empty(n), np.empty(n))
     vacuous = np.zeros(n, dtype=bool)
     lanes = np.arange(n)  # the output lane of each working lane
@@ -163,7 +163,7 @@ def _mid_delta_batch(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray, VI]:
     sm = 0.5 * (boxes[:, 2] + boxes[:, 3])
     Pm = VI.point(pm)
     Sm = VI.point(sm)
-    Tm, vac = tau_enclose_batch(Pm, Sm, iters=64)
+    Tm, vac = tau_enclose_batch(Pm, Sm)
     dm = delta_scalar(Pm, Sm, Tm)
     bad = vac | Tm.invalid()
     dm = VI(np.where(bad, np.nan, dm.lo), np.where(bad, np.nan, dm.hi))

@@ -197,8 +197,8 @@ def cmd_lattice(args, cfg: RunConfig, out) -> int:
     CL = el.complexify(L)
     if args.curve:
         try:
-            E = el.weierstrass_curve(CL, target=args.curve_accuracy)
-        except (el.DegenerateCurve, ValueError) as e:
+            E = el.weierstrass_curve(CL)
+        except el.DegenerateCurve as e:
             raise CliError(str(e), EXIT_NUMERIC)
         print(f"g2,{E.g2!r},±{E.g2_err!r}", file=out)
         print(f"g3,{E.g3!r},±{E.g3_err!r}", file=out)
@@ -267,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--basis", action="store_true")
     pl.add_argument("--det", action="store_true")
     pl.add_argument("--curve", action="store_true")
-    pl.add_argument("--curve-accuracy", type=float, default=6e-3)
     pl.add_argument("--multiplier", help="complex candidate, e.g. 0.5+0.866i")
     pl.add_argument("--orbit", nargs=2, metavar=("LAMBDA", "N"))
     return ap

@@ -278,16 +278,16 @@ def _two_pi_over(w1: complex) -> complex:
     return (2.0 * math.pi / (w1.real * w1.real + w1.imag * w1.imag)) * w1.conjugate()
 
 
-def weierstrass_curve(L: ComplexLattice, target: float = 6e-3) -> EllipticCurve:
+def weierstrass_curve(L: ComplexLattice) -> EllipticCurve:
     """y^2 = 4x^3 - g2 x - g3 from the q-expansions on the reduced basis:
     g2 = (2 pi/w1)^4 E4(q) / 12 and g3 = (2 pi/w1)^6 E6(q) / 216, with
     E4 = 1 + 240 sum n^3 q^n/(1-q^n) and E6 = 1 - 504 sum n^5 q^n/(1-q^n).
 
     Truncation: after N terms, sum_{n>N} n^k |q|^n/(1-|q|^n) is at most
     (N+1)^k |q|^(N+1) / ((1-|q|)(1-rho)), rho = ((N+2)/(N+1))^k |q|, with
-    |q| bounded above.  The series run until that tail is below both the
-    target share (target/2 of each invariant) and the unit roundoff of E4
-    and E6, since a term costs a few complex operations.
+    |q| bounded above.  The series run until that tail is below the unit
+    roundoff of E4 and E6 (u/240 and u/504 of the Lambert sums), since a
+    term costs a few complex operations.
 
     Rounding (Higham, Accuracy and Stability, ch. 3): with u = 2^-53 each
     float operation errs by at most u relative, per real part, and counts
@@ -323,8 +323,6 @@ def weierstrass_curve(L: ComplexLattice, target: float = 6e-3) -> EllipticCurve:
     floor (|2 pi/w1|^12 + 2) 2^-1070 covers; so a lattice whose q underflows
     to 0 raises DegenerateCurve.
     """
-    if target <= 0.0:
-        raise ValueError("target accuracy must be positive")
     w1, tau, _ = _reduce(L)
     a = _two_pi_over(w1)
     a2 = a * a
@@ -336,8 +334,7 @@ def weierstrass_curve(L: ComplexLattice, target: float = 6e-3) -> EllipticCurve:
     qa = math.exp(-2.0 * math.pi * tau.imag * (1.0 - 2.0**-50)) * (1.0 + 2.0**-50)
     k_q = 4.0 + 38.0 * abs(tau) * (1.0 + 1e-6)
     # tail shares in units of the Lambert sums
-    share4 = min(target / (40.0 * abs(s4)), _U / 240.0)
-    share6 = min(3.0 * target / (14.0 * abs(s6)), _U / 504.0)
+    share4, share6 = _U / 240.0, _U / 504.0
 
     def tail(n: int, k: int) -> float:
         rho = ((n + 2) / (n + 1)) ** k * qa

@@ -1,8 +1,11 @@
 """Rigorous interval enclosures on (p, sigma) boxes.
 
 The tau enclosure comes from the interval fixed-point iteration
-tau <- (1 + tau^p)^(1/p) * ((1 - A^p)^(1/p) - sigma*a0), seeded and clamped at
-[0, 0.36], intersected with the previous iterate after every step.  The map
+tau <- (1 + tau^p)^(1/p) * ((1 - A^p)^(1/p) - sigma*a0), seeded at
+jets.TAU_SEED = [0, 0.36] and intersected with the previous iterate after
+every step.  The iterates are nested, so every one encloses tau; the
+iteration stops when a step returns its iterate unchanged (an exact fixed
+point) or at the jets.TAU_STEPS cap, the same rule as the VI lane.  The map
 and the boundary formulas (sigma_p, tau_p, Delta(p, 1) and the p-slopes) are
 written once over the generic scalar in jets.py; the functions here are the
 scalar-Interval entry points and add the p > 1 domain checks.
@@ -18,6 +21,8 @@ from dataclasses import dataclass
 
 from .interval import EMPTY, Box, DomainError, Interval, intersect
 from .jets import (
+    TAU_SEED,
+    TAU_STEPS,
     SingularConstraint,
     d_delta_edge_low_scalar,
     d_sigma_p_scalar,
@@ -39,10 +44,8 @@ __all__ = [
     "EifElement",
     "TauEnclosure",
     "EmptyEnclosure",
-    "NotConverged",
     "SingularConstraint",
     "DEFAULT_SEED",
-    "convergence_precheck",
     "precheck_clamped",
     "tau_interval",
     "delta_eif",
@@ -56,17 +59,12 @@ __all__ = [
     "d_delta_edge_low_enclosure",
 ]
 
-DEFAULT_SEED = Interval(0.0, 0.36)
-_STALL_TOL = 1e-15  # width change below which the iteration has stalled
+DEFAULT_SEED = Interval(*TAU_SEED)
 
 
 class EmptyEnclosure(Exception):
     """The iteration intersected away to nothing: the box has no surface
     points (domain violation) or the map diverged."""
-
-
-class NotConverged(Exception):
-    """Stall tolerance not reached within the iteration budget."""
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,6 @@ class EifElement:
     box: Box
     value: Interval
     fid: str
-    optimal: bool = False  # bounds proven attained; never claimed here
 
     @property
     def is_c_element(self) -> bool:
@@ -94,10 +91,8 @@ class EifElement:
 
 @dataclass(frozen=True)
 class TauEnclosure:
-    box: Box
     tau: Interval
     iterations: int
-    converged: bool
     precheck: bool
 
 
@@ -145,24 +140,11 @@ def d_delta_edge_low_enclosure(P: Interval) -> Interval:
 # -- Remark-1 convergence precheck ----------------------------------------------
 
 
-def convergence_precheck(X: Box) -> bool:
-    """|phi'_tau| < 1 at the box midpoint with its point-solved tau.
-
-    Guard: the box must satisfy sigma.hi <= sigma_p(p.lo) rigorously.
-    """
-    guard = sigma_p_enclosure(Interval.point(X.p.lo)).lo
-    if X.sigma.hi > guard:
-        raise DomainError(
-            f"sigma.hi = {X.sigma.hi} exceeds verified sigma_p(p.lo) >= {guard}"
-        )
-    pm, sm = X.mid
-    tau = tau_point(pm, sm)
-    return abs(phi_prime(pm, sm, tau)) < 1.0
-
-
 def precheck_clamped(X: Box) -> bool:
-    """Precheck with the midpoint clamped into the parameter domain (total:
-    curve-straddling boxes get the nearest in-domain midpoint)."""
+    """|phi'_tau| < 1 at the box midpoint with its point-solved tau, the
+    midpoint clamped into the parameter domain (total: curve-straddling boxes
+    get the nearest in-domain midpoint).  Recorded per leaf; no verdict
+    reads it."""
     pm, sm = X.mid
     hi = sigma_p(pm) * (1.0 - 1e-12)
     sm = min(max(sm, 1.0), hi)
@@ -185,46 +167,40 @@ def _check_seed_clamp(P: Interval) -> None:
         )
 
 
-def tau_interval(X: Box, max_iterations: int = 200) -> TauEnclosure:
+def tau_interval(X: Box) -> TauEnclosure:
     """Enclosure of {tau(p, sigma) : (p, sigma) in X within the domain}.
 
     The interval image of the fixed-point map is intersected with the current
     iterate every step, so every true fixed point present in the seed is
-    present at the end; convergence is declared when the width stalls (or the
-    float fixpoint is reached exactly).  EmptyEnclosure means the box holds no
-    surface point.
+    present in every iterate.  The iteration stops when a step returns its
+    iterate unchanged, an exact fixed point that every later step keeps, or
+    after TAU_STEPS steps; either way the iterate is the enclosure, and
+    `iterations` counts the steps taken.  EmptyEnclosure means the box holds
+    no surface point.
     """
     _check_seed_clamp(X.p)
     pre = precheck_clamped(X)
     P = X.p
     consts = phi_consts(P, X.sigma)
     T = DEFAULT_SEED
-    for n in range(1, max_iterations + 1):
+    for n in range(1, TAU_STEPS + 1):
         Tn = intersect(phi_scalar(P, *consts, T), T)
         if Tn is EMPTY:
             raise EmptyEnclosure(f"iteration emptied on {X!r} at step {n}")
-        stalled = (Tn == T) or abs(T.width - Tn.width) <= _STALL_TOL
+        if Tn == T:
+            break
         T = Tn
-        if stalled:
-            return TauEnclosure(
-                box=X, tau=T, iterations=n, converged=True, precheck=pre
-            )
-    raise NotConverged(f"no stall within {max_iterations} iterations on {X!r}")
+    return TauEnclosure(tau=T, iterations=n, precheck=pre)
 
 
 # -- eif-elements ------------------------------------------------------------------
 
 
-def _require_converged(tau: TauEnclosure) -> None:
-    if not tau.converged:
-        raise NotConverged("tau enclosure not converged")
-
-
-def _mid_point_delta(X: Box, max_iterations: int) -> tuple[float, float, Interval]:
+def _mid_point_delta(X: Box) -> tuple[float, float, Interval]:
     pm, sm = X.mid
     sm = min(max(sm, 1.0), sigma_p(pm) * (1.0 - 1e-12))
     mid_box = Box(Interval.point(pm), Interval.point(sm))
-    t_mid = tau_interval(mid_box, max_iterations=max_iterations)
+    t_mid = tau_interval(mid_box)
     dm = delta_scalar(mid_box.p, mid_box.sigma, t_mid.tau)
     return pm, sm, dm
 
@@ -236,19 +212,18 @@ def delta_eif(X: Box, tau: TauEnclosure, refine: bool = False) -> EifElement:
     centered at the box midpoint (gradient enclosures from the jet engine);
     it needs the tau enclosure bounded away from zero.
     """
-    _require_converged(tau)
     value = delta_scalar(X.p, X.sigma, tau.tau)
     if refine and tau.tau.lo > 0.0:
         try:
             t, s, pj = solve_tau_jet(X.p, X.sigma, tau.tau, 1, 1)
             dj = delta_jet(t, s, pj)
             dds, ddp = dj.coeff(1, 0), dj.coeff(0, 1)
-            pm, sm, dm = _mid_point_delta(X, 300)
+            pm, sm, dm = _mid_point_delta(X)
             mvf = dm + dds * (X.sigma - sm) + ddp * (X.p - pm)
             tight = intersect(value, mvf)
             if tight is not EMPTY:
                 value = tight
-        except (DomainError, SingularConstraint, EmptyEnclosure, NotConverged):
+        except (DomainError, SingularConstraint, EmptyEnclosure):
             pass
     return EifElement(box=X, value=value, fid="delta")
 
@@ -262,7 +237,6 @@ def derivative_eifs(X: Box, tau: TauEnclosure) -> dict[str, EifElement]:
     Requires tau strictly positive over the box (jet transport goes through
     log tau) and an F_tau enclosure excluding zero (SingularConstraint else).
     """
-    _require_converged(tau)
     if tau.tau.lo <= 0.0:
         raise DomainError(
             "derivative enclosures need tau bounded away from zero "
@@ -287,7 +261,6 @@ def sigma_derivs_enclosure(X: Box, tau: TauEnclosure) -> tuple[EifElement, EifEl
     zero, provided every tau exponent is positive (needs p > 2 there); used
     for the boundary-column convexity certificates.
     """
-    _require_converged(tau)
     dds, dds2 = delta_sigma_derivs(X.p, X.sigma, tau.tau)
     return (
         EifElement(box=X, value=dds, fid="d_sigma"),

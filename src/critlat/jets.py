@@ -39,6 +39,8 @@ __all__ = [
     "atoms_f",
     "delta_scalar",
     "lift",
+    "TAU_SEED",
+    "TAU_STEPS",
     "phi_consts",
     "phi_scalar",
     "phi_prime",
@@ -343,6 +345,14 @@ def delta_scalar(p, sigma, tau):
     a0 = spow(one + spow(sigma, p), -inv_p)
     b0 = spow(one + spow_nonneg(tau, p), -inv_p)
     return (tau + sigma) * a0 * b0
+
+
+# The tau fixed point T <- phi(T) ∩ T on both lanes: the seed (every
+# in-domain tau lies in [0, tau_p], and tau_p < 0.36 for every p > 1) and the
+# step cap.  The iterates are nested, so each one encloses tau; a step that
+# returns its iterate unchanged has reached an exact fixed point.
+TAU_SEED = (0.0, 0.36)
+TAU_STEPS = 64
 
 
 def phi_consts(p, sigma):

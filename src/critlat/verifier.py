@@ -3,8 +3,9 @@
 Certifies Delta(p, sigma) > min(Delta(p, 1), Delta(p, sigma_p)) on strips of
 the parameter domain by adaptive covering.  Three certificate kinds per leaf:
 
-  CertifiedInterior      Delta exceeds an upper enclosure of one boundary
-                         value outright (subpaved natural + mean-value forms).
+  CertifiedInterior      Delta exceeds one boundary value outright: the
+                         correlated difference Delta - boundary(p) is
+                         subpaved (natural + mean-value forms).
   CertifiedMonotoneLow   d2Delta/dsigma2 > 0 on the column from the cell down
                          to sigma = 1; with the exact stationarity
                          dDelta/dsigma(p, 1) = 0 this gives strict growth away
@@ -23,7 +24,9 @@ parameter domain 1 < sigma < sigma_p(p); evaluation boxes may straddle the
 curved upper boundary, where enclosures remain valid for in-domain points by
 inclusion isotonicity.
 
-Each generation of leaves is certified in rounds (_certify_rounds).  A leaf's
+A leaf is a Box plus its id, the bisection path from its initial cell (the
+parent id plus "0" or "1").  Every certificate comes from a subpaving job:
+each generation of leaves is certified in rounds (_certify_rounds).  A leaf's
 attempts are a generator (_certify_steps) that runs its prescreens and cost
 models lazily and yields one subpaving job per attempt that gets past them.
 Round r gathers the next job of every leaf still undecided and runs all jobs
@@ -32,7 +35,9 @@ as one merged subpaving in batch.py, whose jobs end as they would alone; so
 each leaf gets the status, and the certificate the bytes, of certifying it
 on its own.  certify_box is the one-leaf case.  With several workers one
 process pool serves the run, and each worker certifies one contiguous chunk
-of the generation (sorted by cell id) the same way.
+of the generation (sorted by leaf id) the same way.  A leaf record also
+carries the boundary bounds over its p-range, its tau enclosure and the
+precheck; no verdict reads them.
 """
 
 from __future__ import annotations
@@ -50,16 +55,13 @@ from .batch import (
     subpave_convex_positive,
     subpave_delta_above,
 )
-from .cells import ICell
 from .enclosure import (
     DEFAULT_SEED,
     EifElement,
     EmptyEnclosure,
-    NotConverged,
     SingularConstraint,
     delta_edge_high_enclosure,
     delta_edge_low_enclosure,
-    delta_eif,
     precheck_clamped,
     sigma_p_enclosure,
     tau_interval,
@@ -120,7 +122,8 @@ class CertStatus:
 
 @dataclass(frozen=True)
 class LeafRecord:
-    cell: ICell
+    id: str  # bisection path: the parent id plus "0" or "1"
+    box: Box
     band: str  # "low" | "mid" | "high"
     status: CertStatus
     bound_low: Interval  # enclosure of Delta(p, 1) over the leaf p-range
@@ -143,13 +146,6 @@ class Certificate:
     @property
     def undecided(self) -> list[LeafRecord]:
         return [r for r in self.leaves if r.status.verdict == VERDICT_UNDECIDED]
-
-
-@dataclass
-class _Work:
-    cell: ICell
-    band: str
-    depth: int = 0
 
 
 def _sigma_p_inf(p_lo: float, p_hi: float, m: int = 16) -> float:
@@ -187,37 +183,31 @@ def _float_dds2(pm: float, sm: float) -> float:
         return float("nan")
 
 
-_ENCLOSURE_ERRORS = (DomainError, SingularConstraint, EmptyEnclosure, NotConverged)
+_ENCLOSURE_ERRORS = (DomainError, SingularConstraint, EmptyEnclosure)
 
 
 def certify_box(
     X: Box,
-    bound_low: Interval,
-    bound_high: Interval,
     band: str = "mid",
     sigma_top: float | None = None,
     node_budget: int = 24000,
 ) -> CertStatus:
     """Attempt interior, then monotone certificates for one cell.
 
-    bound_low/bound_high are enclosures of the two boundary values over the
-    cell's p-range; sigma_top is a verified upper bound for sigma_p over the
-    p-range (needed for the monotone-high column).  This is the one-cell
-    case of _certify_rounds.
+    sigma_top is a verified upper bound for sigma_p over the cell's p-range
+    (needed for the monotone-high column).  This is the one-cell case of
+    _certify_rounds.
     """
-    return _certify_rounds(
-        [_certify_steps(X, bound_low, bound_high, band, sigma_top, node_budget)]
-    )[0]
+    return _certify_rounds([_certify_steps(X, band, sigma_top, node_budget)])[0]
 
 
-def _certify_steps(X, bound_low, bound_high, band, sigma_top, node_budget, tau=None):
+def _certify_steps(X, band, sigma_top, node_budget):
     """certify_box for one cell as a generator: it yields (kind, batch.Job)
     for each attempt that needs a subpaving, with kind "convex" (a column
     for subpave_convex_positive) or the side "high"/"low" of
     subpave_delta_above, is sent the job's batch.Subpaving, and returns the
     CertStatus.  An Undecided status's reason lists how each attempt ended,
-    in order, the last one last.  tau is tau_interval(X) or the exception it
-    raised, computed here if the quick interior test needs it and it is None.
+    in order, the last one last.
     """
     p_lo, p_hi = X.p.lo, X.p.hi
     s_lo, s_hi = X.sigma.lo, X.sigma.hi
@@ -243,28 +233,6 @@ def _certify_steps(X, bound_low, bound_high, band, sigma_top, node_budget, tau=N
     ml_mean = sum(ml_list) / len(ml_list) if ml == ml else -1.0
 
     straddles = s_hi > sigma_p(pm)
-
-    # quick interior test from the plain natural extension
-    bound_hi = min(bound_low.hi, bound_high.hi)
-    if max(mh, ml) > 1e-7:
-        if tau is None:
-            try:
-                tau = tau_interval(X)
-            except _ENCLOSURE_ERRORS as e:
-                tau = e
-        nat = None
-        if not isinstance(tau, Exception):
-            try:
-                nat = delta_eif(X, tau, refine=True)
-            except _ENCLOSURE_ERRORS:
-                pass
-        if nat is not None and nat.value.lo > bound_hi:
-            return CertStatus(
-                verdict=VERDICT_INTERIOR,
-                witness=EifElement(
-                    box=X, value=nat.value - bound_hi, fid="delta_minus_bound"
-                ),
-            )
 
     # cost models: subpaving with the mean-value form needs ~area*C/margin
     # nodes inside the domain; curve-straddling regions fall back to natural
@@ -436,17 +404,15 @@ def _leaf_bounds(p_lo: float, p_hi: float) -> tuple[Interval, Interval]:
 
 def _certify_leaf(args):
     """A leaf's record fields (bounds, tau, precheck) and its _certify_steps,
-    not yet started; tau_interval runs once and feeds both."""
-    cell, band, sigma_top, node_budget = args
-    X = cell.as_box()
+    not yet started."""
+    X, band, sigma_top, node_budget = args
     bl, bh = _leaf_bounds(X.p.lo, X.p.hi)
     try:
         enc = tau_interval(X)
         tau_iv, pre = enc.tau, enc.precheck
-    except _ENCLOSURE_ERRORS as e:
-        enc, tau_iv, pre = e, None, precheck_clamped(X)
-    steps = _certify_steps(X, bl, bh, band, sigma_top, node_budget, enc)
-    return (bl, bh, tau_iv, pre), steps
+    except _ENCLOSURE_ERRORS:
+        tau_iv, pre = None, precheck_clamped(X)
+    return (bl, bh, tau_iv, pre), _certify_steps(X, band, sigma_top, node_budget)
 
 
 def _certify_chunk(tasks) -> list[tuple]:
@@ -471,7 +437,7 @@ def verify_strip(
     sigma_policy "full" covers the whole domain with boundary bands of width
     `strip`; "interior" covers only [1 + strip, sigma_p - strip].  Leaves are
     certified generation by generation (a work queue; `workers` only shards
-    the generation into contiguous chunks, results merge by cell id, so
+    the generation into contiguous chunks, results merge by leaf id, so
     output is worker-count independent), undecided leaves split on their
     widest relative axis until certification or `budget` total leaves.
 
@@ -509,19 +475,11 @@ def verify_strip(
     p_cuts = [p_lo + (p_hi - p_lo) * k / initial_p_slices for k in range(initial_p_slices + 1)]
     p_cuts[0], p_cuts[-1] = p_lo, p_hi
 
-    frontier: list[_Work] = []
-    serial = 0
+    frontier = []  # (id, box, band) per leaf to certify
     for band, a, b in bands:
         for k in range(initial_p_slices):
-            cell = ICell(
-                id=f"c{serial}",
-                free_axes=(
-                    ("p", Interval(p_cuts[k], p_cuts[k + 1])),
-                    ("sigma", Interval(a, b)),
-                ),
-            )
-            serial += 1
-            frontier.append(_Work(cell=cell, band=band))
+            box = Box(Interval(p_cuts[k], p_cuts[k + 1]), Interval(a, b))
+            frontier.append((f"c{len(frontier)}", box, band))
 
     leaves: dict[str, LeafRecord] = {}
     n_leaves = len(frontier)
@@ -539,8 +497,8 @@ def verify_strip(
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
     with pool or nullcontext():
         while frontier:
-            frontier.sort(key=lambda w: w.cell.id)
-            tasks = [(w.cell, w.band, s_sup, node_budget) for w in frontier]
+            frontier.sort(key=lambda w: w[0])
+            tasks = [(X, band, s_sup, node_budget) for _, X, band in frontier]
             if pool is None or len(tasks) < 2:
                 results = _certify_chunk(tasks)
             else:
@@ -548,41 +506,27 @@ def verify_strip(
                 chunks = [tasks[k : k + size] for k in range(0, len(tasks), size)]
                 results = [r for part in pool.map(_certify_chunk, chunks) for r in part]
 
-            next_frontier: list[_Work] = []
-            for w, (status, bl, bh, tau_iv, pre) in zip(frontier, results):
-                cid = w.cell.id
-                rec = LeafRecord(
-                    cell=w.cell, band=w.band, status=status,
+            next_frontier = []
+            for (cid, X, band), (status, bl, bh, tau_iv, pre) in zip(frontier, results):
+                leaves[cid] = LeafRecord(
+                    id=cid, box=X, band=band, status=status,
                     bound_low=bl, bound_high=bh, tau=tau_iv, precheck=pre,
                 )
-                leaves[cid] = rec
                 if status.verdict != VERDICT_UNDECIDED:
                     continue
                 if n_leaves + 1 > budget:
                     continue  # cannot split further: stays undecided
                 # split: high band keeps covering the curve, so p only there
-                iv_p = w.cell.interval("p")
-                iv_s = w.cell.interval("sigma")
-                if w.band == "high":
-                    axis = "p"
-                else:
-                    axis = (
-                        "p"
-                        if (iv_p.width / scale_p) >= (iv_s.width / scale_s)
-                        else "sigma"
-                    )
-                iv = w.cell.interval(axis)
+                on_p = band == "high" or X.p.width / scale_p >= X.sigma.width / scale_s
+                iv = X.p if on_p else X.sigma
                 mid = iv.mid
                 if mid == iv.lo or mid == iv.hi:
                     continue  # cannot split thinner than floats allow
                 del leaves[cid]
                 n_leaves += 1
                 for tag, piece in (("0", Interval(iv.lo, mid)), ("1", Interval(mid, iv.hi))):
-                    free = tuple(
-                        (a, piece if a == axis else v) for a, v in w.cell.free_axes
-                    )
-                    child = ICell(id=f"{cid}{tag}", free_axes=free)
-                    next_frontier.append(_Work(cell=child, band=w.band, depth=w.depth + 1))
+                    child = Box(piece, X.sigma) if on_p else Box(X.p, piece)
+                    next_frontier.append((cid + tag, child, band))
             frontier = next_frontier
 
     ordered = [leaves[k] for k in sorted(leaves)]
@@ -690,10 +634,10 @@ def emit_certificate(cert: Certificate, format: str = "structured") -> str:
             "complete": cert.complete,
             "leaves": [
                 {
-                    "id": r.cell.id,
+                    "id": r.id,
                     "band": r.band,
-                    "p": _iv(r.cell.interval("p")),
-                    "sigma": _iv(r.cell.interval("sigma")),
+                    "p": _iv(r.box.p),
+                    "sigma": _iv(r.box.sigma),
                     "verdict": r.status.verdict,
                     "reason": r.status.reason,
                     "witness": None
@@ -741,12 +685,11 @@ def parse_certificate(text: str) -> dict:
 
 
 def replay_leaf(leaf: dict, node_budget: int = 24000) -> str:
-    """Recertify one parsed leaf record; returns the fresh verdict."""
+    """Rerun the certification search on one parsed leaf's recorded box;
+    returns the fresh verdict.  This repeats the search, it checks nothing
+    independently."""
     X = Box(
         Interval(float(leaf["p"][0]), float(leaf["p"][1])),
         Interval(float(leaf["sigma"][0]), float(leaf["sigma"][1])),
     )
-    bl = Interval(float(leaf["bound_low"][0]), float(leaf["bound_low"][1]))
-    bh = Interval(float(leaf["bound_high"][0]), float(leaf["bound_high"][1]))
-    status = certify_box(X, bl, bh, band=leaf["band"], node_budget=node_budget)
-    return status.verdict
+    return certify_box(X, band=leaf["band"], node_budget=node_budget).verdict

@@ -246,7 +246,7 @@ def test_criterion_6_certification_fixture(tmp_path):
     assert len(und) > 0
 
     def pdist(rec):
-        iv = rec.cell.interval("p")
+        iv = rec.box.p
         if iv.lo <= 2.0 <= iv.hi:
             return 0.0
         return min(abs(iv.lo - 2.0), abs(iv.hi - 2.0))

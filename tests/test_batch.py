@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from critlat import batch as B
+from critlat.jets import TAU_SEED
 from critlat.vints import VI
 
 
@@ -85,7 +86,7 @@ def _tau_boxes(seed):
 def _plain_tau(P, S, iters):
     """The fixed point without any stopping rule: `iters` intersected steps."""
     inv_p, a0, sa0 = B.phi_consts(P, S)
-    T = VI.full_like(P, *B.SEED)
+    T = VI.full_like(P, *TAU_SEED)
     vacuous = np.zeros(P.lo.size, dtype=bool)
     for _ in range(iters):
         T, empty = B.phi_scalar(P, inv_p, a0, sa0, T).intersect(T)

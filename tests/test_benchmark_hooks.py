@@ -1,14 +1,22 @@
-"""The names the benchmark's tracer interposes at must exist in the program.
+"""The names the benchmark's tracer interposes at, and the calls its
+workloads make, must exist in the program.
 
 perfbench/spans.py rebinds each (module, attribute) of its SPAN_POINTS, and
 its node counter wraps batch.tau_enclose_batch and elliptic.lattice_points.
 A refactor that renames, aliases or drops one of them would silently leave a
 layer untimed, so the tracer's table is checked here against the program.
+A refactor that changes a signature the workloads call, or drops a result
+attribute the tracer reads, would turn every pass into a failed operation,
+so those calls are checked too.
 """
 
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
+
+import pytest
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -40,3 +48,49 @@ def test_node_counter_targets_exist():
 
     assert callable(batch.tau_enclose_batch)
     assert callable(elliptic.lattice_points)
+
+
+# (module, function, positional args, keyword args) of each call that
+# perfbench/workloads.py and perfbench/checks.py make; the arguments are
+# placeholders, only their count and names are bound
+_BENCHMARK_CALLS = [
+    ("cli", "main", ("argv",), {"out": "out"}),
+    ("verifier", "enclose_p0", (1e-6,), {}),
+    ("enclosure", "tau_interval", ("X",), {}),
+    ("enclosure", "delta_eif", ("X", "enc"), {"refine": True}),
+    ("enclosure", "delta_edge_low_enclosure", ("P",), {}),
+    ("enclosure", "delta_edge_high_enclosure", ("P",), {}),
+    ("moduli", "sigma_p", (2.5,), {}),
+    ("moduli", "lattice_basis", ("L0", 2.0), {}),
+    ("moduli", "tau_p_vec", ("p",), {}),
+    ("moduli", "tau_point_vec", ("ps", "ss"), {}),
+    ("moduli", "delta_point_vec", ("ps", "ss"), {}),
+    ("moduli", "delta_edge_low", (2.5,), {}),
+    ("moduli", "delta_edge_high", (2.5,), {}),
+    ("elliptic", "complexify", ("L",), {}),
+    ("elliptic", "weierstrass_curve", ("L",), {}),
+    ("elliptic", "weierstrass_p", ("L", "z"), {"target": 2e-7}),
+    ("elliptic", "lattes_step", ("E", "x"), {}),
+    ("elliptic", "orbit_stats", ("E", "z0", 5000), {}),
+]
+
+
+@pytest.mark.parametrize("owner, attr, args, kwargs", _BENCHMARK_CALLS,
+                         ids=[f"{o}.{a}" for o, a, _, _ in _BENCHMARK_CALLS])
+def test_benchmark_call_binds(owner, attr, args, kwargs):
+    fn = getattr(importlib.import_module(f"critlat.{owner}"), attr)
+    inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_traced_result_attributes_exist():
+    # spans._ATTRS reads these off the results of the traced calls, and the
+    # workloads read the curve's fields
+    from critlat import elliptic, enclosure
+
+    def fields(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert "iterations" in fields(enclosure.TauEnclosure)
+    assert "tau" in fields(enclosure.TauEnclosure)
+    assert "terms" in fields(elliptic.EisensteinSum)
+    assert {"g2", "g3", "discriminant"} <= fields(elliptic.EllipticCurve)

@@ -6,15 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from critlat.cells import ICell
 from critlat.interval import Box, DomainError, Interval
 from critlat import batch as B
 from critlat import moduli as M
 from critlat import verifier as V
-
-
-def leaf_bounds(p_lo, p_hi):
-    return V._leaf_bounds(p_lo, p_hi)
 
 
 class TestCertifyBox:
@@ -27,8 +22,7 @@ class TestCertifyBox:
             for s in ss:
                 assert M.delta_point(p, s).delta - M.boundary_min(p).value > 5e-4
         X = Box.of(2.3, 2.35, 1.3, 1.35)
-        bl, bh = leaf_bounds(2.3, 2.35)
-        st = V.certify_box(X, bl, bh)
+        st = V.certify_box(X)
         assert st.verdict == V.VERDICT_INTERIOR
         assert st.witness is not None and st.witness.value.lo > 0.0
 
@@ -36,16 +30,14 @@ class TestCertifyBox:
         # where the minimum sits on the sigma = 1 side (p > p0), the boundary
         # value is attained at the touching edge, so no interior margin exists
         X = Box.of(2.6, 2.65, 1.0, 1.01)
-        bl, bh = leaf_bounds(2.6, 2.65)
-        st = V.certify_box(X, bl, bh, band="low")
+        st = V.certify_box(X, band="low")
         assert st.verdict in (V.VERDICT_MONO_LOW, V.VERDICT_UNDECIDED)
 
     def test_low_edge_interior_when_min_is_high(self):
         # for 2 < p < p0 the minimum sits on the sigma_p side, so a touching
         # cell still carries the positive gap between the two boundary values
         X = Box.of(2.4, 2.45, 1.0, 1.01)
-        bl, bh = leaf_bounds(2.4, 2.45)
-        st = V.certify_box(X, bl, bh, band="low")
+        st = V.certify_box(X, band="low")
         assert st.verdict in (V.VERDICT_INTERIOR, V.VERDICT_MONO_LOW,
                               V.VERDICT_UNDECIDED)
         assert st.verdict != V.VERDICT_UNDECIDED
@@ -53,23 +45,20 @@ class TestCertifyBox:
     def test_p2_always_undecided(self):
         for w in (0.05, 0.01, 0.002):
             X = Box.of(2.0 - w, 2.0 + w, 1.2, 1.25)
-            bl, bh = leaf_bounds(2.0 - w, 2.0 + w)
-            st = V.certify_box(X, bl, bh)
+            st = V.certify_box(X)
             assert st.verdict == V.VERDICT_UNDECIDED
 
     def test_monotone_high_near_curve(self):
         top = V._sigma_p_sup(2.34, 2.36)
         X = Box(Interval(2.34, 2.36), Interval(1.79, top))
-        bl, bh = leaf_bounds(2.34, 2.36)
-        st = V.certify_box(X, bl, bh, band="high", sigma_top=top)
+        st = V.certify_box(X, band="high", sigma_top=top)
         assert st.verdict == V.VERDICT_MONO_HIGH
         assert st.witness.fid == "d_sigma2_column_high"
         assert st.witness.value.lo > 0.0
 
     def test_monotone_low_for_large_p(self):
         X = Box.of(2.7, 2.72, 1.0, 1.02)
-        bl, bh = leaf_bounds(2.7, 2.72)
-        st = V.certify_box(X, bl, bh, band="low")
+        st = V.certify_box(X, band="low")
         assert st.verdict == V.VERDICT_MONO_LOW
         assert st.witness.fid == "d_sigma2_column_low"
 
@@ -84,16 +73,15 @@ _MIXED_LEAVES = [
     ((2.75, 2.76, 1.02, 1.2), "mid", 100),  # "low" over budget
     ((2.6, 2.7, 1.0, 1.0 + 5e-7), "low", 24000),  # column under its floor
     ((2.6, 2.62, 1.9, 1.95), "high", 24000),  # column beyond the curve
-    ((2.3, 2.302, 1.2, 1.202), "mid", 24000),  # quick interior test, no job
+    ((2.3, 2.302, 1.2, 1.202), "mid", 24000),  # "high" certifies, in-domain
 ]
 
 
 class TestMergedRounds:
     def test_generation_matches_certify_box(self, monkeypatch):
         tasks = [
-            (ICell(id=f"c{i}", free_axes=(("p", Interval(a, b)), ("sigma", Interval(c, d)))),
-             band, V._sigma_p_sup(a, b), nb)
-            for i, ((a, b, c, d), band, nb) in enumerate(_MIXED_LEAVES)
+            (Box.of(a, b, c, d), band, V._sigma_p_sup(a, b), nb)
+            for (a, b, c, d), band, nb in _MIXED_LEAVES
         ]
         lanes = [0]  # fixed-point lane-iterations on the VI lane
         phi = B.phi_scalar
@@ -104,10 +92,8 @@ class TestMergedRounds:
 
         monkeypatch.setattr(B, "phi_scalar", counted_phi)
         alone = []
-        for cell, band, top, nb in tasks:
-            X = cell.as_box()
-            bl, bh = V._leaf_bounds(X.p.lo, X.p.hi)
-            alone.append(V.certify_box(X, bl, bh, band=band, sigma_top=top, node_budget=nb))
+        for X, band, top, nb in tasks:
+            alone.append(V.certify_box(X, band=band, sigma_top=top, node_budget=nb))
         alone_lanes, lanes[0] = lanes[0], 0
 
         rounds = []
@@ -121,38 +107,31 @@ class TestMergedRounds:
         merged = V._certify_chunk(tasks)
 
         assert [m[0] for m in merged] == alone
-        # a stalled lane group leaves the fixed point: merging adds no work
+        # each lane stops at its own fixed point: merging adds no work
         assert lanes[0] == alone_lanes
         first_round = {e for ends in rounds[:3] for e in ends}
         assert first_round == {B.CERTIFIED, B.BUDGET_HIT, B.FLOOR_HIT, B.VACUOUS}
         assert [st.verdict for st in alone[:3]] == [
             V.VERDICT_MONO_LOW, V.VERDICT_INTERIOR, V.VERDICT_INTERIOR]
-        assert alone[-1].witness.fid == "delta_minus_bound"
+        assert alone[-1].witness.fid == "delta_minus_edge_high"
         assert "node budget hit" in alone[3].reason
         assert "node budget hit" in alone[4].reason
         assert "width floor hit" in alone[5].reason
         assert "no in-domain subcell" in alone[6].reason
 
     def test_leaf_record_feeds_its_tau_enclosure_to_certify(self, monkeypatch):
-        # tau_interval runs once per leaf: the record and the quick interior
-        # test share the enclosure
-        made, used = [], []
-        tau_interval, delta_eif = V.tau_interval, V.delta_eif
+        # tau_interval runs once per leaf, and the record's tau is its result
+        made = []
+        tau_interval = V.tau_interval
 
-        def spy_tau(X, *a):
-            made.append(tau_interval(X, *a))
+        def spy_tau(X):
+            made.append(tau_interval(X))
             return made[-1]
 
-        def spy_eif(X, enc, *a, **k):
-            used.append(enc)
-            return delta_eif(X, enc, *a, **k)
-
         monkeypatch.setattr(V, "tau_interval", spy_tau)
-        monkeypatch.setattr(V, "delta_eif", spy_eif)
-        cell = ICell(id="c0", free_axes=(("p", Interval(2.3, 2.302)), ("sigma", Interval(1.2, 1.202))))
-        [(status, _, _, tau, _)] = V._certify_chunk([(cell, "mid", 1.82, 24000)])
-        assert status.witness.fid == "delta_minus_bound"
-        assert len(made) == 1 and used == made
+        X = Box.of(2.3, 2.302, 1.2, 1.202)
+        [(_, _, _, tau, _)] = V._certify_chunk([(X, "mid", 1.82, 24000)])
+        assert len(made) == 1
         assert tau == made[0].tau
 
 
@@ -167,10 +146,7 @@ class TestVerifyStrip:
         cert = V.verify_strip(Interval(2.33, 2.35), "full", strip=0.02, budget=2000)
         assert cert.complete
         # leaves tile the region in area
-        area = sum(
-            r.cell.interval("p").width * r.cell.interval("sigma").width
-            for r in cert.leaves
-        )
+        area = sum(r.box.p.width * r.box.sigma.width for r in cert.leaves)
         reg = cert.region
         assert abs(area - reg.p.width * reg.sigma.width) < 1e-9
 
@@ -197,7 +173,7 @@ class TestVerifyStrip:
         cert = V.verify_strip(Interval(2.31, 2.335), "full", strip=0.02, budget=2000)
         rng = np.random.default_rng(10)
         for r in cert.leaves:
-            ivp, ivs = r.cell.interval("p"), r.cell.interval("sigma")
+            ivp, ivs = r.box.p, r.box.sigma
             for _ in range(40):
                 p = rng.uniform(ivp.lo, ivp.hi)
                 s = rng.uniform(ivs.lo, ivs.hi)
@@ -265,9 +241,9 @@ class TestCertificateDocuments:
         assert parsed["complete"] == cert.complete
         assert parsed["totals"] == cert.totals
         for leaf, rec in zip(parsed["leaves"], cert.leaves):
-            assert float(leaf["p"][0]) == rec.cell.interval("p").lo
-            assert float(leaf["p"][1]) == rec.cell.interval("p").hi
-            assert float(leaf["sigma"][0]) == rec.cell.interval("sigma").lo
+            assert float(leaf["p"][0]) == rec.box.p.lo
+            assert float(leaf["p"][1]) == rec.box.p.hi
+            assert float(leaf["sigma"][0]) == rec.box.sigma.lo
             assert leaf["verdict"] == rec.status.verdict
             if rec.status.witness is not None:
                 assert float(leaf["witness"]["value"][0]) == rec.status.witness.value.lo
