@@ -11,9 +11,9 @@ endpoint arithmetic stays exact and inexact results are nudged one step in the
 correct direction only.  Elementary functions (exp, log, pow) trust libm to
 2 ulp and nudge accordingly.
 
-Trusted base: math.exp, math.log, math.pow, np.exp, np.log and cmath.exp
-(each real part) return values within 2 ulp of the exact result.  The
-Interval and VI lanes widen by that much, and the q-series error model of
+Trusted base: math.exp, math.log, math.pow, np.exp, np.log, np.power and
+cmath.exp (each real part) return values within 2 ulp of the exact result.
+The Interval and VI lanes widen by that much, and the q-series error model of
 elliptic.weierstrass_curve counts it as 4u per part.
 tests/test_interval.py::test_trusted_libm_within_2_ulp checks it against
 mpmath at 120 bits on seeded samples, and skips where mpmath is missing.

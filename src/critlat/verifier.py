@@ -402,23 +402,28 @@ def _leaf_bounds(p_lo: float, p_hi: float) -> tuple[Interval, Interval]:
     return delta_edge_low_enclosure(P), delta_edge_high_enclosure(P)
 
 
-def _certify_leaf(args):
+def _certify_leaf(args, bounds):
     """A leaf's record fields (bounds, tau, precheck) and its _certify_steps,
-    not yet started."""
+    not yet started; `bounds` is _leaf_bounds of the leaf's p-interval."""
     X, band, sigma_top, node_budget = args
-    bl, bh = _leaf_bounds(X.p.lo, X.p.hi)
     try:
         enc = tau_interval(X)
         tau_iv, pre = enc.tau, enc.precheck
     except _ENCLOSURE_ERRORS:
         tau_iv, pre = None, precheck_clamped(X)
-    return (bl, bh, tau_iv, pre), _certify_steps(X, band, sigma_top, node_budget)
+    return (*bounds, tau_iv, pre), _certify_steps(X, band, sigma_top, node_budget)
 
 
 def _certify_chunk(tasks) -> list[tuple]:
     """(status, bound_low, bound_high, tau, precheck) per task, all leaves
-    certified together in rounds of merged subpavings."""
-    leaves = [_certify_leaf(t) for t in tasks]
+    certified together in rounds of merged subpavings.  The bounds depend on
+    the p-interval alone, so each distinct one is enclosed once."""
+    bounds = {}
+    for X, *_ in tasks:
+        key = (X.p.lo, X.p.hi)
+        if key not in bounds:
+            bounds[key] = _leaf_bounds(*key)
+    leaves = [_certify_leaf(t, bounds[t[0].p.lo, t[0].p.hi]) for t in tasks]
     statuses = _certify_rounds([steps for _, steps in leaves])
     return [(st, *rec) for (rec, _), st in zip(leaves, statuses)]
 

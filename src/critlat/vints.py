@@ -7,6 +7,13 @@ exactness detection, never tighter than the scalar kernel), and domain
 violations poison the lane with NaN instead of raising, so one bad subcell
 cannot abort a batch.  NaN lanes fail every sign test, which is the safe
 direction for certification.
+
+exp, log and pow trust numpy to 2 ulp (the trusted base in critlat.interval)
+and nudge their bounds 2 steps outward.  pow takes its range from the four
+corners np.power(x.lo|x.hi, y.lo|y.hi): for x > 0, x**y is monotone in x at
+fixed y and in y at fixed x, so over a box it lies between the corner min
+and max, for every sign of y and for x on either side of 1 (Moore, Interval
+Analysis, 1966; Tucker, Validated Numerics, 2011, ch. 5).
 """
 
 from __future__ import annotations
@@ -130,9 +137,22 @@ class VI:
         return VI(lo, hi)
 
     def pow(self, other) -> "VI":
-        """self**other for positive self (NaN lanes otherwise)."""
+        """self**other for positive self: the min and max of the four corners
+        np.power(self.lo|self.hi, other.lo|other.hi), nudged 2 ulp outward,
+        the lower bound clamped at 0.  Lanes with self.lo <= 0, or whose upper
+        bound overflows, are NaN."""
         o = self._coerce(other)
-        return (o * self.log()).exp()
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            c1 = np.power(self.lo, o.lo)
+            c2 = np.power(self.lo, o.hi)
+            c3 = np.power(self.hi, o.lo)
+            c4 = np.power(self.hi, o.hi)
+        lo = _dn2(np.minimum(np.minimum(c1, c2), np.minimum(c3, c4)))
+        hi = _up2(np.maximum(np.maximum(c1, c2), np.maximum(c3, c4)))
+        bad = ~(self.lo > 0.0) | np.isinf(hi)
+        lo = np.where(bad, np.nan, np.maximum(lo, 0.0))
+        hi = np.where(bad, np.nan, hi)
+        return VI(lo, hi)
 
     def pow_nonneg(self, other) -> "VI":
         """self**other for self >= 0 and positive exponents: the zero-touching

@@ -10,6 +10,7 @@ import pytest
 
 from critlat.cli import main
 from critlat.verifier import parse_certificate
+from critlat.vints import VI
 
 
 def run(argv):
@@ -154,6 +155,32 @@ class TestVerify:
             assert run(argv_w)[0] == 0
             docs.append(path.read_bytes())
         assert docs[0] == docs[1]
+
+    def test_corner_pow_narrows_inside_log_exp_pow(self, tmp_path, monkeypatch):
+        # VI.pow as exp(y * log x), its form before the four-corner rule:
+        # the corner rule may only narrow witnesses, never change a verdict
+        def log_exp_pow(self, other):
+            return (self._coerce(other) * self.log()).exp()
+
+        argv = ["verify", "--p", "2.33", "2.35", "--budget", "600"]
+        leaves = {}
+        for form in ("corners", "log_exp"):
+            if form == "log_exp":
+                monkeypatch.setattr(VI, "pow", log_exp_pow)
+            path = tmp_path / f"{form}.json"
+            assert run(argv + ["--out", str(path)])[0] == 0
+            doc = parse_certificate(path.read_text())
+            leaves[form] = {leaf["id"]: leaf for leaf in doc["leaves"]}
+        new, old = leaves["corners"], leaves["log_exp"]
+        assert new.keys() == old.keys() and len(new) == 3
+        for i, leaf in new.items():
+            assert leaf["verdict"] == old[i]["verdict"]
+            (nlo, nhi), (olo, ohi) = (
+                map(float, x[i]["witness"]["value"]) for x in (new, old)
+            )
+            assert olo <= nlo <= nhi <= ohi
+        # the two forms did run: they round differently
+        assert any(new[i]["witness"] != old[i]["witness"] for i in new)
 
 
 class TestConfig:

@@ -305,9 +305,16 @@ def test_trusted_libm_within_2_ulp():
     bases = rng.uniform(0.01, 3.0, n)
     expos = rng.uniform(-4.0, 4.0, n)
     ys = rng.uniform(-100.0, 100.0, n)
+    # VI.pow's corners: bases in (0, 3] and across the range, exponents
+    # covering p, 1/p and -1/p
+    pbases = np.concatenate([3.0 - rng.uniform(0.0, 3.0, n // 2),
+                             np.exp(rng.uniform(-700.0, 700.0, n - n // 2))])
+    pexpos = rng.uniform(-4.5, 4.5, n)
     worst = {}
     with mpmath.workprec(120):
         np_exp, np_log = np.exp(xs), np.log(pos)
+        with np.errstate(over="ignore", under="ignore"):
+            np_pow = np.power(pbases, pexpos)
         for i in range(n):
             x, y, r = float(xs[i]), float(ys[i]), float(pos[i])
             ex = mpmath.exp(x)
@@ -326,6 +333,10 @@ def test_trusted_libm_within_2_ulp():
                 "cmath.exp.real": ulps(got.real, cz.real),
                 "cmath.exp.imag": ulps(got.imag, cz.imag),
             }
+            if np.isfinite(np_pow[i]):  # VI.pow turns an overflowed lane NaN
+                errs["np.power"] = ulps(
+                    float(np_pow[i]), mpmath.power(float(pbases[i]), float(pexpos[i]))
+                )
             for k, e in errs.items():
                 worst[k] = max(worst.get(k, 0.0), float(e))
     assert all(e <= 2.0 for e in worst.values()), worst

@@ -134,6 +134,23 @@ class TestMergedRounds:
         assert len(made) == 1
         assert tau == made[0].tau
 
+    def test_leaf_bounds_once_per_p_interval(self, monkeypatch):
+        # the record bounds depend on the p-interval only
+        leaf_bounds, calls = V._leaf_bounds, []
+
+        def spy(p_lo, p_hi):
+            calls.append((p_lo, p_hi))
+            return leaf_bounds(p_lo, p_hi)
+
+        monkeypatch.setattr(V, "_leaf_bounds", spy)
+        boxes = [Box.of(2.3, 2.302, 1.2, 1.202), Box.of(2.302, 2.304, 1.2, 1.202),
+                 Box.of(2.3, 2.302, 1.202, 1.204), Box.of(2.3, 2.302, 1.3, 1.302)]
+        tasks = [(X, "mid", V._sigma_p_sup(X.p.lo, X.p.hi), 24000) for X in boxes]
+        merged = V._certify_chunk(tasks)
+        assert sorted(calls) == [(2.3, 2.302), (2.302, 2.304)]
+        for X, (_, bl, bh, _, _) in zip(boxes, merged):
+            assert (bl, bh) == leaf_bounds(X.p.lo, X.p.hi)
+
 
 class TestVerifyStrip:
     def test_small_interior_complete(self):
