@@ -18,7 +18,9 @@ an argument.
 The tau fixed point stops each lane on its own, once a step returns the
 lane's iterate unchanged bit for bit: the step depends on that lane alone,
 so the lane sits on an exact fixed point and the result is that of the full
-step count (tau_enclose_batch).
+step count (tau_enclose_batch).  A subpaving child starts from its parent
+box's enclosure, and a box midpoint from its box's, which ends at the same
+fixed point in fewer steps.
 
 The two subpavings take a list of jobs (Job: a box and a node budget) and
 run them as one merged subpaving: every wave concatenates the boxes of all
@@ -69,11 +71,25 @@ def _unchanged(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.view(np.int64) == b.view(np.int64)) | (np.isnan(a) & np.isnan(b))
 
 
-def tau_enclose_batch(P: VI, S: VI, iters: int = TAU_STEPS) -> tuple[VI, np.ndarray]:
+def tau_enclose_batch(
+    P: VI, S: VI, iters: int = TAU_STEPS, seed: VI | None = None
+) -> tuple[VI, np.ndarray]:
     """Natural-extension fixed-point iteration, one lane per subcell.
 
     Returns (tau VI, vacuous mask).  Vacuous lanes intersected to nothing:
     no (p, sigma) in the subcell carries a surface point.
+
+    Each lane starts from its lane of `seed`, or from TAU_SEED where `seed`
+    is None or the lane is not finite.  A lane seeded with the enclosure of a
+    box that contains it (its parent box, for a subpaving child; its own box,
+    for a midpoint) still encloses tau, and ends bit for bit as from
+    TAU_SEED in fewer steps: the step T -> phi(T) ∩ T is inclusion-isotone,
+    in the lane's T and in its (P, S), so the lane's fixed point from
+    TAU_SEED lies inside the seed, and the iteration ends at the same
+    greatest fixed point below it.  A lane capped at `iters` steps ends
+    inside its unseeded result.  Exact isotonicity needs the rounded float
+    ops to be monotone; tests/test_batch.py checks the bits on subpaving
+    lanes.  Soundness needs only that the seed contains the lane's tau.
 
     A lane stops as soon as one step returns its iterate unchanged, bit for
     bit (a NaN bound staying NaN counts as unchanged), or after `iters`
@@ -85,7 +101,11 @@ def tau_enclose_batch(P: VI, S: VI, iters: int = TAU_STEPS) -> tuple[VI, np.ndar
     """
     n = P.lo.size
     inv_p, a0, sa0 = phi_consts(P, S)
-    T = VI.full_like(P, *TAU_SEED)
+    if seed is None:
+        T = VI.full_like(P, *TAU_SEED)
+    else:
+        cold = seed.invalid()
+        T = VI(np.where(cold, TAU_SEED[0], seed.lo), np.where(cold, TAU_SEED[1], seed.hi))
     out = VI(np.empty(n), np.empty(n))
     vacuous = np.zeros(n, dtype=bool)
     lanes = np.arange(n)  # the output lane of each working lane
@@ -157,13 +177,14 @@ def _tau_p_wave(P: VI, pm: np.ndarray, known: dict) -> tuple[VI, VI, dict]:
     return VI(tlo[:n], thi[:n]), VI(tlo[n:], thi[n:]), {k: known[k] for k in lanes}
 
 
-def _mid_delta_batch(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray, VI]:
-    """Rigorous Delta enclosures at box midpoints (point-lane iteration)."""
+def _mid_delta_batch(boxes: np.ndarray, T: VI) -> tuple[np.ndarray, np.ndarray, VI]:
+    """Rigorous Delta enclosures at box midpoints (point-lane iteration,
+    seeded with the boxes' tau enclosures T)."""
     pm = 0.5 * (boxes[:, 0] + boxes[:, 1])
     sm = 0.5 * (boxes[:, 2] + boxes[:, 3])
     Pm = VI.point(pm)
     Sm = VI.point(sm)
-    Tm, vac = tau_enclose_batch(Pm, Sm)
+    Tm, vac = tau_enclose_batch(Pm, Sm, seed=T)
     dm = delta_scalar(Pm, Sm, Tm)
     bad = vac | Tm.invalid()
     dm = VI(np.where(bad, np.nan, dm.lo), np.where(bad, np.nan, dm.hi))
@@ -171,21 +192,20 @@ def _mid_delta_batch(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray, VI]:
 
 
 def _split_boxes(boxes: np.ndarray, scale_p: float, scale_s: float) -> np.ndarray:
-    """Bisect each box on its relatively widest axis."""
+    """Bisect each box on its relatively widest axis; the children inherit
+    the other columns (the tau seed)."""
     pw = (boxes[:, 1] - boxes[:, 0]) / scale_p
     sw = (boxes[:, 3] - boxes[:, 2]) / scale_s
     split_p = pw >= sw
-    out = np.empty((2 * len(boxes), 4))
+    out = np.repeat(boxes, 2, axis=0)
     pm = 0.5 * (boxes[:, 0] + boxes[:, 1])
     sm = 0.5 * (boxes[:, 2] + boxes[:, 3])
-    a = boxes.copy()
-    b = boxes.copy()
+    a = out[0::2]  # views: the assignments below write into out
+    b = out[1::2]
     a[split_p, 1] = pm[split_p]
     b[split_p, 0] = pm[split_p]
     a[~split_p, 3] = sm[~split_p]
     b[~split_p, 2] = sm[~split_p]
-    out[0::2] = a
-    out[1::2] = b
     return out
 
 
@@ -218,16 +238,22 @@ class Subpaving(NamedTuple):
 def _subpave(jobs, scales, min_width: float, wave) -> list[Subpaving]:
     """Adaptive subpaving of all jobs at once, one merged VI array per wave.
 
-    wave(boxes) evaluates the concatenated boxes of the running jobs and
-    returns per-lane (vacuous, ok, lo, hi), ok meaning the enclosure
-    [lo, hi] is positive.  A job passes when every box is vacuous or ok;
-    otherwise its failing boxes are split on the job's scales.  A job whose
+    A box is a row (p lo, p hi, sigma lo, sigma hi, tau lo, tau hi), the tau
+    columns seeding its fixed point (tau_enclose_batch): TAU_SEED for a
+    job's first box, then the parent box's enclosure.  wave(boxes) evaluates
+    the concatenated boxes of the running jobs, overwrites their tau columns
+    with their enclosures and returns per-lane (vacuous, ok, lo, hi), ok
+    meaning the enclosure [lo, hi] is positive.  A job passes when every box
+    is vacuous or ok; otherwise its failing boxes are split on the job's
+    scales.  A job whose
     node count would exceed its budget stops before the wave is evaluated,
     and one with a failing box thinner than min_width stops after it.  Each
     job sees exactly the waves of a run of its own, so its result does not
     depend on the other jobs.
     """
-    boxes = [np.array([job[:4]], dtype=float) for job in jobs]
+    boxes = {
+        j: np.array([(*job[:4], *TAU_SEED)], dtype=float) for j, job in enumerate(jobs)
+    }
     nodes = [0] * len(jobs)
     hull = [(np.inf, -np.inf)] * len(jobs)
     result: list = [None] * len(jobs)
@@ -243,7 +269,9 @@ def _subpave(jobs, scales, min_width: float, wave) -> list[Subpaving]:
         if not batch:
             break
         sizes = [len(boxes[j]) for j in batch]
-        vac, ok, lo, hi = wave(np.concatenate([boxes[j] for j in batch]))
+        evaluated = np.concatenate([boxes[j] for j in batch])
+        boxes = {}  # the next wave's: the children of this one's failing boxes
+        vac, ok, lo, hi = wave(evaluated)
         good = vac | ok
         live = ok & ~vac
         running = []
@@ -253,7 +281,7 @@ def _subpave(jobs, scales, min_width: float, wave) -> list[Subpaving]:
                 wlo = min(wlo, float(lo[a:b][live[a:b]].min()))
                 whi = max(whi, float(hi[a:b][live[a:b]].max()))
                 hull[j] = wlo, whi
-            fails = boxes[j][~good[a:b]]
+            fails = evaluated[a:b][~good[a:b]]
             if not len(fails):
                 if np.isfinite(wlo):
                     result[j] = Subpaving((wlo, whi), CERTIFIED, nodes[j])
@@ -275,8 +303,8 @@ MAX_LANES = 4096  # lanes evaluated at once; wider waves only cost memory
 
 
 def _in_chunks(boxes: np.ndarray, evaluate) -> tuple:
-    """evaluate(boxes) on consecutive slices of at most MAX_LANES lanes, its
-    per-lane outputs concatenated.  Past a few thousand lanes numpy's cost
+    """evaluate(boxes) on consecutive slices (views) of at most MAX_LANES
+    lanes, its per-lane outputs concatenated.  Past a few thousand lanes numpy's cost
     per lane is flat, while a wave's temporaries grow with its lanes."""
     parts = [evaluate(boxes[a : a + MAX_LANES]) for a in range(0, len(boxes), MAX_LANES)]
     return tuple(np.concatenate(out) for out in zip(*parts))
@@ -299,10 +327,11 @@ def subpave_convex_positive(jobs, sigma_bias: float = 8.0) -> list[Subpaving]:
     def chunk(boxes):
         P = VI(boxes[:, 0], boxes[:, 1])
         S = VI(boxes[:, 2], boxes[:, 3])
-        T, vac = tau_enclose_batch(P, S)
+        T, vac = tau_enclose_batch(P, S, seed=VI(boxes[:, 4], boxes[:, 5]))
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             _, dds2 = delta_sigma_derivs(P, S, T)
             ok = dds2.lo > 0.0
+        boxes[:, 4], boxes[:, 5] = T.lo, T.hi
         return vac, ok, dds2.lo, dds2.hi
 
     return _subpave(jobs, scales, 1e-6, lambda boxes: _in_chunks(boxes, chunk))
@@ -336,11 +365,11 @@ def subpave_delta_above(jobs, side: str) -> list[Subpaving]:
     def chunk(boxes):
         P = VI(boxes[:, 0], boxes[:, 1])
         S = VI(boxes[:, 2], boxes[:, 3])
-        T, vac = tau_enclose_batch(P, S)
+        T, vac = tau_enclose_batch(P, S, seed=VI(boxes[:, 4], boxes[:, 5]))
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             delta = delta_scalar(P, S, T)
             sp_box = sigma_p_batch(P)
-            pm, sm, dm = _mid_delta_batch(boxes)
+            pm, sm, dm = _mid_delta_batch(boxes, T)
             if side == "high":
                 bound = sp_box * 0.5
                 bound_slope = d_sigma_p_batch(P) * 0.5
@@ -367,6 +396,7 @@ def subpave_delta_above(jobs, side: str) -> list[Subpaving]:
             best_lo = np.fmax(diff_lo, mlo)
             best_hi = np.fmin(diff_hi, mhi)
             ok = best_lo > 0.0
+        boxes[:, 4], boxes[:, 5] = T.lo, T.hi
         return vac, ok, best_lo, best_hi
 
     def wave(boxes):

@@ -17,6 +17,13 @@ The Interval and VI lanes widen by that much, and the q-series error model of
 elliptic.weierstrass_curve counts it as 4u per part.
 tests/test_interval.py::test_trusted_libm_within_2_ulp checks it against
 mpmath at 120 bits on seeded samples, and skips where mpmath is missing.
+The VI lane steps its bounds to the neighbouring float with the
+predecessor/successor of Rump, Zimmermann, Boldo & Melquiond ("Computing
+predecessor and successor in rounding to nearest", BIT 49, 2009), which
+trusts numpy's float64 + and * to round to nearest with gradual underflow
+(no flush of subnormals to zero);
+tests/test_interval.py::test_numpy_keeps_subnormals checks the underflow
+part.
 
 All values are immutable after construction; every operation is pure.
 """

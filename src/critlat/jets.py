@@ -323,13 +323,16 @@ class Jet:
 
 
 def tpow(tau, e):
-    """tau**e; a zero-touching tau interval is only valid for e > 0."""
+    """tau**e; a zero-touching tau interval is only valid for e > 0.  On a
+    VI tau, pow_nonneg equals pow on the lanes off zero when e > 0 there."""
     if isinstance(tau, Interval) and tau.lo <= 0.0:
         return spow_nonneg(tau, e)
     if isinstance(tau, VI):
         touches = tau.lo <= 0.0
         if not np.any(touches):
             return tau.pow(e)
+        if np.all(VI._coerce(e).lo > 0.0):
+            return tau.pow_nonneg(e)
         reg = tau.pow(e)
         nn = tau.pow_nonneg(e)
         return VI(

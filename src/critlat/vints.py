@@ -2,14 +2,32 @@
 
 A VI holds parallel lo/hi arrays of outward-rounded bounds, one interval per
 lane.  Semantics match the scalar kernel with two deliberate differences:
-every inexact bound is nudged one step outward unconditionally (cheaper than
+every inexact bound is moved outward unconditionally (cheaper than
 exactness detection, never tighter than the scalar kernel), and domain
 violations poison the lane with NaN instead of raising, so one bad subcell
 cannot abort a batch.  NaN lanes fail every sign test, which is the safe
 direction for certification.
 
+The outward steps take no np.nextafter call:
+
+- add, sub, mul, div (and log, twice) move a bound to its neighbouring float
+  by the predecessor/successor of Rump, Zimmermann, Boldo & Melquiond,
+  "Computing predecessor and successor in rounding to nearest", BIT 49
+  (2009): x -/+ (|x| * phi + eta), phi = 2**-53 (1 + 2**-52), eta = 2**-1074,
+  every op rounded to nearest.  This rests on numpy's + and * rounding to
+  nearest with gradual underflow (the trusted base in critlat.interval).
+  It equals np.nextafter bit for bit except in three places, all outward or
+  poisoning: for |x| in [2**-1022, 2**-1020], where their theorem does not
+  hold, it moves two steps; an infinity stepped toward the finite floats is
+  NaN; and the step up from -5e-324 is +0, not -0.
+- exp and pow, whose results are never negative, move their bounds 2 steps
+  as one integer add on the float64 bit pattern, which counts the
+  non-negative floats in order.  The lower bound is clamped at 0 (0 and
+  5e-324 step into NaN patterns), and a lane whose upper bound would step
+  past the largest float is NaN.
+
 exp, log and pow trust numpy to 2 ulp (the trusted base in critlat.interval)
-and nudge their bounds 2 steps outward.  pow takes its range from the four
+and move their bounds 2 steps outward.  pow takes its range from the four
 corners np.power(x.lo|x.hi, y.lo|y.hi): for x > 0, x**y is monotone in x at
 fixed y and in y at fixed x, so over a box it lies between the corner min
 and max, for every sign of y and for x on either side of 1 (Moore, Interval
@@ -22,23 +40,39 @@ import numpy as np
 
 __all__ = ["VI"]
 
-_INF = np.inf
+_PHI = 2.0**-53 * (1.0 + 2.0**-52)
+_ETA = 2.0**-1074  # the smallest subnormal
+# the float below the largest: x + 2 steps is finite exactly when
+# x < _BELOW_MAX, NaN x failing the test
+_BELOW_MAX = float.fromhex("0x1.ffffffffffffep+1023")
+
+
+def _gap(x):
+    """|x| * phi + eta: x -/+ it is the float below/above x (Rump et al.;
+    see the module docstring)."""
+    e = np.abs(x)
+    e *= _PHI
+    e += _ETA
+    return e
 
 
 def _dn(x):
-    return np.nextafter(x, -_INF)
+    return x - _gap(x)
 
 
 def _up(x):
-    return np.nextafter(x, _INF)
+    return x + _gap(x)
 
 
-def _dn2(x):
-    return np.nextafter(np.nextafter(x, -_INF), -_INF)
+def _dn2_nonneg(x):
+    """Two floats below x >= 0, clamped at 0 (fmax drops the NaN patterns
+    that 0 and 5e-324 step into)."""
+    return np.fmax((x.view(np.int64) - 2).view(np.float64), 0.0)
 
 
-def _up2(x):
-    return np.nextafter(np.nextafter(x, _INF), _INF)
+def _up2_nonneg(x):
+    """Two floats above 0 <= x < _BELOW_MAX; callers poison the other lanes."""
+    return (x.view(np.int64) + 2).view(np.float64)
 
 
 class VI:
@@ -121,16 +155,18 @@ class VI:
 
     def exp(self) -> "VI":
         with np.errstate(over="ignore"):
-            lo = _dn2(np.exp(self.lo))
-            hi = _up2(np.exp(self.hi))
-        hi = np.where(np.isinf(hi), np.nan, hi)
-        lo = np.where(np.isnan(hi), np.nan, np.maximum(lo, 0.0))
-        return VI(lo, hi)
+            lo = np.exp(self.lo)
+            hi = np.exp(self.hi)
+        bad = ~(hi < _BELOW_MAX)
+        return VI(
+            np.where(bad | np.isnan(lo), np.nan, _dn2_nonneg(lo)),
+            np.where(bad, np.nan, _up2_nonneg(hi)),
+        )
 
     def log(self) -> "VI":
         with np.errstate(divide="ignore", invalid="ignore"):
-            lo = _dn2(np.log(self.lo))
-            hi = _up2(np.log(self.hi))
+            lo = _dn(_dn(np.log(self.lo)))
+            hi = _up(_up(np.log(self.hi)))
         bad = ~(self.lo > 0.0)
         lo = np.where(bad, np.nan, lo)
         hi = np.where(bad, np.nan, hi)
@@ -147,12 +183,12 @@ class VI:
             c2 = np.power(self.lo, o.hi)
             c3 = np.power(self.hi, o.lo)
             c4 = np.power(self.hi, o.hi)
-        lo = _dn2(np.minimum(np.minimum(c1, c2), np.minimum(c3, c4)))
-        hi = _up2(np.maximum(np.maximum(c1, c2), np.maximum(c3, c4)))
-        bad = ~(self.lo > 0.0) | np.isinf(hi)
-        lo = np.where(bad, np.nan, np.maximum(lo, 0.0))
-        hi = np.where(bad, np.nan, hi)
-        return VI(lo, hi)
+        lo = np.minimum(np.minimum(c1, c2), np.minimum(c3, c4))
+        hi = np.maximum(np.maximum(c1, c2), np.maximum(c3, c4))
+        bad = ~((self.lo > 0.0) & (hi < _BELOW_MAX))
+        return VI(
+            np.where(bad, np.nan, _dn2_nonneg(lo)), np.where(bad, np.nan, _up2_nonneg(hi))
+        )
 
     def pow_nonneg(self, other) -> "VI":
         """self**other for self >= 0 and positive exponents: the zero-touching

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from critlat import batch as B
-from critlat.jets import TAU_SEED
+from critlat.jets import TAU_SEED, TAU_STEPS
 from critlat.vints import VI
 
 
@@ -180,3 +180,39 @@ def test_job_split_across_chunks_ends_as_if_alone(kind, monkeypatch):
     assert max(waves) > 37
     monkeypatch.setattr(B, "MAX_LANES", 37)
     assert _subpave(kind, jobs) == alone
+
+
+@pytest.mark.parametrize("kind", sorted(_MIXED_JOBS))
+def test_warm_tau_seeds_change_no_bits(kind, phi_lanes, monkeypatch):
+    # Children start from their parent box's tau enclosure and midpoints from
+    # their own box's: each call ends bit for bit as from TAU_SEED, so the
+    # jobs end the same, with fewer fixed-point lane-iterations.
+    tau = B.tau_enclose_batch
+    calls = []
+
+    def spy(P, S, iters=TAU_STEPS, seed=None):
+        out = tau(P, S, iters, seed)
+        calls.append((P, S, seed.copy(), out))  # a box's seed columns get its T
+        return out
+
+    monkeypatch.setattr(B, "tau_enclose_batch", spy)
+    jobs = _MIXED_JOBS[kind]
+    warm = _subpave(kind, jobs)
+    warm_lanes, phi_lanes[0] = phi_lanes[0], 0
+
+    def cold(P, S, iters=TAU_STEPS, seed=None):
+        return tau(P, S, iters)
+
+    monkeypatch.setattr(B, "tau_enclose_batch", cold)
+    assert _subpave(kind, jobs) == warm
+    assert warm_lanes < phi_lanes[0]
+
+    seeded = {"box": 0, "midpoint": 0}
+    for P, S, seed, (T, vac) in calls:
+        warmed = ~(seed.invalid() | ((seed.lo == TAU_SEED[0]) & (seed.hi == TAU_SEED[1])))
+        points = (P.lo == P.hi) & (S.lo == S.hi)
+        seeded["midpoint"] += np.count_nonzero(warmed & points)
+        seeded["box"] += np.count_nonzero(warmed & ~points)
+        T0, vac0 = tau(P, S)
+        assert _bits(T.lo, T.hi, vac) == _bits(T0.lo, T0.hi, vac0)
+    assert seeded["box"] > 0 and (seeded["midpoint"] > 0 or kind == "convex")

@@ -340,3 +340,15 @@ def test_trusted_libm_within_2_ulp():
             for k, e in errs.items():
                 worst[k] = max(worst.get(k, 0.0), float(e))
     assert all(e <= 2.0 for e in worst.values()), worst
+
+
+def test_numpy_keeps_subnormals():
+    # The trusted base of the VI lane's float predecessor/successor (module
+    # docstring of critlat.interval): numpy's float64 + and * round to
+    # nearest and underflow gradually, without flushing subnormals to zero.
+    assert (np.array([5e-324]) + 0.0)[0] == 5e-324
+    assert (np.array([2.0**-1022]) * 0.5)[0] == 2.0**-1023
+    # round to nearest: a tie goes to even, past the tie goes up
+    assert (np.array([1.0]) + 2.0**-53)[0] == 1.0
+    assert (np.array([1.0]) + (2.0**-53 + 2.0**-105))[0] == 1.0 + 2.0**-52
+    assert (np.array([1.0]) * (1.0 + 2.0**-52))[0] == 1.0 + 2.0**-52

@@ -1,7 +1,9 @@
 """VI lane: each result lane contains the exact value at every sampled point
 of its input box, and turns NaN only where the operation is undefined or its
-upper bound overflows.  Exact values come from Fraction (products) and from
-mpmath at 200 bits (exp, log, pow)."""
+upper bound overflows.  Exact values come from Fraction (add, sub, mul, div)
+and from mpmath at 200 bits (exp, log, pow).  The outward steps equal
+np.nextafter bit for bit outside their documented edges, and pow and exp
+equal their np.nextafter forms."""
 
 import sys
 from fractions import Fraction
@@ -13,6 +15,8 @@ pytest.importorskip("hypothesis")
 mpmath = pytest.importorskip("mpmath")
 from hypothesis import example, given, strategies as st  # noqa: E402
 
+from critlat import vints  # noqa: E402
+from critlat.jets import tpow  # noqa: E402
 from critlat.vints import VI  # noqa: E402
 
 MAX = sys.float_info.max
@@ -186,3 +190,200 @@ def test_pow_and_exp_edges(x, y, expect):
         assert lo == 0.0 and 0.0 < hi < 1e-300
     else:
         assert 0.0 < lo < hi < 1e-161
+
+
+@given(lanes_of(finite), lanes_of(finite), st.floats(0.0, 1.0))
+@example([(TINY, 2 * TINY)], [(-3 * TINY, TINY)], 0.5)  # subnormal sums
+@example([(2.0**-1022, 2.0**-1020)], [(-(2.0**-1021), 0.0)], 0.5)  # near underflow
+@example([(1e300, 1e300)], [(MAX, MAX)], 0.5)  # overflow to inf
+@example([(-MAX, -1e300)], [(-MAX, 0.0)], 0.5)
+def test_add_and_sub_contain_exact(xs, ys, t):
+    n = min(len(xs), len(ys))
+    xs, ys = xs[:n], ys[:n]
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y = vi(xs), vi(ys)
+        results = {"add": (x + y, lambda a, b: a + b), "sub": (x - y, lambda a, b: a - b)}
+    for r, op in results.values():
+        for i, ((xl, xh), (yl, yh)) in enumerate(zip(xs, ys)):
+            exacts = [op(Fraction(a), Fraction(b))
+                      for a in points(xl, xh, t) for b in points(yl, yh, t)]
+            lo, hi = float(r.lo[i]), float(r.hi[i])
+            if np.isnan(lo) or np.isnan(hi):  # a bound overflowed to inf
+                assert max(abs(e) for e in exacts) >= Fraction(OVERFLOWS), (i, lo, hi)
+                continue
+            assert all(bounded(lo, hi, e) for e in exacts), (i, lo, hi)
+
+
+nonzero = st.one_of(
+    st.floats(1e-300, 1e300), st.floats(TINY, 8 * TINY), st.floats(0.25, 4.0)
+).flatmap(lambda a: st.sampled_from([a, -a]))
+
+
+@given(lanes_of(finite), lanes_of(st.one_of(nonzero, finite)), st.floats(0.0, 1.0))
+@example([(1.0, 3.0)], [(-1.0, 2.0)], 0.5)  # divisor across 0
+@example([(1.0, 3.0)], [(0.0, 2.0)], 0.5)  # divisor touching 0
+@example([(-1.0, 1.0)], [(-0.0, -0.0)], 0.5)
+@example([(TINY, 3 * TINY)], [(3.0, 7.0)], 0.5)  # subnormal quotients
+@example([(2.0**-1021, 2.0**-1020)], [(1.5, 3.0)], 0.5)  # near underflow
+@example([(1e300, 1e300)], [(1e-300, 2e-300)], 0.5)  # overflow to inf
+@example([(-1e300, 1e300)], [(TINY, TINY)], 0.5)
+def test_div_contains_exact(xs, ys, t):
+    n = min(len(xs), len(ys))
+    xs, ys = xs[:n], ys[:n]
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = vi(xs) / vi(ys)
+    for i, ((xl, xh), (yl, yh)) in enumerate(zip(xs, ys)):
+        lo, hi = float(r.lo[i]), float(r.hi[i])
+        if yl <= 0.0 <= yh:
+            assert np.isnan(lo) and np.isnan(hi)
+            continue
+        exacts = [Fraction(a) / Fraction(b)
+                  for a in points(xl, xh, t) for b in points(yl, yh, t)]
+        if np.isnan(lo) or np.isnan(hi):  # a bound overflowed to inf
+            assert max(abs(e) for e in exacts) >= Fraction(OVERFLOWS), (i, lo, hi)
+            continue
+        assert all(bounded(lo, hi, e) for e in exacts), (i, lo, hi)
+
+
+# The outward steps against np.nextafter, and the 2-step forms of pow and
+# exp against the np.nextafter forms they replaced.
+
+BAND = (2.0**-1022, 2.0**-1020)  # outside Rump et al.'s theorem
+
+
+def _same_bits(a, b):
+    """Per lane: equal bits, or both NaN."""
+    return (a.view(np.int64) == b.view(np.int64)) | (np.isnan(a) & np.isnan(b))
+
+
+def _edge_floats():
+    """Signed zeros, subnormals, both ends of the band, the largest float,
+    the infinities, NaN, and every power of two with its neighbours."""
+    p2 = np.ldexp(1.0, np.arange(-1074, 1024))
+    nb = np.concatenate([p2, np.nextafter(p2, 0.0), np.nextafter(p2, np.inf)])
+    special = np.array([0.0, TINY, 2 * TINY, 2.0**-1022 - TINY, *BAND, MAX, np.inf])
+    x = np.concatenate([nb, special])
+    return np.concatenate([x, -x, [np.nan]])
+
+
+def test_steps_equal_nextafter():
+    rng = np.random.default_rng(9)
+    n = 2_000_000
+    bits = rng.integers(-(2**63), 2**63 - 1, n // 2, dtype=np.int64)  # all floats
+    x = np.concatenate([
+        bits.view(np.float64),
+        rng.uniform(-4.0, 4.0, n // 4),
+        rng.uniform(-1.0, 1.0, n // 4) * 2.0**-1020,  # subnormals and the band
+        _edge_floats(),
+    ])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step, to in ((vints._dn, -np.inf), (vints._up, np.inf)):
+            got, ref = step(x), np.nextafter(x, to)
+            diff = ~_same_bits(got, ref)
+            band = (np.abs(x) >= BAND[0]) & (np.abs(x) <= BAND[1])
+            # in the band: one step or two, outward
+            two = np.nextafter(ref, to)
+            assert np.all(_same_bits(got, ref) | _same_bits(got, two) | ~band)
+            assert np.count_nonzero(diff & band) > 0
+            # elsewhere: an infinity stepped inward is NaN; up(-5e-324) is +0
+            odd = x[diff & ~band]
+            inward = -np.inf if to > 0 else np.inf
+            if to > 0:
+                assert set(odd.tolist()) == {inward, -TINY}
+                assert step(np.array([-TINY]))[0] == 0.0
+            else:
+                assert set(odd.tolist()) == {inward}
+            assert np.isnan(step(np.array([inward]))[0])
+
+
+def _old_dn2(x):
+    return np.nextafter(np.nextafter(x, -np.inf), -np.inf)
+
+
+def _old_up2(x):
+    return np.nextafter(np.nextafter(x, np.inf), np.inf)
+
+
+def _old_pow(x, y):
+    """VI.pow with np.nextafter steps, as it was written."""
+    c = [np.power(a, b) for a in (x.lo, x.hi) for b in (y.lo, y.hi)]
+    lo = _old_dn2(np.minimum(np.minimum(c[0], c[1]), np.minimum(c[2], c[3])))
+    hi = _old_up2(np.maximum(np.maximum(c[0], c[1]), np.maximum(c[2], c[3])))
+    bad = ~(x.lo > 0.0) | np.isinf(hi)
+    return VI(np.where(bad, np.nan, np.maximum(lo, 0.0)), np.where(bad, np.nan, hi))
+
+
+def _old_pow_nonneg(x, y):
+    """VI.pow_nonneg over _old_pow."""
+    touches = x.lo <= 0.0
+    pos = x.hi > 0.0
+    top = np.where(pos, x.hi, 1.0)
+    r = _old_pow(VI(np.where(touches, top, x.lo), np.where(touches, top, x.hi)), y)
+    lo = np.where(touches, 0.0, r.lo)
+    hi = np.where(touches & ~pos, 0.0, r.hi)
+    bad = (x.lo < 0.0) | ~(y.lo > 0.0)
+    return VI(np.where(bad, np.nan, lo), np.where(bad, np.nan, hi))
+
+
+def _old_exp(x):
+    """VI.exp with np.nextafter steps, as it was written."""
+    lo = _old_dn2(np.exp(x.lo))
+    hi = _old_up2(np.exp(x.hi))
+    hi = np.where(np.isinf(hi), np.nan, hi)
+    return VI(np.where(np.isnan(hi), np.nan, np.maximum(lo, 0.0)), hi)
+
+
+def _sorted_lanes(a, b):
+    return VI(np.minimum(a, b), np.maximum(a, b))
+
+
+def _random_lanes(rng, n, draw, edges):
+    """n lanes of sorted pairs from draw(), every pair of edges, and lanes
+    with one NaN bound."""
+    a, b = np.meshgrid(edges, edges)
+    lanes = _sorted_lanes(np.concatenate([draw(n), a.ravel()]),
+                          np.concatenate([draw(n), b.ravel()]))
+    half = np.where(np.arange(edges.size) % 2, np.nan, edges)
+    return VI(np.concatenate([lanes.lo, half, edges]), np.concatenate([lanes.hi, edges, half]))
+
+
+def test_pow_and_exp_steps_equal_nextafter_forms():
+    rng = np.random.default_rng(10)
+    n = 200_000
+    specials = [0.0, -0.0, TINY, 3 * TINY, 2.0**-1022, MAX, np.nextafter(MAX, 0.0),
+                np.inf, -np.inf, np.nan, 1.0, -1.0]
+    base_edges = np.array(specials + [np.exp(-745.0), np.exp(709.0)])
+    expo_edges = np.array(specials + [-4.5, 4.5, 0.5])
+    x = _random_lanes(rng, n, lambda k: np.exp(rng.uniform(-745.0, 709.0, k)), base_edges)
+    m = x.lo.size
+    y = _random_lanes(rng, n, lambda k: rng.uniform(-4.5, 4.5, k), expo_edges)
+    y = VI(np.resize(y.lo, m), np.resize(y.hi, m))
+    e = _random_lanes(rng, n, lambda k: rng.uniform(-760.0, 720.0, k), base_edges)
+    with np.errstate(all="ignore"):
+        pairs = [
+            (x.pow(y), _old_pow(x, y)),
+            (x.pow_nonneg(y), _old_pow_nonneg(x, y)),
+            (e.exp(), _old_exp(e)),
+        ]
+    for new, old in pairs:
+        assert np.all(_same_bits(new.lo, old.lo) & _same_bits(new.hi, old.hi))
+
+
+@pytest.mark.parametrize("expo_lo", [TINY, -1.0])
+def test_tpow_equals_two_pow_form(expo_lo):
+    # with every exponent lane positive (expo_lo > 0) tpow takes one
+    # pow_nonneg; either way its lanes are those of the two-pow form
+    rng = np.random.default_rng(11)
+    n = 200_000
+    lo = rng.uniform(-0.05, 0.36, n)
+    lo[::7] = 0.0
+    lo[::11] = -0.0
+    tau = _sorted_lanes(lo, rng.uniform(0.0, 0.36, n))
+    e = _sorted_lanes(rng.uniform(expo_lo, 4.5, n), rng.uniform(0.5, 4.5, n))
+    with np.errstate(all="ignore"):
+        got = tpow(tau, e)
+        touches = tau.lo <= 0.0
+        assert touches.any() and (~touches).any()
+        reg, nn = tau.pow(e), tau.pow_nonneg(e)
+        assert np.all(_same_bits(got.lo, np.where(touches, nn.lo, reg.lo)))
+        assert np.all(_same_bits(got.hi, np.where(touches, nn.hi, reg.hi)))
