@@ -7,20 +7,24 @@ The fixed-point map and the boundary formulas are the generic-scalar ones of
 jets.py, evaluated on the VI lane, so soundness per lane is the scalar
 argument verbatim; the functions here are the VI-lane entry points.
 
-tau_p depends on p alone, and its bisection is lane-independent: every op is
-elementwise and a finished lane's bracket stays put while the others iterate
-(jets.tau_p_scalar).  So the low-side subpaving bisects each distinct
-p-interval of a wave once, box lanes and midpoints together, and hands the
-brackets of the previous wave on to the next, whose sigma-split children
-carry their parent's p-interval; the boundary functions take the bracket as
-an argument.
+tau_p depends on p alone, and its search is lane-independent: a lane's
+probes depend on its own p-interval alone (jets.tau_p_scalar).  So the
+low-side subpaving searches each distinct p-interval of a wave once, box
+lanes and midpoints together, and hands the brackets of the previous wave on
+to the next, whose sigma-split children carry their parent's p-interval; the
+boundary functions take the bracket as an argument.
 
 The tau fixed point stops each lane on its own, once a step returns the
 lane's iterate unchanged bit for bit: the step depends on that lane alone,
 so the lane sits on an exact fixed point and the result is that of the full
 step count (tau_enclose_batch).  A subpaving child starts from its parent
-box's enclosure, and a box midpoint from its box's, which ends at the same
-fixed point in fewer steps.
+box's enclosure, which ends at the same fixed point in fewer steps.  The
+delta subpaving runs each box's midpoint through the same call as the box,
+seeded alike: the parent box contains the midpoint too.
+
+Every entry point runs under np.errstate(all="ignore") (_quiet): the VI ops
+leave numpy's floating-point warnings to their caller, and a lane that
+overflows or leaves its domain is poisoned or stepped outward instead.
 
 The two subpavings take a list of jobs (Job: a box and a node budget) and
 run them as one merged subpaving: every wave concatenates the boxes of all
@@ -32,6 +36,7 @@ as it would alone.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -66,11 +71,26 @@ __all__ = [
 ]
 
 
+def _quiet(entry):
+    """Run a VI-lane entry point under np.errstate(all="ignore"), once for all
+    its ops: a lane that overflows or leaves its domain turns NaN or steps
+    outward to inf, which the VI ops handle, so numpy's warnings would only
+    repeat that."""
+
+    @functools.wraps(entry)
+    def quiet(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            return entry(*args, **kwargs)
+
+    return quiet
+
+
 def _unchanged(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per lane: a and b have the same bits, or are both NaN."""
     return (a.view(np.int64) == b.view(np.int64)) | (np.isnan(a) & np.isnan(b))
 
 
+@_quiet
 def tau_enclose_batch(
     P: VI, S: VI, iters: int = TAU_STEPS, seed: VI | None = None
 ) -> tuple[VI, np.ndarray]:
@@ -81,8 +101,8 @@ def tau_enclose_batch(
 
     Each lane starts from its lane of `seed`, or from TAU_SEED where `seed`
     is None or the lane is not finite.  A lane seeded with the enclosure of a
-    box that contains it (its parent box, for a subpaving child; its own box,
-    for a midpoint) still encloses tau, and ends bit for bit as from
+    box that contains it (its parent box, for a subpaving child and for the
+    child's midpoint) still encloses tau, and ends bit for bit as from
     TAU_SEED in fewer steps: the step T -> phi(T) ∩ T is inclusion-isotone,
     in the lane's T and in its (P, S), so the lane's fixed point from
     TAU_SEED lies inside the seed, and the iteration ends at the same
@@ -129,66 +149,78 @@ def tau_enclose_batch(
     return out, vacuous
 
 
-def tau_p_enclose_batch(P: VI, iters: int = 80) -> VI:
+@_quiet
+def tau_p_enclose_batch(P: VI) -> VI:
     """Per-lane bracket of tau_p over the lane's p-interval (see
     jets.tau_p_scalar)."""
-    return tau_p_scalar(P, iters)
+    return tau_p_scalar(P)
 
 
+@_quiet
 def sigma_p_batch(P: VI) -> VI:
     """(2^P - 1)^(1/P) per lane."""
     return sigma_p_scalar(P)
 
 
+@_quiet
 def edge_low_batch(P: VI, tp: VI) -> VI:
     """Delta(P, 1) = 4^(-1/P)(1 + tau_p)/(1 - tau_p) per lane; tp encloses
     tau_p over the lane's p-interval."""
     return delta_edge_low_scalar(P, tp)
 
 
+@_quiet
 def d_sigma_p_batch(P: VI) -> VI:
     """d sigma_p/dp = sigma_p [2^p ln2/(p(2^p-1)) - ln(2^p-1)/p^2] per lane."""
     return d_sigma_p_scalar(P)
 
 
+@_quiet
 def d_edge_low_batch(P: VI, tp: VI) -> VI:
     """d/dp of Delta(p, 1) via tau_p'(p) = -h_p/h_tau per lane; tp encloses
     tau_p over the lane's p-interval."""
     return d_delta_edge_low_scalar(P, tp)
 
 
-def _tau_p_wave(P: VI, pm: np.ndarray, known: dict) -> tuple[VI, VI, dict]:
+def _keys(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """One complex128 per lane holding the bits of (lo, hi), so that numpy
+    sorts and compares p-intervals as single values."""
+    return np.stack([lo, hi], axis=-1).view(np.complex128).ravel()
+
+
+_NO_KEYS = (_keys(np.empty(0), np.empty(0)), np.empty(0), np.empty(0))
+
+
+def _merge_keys(*tables):
+    """One sorted table of the keys of several; equal keys hold equal brackets."""
+    keys, first = np.unique(np.concatenate([t[0] for t in tables]), return_index=True)
+    return (keys, *(np.concatenate([t[i] for t in tables])[first] for i in (1, 2)))
+
+
+def _tau_p_wave(P: VI, pm: np.ndarray, known: tuple) -> tuple[VI, VI, tuple]:
     """tau_p brackets for the box lanes P and the midpoints pm of one wave,
-    and this wave's (p lo, p hi) -> (tau lo, tau hi) dict for the next one.
+    and this wave's table for the next one: (keys, tau lo, tau hi) per
+    distinct (p lo, p hi), the keys (_keys) sorted.
 
     Only the distinct p-intervals absent from `known`, the previous wave's
-    dict, are bisected: in one tau_p_enclose_batch call, or none.
+    table, are searched: in one tau_p_enclose_batch call, or none.
     """
-    lanes = list(
-        zip(np.concatenate([P.lo, pm]).tolist(), np.concatenate([P.hi, pm]).tolist())
+    keys, lane_key = np.unique(
+        _keys(np.concatenate([P.lo, pm]), np.concatenate([P.hi, pm])), return_inverse=True
     )
-    new = [k for k in dict.fromkeys(lanes) if k not in known]
-    if new:
-        lo, hi = np.array(new).T.copy()
-        T = tau_p_enclose_batch(VI(lo, hi))
-        known = {**known, **dict(zip(new, zip(T.lo.tolist(), T.hi.tolist())))}
-    tlo, thi = np.array([known[k] for k in lanes]).T.copy()
-    n = len(pm)
-    return VI(tlo[:n], thi[:n]), VI(tlo[n:], thi[n:]), {k: known[k] for k in lanes}
-
-
-def _mid_delta_batch(boxes: np.ndarray, T: VI) -> tuple[np.ndarray, np.ndarray, VI]:
-    """Rigorous Delta enclosures at box midpoints (point-lane iteration,
-    seeded with the boxes' tau enclosures T)."""
-    pm = 0.5 * (boxes[:, 0] + boxes[:, 1])
-    sm = 0.5 * (boxes[:, 2] + boxes[:, 3])
-    Pm = VI.point(pm)
-    Sm = VI.point(sm)
-    Tm, vac = tau_enclose_batch(Pm, Sm, seed=T)
-    dm = delta_scalar(Pm, Sm, Tm)
-    bad = vac | Tm.invalid()
-    dm = VI(np.where(bad, np.nan, dm.lo), np.where(bad, np.nan, dm.hi))
-    return pm, sm, dm
+    ref, ref_lo, ref_hi = known
+    at = np.searchsorted(ref, keys)
+    found = at < ref.size
+    found[found] = ref[at[found]] == keys[found]
+    lo, hi = np.empty(keys.size), np.empty(keys.size)
+    lo[found], hi[found] = ref_lo[at[found]], ref_hi[at[found]]
+    new = ~found
+    if new.any():
+        T = tau_p_enclose_batch(VI(keys.real[new], keys.imag[new]))
+        lo[new], hi[new] = T.lo, T.hi
+    tlo, thi = lo[lane_key], hi[lane_key]
+    n = pm.size
+    return VI(tlo[:n], thi[:n]), VI(tlo[n:], thi[n:]), (keys, lo, hi)
 
 
 def _split_boxes(boxes: np.ndarray, scale_p: float, scale_s: float) -> np.ndarray:
@@ -310,6 +342,7 @@ def _in_chunks(boxes: np.ndarray, evaluate) -> tuple:
     return tuple(np.concatenate(out) for out in zip(*parts))
 
 
+@_quiet
 def subpave_convex_positive(jobs, sigma_bias: float = 8.0) -> list[Subpaving]:
     """Certify d2Delta/dsigma2 > 0 over each job's box (within the domain) by
     adaptive subpaving; all jobs run as one merged subpaving (_subpave).  A
@@ -328,15 +361,15 @@ def subpave_convex_positive(jobs, sigma_bias: float = 8.0) -> list[Subpaving]:
         P = VI(boxes[:, 0], boxes[:, 1])
         S = VI(boxes[:, 2], boxes[:, 3])
         T, vac = tau_enclose_batch(P, S, seed=VI(boxes[:, 4], boxes[:, 5]))
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            _, dds2 = delta_sigma_derivs(P, S, T)
-            ok = dds2.lo > 0.0
+        _, dds2 = delta_sigma_derivs(P, S, T)
+        ok = dds2.lo > 0.0
         boxes[:, 4], boxes[:, 5] = T.lo, T.hi
         return vac, ok, dds2.lo, dds2.hi
 
     return _subpave(jobs, scales, 1e-6, lambda boxes: _in_chunks(boxes, chunk))
 
 
+@_quiet
 def subpave_delta_above(jobs, side: str) -> list[Subpaving]:
     """Certify Delta(p, sigma) > boundary(p) over each job's box by adaptive
     subpaving of the correlated difference; all jobs run as one merged
@@ -354,55 +387,69 @@ def subpave_delta_above(jobs, side: str) -> list[Subpaving]:
     Splitting is by absolute width: the mean-value error is roughly isotropic
     in (p, sigma), so thin initial cells must not starve the other axis.
 
-    On side "low" each wave makes at most one tau_p_enclose_batch call per
-    chunk (_tau_p_wave, _in_chunks) and keeps its brackets for the next wave
-    only; as tau_p lanes are independent, the result is bit for bit that of
-    bisecting every lane afresh.
+    Each chunk of a wave (_in_chunks) runs its box lanes and their midpoints
+    through one tau_enclose_batch call.  On side "low" it makes at most one
+    tau_p_enclose_batch call (_tau_p_wave), and the brackets of all chunks
+    of a wave go on to the next wave only; as tau_p lanes are independent,
+    the result is bit for bit that of searching every lane afresh.
     """
-    known: dict = {}  # side "low": the previous wave's tau_p brackets
-    fresh: dict = {}  # and those of the current wave's chunks so far
+    known = _NO_KEYS  # side "low": the previous wave's tau_p table
+    fresh: list = []  # and those of the current wave's chunks so far
 
     def chunk(boxes):
-        P = VI(boxes[:, 0], boxes[:, 1])
-        S = VI(boxes[:, 2], boxes[:, 3])
-        T, vac = tau_enclose_batch(P, S, seed=VI(boxes[:, 4], boxes[:, 5]))
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            delta = delta_scalar(P, S, T)
-            sp_box = sigma_p_batch(P)
-            pm, sm, dm = _mid_delta_batch(boxes, T)
-            if side == "high":
-                bound = sp_box * 0.5
-                bound_slope = d_sigma_p_batch(P) * 0.5
-                bm = sigma_p_batch(VI.point(pm)) * 0.5
-            else:
-                tp, tp_mid, seen = _tau_p_wave(P, pm, {**known, **fresh})
-                fresh.update(seen)
-                bound = edge_low_batch(P, tp)
-                bound_slope = d_edge_low_batch(P, tp)
-                bm = edge_low_batch(VI.point(pm), tp_mid)
-            diff_lo = _dn(delta.lo - bound.hi)
-            diff_hi = _up(delta.hi - bound.lo)
+        n = len(boxes)
+        pm = 0.5 * (boxes[:, 0] + boxes[:, 1])
+        sm = 0.5 * (boxes[:, 2] + boxes[:, 3])
+        # the box lanes, then their midpoints, in one fixed point: a midpoint
+        # starts from its box's seed, which encloses the midpoint's tau too
+        lanes = np.concatenate([boxes, boxes])
+        lanes[n:, 0] = lanes[n:, 1] = pm
+        lanes[n:, 2] = lanes[n:, 3] = sm
+        P2 = VI(lanes[:, 0], lanes[:, 1])
+        S2 = VI(lanes[:, 2], lanes[:, 3])
+        T2, vac2 = tau_enclose_batch(P2, S2, seed=VI(lanes[:, 4], lanes[:, 5]))
+        P, S = VI(P2.lo[:n], P2.hi[:n]), VI(S2.lo[:n], S2.hi[:n])
+        T, vac = VI(T2.lo[:n], T2.hi[:n]), vac2[:n]
+        d2 = delta_scalar(P2, S2, T2)
+        delta = VI(d2.lo[:n], d2.hi[:n])
+        bad = vac2[n:] | T2.invalid()[n:]  # midpoints without a surface point
+        dm = VI(np.where(bad, np.nan, d2.lo[n:]), np.where(bad, np.nan, d2.hi[n:]))
+        sp_box = sigma_p_batch(P)
+        if side == "high":
+            bound = sp_box * 0.5
+            bound_slope = d_sigma_p_batch(P) * 0.5
+            bm = sigma_p_batch(VI.point(pm)) * 0.5
+        else:
+            tp, tp_mid, seen = _tau_p_wave(P, pm, _merge_keys(known, *fresh))
+            fresh.append(seen)
+            bound = edge_low_batch(P, tp)
+            bound_slope = d_edge_low_batch(P, tp)
+            bm = edge_low_batch(VI.point(pm), tp_mid)
+        diff_lo = _dn(delta.lo - bound.hi)
+        diff_hi = _up(delta.hi - bound.lo)
 
-            in_domain = ~vac & (S.hi <= sp_box.lo)
-            dds, _ = delta_sigma_derivs(P, S, T)
-            ddp = delta_p_deriv(P, S, T)
-            mvf = (
-                (dm - bm)
-                + dds * VI(S.lo - sm, S.hi - sm)
-                + (ddp - bound_slope) * VI(P.lo - pm, P.hi - pm)
-            )
-            mlo = np.where(in_domain, mvf.lo, np.nan)
-            mhi = np.where(in_domain, mvf.hi, np.nan)
-            best_lo = np.fmax(diff_lo, mlo)
-            best_hi = np.fmin(diff_hi, mhi)
-            ok = best_lo > 0.0
+        in_domain = ~vac & (S.hi <= sp_box.lo)
+        dds, _ = delta_sigma_derivs(P, S, T)
+        ddp = delta_p_deriv(P, S, T)
+        mvf = (
+            (dm - bm)
+            + dds * VI(S.lo - sm, S.hi - sm)
+            + (ddp - bound_slope) * VI(P.lo - pm, P.hi - pm)
+        )
+        mlo = np.where(in_domain, mvf.lo, np.nan)
+        mhi = np.where(in_domain, mvf.hi, np.nan)
+        best_lo = np.fmax(diff_lo, mlo)
+        best_hi = np.fmin(diff_hi, mhi)
+        ok = best_lo > 0.0
         boxes[:, 4], boxes[:, 5] = T.lo, T.hi
         return vac, ok, best_lo, best_hi
 
     def wave(boxes):
-        nonlocal known, fresh
+        nonlocal known
         out = _in_chunks(boxes, chunk)
-        known, fresh = fresh, {}
+        if fresh:  # side "low"
+            known = _merge_keys(*fresh)
+            fresh.clear()
         return out
 
     return _subpave(jobs, [(1.0, 1.0)] * len(jobs), 1e-7, wave)

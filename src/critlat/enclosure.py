@@ -110,10 +110,10 @@ def sigma_p_enclosure(P: Interval) -> Interval:
     return sigma_p_scalar(P)
 
 
-def tau_p_enclosure(P: Interval, max_iter: int = 80) -> Interval:
+def tau_p_enclosure(P: Interval) -> Interval:
     """Bracket of {tau_p(p) : p in P} (see jets.tau_p_scalar)."""
     _require_p_above_1(P, "tau_p")
-    return tau_p_scalar(P, max_iter)
+    return tau_p_scalar(P)
 
 
 def delta_edge_low_enclosure(P: Interval) -> Interval:

@@ -8,7 +8,10 @@ Rounding realization: next-representable-value nudging (math.nextafter), not
 hardware rounding-mode switches.  Core arithmetic (+, -, *, /) uses error-free
 transformations (TwoSum / Dekker's product) to detect exact results, so exact
 endpoint arithmetic stays exact and inexact results are nudged one step in the
-correct direction only.  Elementary functions (exp, log, pow) trust libm to
+correct direction only.  Where those transforms fail, a product or quotient
+is nudged one step both ways instead: beyond 1e290 they may overflow, and
+below 2**-960 (a nonzero product, or a quotient or dividend) the rounding
+error may underflow, which once let [0, 0.5] * [0, 5e-324] return [0, 0].  Elementary functions (exp, log, pow) trust libm to
 2 ulp and nudge accordingly.
 
 Trusted base: math.exp, math.log, math.pow, np.exp, np.log, np.power and
@@ -50,6 +53,9 @@ _INF = math.inf
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
 _LIBM_ULPS = 2  # safety margin for non-correctly-rounded libm calls
 _HUGE = 1e290  # beyond this, error-free transforms may overflow; nudge blindly
+# below this, the rounding error of a product or quotient may underflow, so
+# the error-free transforms cannot tell its sign; nudge blindly
+_TINY = 2.0**-960
 
 
 class IntervalError(Exception):
@@ -230,8 +236,8 @@ class Interval:
         lo = _INF
         hi = -_INF
         for a, b in pairs:
-            if abs(a) > _HUGE or abs(b) > _HUGE:
-                p = a * b
+            p = a * b
+            if abs(a) > _HUGE or abs(b) > _HUGE or (abs(p) < _TINY and a and b):
                 if not math.isfinite(p):
                     raise IntervalOverflow("product overflow")
                 plo, phi = _down(p), _up(p)
@@ -302,7 +308,7 @@ class Interval:
 
 def _div_bounds(x: float, y: float, q: float) -> tuple[float, float]:
     # Directed bounds for the endpoint quotient x/y given the rounded q.
-    if abs(q) > _HUGE or abs(y) > _HUGE:
+    if abs(q) > _HUGE or abs(y) > _HUGE or abs(q) < _TINY or abs(x) < _TINY:
         return _down(q), _up(q)
     qy, e2 = _two_prod(q, y)
     n1 = x - qy  # exact by Sterbenz (qy within one ulp factor of x)

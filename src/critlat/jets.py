@@ -21,6 +21,7 @@ lane and batch.py on the VI lane.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -589,49 +590,144 @@ def tau_p_resid_scalar(p, t):
     return 2 * spow(1 - T, p) - (1 + spow(T, p))
 
 
-def tau_p_scalar(p, max_steps: int = 80):
-    """Bracket of {tau_p(q) : q in p} by sign bisection of the residual h.
+def tau_p_scalar(p):
+    """Bracket of {tau_p(q) : q in p} from the verified signs of the residual h.
 
-    h decreases in t, h(0) = 1 and h(1/2) = 2^-p - 1 < 0, so [0, 1/2] brackets
-    tau_p for every p > 0.  Each endpoint is bisected on its own verified
-    sign: lo only moves to midpoints with h > 0, hi only to midpoints with
-    h < 0, so an indecisive midpoint cannot leave a stale far bracket.  The
-    loop ends when no midpoint is a float strictly inside its bracket; a
-    bracket that got there earlier stays put, since its midpoint is then an
-    end already evaluated with the same sign.  As every op is per lane and
-    the step cap is shared, a lane's bracket does not depend on the other
-    lanes of its call.
+    h decreases in t, h(0) = 1 and h(1/2) = 2^-p - 1 < 0, so tau_p(q) lies in
+    (0, 1/2) for every q > 0: above every float t with h(p, t).lo > 0 and
+    below every one with h(p, t).hi < 0.  lo is the float whose h.lo > 0 is
+    verified while the next float's is not, hi the float whose h.hi < 0 is
+    verified while the previous float's is not; a lane where no float
+    verifies keeps 0, resp. 1/2.  These are the ends at which a sign
+    bisection of [0, 1/2] stops, one end moving only to verified midpoints:
+    the verified signs change once near tau_p wherever measured, so the
+    transition each side has is the one the bisection finds
+    (tests/test_enclosure.py keeps the bisection and compares the bits).
 
-    The bracket is kept in per-lane arrays on the VI lane and in plain floats
-    on the Interval lane, where numpy 0-d bookkeeping would cost more than the
-    residual itself; both round alike, so the bits agree.
+    A search finds them directly (_last_true): from a float estimate of each
+    end (_tau_p_guess), it gallops outward on the float bit pattern until the
+    sign flips and bisects the gap down to adjacent floats, the lo and hi
+    probes of all lanes in one residual call per step.  Every end is verified;
+    the estimate only chooses where to start.  A lane's probes depend on its
+    own p alone, so its bracket does not depend on the other lanes of its
+    call.  The two lanes round differently: on the same p the VI bracket sits
+    some ulps off the Interval one, each end on its own lane's transition.
     """
     if isinstance(p, VI):
-        shape = p.lo.shape
-        lo, lo_cap = np.zeros(shape), np.full(shape, 0.5)
-        hi, hi_cap = np.full(shape, 0.5), np.zeros(shape)
-        where, any_, same = np.where, np.any, np.array_equal
+        plo, phi = np.ravel(p.lo), np.ravel(p.hi)
     else:
-        lo, lo_cap, hi, hi_cap = 0.0, 0.5, 0.5, 0.0
-        where, any_, same = _pick, bool, float.__eq__
-    for _ in range(max_steps):
-        m_lo = 0.5 * (lo + lo_cap)
-        m_hi = 0.5 * (hi + hi_cap)
-        if not any_((lo < m_lo) & (m_lo < lo_cap) | (hi_cap < m_hi) & (m_hi < hi)):
-            break
-        r_lo = tau_p_resid_scalar(p, m_lo)
-        # until a midpoint turns indecisive both brackets share it
-        r_hi = r_lo if same(m_lo, m_hi) else tau_p_resid_scalar(p, m_hi)
-        pos = r_lo.lo > 0.0
-        neg = r_hi.hi < 0.0
-        lo, lo_cap = where(pos, m_lo, lo), where(pos, lo_cap, m_lo)
-        hi, hi_cap = where(neg, m_hi, hi), where(neg, hi_cap, m_hi)
-    return lift(p, lo, hi)
+        plo, phi = np.array([p.lo]), np.array([p.hi])
+    n = plo.size
+    # search lanes: the lo end of p lane i is lane i, its hi end lane n + i.
+    # The estimates pair the p ends as the interval residual does:
+    # h.lo = 2(1-t)^{p hi} - (1 + t^{p lo}), h.hi = 2(1-t)^{p lo} - (1 + t^{p hi})
+    start, step = _tau_p_guess(np.concatenate([phi, plo]), np.concatenate([plo, phi]))
+
+    def verified(t, lanes):
+        # lo ends: h.lo > 0 verified; hi ends: h.hi < 0 not verified
+        if isinstance(p, VI):
+            i = lanes % n
+            r = tau_p_resid_scalar(VI(plo[i], phi[i]), t)
+            r_lo, r_hi = r.lo, r.hi
+        else:
+            rs = [tau_p_resid_scalar(p, float(x)) for x in t]
+            r_lo, r_hi = np.array([r.lo for r in rs]), np.array([r.hi for r in rs])
+        return np.where(lanes < n, r_lo > 0.0, ~(r_hi < 0.0))
+
+    k = _last_true(verified, start, step)
+    lo = k[:n].view(np.float64)
+    hi = (k[n:] + 1).view(np.float64)
+    if isinstance(p, VI):
+        return VI(lo.reshape(p.lo.shape), hi.reshape(p.lo.shape))
+    return Interval(float(lo[0]), float(hi[0]))
 
 
-def _pick(c: bool, a: float, b: float) -> float:
-    """np.where for one float lane."""
-    return a if c else b
+_HALF_BITS = int(np.float64(0.5).view(np.int64))
+_GALLOP_STEPS = 6  # see _last_true
+_EPS = 2.0**-52
+
+
+def _tau_p_guess(a, b):
+    """Per lane, where _last_true starts and its first step, for the root in
+    [0, 1/2] of g(t) = 2(1-t)^a - (1 + t^b), lo ends first, then hi ends.
+
+    The float root comes from Newton's method from the root of 2(1-t)^a = 1
+    (exact as a grows), each step kept inside the bracket of the signs of g
+    seen so far and bisecting it where a step leaves it.  Rounding moves the
+    transition of the interval residual off that root, below it for lo ends
+    and above it for hi ends, by up to about d = eps (2(1-t)^a (a/(1-t) + 4)
+    + 4) / |g'(t)| (measured: 0.26 to 1.0 d), where floats are spacing(t)
+    apart; the search starts d/2 off the root on that side with step d/4.
+    """
+    with np.errstate(all="ignore"):
+        t = np.clip(-np.expm1(-math.log(2.0) / a), 0.0, 0.5)
+        t_lo, t_hi = np.zeros_like(t), np.full_like(t, 0.5)
+        for _ in range(40):
+            u = 1.0 - t
+            ua = u**a
+            tb = t**b
+            g = 2.0 * ua - 1.0 - tb
+            slope = -(2.0 * a * ua / u + b * tb / t)
+            above = g > 0.0
+            t_lo = np.where(above, t, t_lo)
+            t_hi = np.where(above, t_hi, t)
+            tn = t - g / slope
+            tn = np.where((t_lo <= tn) & (tn <= t_hi), tn, 0.5 * (t_lo + t_hi))
+            # a step this small leaves t at the noise of g: converged
+            moved = np.abs(tn - t) > 2.0**-46 * t
+            t = tn
+            if not moved.any():
+                break
+        d = _EPS * (2.0 * ua * (a / u + 4.0) + 4.0) / np.abs(slope) / np.spacing(t)
+        d = np.clip(np.nan_to_num(d, nan=1.0), 1.0, _HALF_BITS).astype(np.int64)
+    k = np.abs(t).view(np.int64)  # -0.0 has the sign bit set
+    n = k.size // 2
+    start = np.concatenate([k[:n] - d[:n] // 2, k[n:] + d[n:] // 2])
+    return start, np.maximum(d // 4, 1)
+
+
+def _last_true(pred, start, step):
+    """Per lane, the k in [0, K) with pred(k) true and pred(k + 1) false,
+    K = the bit pattern of 1/2, taking pred(0) true and pred(K) false; the
+    patterns of the floats in [0, 1/2] count them in order.
+
+    pred(t, lanes) gives one bool per float t, lanes[i] naming the lane of
+    t[i].  Each lane probes `start` (clipped into (0, K)), then gallops away
+    from it in the direction of that probe's outcome by step, 2 step, 4 step,
+    ... until the outcome flips, probing next to a known end instead of past
+    it, and then bisects the integer gap down to adjacent patterns.  A lane
+    still galloping after _GALLOP_STEPS probes probes next to its far end
+    once: a lane that never verifies (NaN p) ends there, any other bisects
+    from there.  A lane stops once its gap is 1 and leaves the working
+    arrays.
+    """
+    lanes = np.arange(start.size)
+    x = np.clip(start, 1, _HALF_BITS - 1)
+    up = pred(x.view(np.float64), lanes)  # the gallop's direction
+    lo = np.where(up, x, 0)
+    hi = np.where(up, _HALF_BITS, x)
+    s = step.copy()
+    gallop = np.ones(x.shape, dtype=bool)
+    out = np.empty_like(start)
+    for probe in itertools.count(1):
+        done = hi - lo <= 1
+        if done.any():
+            out[lanes[done]] = lo[done]
+            keep = ~done
+            if not keep.any():
+                return out
+            lanes, lo, hi, s, up, gallop = (
+                v[keep] for v in (lanes, lo, hi, s, up, gallop)
+            )
+        x = np.where(gallop, np.where(up, lo + s, hi - s), (lo + hi) >> 1)
+        if probe == _GALLOP_STEPS:
+            x = np.where(gallop, np.where(up, hi - 1, lo + 1), x)
+        x = np.clip(x, lo + 1, hi - 1)
+        s = np.minimum(s << 1, _HALF_BITS)
+        ok = pred(x.view(np.float64), lanes)
+        lo = np.where(ok, x, lo)
+        hi = np.where(ok, hi, x)
+        gallop &= ok == up
 
 
 def delta_edge_low_scalar(p, tp):

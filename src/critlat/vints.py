@@ -26,6 +26,11 @@ The outward steps take no np.nextafter call:
   5e-324 step into NaN patterns), and a lane whose upper bound would step
   past the largest float is NaN.
 
+The ops set no np.errstate: numpy's floating-point warnings are left to the
+caller, and the batch.py entry points run under np.errstate(all="ignore"),
+once per call instead of once per op.  Results are built without conversion
+(VI._of), and poisoned lanes are written in place (_poison).
+
 exp, log and pow trust numpy to 2 ulp (the trusted base in critlat.interval)
 and move their bounds 2 steps outward.  pow takes its range from the four
 corners np.power(x.lo|x.hi, y.lo|y.hi): for x > 0, x**y is monotone in x at
@@ -75,6 +80,15 @@ def _up2_nonneg(x):
     return (x.view(np.int64) + 2).view(np.float64)
 
 
+def _poison(bad, x):
+    """x with NaN in the lanes of bad: in place on a fresh array, and through
+    np.where on the numpy scalar that a ufunc returns for a 0-d VI."""
+    if type(x) is np.ndarray:
+        np.copyto(x, np.nan, where=bad)
+        return x
+    return np.where(bad, np.nan, x)
+
+
 class VI:
     __slots__ = ("lo", "hi")
 
@@ -83,21 +97,29 @@ class VI:
         self.hi = np.asarray(hi, dtype=float)
 
     @classmethod
+    def _of(cls, lo, hi) -> "VI":
+        """A VI of the float64 bounds that the ops compute, as they are."""
+        v = object.__new__(cls)
+        v.lo = lo
+        v.hi = hi
+        return v
+
+    @classmethod
     def point(cls, x) -> "VI":
         x = np.asarray(x, dtype=float)
-        return cls(x, x.copy())
+        return cls._of(x, x.copy())
 
     @classmethod
     def full_like(cls, other: "VI", lo: float, hi: float) -> "VI":
         shape = other.lo.shape
-        return cls(np.full(shape, lo), np.full(shape, hi))
+        return cls._of(np.full(shape, lo), np.full(shape, hi))
 
     @property
     def width(self):
         return self.hi - self.lo
 
     def copy(self) -> "VI":
-        return VI(self.lo.copy(), self.hi.copy())
+        return VI._of(self.lo.copy(), self.hi.copy())
 
     def invalid(self):
         return ~(np.isfinite(self.lo) & np.isfinite(self.hi))
@@ -106,20 +128,20 @@ class VI:
     def _coerce(other) -> "VI":
         if isinstance(other, VI):
             return other
-        return VI.point(np.asarray(other, dtype=float))
+        return VI.point(other)
 
     def __add__(self, other) -> "VI":
         o = self._coerce(other)
-        return VI(_dn(self.lo + o.lo), _up(self.hi + o.hi))
+        return VI._of(_dn(self.lo + o.lo), _up(self.hi + o.hi))
 
     __radd__ = __add__
 
     def __neg__(self) -> "VI":
-        return VI(-self.hi, -self.lo)
+        return VI._of(-self.hi, -self.lo)
 
     def __sub__(self, other) -> "VI":
         o = self._coerce(other)
-        return VI(_dn(self.lo - o.hi), _up(self.hi - o.lo))
+        return VI._of(_dn(self.lo - o.hi), _up(self.hi - o.lo))
 
     def __rsub__(self, other) -> "VI":
         return self._coerce(other).__sub__(self)
@@ -132,45 +154,37 @@ class VI:
         p4 = self.hi * o.hi
         lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
         hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-        return VI(_dn(lo), _up(hi))
+        return VI._of(_dn(lo), _up(hi))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "VI":
         o = self._coerce(other)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bad = (o.lo <= 0.0) & (o.hi >= 0.0)
-            q1 = self.lo / o.lo
-            q2 = self.lo / o.hi
-            q3 = self.hi / o.lo
-            q4 = self.hi / o.hi
-            lo = np.minimum(np.minimum(q1, q2), np.minimum(q3, q4))
-            hi = np.maximum(np.maximum(q1, q2), np.maximum(q3, q4))
-        lo = np.where(bad, np.nan, lo)
-        hi = np.where(bad, np.nan, hi)
-        return VI(_dn(lo), _up(hi))
+        bad = (o.lo <= 0.0) & (o.hi >= 0.0)
+        q1 = self.lo / o.lo
+        q2 = self.lo / o.hi
+        q3 = self.hi / o.lo
+        q4 = self.hi / o.hi
+        lo = np.minimum(np.minimum(q1, q2), np.minimum(q3, q4))
+        hi = np.maximum(np.maximum(q1, q2), np.maximum(q3, q4))
+        return VI._of(_poison(bad, _dn(lo)), _poison(bad, _up(hi)))
 
     def __rtruediv__(self, other) -> "VI":
         return self._coerce(other).__truediv__(self)
 
     def exp(self) -> "VI":
-        with np.errstate(over="ignore"):
-            lo = np.exp(self.lo)
-            hi = np.exp(self.hi)
+        lo = np.exp(self.lo)
+        hi = np.exp(self.hi)
         bad = ~(hi < _BELOW_MAX)
-        return VI(
-            np.where(bad | np.isnan(lo), np.nan, _dn2_nonneg(lo)),
-            np.where(bad, np.nan, _up2_nonneg(hi)),
+        return VI._of(
+            _poison(bad | np.isnan(lo), _dn2_nonneg(lo)), _poison(bad, _up2_nonneg(hi))
         )
 
     def log(self) -> "VI":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lo = _dn(_dn(np.log(self.lo)))
-            hi = _up(_up(np.log(self.hi)))
         bad = ~(self.lo > 0.0)
-        lo = np.where(bad, np.nan, lo)
-        hi = np.where(bad, np.nan, hi)
-        return VI(lo, hi)
+        lo = _dn(_dn(np.log(self.lo)))
+        hi = _up(_up(np.log(self.hi)))
+        return VI._of(_poison(bad, lo), _poison(bad, hi))
 
     def pow(self, other) -> "VI":
         """self**other for positive self: the min and max of the four corners
@@ -178,17 +192,14 @@ class VI:
         the lower bound clamped at 0.  Lanes with self.lo <= 0, or whose upper
         bound overflows, are NaN."""
         o = self._coerce(other)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            c1 = np.power(self.lo, o.lo)
-            c2 = np.power(self.lo, o.hi)
-            c3 = np.power(self.hi, o.lo)
-            c4 = np.power(self.hi, o.hi)
+        c1 = np.power(self.lo, o.lo)
+        c2 = np.power(self.lo, o.hi)
+        c3 = np.power(self.hi, o.lo)
+        c4 = np.power(self.hi, o.hi)
         lo = np.minimum(np.minimum(c1, c2), np.minimum(c3, c4))
         hi = np.maximum(np.maximum(c1, c2), np.maximum(c3, c4))
         bad = ~((self.lo > 0.0) & (hi < _BELOW_MAX))
-        return VI(
-            np.where(bad, np.nan, _dn2_nonneg(lo)), np.where(bad, np.nan, _up2_nonneg(hi))
-        )
+        return VI._of(_poison(bad, _dn2_nonneg(lo)), _poison(bad, _up2_nonneg(hi)))
 
     def pow_nonneg(self, other) -> "VI":
         """self**other for self >= 0 and positive exponents: the zero-touching
@@ -199,11 +210,11 @@ class VI:
         touches = self.lo <= 0.0
         pos = self.hi > 0.0
         top = np.where(pos, self.hi, 1.0)
-        r = VI(np.where(touches, top, self.lo), np.where(touches, top, self.hi)).pow(o)
-        lo = np.where(touches, 0.0, r.lo)
-        hi = np.where(touches & ~pos, 0.0, r.hi)
+        r = VI._of(np.where(touches, top, self.lo), np.where(touches, top, self.hi)).pow(o)
         bad = (self.lo < 0.0) | ~(o.lo > 0.0)
-        return VI(np.where(bad, np.nan, lo), np.where(bad, np.nan, hi))
+        lo = _poison(bad, np.where(touches, 0.0, r.lo))
+        hi = _poison(bad, np.where(touches & ~pos, 0.0, r.hi))
+        return VI._of(lo, hi)
 
     def intersect(self, other: "VI"):
         """(intersection VI, empty mask); empty lanes become NaN.
@@ -212,11 +223,8 @@ class VI:
         o = self._coerce(other)
         lo = np.maximum(self.lo, o.lo)
         hi = np.minimum(self.hi, o.hi)
-        with np.errstate(invalid="ignore"):
-            empty = lo > hi  # False on NaN lanes
-        lo = np.where(empty, np.nan, lo)
-        hi = np.where(empty, np.nan, hi)
-        return VI(lo, hi), empty
+        empty = lo > hi  # False on NaN lanes
+        return VI._of(_poison(empty, lo), _poison(empty, hi)), empty
 
     def contains_zero(self):
         return (self.lo <= 0.0) & (self.hi >= 0.0)

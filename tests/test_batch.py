@@ -85,12 +85,13 @@ def _tau_boxes(seed):
 
 def _plain_tau(P, S, iters):
     """The fixed point without any stopping rule: `iters` intersected steps."""
-    inv_p, a0, sa0 = B.phi_consts(P, S)
     T = VI.full_like(P, *TAU_SEED)
     vacuous = np.zeros(P.lo.size, dtype=bool)
-    for _ in range(iters):
-        T, empty = B.phi_scalar(P, inv_p, a0, sa0, T).intersect(T)
-        vacuous |= empty
+    with np.errstate(all="ignore"):  # as tau_enclose_batch runs it
+        inv_p, a0, sa0 = B.phi_consts(P, S)
+        for _ in range(iters):
+            T, empty = B.phi_scalar(P, inv_p, a0, sa0, T).intersect(T)
+            vacuous |= empty
     return T, vacuous
 
 
@@ -216,3 +217,30 @@ def test_warm_tau_seeds_change_no_bits(kind, phi_lanes, monkeypatch):
         T0, vac0 = tau(P, S)
         assert _bits(T.lo, T.hi, vac) == _bits(T0.lo, T0.hi, vac0)
     assert seeded["box"] > 0 and (seeded["midpoint"] > 0 or kind == "convex")
+
+
+def test_tau_p_tables_carry_across_chunks(monkeypatch):
+    # waves split into chunks of 37 lanes: each chunk looks its p-intervals up
+    # in the previous wave's table (all of its chunks) and in the current
+    # wave's earlier chunks, so none is searched twice, as in whole waves
+    tau_p = B.tau_p_enclose_batch
+    searched, chunks = [], [0]
+
+    def spy(P):
+        searched.extend(zip(P.lo.tolist(), P.hi.tolist()))
+        return tau_p(P)
+
+    in_chunks = B._in_chunks
+
+    def count(boxes, evaluate):
+        chunks[0] += -(-len(boxes) // B.MAX_LANES)
+        return in_chunks(boxes, evaluate)
+
+    job = [B.Job(2.6, 2.625, 1.02, 1.1, 40000)]
+    expected = B.subpave_delta_above(job, "low")
+    monkeypatch.setattr(B, "MAX_LANES", 37)
+    monkeypatch.setattr(B, "tau_p_enclose_batch", spy)
+    monkeypatch.setattr(B, "_in_chunks", count)
+    assert B.subpave_delta_above(job, "low") == expected
+    assert chunks[0] > 2 * 17  # many waves span several chunks
+    assert len(searched) == len(set(searched))

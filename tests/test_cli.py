@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import warnings
 
 import pytest
 
@@ -260,3 +261,13 @@ class TestVerifyNearTwo:
         for what in ("p <= 2", "prescreen", "cost model", "node budget hit",
                      "width floor hit"):
             assert any(what in e for e in ends), what
+
+
+def test_no_warnings_escape():
+    # the VI lane runs under np.errstate at the batch entry points: a strip
+    # raises no numpy (or other) warning, even when warnings are errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(["--workers", "1", "verify", "--p", "2.33", "2.34", "--budget", "50"])
+    assert code == 0
+    assert json.loads(out)["leaves"]

@@ -10,6 +10,7 @@ import pytest
 from critlat.interval import Box, DomainError, Interval, intersect, ipow
 from critlat import batch as B
 from critlat import enclosure as E
+from critlat import jets
 from critlat import moduli as M
 from critlat.batch import (
     Job,
@@ -25,6 +26,7 @@ from critlat.jets import (
     phi_prime,
     phi_scalar,
     tau_p_resid_scalar,
+    tau_p_scalar,
 )
 from critlat.vints import VI
 
@@ -355,6 +357,146 @@ class TestBoundaryEnclosures:
                    E.delta_edge_low_enclosure, E.d_delta_edge_low_enclosure):
             with pytest.raises(DomainError):
                 fn(Interval(0.9, 1.2))
+
+
+def _bisect_tau_p(p, max_steps=80):
+    """The sign bisection of [0, 1/2] that jets.tau_p_scalar replaced, kept as
+    the reference: lo moves only to midpoints with h.lo > 0 verified, hi only
+    to midpoints with h.hi < 0, until no midpoint lies strictly inside its
+    bracket or after max_steps steps."""
+    if isinstance(p, VI):
+        lo, lo_cap = np.zeros(p.lo.shape), np.full(p.lo.shape, 0.5)
+        hi, hi_cap = np.full(p.lo.shape, 0.5), np.zeros(p.lo.shape)
+        where, any_ = np.where, np.any
+    else:
+        lo, lo_cap, hi, hi_cap = 0.0, 0.5, 0.5, 0.0
+        where, any_ = (lambda c, a, b: a if c else b), bool
+    with np.errstate(all="ignore"):
+        for _ in range(max_steps):
+            m_lo = 0.5 * (lo + lo_cap)
+            m_hi = 0.5 * (hi + hi_cap)
+            if not any_((lo < m_lo) & (m_lo < lo_cap) | (hi_cap < m_hi) & (m_hi < hi)):
+                break
+            pos = tau_p_resid_scalar(p, m_lo).lo > 0.0
+            neg = tau_p_resid_scalar(p, m_hi).hi < 0.0
+            lo, lo_cap = where(pos, m_lo, lo), where(pos, lo_cap, m_lo)
+            hi, hi_cap = where(neg, m_hi, hi), where(neg, hi_cap, m_hi)
+    return (np.asarray(lo), np.asarray(hi))
+
+
+def _tau_p_lanes(n, seed):
+    """Seeded p-intervals in [1.05, 4.5]: points and widths 0.025 / 2^k."""
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(1.05, 4.5, n)
+    w = 0.025 / 2.0 ** rng.integers(0, 40, n)
+    w[rng.random(n) < 0.3] = 0.0
+    return lo, lo + w
+
+
+# lanes at the edges of the search: NaN, p <= 1, p -> 1, wide P
+_EDGE_P = [
+    (math.nan, 2.0), (2.0, math.nan), (0.5, 0.9), (1.0, 1.0),
+    (1.0 + 2.0**-40, 1.0 + 2.0**-40), (50.0, 60.0), (1.05, 4.5),
+]
+# where the 80-step cap stops the bisection before adjacent floats
+_HUGE_P = [(1e9, 1e9), (1e12, 1e12)]
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+class TestTauPSearch:
+    """jets.tau_p_scalar finds the ends of the sign bisection it replaced by a
+    gallop-and-bisect search on the float bit patterns, bit for bit."""
+
+    def test_vi_lane_equals_bisection(self):
+        lo, hi = _tau_p_lanes(20000, 31)
+        lo = np.concatenate([lo, [a for a, _ in _EDGE_P]])
+        hi = np.concatenate([hi, [b for _, b in _EDGE_P]])
+        got = B.tau_p_enclose_batch(VI(lo, hi))
+        ref_lo, ref_hi = _bisect_tau_p(VI(lo, hi))
+        assert _same_bits(got.lo, ref_lo) and _same_bits(got.hi, ref_hi)
+
+    def test_interval_lane_equals_bisection(self):
+        # 1,000 lanes here; 20,000 took 81 s and agreed as well
+        lo, hi = _tau_p_lanes(1000, 32)
+        lanes = list(zip(lo.tolist(), hi.tolist())) + _EDGE_P[2:]
+        for a, b in lanes:
+            got = tau_p_scalar(Interval(a, b))
+            ref_lo, ref_hi = _bisect_tau_p(Interval(a, b))
+            assert (got.lo, got.hi) == (float(ref_lo), float(ref_hi)), (a, b)
+
+    def test_huge_p_bracket_lies_inside_the_capped_bisection(self):
+        for a, b in _HUGE_P:
+            got = B.tau_p_enclose_batch(VI(np.array([a]), np.array([b])))
+            ref_lo, ref_hi = _bisect_tau_p(VI(np.array([a]), np.array([b])))
+            assert ref_lo[0] <= got.lo[0] < got.hi[0] <= ref_hi[0]
+            # the cap left the old bracket wider
+            assert (got.lo[0], got.hi[0]) != (ref_lo[0], ref_hi[0])
+            got = tau_p_scalar(Interval(a, b))
+            ref_lo, ref_hi = _bisect_tau_p(Interval(a, b))
+            assert ref_lo <= got.lo < got.hi <= ref_hi
+
+    def test_ends_are_transitions_around_the_root(self):
+        # on each lane, lo is verified positive and the next float is not, hi
+        # verified negative and the float before it not; the bracket holds the
+        # 50-digit root at both p ends.  The lanes round differently, so their
+        # brackets differ by some ulps.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        lo, hi = _tau_p_lanes(40, 33)
+        V = B.tau_p_enclose_batch(VI(lo, hi))
+        differ = 0
+        for i, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+            P = Interval(a, b)
+            S = tau_p_scalar(P)
+            for lane, (t_lo, t_hi), resid in (
+                ("VI", (float(V.lo[i]), float(V.hi[i])),
+                 lambda t: tau_p_resid_scalar(VI(np.array([a]), np.array([b])), np.array([t]))),
+                ("Interval", (S.lo, S.hi), lambda t: tau_p_resid_scalar(P, t)),
+            ):
+                r = [resid(t) for t in (t_lo, math.nextafter(t_lo, 1.0),
+                                        t_hi, math.nextafter(t_hi, 0.0))]
+                lo_of = [float(np.asarray(x.lo).ravel()[0]) for x in r]
+                hi_of = [float(np.asarray(x.hi).ravel()[0]) for x in r]
+                assert lo_of[0] > 0.0 and not lo_of[1] > 0.0, (lane, a, b)
+                assert hi_of[2] < 0.0 and not hi_of[3] < 0.0, (lane, a, b)
+                for q in (a, b):
+                    q = mpmath.mpf(q)
+                    root = mpmath.findroot(
+                        lambda x: 2 * (1 - x) ** q - 1 - x**q, (0.01, 0.49), solver="bisect"
+                    )
+                    assert mpmath.mpf(t_lo) < root < mpmath.mpf(t_hi), (lane, a, b)
+            differ += (S.lo, S.hi) != (float(V.lo[i]), float(V.hi[i]))
+        assert differ > 0
+
+    def test_an_exotic_lane_does_not_stretch_the_search(self, monkeypatch):
+        calls = [0]
+        resid = jets.tau_p_resid_scalar
+
+        def counted(p, t):
+            calls[0] += 1
+            return resid(p, t)
+
+        monkeypatch.setattr(jets, "tau_p_resid_scalar", counted)
+        lo, hi = _tau_p_lanes(185, 34)
+
+        def residual_calls(extra):
+            calls[0] = 0
+            B.tau_p_enclose_batch(VI(np.concatenate([lo, [a for a, _ in extra]]),
+                                     np.concatenate([hi, [b for _, b in extra]])))
+            return calls[0]
+
+        ordinary = residual_calls([])
+        assert ordinary <= 10  # the bisection made about 110
+        for lane in _EDGE_P:
+            assert residual_calls([lane]) <= ordinary + 3, lane
+        # the gallop's first step scales with the rounding model, so a lane
+        # whose transition lies 2^30-2^40 floats off the float root stays
+        # far below the capped bisection's 160 calls
+        for lane in _HUGE_P:
+            assert residual_calls([lane]) <= 48, lane
 
 
 class TestJet:

@@ -19,6 +19,14 @@ from critlat import vints  # noqa: E402
 from critlat.jets import tpow  # noqa: E402
 from critlat.vints import VI  # noqa: E402
 
+@pytest.fixture(autouse=True, scope="module")
+def _quiet_numpy():
+    # VI ops leave numpy's floating-point warnings to their caller, and the
+    # batch.py entry points silence them; these tests call the ops directly
+    with np.errstate(all="ignore"):
+        yield
+
+
 MAX = sys.float_info.max
 TINY = 5e-324  # the smallest subnormal
 # an exact range this close to MAX may round to it, and MAX nudges to inf
@@ -387,3 +395,22 @@ def test_tpow_equals_two_pow_form(expo_lo):
         reg, nn = tau.pow(e), tau.pow_nonneg(e)
         assert np.all(_same_bits(got.lo, np.where(touches, nn.lo, reg.lo)))
         assert np.all(_same_bits(got.hi, np.where(touches, nn.hi, reg.hi)))
+
+
+def test_0d_vi_computes_what_a_1_lane_vi_does():
+    # ufuncs return numpy scalars on 0-d arrays, and the ops keep working on them
+    ops = [
+        lambda x, y, z: x + y, lambda x, y, z: x - y, lambda x, y, z: x * y,
+        lambda x, y, z: x / y, lambda x, y, z: x / z, lambda x, y, z: 2.0 / x,
+        lambda x, y, z: 1.0 - x, lambda x, y, z: -x, lambda x, y, z: x.pow(y),
+        lambda x, y, z: z.pow_nonneg(y), lambda x, y, z: x.exp(), lambda x, y, z: x.log(),
+        lambda x, y, z: z.log(), lambda x, y, z: x.intersect(z)[0],
+        lambda x, y, z: x.intersect(y)[0],
+    ]
+    bounds = ((0.2, 0.3), (1.5, 2.5), (-1.0, 1.0))
+    zero_d = [VI(lo, hi) for lo, hi in bounds]
+    one_lane = [VI([lo], [hi]) for lo, hi in bounds]
+    for op in ops:
+        r0, r1 = op(*zero_d), op(*one_lane)
+        assert np.shape(r0.lo) == np.shape(r0.hi) == ()
+        assert _same_bits(np.atleast_1d(r0.lo), r1.lo) and _same_bits(np.atleast_1d(r0.hi), r1.hi)
