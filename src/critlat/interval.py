@@ -236,14 +236,17 @@ class Interval:
         lo = _INF
         hi = -_INF
         for a, b in pairs:
-            p = a * b
-            if abs(a) > _HUGE or abs(b) > _HUGE or (abs(p) < _TINY and a and b):
+            if abs(a) > _HUGE or abs(b) > _HUGE:
+                p = a * b
                 if not math.isfinite(p):
                     raise IntervalOverflow("product overflow")
                 plo, phi = _down(p), _up(p)
             else:
                 p, e = _two_prod(a, b)
-                plo, phi = _lo_from(p, e), _hi_from(p, e)
+                if abs(p) < _TINY and a and b:
+                    plo, phi = _down(p), _up(p)
+                else:
+                    plo, phi = _lo_from(p, e), _hi_from(p, e)
             if plo < lo:
                 lo = plo
             if phi > hi:

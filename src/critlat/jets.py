@@ -656,8 +656,9 @@ def _tau_p_guess(a, b):
     seen so far and bisecting it where a step leaves it.  Rounding moves the
     transition of the interval residual off that root, below it for lo ends
     and above it for hi ends, by up to about d = eps (2(1-t)^a (a/(1-t) + 4)
-    + 4) / |g'(t)| (measured: 0.26 to 1.0 d), where floats are spacing(t)
-    apart; the search starts d/2 off the root on that side with step d/4.
+    + 4) / |g'(t)| counted in floats spacing(t) apart (on 3,000 VI
+    p-intervals with p in [1.001, 1e6], 0.26 to 1.0 d); the search starts
+    d/2 off the root on that side with step d/4.
     """
     with np.errstate(all="ignore"):
         t = np.clip(-np.expm1(-math.log(2.0) / a), 0.0, 0.5)
@@ -706,7 +707,7 @@ def _last_true(pred, start, step):
     up = pred(x.view(np.float64), lanes)  # the gallop's direction
     lo = np.where(up, x, 0)
     hi = np.where(up, _HALF_BITS, x)
-    s = step.copy()
+    s = step
     gallop = np.ones(x.shape, dtype=bool)
     out = np.empty_like(start)
     for probe in itertools.count(1):
