@@ -19,6 +19,7 @@ from critlat import vints  # noqa: E402
 from critlat.jets import tpow  # noqa: E402
 from critlat.vints import VI  # noqa: E402
 
+
 @pytest.fixture(autouse=True, scope="module")
 def _quiet_numpy():
     # VI ops leave numpy's floating-point warnings to their caller, and the
@@ -413,4 +414,5 @@ def test_0d_vi_computes_what_a_1_lane_vi_does():
     for op in ops:
         r0, r1 = op(*zero_d), op(*one_lane)
         assert np.shape(r0.lo) == np.shape(r0.hi) == ()
-        assert _same_bits(np.atleast_1d(r0.lo), r1.lo) and _same_bits(np.atleast_1d(r0.hi), r1.hi)
+        assert _same_bits(np.atleast_1d(r0.lo), r1.lo).all()
+        assert _same_bits(np.atleast_1d(r0.hi), r1.hi).all()
