@@ -10,9 +10,9 @@ and the boundary formulas (sigma_p, tau_p, Delta(p, 1) and the p-slopes) are
 written once over the generic scalar in jets.py; the functions here are the
 scalar-Interval entry points and add the p > 1 domain checks.
 
-Delta and its five constraint-surface derivatives get interval extensions via
-the jet engine; boundary-column second-derivative enclosures use the explicit
-atom formulas so they stay valid where the tau enclosure touches zero.
+delta_eif encloses Delta on a box, optionally refined by a mean-value form
+whose gradient comes from the same atom formulas (jets.delta_sigma_derivs
+and jets.delta_p_deriv) that the VI lane certifies with.
 """
 
 from __future__ import annotations
@@ -27,14 +27,13 @@ from .jets import (
     d_delta_edge_low_scalar,
     d_sigma_p_scalar,
     delta_edge_low_scalar,
-    delta_jet,
+    delta_p_deriv,
     delta_scalar,
     delta_sigma_derivs,
     phi_consts,
     phi_prime,
     phi_scalar,
     sigma_p_scalar,
-    solve_tau_jet,
     tau_p_resid_scalar,
     tau_p_scalar,
 )
@@ -49,8 +48,6 @@ __all__ = [
     "precheck_clamped",
     "tau_interval",
     "delta_eif",
-    "derivative_eifs",
-    "sigma_derivs_enclosure",
     "sigma_p_enclosure",
     "tau_p_enclosure",
     "delta_edge_low_enclosure",
@@ -70,23 +67,11 @@ class EmptyEnclosure(Exception):
 @dataclass(frozen=True)
 class EifElement:
     """Interval functional element: an enclosure of a tagged function's range
-    on a box.  Sign-definite elements qualify as c-elements."""
+    on a box."""
 
     box: Box
     value: Interval
     fid: str
-
-    @property
-    def is_c_element(self) -> bool:
-        return not self.value.contains_zero()
-
-    @property
-    def sign(self) -> int:
-        if self.value.lo > 0.0:
-            return 1
-        if self.value.hi < 0.0:
-            return -1
-        return 0
 
 
 @dataclass(frozen=True)
@@ -209,15 +194,17 @@ def delta_eif(X: Box, tau: TauEnclosure, refine: bool = False) -> EifElement:
     """Interval extension of (tau+sigma)(1+tau^p)^(-1/p)(1+sigma^p)^(-1/p).
 
     refine=True intersects the natural extension with a mean-value form
-    centered at the box midpoint (gradient enclosures from the jet engine);
-    it needs the tau enclosure bounded away from zero.
+    centered at the box midpoint, its gradient enclosed by the atom formulas
+    over the box.  It needs the tau enclosure bounded away from zero: tau = 0
+    exactly on the curve sigma = sigma_p, so then the box misses the curve
+    and every mean-value segment stays on the domain side of it.  Elsewhere,
+    or where the gradient enclosure fails, the natural value is returned.
     """
     value = delta_scalar(X.p, X.sigma, tau.tau)
     if refine and tau.tau.lo > 0.0:
         try:
-            t, s, pj = solve_tau_jet(X.p, X.sigma, tau.tau, 1, 1)
-            dj = delta_jet(t, s, pj)
-            dds, ddp = dj.coeff(1, 0), dj.coeff(0, 1)
+            dds, _ = delta_sigma_derivs(X.p, X.sigma, tau.tau)
+            ddp = delta_p_deriv(X.p, X.sigma, tau.tau)
             pm, sm, dm = _mid_point_delta(X)
             mvf = dm + dds * (X.sigma - sm) + ddp * (X.p - pm)
             tight = intersect(value, mvf)
@@ -226,43 +213,3 @@ def delta_eif(X: Box, tau: TauEnclosure, refine: bool = False) -> EifElement:
         except (DomainError, SingularConstraint, EmptyEnclosure):
             pass
     return EifElement(box=X, value=value, fid="delta")
-
-
-_DERIV_IDS = ("d_sigma", "d_sigma2", "d_p", "d_sigma_p", "d_sigma2_p")
-
-
-def derivative_eifs(X: Box, tau: TauEnclosure) -> dict[str, EifElement]:
-    """Interval extensions of the five constraint-surface derivatives.
-
-    Requires tau strictly positive over the box (jet transport goes through
-    log tau) and an F_tau enclosure excluding zero (SingularConstraint else).
-    """
-    if tau.tau.lo <= 0.0:
-        raise DomainError(
-            "derivative enclosures need tau bounded away from zero "
-            f"(tau = {tau.tau!r}); box reaches the sigma_p boundary"
-        )
-    t, s, pj = solve_tau_jet(X.p, X.sigma, tau.tau, 2, 1)
-    dj = delta_jet(t, s, pj)
-    vals = {
-        "d_sigma": dj.coeff(1, 0),
-        "d_sigma2": dj.coeff(2, 0) * 2.0,
-        "d_p": dj.coeff(0, 1),
-        "d_sigma_p": dj.coeff(1, 1),
-        "d_sigma2_p": dj.coeff(2, 1) * 2.0,
-    }
-    return {k: EifElement(box=X, value=v, fid=k) for k, v in vals.items()}
-
-
-def sigma_derivs_enclosure(X: Box, tau: TauEnclosure) -> tuple[EifElement, EifElement]:
-    """(dDelta/dsigma, d2Delta/dsigma2) enclosures from the atom formulas.
-
-    Unlike the jet route this stays valid when the tau enclosure touches
-    zero, provided every tau exponent is positive (needs p > 2 there); used
-    for the boundary-column convexity certificates.
-    """
-    dds, dds2 = delta_sigma_derivs(X.p, X.sigma, tau.tau)
-    return (
-        EifElement(box=X, value=dds, fid="d_sigma"),
-        EifElement(box=X, value=dds2, fid="d_sigma2"),
-    )

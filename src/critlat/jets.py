@@ -1,22 +1,16 @@
-"""Truncated bivariate Taylor jets over a generic scalar type.
+"""The formulas of the moduli surface, each written once over a generic scalar.
 
-A jet carries Taylor coefficients of a function of (sigma, p) up to sigma-degree
-`mi` and p-degree `mj`, with mi + mj <= 3 because the series of recip, exp
-and log stop at the cubic term (a larger order raises ValueError).
-Coefficients may be floats, Intervals, numpy arrays or anything else with
-ring operators plus exp/log, so the identical formulas produce machine-double
-derivatives, rigorous interval enclosures of derivatives, or vectorized
-derivative samples.
+Arguments may be floats (numpy float scalars too), float arrays, Intervals or
+VIs, so the same code gives machine-double values, vectorized samples, or
+rigorous enclosures: enclosure.py evaluates the formulas on the Interval lane
+and batch.py on the VI lane.  The formulas are the power atoms of
+F(tau, sigma, p) = A^p + B^p - 1 and Delta, the tau fixed-point map, the
+derivatives of Delta along the surface F = 0, and the boundary values sigma_p,
+tau_p, Delta(p, 1) and their p-slopes.
 
-The implicit function tau(sigma, p) defined by F(tau, sigma, p) = A^p + B^p - 1
-is transported order by order: each new Taylor coefficient of tau equals
--(residual coefficient of F)/F_tau, i.e. implicit differentiation mechanized.
-
-The same generic-scalar style carries every other formula the enclosures
-need, each written once: the atom formulas for the sigma-derivatives and
-d/dp, the tau fixed-point map, and the boundary values sigma_p, tau_p,
-Delta(p, 1) and their p-slopes.  enclosure.py evaluates them on the Interval
-lane and batch.py on the VI lane.
+The surface derivatives are implicit differentiation written out in the atoms:
+tau' = -F_sigma/F_tau and tau'' = -(F_ss + 2 F_st tau' + F_tt tau'^2)/F_tau in
+sigma, tau_p = -F_p/F_tau in p.
 """
 
 from __future__ import annotations
@@ -30,8 +24,6 @@ from .interval import DomainError, Interval, ipow
 from .vints import VI
 
 __all__ = [
-    "Jet",
-    "sexp",
     "slog",
     "spow",
     "spow_nonneg",
@@ -54,8 +46,6 @@ __all__ = [
     "delta_sigma_derivs",
     "delta_p_deriv",
     "tau_pow_log",
-    "solve_tau_jet",
-    "delta_jet",
     "SingularConstraint",
 ]
 
@@ -68,22 +58,13 @@ class SingularConstraint(Exception):
 # -- generic scalar helpers ----------------------------------------------------
 
 
-def sexp(x):
-    if type(x) is float:
-        return math.exp(x)
-    if isinstance(x, np.ndarray):
-        return np.exp(x)
-    return x.exp()  # Interval, Decimal
-
-
 def slog(x):
-    if type(x) is float:
-        return math.log(x)
-    if isinstance(x, np.ndarray):
-        return np.log(x)
+    """ln x on every lane: float, float array, Interval, VI."""
     if isinstance(x, (Interval, VI)):
         return x.log()
-    return x.ln()  # Decimal
+    if isinstance(x, np.ndarray):
+        return np.log(x)
+    return math.log(x)
 
 
 def spow(x, y):
@@ -157,170 +138,7 @@ def f_tau_scalar(p, sigma, tau):
     return p * b1 * (beta1 - t1 * alpha1)
 
 
-# -- jets ----------------------------------------------------------------------
-
-_MUL_TABLES: dict[tuple[int, int], list[list[tuple[int, int]]]] = {}
-_SHAPES: dict[tuple[int, int], list[tuple[int, int]]] = {}
-
-
-def _indices(mi: int, mj: int) -> list[tuple[int, int]]:
-    key = (mi, mj)
-    if key not in _SHAPES:
-        _SHAPES[key] = [(i, j) for j in range(mj + 1) for i in range(mi + 1)]
-    return _SHAPES[key]
-
-
-def _mul_table(mi: int, mj: int):
-    key = (mi, mj)
-    tab = _MUL_TABLES.get(key)
-    if tab is None:
-        idx = _indices(mi, mj)
-        pos = {ij: k for k, ij in enumerate(idx)}
-        tab = [[] for _ in idx]
-        for (i1, j1) in idx:
-            for (i2, j2) in idx:
-                out = (i1 + i2, j1 + j2)
-                if out in pos:
-                    tab[pos[out]].append((pos[(i1, j1)], pos[(i2, j2)]))
-        _MUL_TABLES[key] = tab
-    return tab
-
-
-class Jet:
-    __slots__ = ("c", "mi", "mj")
-
-    def __init__(self, coeffs: list, mi: int, mj: int):
-        if mi + mj > 3:
-            raise ValueError(f"jet order ({mi}, {mj}) exceeds total degree 3")
-        self.c = coeffs
-        self.mi = mi
-        self.mj = mj
-
-    @classmethod
-    def const(cls, value, mi: int, mj: int) -> "Jet":
-        c = [0.0] * len(_indices(mi, mj))
-        c[0] = value
-        return cls(c, mi, mj)
-
-    @classmethod
-    def var_sigma(cls, value, mi: int, mj: int) -> "Jet":
-        j = cls.const(value, mi, mj)
-        j.c[_indices(mi, mj).index((1, 0))] = 1.0
-        return j
-
-    @classmethod
-    def var_p(cls, value, mi: int, mj: int) -> "Jet":
-        j = cls.const(value, mi, mj)
-        j.c[_indices(mi, mj).index((0, 1))] = 1.0
-        return j
-
-    def coeff(self, i: int, j: int):
-        return self.c[_indices(self.mi, self.mj).index((i, j))]
-
-    def deriv(self, i: int, j: int):
-        """Partial derivative d^{i+j} / dsigma^i dp^j from the Taylor coefficient."""
-        return self.coeff(i, j) * float(math.factorial(i) * math.factorial(j))
-
-    def _like(self, coeffs) -> "Jet":
-        return Jet(coeffs, self.mi, self.mj)
-
-    def __add__(self, other) -> "Jet":
-        if isinstance(other, Jet):
-            return self._like([a + b for a, b in zip(self.c, other.c)])
-        c = list(self.c)
-        c[0] = c[0] + other
-        return self._like(c)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Jet":
-        return self._like([-a for a in self.c])
-
-    def __sub__(self, other) -> "Jet":
-        if isinstance(other, Jet):
-            return self._like([a - b for a, b in zip(self.c, other.c)])
-        c = list(self.c)
-        c[0] = c[0] - other
-        return self._like(c)
-
-    def __rsub__(self, other) -> "Jet":
-        return (-self).__add__(other)
-
-    def __mul__(self, other) -> "Jet":
-        if not isinstance(other, Jet):
-            return self._like([a * other for a in self.c])
-        a, b = self.c, other.c
-        out = []
-        for pairs in _mul_table(self.mi, self.mj):
-            (ka, kb) = pairs[0]
-            acc = a[ka] * b[kb]
-            for ka, kb in pairs[1:]:
-                acc = acc + a[ka] * b[kb]
-            out.append(acc)
-        return self._like(out)
-
-    __rmul__ = __mul__
-
-    def _tilde(self) -> "Jet":
-        c = list(self.c)
-        c[0] = 0.0
-        return self._like(c)
-
-    def _poly123(self, k1, k2, d3, scale=None) -> "Jet":
-        # k1*t + k2*t^2 + t^3/d3 truncated, t = self without its constant
-        # term; with a scale, (1 + that) * scale.  The cubic coefficient is a
-        # divisor applied after the scale: 1/6 and 1/3 are not floats, and a
-        # lane-typed coefficient divided by the exact 6.0 or 3.0 rounds
-        # outward on the interval lanes.
-        t = self._tilde()
-        total = self.mi + self.mj
-        acc = t * k1
-        if total >= 2:
-            t2 = t * t
-            acc = acc + t2 * k2
-        if scale is not None:
-            acc.c[0] = acc.c[0] + 1.0
-            acc = acc * scale
-        if total >= 3:
-            t3 = t2 * t
-            if scale is not None:
-                t3 = t3 * scale
-            acc = acc + t3._like([a / d3 for a in t3.c])
-        return acc
-
-    def recip(self) -> "Jet":
-        u0 = self.c[0]
-        inv = 1 / u0
-        w = self * inv  # constant becomes 1
-        return w._poly123(-1.0, 1.0, -1.0, inv)
-
-    def __truediv__(self, other) -> "Jet":
-        if isinstance(other, Jet):
-            return self * other.recip()
-        return self * (1 / other)
-
-    def __rtruediv__(self, other) -> "Jet":
-        return self.recip() * other
-
-    def exp(self) -> "Jet":
-        return self._poly123(1.0, 0.5, 6.0, sexp(self.c[0]))
-
-    def log(self) -> "Jet":
-        u0 = self.c[0]
-        w = self * (1 / u0)
-        series = w._poly123(1.0, -0.5, 3.0)
-        series.c[0] = slog(u0)
-        return series
-
-    def pow(self, expo) -> "Jet":
-        """self**expo for positive constant term; expo is a Jet or scalar."""
-        lg = self.log()
-        if isinstance(expo, Jet):
-            return (expo * lg).exp()
-        return (lg * expo).exp()
-
-
-# -- implicit tau jet and the delta jet ----------------------------------------
+# -- Delta, the tau fixed point and the surface derivatives --------------------
 
 
 def tpow(tau, e):
@@ -399,7 +217,8 @@ def tau_pow_log(tau, p):
 
     The product extends continuously by 0 at tau = 0; it is decreasing in tau
     on [0, 0.36] (p ln tau + 1 < 0 there for p > 1) and increasing in p, so
-    monotone endpoint evaluation is tight.  Scalar types: float, Interval, VI.
+    monotone endpoint evaluation is tight.  Scalar types: float, float array,
+    Interval, VI.
     """
     if isinstance(tau, Interval):
         P = p if isinstance(p, Interval) else Interval.point(float(p))
@@ -425,6 +244,10 @@ def tau_pow_log(tau, p):
         hi = np.where(tau.lo > 0.0, hi, 0.0)
         bad = (tau.lo < 0.0) | np.isnan(tau.lo)
         return VI(np.where(bad, np.nan, lo), np.where(bad, np.nan, hi))
+    if isinstance(tau, np.ndarray):
+        pos = tau > 0.0
+        t = np.where(pos, tau, 1.0)
+        return np.where(pos, t**p * np.log(t), 0.0)
     if tau <= 0.0:
         return 0.0
     return tau**p * math.log(tau)
@@ -745,53 +568,3 @@ def d_delta_edge_low_scalar(p, tp):
     return delta_edge_low_scalar(p, tp) * (
         lift(p, *_LN4) / (p * p) + 2 * tp_prime / (1 - tp * tp)
     )
-
-
-def _f_jet(t: Jet, s: Jet, pj: Jet) -> Jet:
-    inv_p = pj.recip()
-    neg_inv = -inv_p
-    a0 = (s.pow(pj) + 1.0).pow(neg_inv)
-    b0 = (t.pow(pj) + 1.0).pow(neg_inv)
-    A = b0 - a0
-    B = t * b0 + s * a0
-    return A.pow(pj) + B.pow(pj) - 1.0
-
-
-def solve_tau_jet(p_val, s_val, tau0, mi: int, mj: int):
-    """Jets (tau, sigma, p) at the point/box, tau transported through F = 0.
-
-    tau0 must enclose (or equal) the root of F(., s_val, p_val); its scalar
-    type dictates the arithmetic.  Raises SingularConstraint when F_tau is
-    zero or its enclosure contains zero.
-    """
-    ftau = f_tau_scalar(p_val, s_val, tau0)
-    if isinstance(ftau, Interval):
-        if ftau.contains_zero():
-            raise SingularConstraint(f"F_tau enclosure {ftau!r} contains zero")
-    elif isinstance(ftau, np.ndarray):
-        if np.any(np.abs(ftau) < 1e-12):
-            raise SingularConstraint("F_tau vanishes in sample")
-    elif abs(ftau) < 1e-12:
-        raise SingularConstraint(f"F_tau = {ftau} below tolerance")
-
-    s = Jet.var_sigma(s_val, mi, mj)
-    pj = Jet.var_p(p_val, mi, mj)
-    t = Jet.const(tau0, mi, mj)
-    idx = _indices(mi, mj)
-    for degree in range(1, mi + mj + 1):
-        level = [ij for ij in idx if sum(ij) == degree]
-        if not level:
-            continue
-        F = _f_jet(t, s, pj)
-        for ij in level:
-            k = idx.index(ij)
-            t.c[k] = -F.c[k] / ftau
-    return t, s, pj
-
-
-def delta_jet(t: Jet, s: Jet, pj: Jet) -> Jet:
-    """(tau + sigma)(1 + tau^p)^(-1/p)(1 + sigma^p)^(-1/p) as a jet."""
-    neg_inv = -pj.recip()
-    a0 = (s.pow(pj) + 1.0).pow(neg_inv)
-    b0 = (t.pow(pj) + 1.0).pow(neg_inv)
-    return (t + s) * a0 * b0

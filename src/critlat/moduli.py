@@ -23,7 +23,12 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from .interval import DomainError
-from .jets import SingularConstraint, delta_jet, f_tau_scalar, solve_tau_jet  # noqa: F401 (SingularConstraint re-exported)
+from .jets import (
+    SingularConstraint,
+    delta_p_deriv,
+    delta_sigma_derivs,
+    f_tau_scalar,
+)
 
 __all__ = [
     "ParamDomain",
@@ -280,28 +285,52 @@ def boundary_min(p: float, tie_tol: float = 1e-10) -> BoundaryMin:
 # -- derivatives along the constraint surface -------------------------------------
 
 
+# the imaginary step in p: far below every real part, so h^2 terms vanish in
+# floating point, yet far above the smallest normal double
+_COMPLEX_STEP = 1e-30
+
+
 def derivatives(p: float, sigma: float) -> DeltaDerivatives:
     """The five constraint-surface derivatives of Delta at (p, sigma).
 
-    Taylor transport through F(tau, sigma, p) = 0: each tau coefficient is
-    -residual/F_tau (implicit differentiation), then Delta's jet is read off.
-    Needs the interior in the sense tau > 0 (at sigma = sigma_p the mixed
-    powers tau^(p-2) degenerate for p < 2).
+    d_sigma, d_sigma2 and d_p are the atom formulas of jets.py on floats at
+    the point's tau.  The mixed d_sigma_p and d_sigma2_p are a complex step in
+    p (Squire & Trapp, SIAM Review 40, 1998): for f analytic and real on the
+    reals, f(p + ih) = f(p) + ih f'(p) + O(h^2), so f'(p) = Im f(p + ih)/h up
+    to O(h^2), here far below rounding.  Nothing is subtracted, so nothing
+    cancels, and the result is exact to rounding for any small h.  f is
+    delta_sigma_derivs with tau following the surface: one Newton step from
+    the real root tau0, tc = tau0 - F(p + ih, sigma, tau0)/F_tau(p, sigma,
+    tau0), gives tau(p + ih) to first order in h.  F(p, sigma, tau0) = 0, so
+    the step moves tau0 by ih (-F_p/F_tau), that is by ih tau_p; the errors
+    of F_tau taken at p instead of p + ih and of the dropped Newton
+    remainder are O(h^2).
+
+    Needs the interior in the sense tau > 0 (at sigma = sigma_p the powers
+    tau^(p-2) degenerate for p < 2), else DomainError; a vanishing F_tau
+    raises SingularConstraint.
     """
+    p, sigma = float(p), float(sigma)
     tau0 = tau_point(p, sigma)
     if tau0 < 1e-7:
         raise DomainError(
             f"derivatives need tau bounded away from 0 (sigma too close to "
             f"sigma_p at p={p}, sigma={sigma})"
         )
-    t, s, pj = solve_tau_jet(float(p), float(sigma), float(tau0), 2, 1)
-    dj = delta_jet(t, s, pj)
+    ftau = f_tau_scalar(p, sigma, tau0)
+    if abs(ftau) < 1e-12:
+        raise SingularConstraint(f"F_tau = {ftau} below tolerance")
+    d_sigma, d_sigma2 = delta_sigma_derivs(p, sigma, tau0)
+    h = _COMPLEX_STEP
+    pc = complex(p, h)
+    tc = tau0 - _f_resid(pc, sigma, tau0) / ftau
+    d_sigma_c, d_sigma2_c = delta_sigma_derivs(pc, sigma, tc)
     return DeltaDerivatives(
-        d_sigma=dj.deriv(1, 0),
-        d_sigma2=dj.deriv(2, 0),
-        d_p=dj.deriv(0, 1),
-        d_sigma_p=dj.deriv(1, 1),
-        d_sigma2_p=dj.deriv(2, 1),
+        d_sigma=d_sigma,
+        d_sigma2=d_sigma2,
+        d_p=delta_p_deriv(p, sigma, tau0),
+        d_sigma_p=d_sigma_c.imag / h,
+        d_sigma2_p=d_sigma2_c.imag / h,
     )
 
 

@@ -17,9 +17,11 @@ from critlat import enclosure as E
 from critlat import elliptic as EL
 from critlat import moduli as M
 from critlat import verifier as V
+from critlat.batch import tau_enclose_batch
 from critlat.cli import main as cli_main
-from critlat.jets import solve_tau_jet, delta_jet
+from critlat.jets import delta_p_deriv, delta_scalar, delta_sigma_derivs
 from critlat.verifier import parse_certificate
+from critlat.vints import VI
 
 SQRT3 = math.sqrt(3.0)
 GRID_P = np.linspace(1.4, 4.0, 30)
@@ -92,6 +94,10 @@ def test_criterion_4_enclosure_soundness_suite():
     n_boxes = 200
     n_samples = 10_000
     chains = 0
+    boxes = []
+    # per box, the sampled (min, max) of tau, Delta, dDelta/dsigma,
+    # d2Delta/dsigma2 and dDelta/dp
+    ranges = np.empty((n_boxes, 5, 2))
     for k in range(n_boxes):
         wp = rng.uniform(0.002, 0.05)
         ws = rng.uniform(0.002, 0.05)
@@ -99,6 +105,7 @@ def test_criterion_4_enclosure_soundness_suite():
         sp_guard = M.sigma_p(p_lo)  # sigma_p is increasing; guard at p_lo
         s_lo = rng.uniform(1.0, sp_guard * 0.93 - ws)
         X = Box.of(p_lo, p_lo + wp, s_lo, s_lo + ws)
+        boxes.append(X)
 
         enc = E.tau_interval(X)
         assert E.DEFAULT_SEED.contains_interval(enc.tau)
@@ -108,26 +115,14 @@ def test_criterion_4_enclosure_soundness_suite():
         taus = M.tau_point_vec(ps, ss)
         assert enc.tau.lo <= taus.min() and taus.max() <= enc.tau.hi
 
-        d_eif = E.delta_eif(X, enc)
-        deltas = (taus + ss) * (1.0 + ss**ps) ** (-1.0 / ps) * (
-            1.0 + taus**ps
-        ) ** (-1.0 / ps)
-        assert d_eif.value.lo <= deltas.min() and deltas.max() <= d_eif.value.hi
-
-        if enc.tau.lo > 0.0:
-            eifs = E.derivative_eifs(X, enc)
-            t, s, pj = solve_tau_jet(ps, ss, taus, 2, 1)
-            dj = delta_jet(t, s, pj)
-            samples = {
-                "d_sigma": dj.deriv(1, 0),
-                "d_sigma2": dj.deriv(2, 0),
-                "d_p": dj.deriv(0, 1),
-                "d_sigma_p": dj.deriv(1, 1),
-                "d_sigma2_p": dj.deriv(2, 1),
-            }
-            for key, arr in samples.items():
-                v = eifs[key].value
-                assert v.lo <= arr.min() and arr.max() <= v.hi, key
+        # the references: the atom formulas on float arrays, which
+        # criterion 5 checks against the decimal oracle
+        deltas = delta_scalar(ps, ss, taus)
+        for eif in (E.delta_eif(X, enc), E.delta_eif(X, enc, refine=True)):
+            assert eif.value.lo <= deltas.min() and deltas.max() <= eif.value.hi
+        samples = (taus, deltas, *delta_sigma_derivs(ps, ss, taus),
+                   delta_p_deriv(ps, ss, taus))
+        ranges[k] = [(a.min(), a.max()) for a in samples]
 
         if k % 40 == 0:
             # refinement consistency on a nested chain inside this box
@@ -145,9 +140,21 @@ def test_criterion_4_enclosure_soundness_suite():
             for outer, inner in zip(vals, vals[1:]):
                 assert outer.contains_interval(inner)
             chains += 1
+
+    # the lane that certifies: all boxes as one VI, as the subpavings do
+    P = VI(np.array([X.p.lo for X in boxes]), np.array([X.p.hi for X in boxes]))
+    S = VI(np.array([X.sigma.lo for X in boxes]), np.array([X.sigma.hi for X in boxes]))
+    T, vacuous = tau_enclose_batch(P, S)
+    assert not vacuous.any()
+    encs = (T, delta_scalar(P, S, T), *delta_sigma_derivs(P, S, T), delta_p_deriv(P, S, T))
+    names = ("tau", "delta", "d_sigma", "d_sigma2", "d_p")
+    for name, v, (lo, hi) in zip(names, encs, ranges.transpose(1, 2, 0)):
+        assert np.all((v.lo <= lo) & (hi <= v.hi)), name
     print(f"\nACCEPT 4 PASS: {n_boxes} random boxes, {n_samples} samples each, "
-          f"no escape from tau/delta/derivative enclosures; {chains} nested "
-          "chains refinement-consistent; seed [0, 0.36] and precheck gate held")
+          "no escape from the VI enclosures of tau, delta, dDelta/dsigma, "
+          "d2Delta/dsigma2 and dDelta/dp, nor from the Interval-lane tau and "
+          f"delta (natural and refined); {chains} nested chains "
+          "refinement-consistent; seed [0, 0.36] and precheck gate held")
 
 
 def test_criterion_5_derivatives_vs_decimal_fd():

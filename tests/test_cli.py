@@ -10,6 +10,7 @@ import warnings
 import pytest
 
 from critlat.cli import main
+from critlat.moduli import sigma_p
 from critlat.verifier import parse_certificate
 from critlat.vints import VI
 
@@ -42,6 +43,13 @@ class TestEval:
         assert code == 0
         names = {l.split(",")[0] for l in out.splitlines()[1:]}
         assert names == {"d_sigma", "d_sigma2", "d_p", "d_sigma_p", "d_sigma2_p"}
+
+    def test_derivatives_on_the_curve_exit_4(self, capsys):
+        # tau = 0 on sigma = sigma_p: a numeric refusal, not a traceback
+        sigma = repr(sigma_p(2.4))
+        code, _ = run(["eval", "--p", "2.4", "--sigma", sigma, "--what", "derivatives"])
+        assert code == 4
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestP0:

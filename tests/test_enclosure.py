@@ -1,8 +1,8 @@
-"""Rigorous enclosures: the tau fixed-point iteration, delta and derivative
-eif-elements, boundary enclosures, and the batch lane."""
+"""Rigorous enclosures: the tau fixed-point iteration, the delta eif-element,
+derivative enclosures from the atom formulas, boundary enclosures, and the
+batch lane."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from critlat.batch import (
 )
 from critlat.jets import (
     TAU_STEPS,
-    Jet,
+    delta_p_deriv,
     delta_sigma_derivs,
     phi_consts,
     phi_prime,
@@ -186,36 +186,37 @@ class TestDeltaEif:
         assert dr.value.lo <= deltas.min() and deltas.max() <= dr.value.hi
 
 
+def derivative_enclosures(X: Box) -> dict[str, Interval]:
+    """dDelta/dsigma, d2Delta/dsigma2 and dDelta/dp enclosed over X by the
+    atom formulas on the Interval lane, keyed as in moduli.DeltaDerivatives."""
+    tau = E.tau_interval(X).tau
+    dds, dds2 = delta_sigma_derivs(X.p, X.sigma, tau)
+    return {"d_sigma": dds, "d_sigma2": dds2, "d_p": delta_p_deriv(X.p, X.sigma, tau)}
+
+
 class TestDerivativeEifs:
     def test_point_derivatives_inside(self):
         X = Box.of(2.29, 2.31, 1.19, 1.21)
-        eifs = E.derivative_eifs(X, E.tau_interval(X))
         d = M.derivatives(2.3, 1.2)
-        for k, eif in eifs.items():
-            assert eif.value.contains(getattr(d, k)), k
+        for k, v in derivative_enclosures(X).items():
+            assert v.contains(getattr(d, k)), k
 
     def test_p2_dsigma_contains_zero(self):
-        X = point_box(2.0, 1.3)
-        eifs = E.derivative_eifs(X, E.tau_interval(X))
-        assert eifs["d_sigma"].value.contains(0.0)
+        assert derivative_enclosures(point_box(2.0, 1.3))["d_sigma"].contains(0.0)
 
     def test_sample_containment(self):
         X = Box.of(2.35, 2.37, 1.3, 1.32)
-        eifs = E.derivative_eifs(X, E.tau_interval(X))
+        d_p = derivative_enclosures(X)["d_p"]
         rng = np.random.default_rng(31)
         for _ in range(60):
             p = rng.uniform(X.p.lo, X.p.hi)
             s = rng.uniform(X.sigma.lo, X.sigma.hi)
-            d = M.derivatives(p, s)
-            for k, eif in eifs.items():
-                assert eif.value.contains(getattr(d, k)), (k, p, s)
+            assert d_p.contains(M.derivatives(p, s).d_p), (p, s)
 
     def test_thin_strip_c_element(self):
         # near sigma = 1 at p = 2.4 the first derivative is sign-definite on
         # a strip not touching the edge: point samples fix the sign first,
-        # then a subpaved hull of atom-formula enclosures certifies it
-        from critlat.enclosure import EifElement
-
+        # then a subpaving of atom-formula enclosures certifies it
         X = Box.of(2.3999, 2.4001, 1.15, 1.152)
         signs = {np.sign(M.derivatives(p, s).d_sigma)
                  for p in (2.3999, 2.4001) for s in (1.15, 1.152)}
@@ -227,51 +228,43 @@ class TestDerivativeEifs:
         T, vac = tau_enclose_batch(P, S)
         assert not vac.any()
         dds, _ = delta_sigma_derivs(P, S, T)
-        eif = EifElement(
-            box=X, value=Interval(float(dds.lo.min()), float(dds.hi.max())),
-            fid="d_sigma",
-        )
-        assert eif.is_c_element
-        assert eif.sign == -1
+        assert dds.hi.max() < 0.0
 
     def test_requires_interior(self):
+        # the mean-value form needs tau bounded away from zero; on a box
+        # straddling the sigma_p curve tau reaches zero, and refine keeps
+        # the natural value exactly
         p = 2.5
         sp = M.sigma_p(p)
-        X = Box(Interval.point(p), Interval(sp - 1e-9, sp))
-        with pytest.raises(DomainError):
-            E.derivative_eifs(X, E.tau_interval(X))
+        X = Box.of(p - 0.01, p + 0.01, sp - 0.02, sp + 0.02)
+        enc = E.tau_interval(X)
+        assert enc.tau.lo == 0.0
+        natural = E.delta_eif(X, enc).value
+        refined = E.delta_eif(X, enc, refine=True).value
+        assert (refined.lo, refined.hi) == (natural.lo, natural.hi)
 
     def test_refinement_chain(self):
         boxes = [Box.of(2.3, 2.3 + w, 1.2, 1.2 + w) for w in (0.04, 0.02, 0.01)]
         prev = None
         for X in boxes:
-            eifs = E.derivative_eifs(X, E.tau_interval(X))
+            encs = derivative_enclosures(X)
             if prev is not None:
-                for k in eifs:
-                    assert prev[k].value.contains_interval(eifs[k].value), k
-            prev = eifs
+                for k in encs:
+                    assert prev[k].contains_interval(encs[k]), k
+            prev = encs
 
 
 class TestAtomFormulaEnclosures:
-    def test_agrees_with_jets_pointwise(self):
-        for (p, s) in ((2.3, 1.2), (1.7, 1.1), (3.0, 1.5)):
-            tau = M.tau_point(p, s)
-            dds, dds2 = delta_sigma_derivs(p, s, tau)
-            d = M.derivatives(p, s)
-            assert abs(dds - d.d_sigma) < 1e-9
-            assert abs(dds2 - d.d_sigma2) < 1e-9
-
     def test_enclosure_contains_pointwise(self):
         X = Box.of(2.3, 2.33, 1.4, 1.45)
-        enc = E.tau_interval(X)
-        dds_e, dds2_e = E.sigma_derivs_enclosure(X, enc)
+        dds, dds2 = delta_sigma_derivs(X.p, X.sigma, E.tau_interval(X).tau)
         rng = np.random.default_rng(7)
         for _ in range(40):
             p = rng.uniform(X.p.lo, X.p.hi)
             s = rng.uniform(X.sigma.lo, X.sigma.hi)
             d = M.derivatives(p, s)
-            assert dds_e.value.contains(d.d_sigma)
-            assert dds2_e.value.contains(d.d_sigma2)
+            assert dds.contains(d.d_sigma)
+            assert dds2.contains(d.d_sigma2)
 
     def test_zero_touching_tau_needs_p_above_2(self):
         p = 1.8
@@ -280,7 +273,27 @@ class TestAtomFormulaEnclosures:
         enc = E.tau_interval(X)
         assert enc.tau.lo == 0.0
         with pytest.raises(DomainError):
-            E.sigma_derivs_enclosure(X, enc)
+            delta_sigma_derivs(X.p, X.sigma, enc.tau)
+
+    def test_numpy_floats_and_arrays_match_floats(self):
+        # the float lane takes numpy float scalars, with the per-float
+        # results bit for bit, and float arrays: numpy's pow and log round
+        # some last bits unlike libm's, which cancellation in the formulas
+        # lifts to about 1e-14 of a column's scale
+        rng = np.random.default_rng(13)
+        ps = rng.uniform(1.3, 4.5, 50)
+        ss = np.array([1.0 + f * (M.sigma_p(p) - 1.0) for p, f in
+                       zip(ps, rng.uniform(0.05, 0.95, 50))])
+        taus = M.tau_point_vec(ps, ss)
+        want = np.array([(*delta_sigma_derivs(p, s, t), delta_p_deriv(p, s, t))
+                         for p, s, t in zip(ps.tolist(), ss.tolist(), taus.tolist())])
+        scalars = np.array([(*delta_sigma_derivs(p, s, t), delta_p_deriv(p, s, t))
+                            for p, s, t in zip(ps, ss, taus)])
+        arrays = np.column_stack((*delta_sigma_derivs(ps, ss, taus),
+                                  delta_p_deriv(ps, ss, taus)))
+        assert isinstance(ps[0], np.float64)
+        assert np.array_equal(scalars, want)
+        assert np.all(np.abs(arrays - want) <= 1e-13 * np.abs(want).max(axis=0))
 
 
 def both_lanes(scalar_fn, batch_fn, p_lo, p_hi):
@@ -497,30 +510,6 @@ class TestTauPSearch:
         # far below the capped bisection's 160 calls
         for lane in _HUGE_P:
             assert residual_calls([lane]) <= 48, lane
-
-
-class TestJet:
-    def test_degree_3_accepted(self):
-        x = Jet.var_sigma(0.5, 3, 0)
-        assert abs(x.exp().coeff(3, 0) - math.exp(0.5) / 6.0) < 1e-15
-
-    def test_cubic_exp_log_coefficients_contain_exact_rationals(self):
-        # exp(s) = 1 + s + s^2/2 + s^3/6 and log(1 + s) = s - s^2/2 + s^3/3
-        # at s = 0: 1/6 and 1/3 are not floats, so a point-float constant
-        # would leave the exact coefficient outside the interval
-        for f, exact in ((Jet.exp, Fraction(1, 6)), (Jet.log, Fraction(1, 3))):
-            s0 = Interval(0.0, 0.0) if f is Jet.exp else Interval(1.0, 1.0)
-            c = f(Jet.var_sigma(s0, 3, 0)).coeff(3, 0)
-            assert isinstance(c, Interval)
-            assert Fraction(c.lo) <= exact <= Fraction(c.hi), (f.__name__, c)
-
-    def test_degree_above_3_rejected(self):
-        # the series stop at the cubic term: a quartic jet would silently
-        # read 0 for exp(x) at order 4 instead of e^0.5/24
-        with pytest.raises(ValueError):
-            Jet.var_sigma(0.5, 4, 0)
-        with pytest.raises(ValueError):
-            Jet.const(1.0, 2, 2)
 
 
 class TestBatchLane:
