@@ -32,6 +32,14 @@ running jobs into one VI array, which keeps numpy busy on wide arrays
 instead of many narrow ones.  Every op in a wave is elementwise and each job
 keeps its own budget, split scales and hull, so every job ends (Subpaving)
 as it would alone.
+
+A wave also carries each job's next split levels, every box of each, while
+the job's lanes stay within SPECULATE_LANES and its nodes within its budget
+(_speculate); the levels are then replayed one at a time, as a run without
+them would evaluate them.  A wave costs a few milliseconds of numpy calls
+whatever its width, so a narrow job ends in fewer waves; the lanes whose
+parent passed are wasted, and the `nodes` that the benchmark counts include
+them.
 """
 
 from __future__ import annotations
@@ -267,21 +275,45 @@ class Subpaving(NamedTuple):
     nodes: int
 
 
+def _speculate(boxes: np.ndarray, scale, room: int) -> list[np.ndarray]:
+    """boxes, then as many levels of speculative children as fit: every box
+    of the deepest level split on `scale`, while the job's lanes in the wave
+    stay within SPECULATE_LANES and its nodes grow by at most `room`.  A
+    child keeps the seed columns of the level it was split from."""
+    levels = [boxes]
+    lanes = len(boxes)
+    while lanes + 2 * len(levels[-1]) <= SPECULATE_LANES and 2 * len(levels[-1]) <= room:
+        room -= 2 * len(levels[-1])
+        lanes += 2 * len(levels[-1])
+        levels.append(_split_boxes(levels[-1], *scale))
+    return levels
+
+
 def _subpave(jobs, scales, min_width: float, wave) -> list[Subpaving]:
     """Adaptive subpaving of all jobs at once, one merged VI array per wave.
 
     A box is a row (p lo, p hi, sigma lo, sigma hi, tau lo, tau hi), the tau
     columns seeding its fixed point (tau_enclose_batch): TAU_SEED for a
-    job's first box, then the parent box's enclosure.  wave(boxes) evaluates
-    the concatenated boxes of the running jobs, overwrites their tau columns
-    with their enclosures and returns per-lane (vacuous, ok, lo, hi), ok
-    meaning the enclosure [lo, hi] is positive.  A job passes when every box
-    is vacuous or ok; otherwise its failing boxes are split on the job's
-    scales.  A job whose
-    node count would exceed its budget stops before the wave is evaluated,
-    and one with a failing box thinner than min_width stops after it.  Each
-    job sees exactly the waves of a run of its own, so its result does not
-    depend on the other jobs.
+    job's first box, then the enclosure of an evaluated ancestor.
+    wave(boxes) evaluates the concatenated boxes of the running jobs,
+    overwrites their tau columns with their enclosures and returns per-lane
+    (vacuous, ok, lo, hi), ok meaning the enclosure [lo, hi] is positive.  A
+    job passes when every box is vacuous or ok; otherwise its failing boxes
+    are split on the job's scales.  A job whose node count would exceed its
+    budget stops before the boxes are evaluated, and one with a failing box
+    thinner than min_width stops after it.
+
+    A wave evaluates a job's boxes together with its next split levels
+    (_speculate), every box of each, and then replays the levels one at a
+    time, in the order of a run without them: the budget check on the
+    boxes the level needs (the children, rows 2r and 2r + 1, of the
+    failing boxes r of the level above), the hull over their live lanes,
+    the certified or vacuous end, and the width floor on their failing
+    boxes.  The deepest level's failing boxes, with their enclosures, are
+    split for the next wave.  A box's result does not depend on its seed
+    (tau_enclose_batch) nor on the other lanes of its wave, and
+    speculation depends on the job alone, so each job ends as it would in a
+    run of its own, with or without speculation.
     """
     boxes = {
         j: np.array([(*job[:4], *TAU_SEED)], dtype=float) for j, job in enumerate(jobs)
@@ -291,47 +323,64 @@ def _subpave(jobs, scales, min_width: float, wave) -> list[Subpaving]:
     result: list = [None] * len(jobs)
     running = list(range(len(jobs)))
     while running:
-        batch = []
+        batch, levels = [], []
         for j in running:
             nodes[j] += len(boxes[j])
             if nodes[j] > jobs[j].max_nodes:
                 result[j] = Subpaving(None, BUDGET_HIT, nodes[j])
             else:
                 batch.append(j)
+                levels.append(_speculate(boxes[j], scales[j], jobs[j].max_nodes - nodes[j]))
         if not batch:
             break
-        sizes = [len(boxes[j]) for j in batch]
-        evaluated = np.concatenate([boxes[j] for j in batch])
-        boxes = {}  # the next wave's: the children of this one's failing boxes
+        evaluated = np.concatenate([level for lv in levels for level in lv])
+        boxes = {}  # the next wave's: the children of the deepest failing boxes
         vac, ok, lo, hi = wave(evaluated)
         good = vac | ok
         live = ok & ~vac
         running = []
-        for j, b, a in zip(batch, np.cumsum(sizes), np.cumsum(sizes) - sizes):
-            wlo, whi = hull[j]
-            if np.any(live[a:b]):
-                wlo = min(wlo, float(lo[a:b][live[a:b]].min()))
-                whi = max(whi, float(hi[a:b][live[a:b]].max()))
-                hull[j] = wlo, whi
-            fails = evaluated[a:b][~good[a:b]]
-            if not len(fails):
-                if np.isfinite(wlo):
-                    result[j] = Subpaving((wlo, whi), CERTIFIED, nodes[j])
-                else:  # every box vacuous: nothing to witness
-                    result[j] = Subpaving(None, VACUOUS, nodes[j])
-                continue
-            too_thin = np.minimum(
-                fails[:, 1] - fails[:, 0], fails[:, 3] - fails[:, 2]
-            ) < min_width
-            if np.any(too_thin):
-                result[j] = Subpaving(None, FLOOR_HIT, nodes[j])
-                continue
-            boxes[j] = _split_boxes(fails, *scales[j])
-            running.append(j)
+        end = 0
+        for j, lv in zip(batch, levels):
+            b, end = end, end + sum(len(level) for level in lv)
+            need = np.ones(len(lv[0]), dtype=bool)
+            for depth, level in enumerate(lv):
+                a, b = b, b + len(level)
+                if depth:
+                    nodes[j] += int(np.count_nonzero(need))
+                    if nodes[j] > jobs[j].max_nodes:
+                        result[j] = Subpaving(None, BUDGET_HIT, nodes[j])
+                        break
+                seen = live[a:b] & need
+                if seen.any():
+                    wlo, whi = hull[j]
+                    hull[j] = (
+                        min(wlo, float(lo[a:b][seen].min())),
+                        max(whi, float(hi[a:b][seen].max())),
+                    )
+                fails = need & ~good[a:b]
+                if not fails.any():
+                    if np.isfinite(hull[j][0]):
+                        result[j] = Subpaving(hull[j], CERTIFIED, nodes[j])
+                    else:  # every box vacuous: nothing to witness
+                        result[j] = Subpaving(None, VACUOUS, nodes[j])
+                    break
+                failing = evaluated[a:b][fails]
+                too_thin = np.minimum(
+                    failing[:, 1] - failing[:, 0], failing[:, 3] - failing[:, 2]
+                ) < min_width
+                if too_thin.any():
+                    result[j] = Subpaving(None, FLOOR_HIT, nodes[j])
+                    break
+                if depth + 1 == len(lv):
+                    boxes[j] = _split_boxes(failing, *scales[j])
+                    running.append(j)
+                else:
+                    need = np.repeat(fails, 2)
     return result
 
 
 MAX_LANES = 4096  # lanes evaluated at once; wider waves only cost memory
+SPECULATE_LANES = 128  # a job's lanes in one wave, its speculative levels included
 
 
 def _in_chunks(boxes: np.ndarray, evaluate) -> tuple:

@@ -244,3 +244,47 @@ def test_tau_p_tables_carry_across_chunks(monkeypatch):
     assert B.subpave_delta_above(job, "low") == expected
     assert chunks[0] > 2 * 17  # many waves span several chunks
     assert len(searched) == len(set(searched))
+
+
+@pytest.mark.parametrize("kind", sorted(_MIXED_JOBS))
+def test_speculative_levels_change_no_end(kind, monkeypatch):
+    # each job evaluates its next split levels in the same wave and replays
+    # them one by one: hull, end and nodes are those of a run without them
+    jobs = _MIXED_JOBS[kind]
+    speculative = _subpave(kind, jobs)
+    assert [s.end for s in speculative] == [B.CERTIFIED, B.BUDGET_HIT, B.FLOOR_HIT, B.VACUOUS]
+    monkeypatch.setattr(B, "SPECULATE_LANES", 0)
+    assert _subpave(kind, jobs) == speculative
+
+
+@pytest.mark.parametrize("kind", sorted(_MIXED_JOBS))
+def test_speculation_stays_within_the_node_budget(kind, monkeypatch):
+    # the boxes a job evaluates at each depth, from a run without speculation,
+    # give its node count when a wave starts there; the speculative levels of
+    # that wave fit in what is left of the job's budget
+    speculate = B._speculate
+    calls = []
+
+    def spy(boxes, scale, room):
+        levels = speculate(boxes, scale, room)
+        calls.append((boxes[:, :4].copy(), room, [len(level) for level in levels]))
+        return levels
+
+    monkeypatch.setattr(B, "_speculate", spy)
+    speculated = 0
+    for job in _MIXED_JOBS[kind]:
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(B, "SPECULATE_LANES", 0)
+            _subpave(kind, [job])
+        depths = [boxes for boxes, _, _ in calls]
+        counted = np.cumsum([len(boxes) for boxes in depths])
+        calls.clear()
+        _subpave(kind, [job])
+        for boxes, room, sizes in calls:
+            d = next(i for i, b in enumerate(depths) if np.array_equal(b, boxes))
+            assert room == job.max_nodes - counted[d]
+            assert sum(sizes[1:]) <= room
+            assert sum(sizes) <= max(B.SPECULATE_LANES, sizes[0])
+            speculated += len(sizes) > 1
+    assert speculated > 0
