@@ -55,7 +55,7 @@ from .jets import (
     d_delta_edge_low_scalar,
     d_sigma_p_scalar,
     delta_edge_low_scalar,
-    delta_p_deriv,
+    delta_gradient,
     delta_scalar,
     delta_sigma_derivs,
     phi_consts,
@@ -379,6 +379,20 @@ def _subpave(jobs, scales, min_width: float, wave) -> list[Subpaving]:
     return result
 
 
+def _with_midpoints(boxes: np.ndarray, pm: np.ndarray, sm: np.ndarray):
+    """(P, S, T, vacuous) of the box lanes, then of their midpoints (pm, sm),
+    from one tau fixed point: a midpoint starts from its box's seed, which
+    encloses the midpoint's tau too."""
+    n = len(boxes)
+    lanes = np.concatenate([boxes, boxes])
+    lanes[n:, 0] = lanes[n:, 1] = pm
+    lanes[n:, 2] = lanes[n:, 3] = sm
+    P2 = VI(lanes[:, 0], lanes[:, 1])
+    S2 = VI(lanes[:, 2], lanes[:, 3])
+    T2, vac2 = tau_enclose_batch(P2, S2, seed=VI(lanes[:, 4], lanes[:, 5]))
+    return P2, S2, T2, vac2
+
+
 MAX_LANES = 4096  # lanes evaluated at once; wider waves only cost memory
 SPECULATE_LANES = 128  # a job's lanes in one wave, its speculative levels included
 
@@ -449,14 +463,7 @@ def subpave_delta_above(jobs, side: str) -> list[Subpaving]:
         n = len(boxes)
         pm = 0.5 * (boxes[:, 0] + boxes[:, 1])
         sm = 0.5 * (boxes[:, 2] + boxes[:, 3])
-        # the box lanes, then their midpoints, in one fixed point: a midpoint
-        # starts from its box's seed, which encloses the midpoint's tau too
-        lanes = np.concatenate([boxes, boxes])
-        lanes[n:, 0] = lanes[n:, 1] = pm
-        lanes[n:, 2] = lanes[n:, 3] = sm
-        P2 = VI(lanes[:, 0], lanes[:, 1])
-        S2 = VI(lanes[:, 2], lanes[:, 3])
-        T2, vac2 = tau_enclose_batch(P2, S2, seed=VI(lanes[:, 4], lanes[:, 5]))
+        P2, S2, T2, vac2 = _with_midpoints(boxes, pm, sm)
         P, S = VI(P2.lo[:n], P2.hi[:n]), VI(S2.lo[:n], S2.hi[:n])
         T, vac = VI(T2.lo[:n], T2.hi[:n]), vac2[:n]
         d2 = delta_scalar(P2, S2, T2)
@@ -478,8 +485,7 @@ def subpave_delta_above(jobs, side: str) -> list[Subpaving]:
         diff_hi = _up(delta.hi - bound.lo)
 
         in_domain = ~vac & (S.hi <= sp_box.lo)
-        dds, _ = delta_sigma_derivs(P, S, T)
-        ddp = delta_p_deriv(P, S, T)
+        dds, ddp = delta_gradient(P, S, T)
         mvf = (
             (dm - bm)
             + dds * VI(S.lo - sm, S.hi - sm)

@@ -11,8 +11,8 @@ written once over the generic scalar in jets.py; the functions here are the
 scalar-Interval entry points and add the p > 1 domain checks.
 
 delta_eif encloses Delta on a box, optionally refined by a mean-value form
-whose gradient comes from the same atom formulas (jets.delta_sigma_derivs
-and jets.delta_p_deriv) that the VI lane certifies with.
+whose gradient comes from the same atom formulas (jets.delta_gradient) that
+the VI lane certifies with.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from .jets import (
     d_delta_edge_low_scalar,
     d_sigma_p_scalar,
     delta_edge_low_scalar,
-    delta_p_deriv,
+    delta_gradient,
     delta_scalar,
-    delta_sigma_derivs,
     phi_consts,
     phi_prime,
     phi_scalar,
@@ -203,8 +202,7 @@ def delta_eif(X: Box, tau: TauEnclosure, refine: bool = False) -> EifElement:
     value = delta_scalar(X.p, X.sigma, tau.tau)
     if refine and tau.tau.lo > 0.0:
         try:
-            dds, _ = delta_sigma_derivs(X.p, X.sigma, tau.tau)
-            ddp = delta_p_deriv(X.p, X.sigma, tau.tau)
+            dds, ddp = delta_gradient(X.p, X.sigma, tau.tau)
             pm, sm, dm = _mid_point_delta(X)
             mvf = dm + dds * (X.sigma - sm) + ddp * (X.p - pm)
             tight = intersect(value, mvf)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +46,7 @@ __all__ = [
     "d_delta_edge_low_scalar",
     "delta_sigma_derivs",
     "delta_p_deriv",
+    "delta_gradient",
     "tau_pow_log",
     "SingularConstraint",
 ]
@@ -253,18 +255,40 @@ def tau_pow_log(tau, p):
     return tau**p * math.log(tau)
 
 
-def delta_p_deriv(p, sigma, tau):
-    """dDelta/dp along the constraint surface, atom form.
+class _Atoms(NamedTuple):
+    """The power atoms of the first surface derivatives at (p, sigma, tau),
+    with s_i = sigma^(p-i), t_i = tau^(p-i), us = 1 + sigma^p,
+    ut = 1 + tau^p, a_i = us^(-i-1/p), b_i = ut^(-i-1/p), alpha_i = A^(p-i),
+    beta_i = B^(p-i), and F_tau."""
 
-    Valid on zero-touching tau enclosures: every ln(tau) occurrence is folded
-    into the bounded product tau^p ln(tau).
-    """
+    inv_p: object
+    sp: object
+    s1: object
+    tp: object
+    t1: object
+    us: object
+    ut: object
+    a0: object
+    a1: object
+    b0: object
+    b1: object
+    A: object
+    B: object
+    alpha1: object
+    beta1: object
+    f_tau: object
+
+
+def _power_atoms(p, sigma, tau) -> _Atoms:
+    """The atoms that dDelta/dsigma, dDelta/dp and the higher derivatives
+    share, computed once; on the Interval lane a non-positive A raises
+    DomainError and an F_tau enclosing zero SingularConstraint."""
     one = 1
     inv_p = one / p
     sp = spow(sigma, p)
+    s1 = spow(sigma, p - one)
     tp_ = spow_nonneg(tau, p)
     t1 = spow_nonneg(tau, p - one)
-    s1 = spow(sigma, p - one)
     us = one + sp
     ut = one + tp_
     a0 = spow(us, -inv_p)
@@ -277,29 +301,173 @@ def delta_p_deriv(p, sigma, tau):
         raise DomainError(f"A enclosure {A!r} not positive (box too wide)")
     alpha1 = spow(A, p - one)
     beta1 = spow(B, p - one)
-    alpha0 = spow(A, p)
-    beta0 = spow(B, p)
-
-    La = slog(us)
-    Lb = slog(ut)
-    tpl = tau_pow_log(tau, p)  # tau^p ln tau
-    a0_p = a0 * (La / (p * p) - sp * slog(sigma) / (p * us))
-    b0_p = b0 * (Lb / (p * p) - tpl / (p * ut))
-    A_p = b0_p - a0_p
-    B_p = tau * b0_p + sigma * a0_p
-
-    f_p = alpha0 * slog(A) + p * alpha1 * A_p + beta0 * slog(B) + p * beta1 * B_p
     f_tau = p * b1 * (beta1 - t1 * alpha1)
     if isinstance(f_tau, Interval):
         if f_tau.contains_zero():
             raise SingularConstraint(f"F_tau enclosure {f_tau!r} contains zero")
-    tau_p_slope = -f_p / f_tau
+    return _Atoms(inv_p, sp, s1, tp_, t1, us, ut, a0, a1, b0, b1, A, B, alpha1, beta1, f_tau)
+
+
+def _sigma_slope(p, sigma, tau, at: _Atoms):
+    """(tau', H, H_s, H_t, dH/dsigma, dDelta/dsigma) along the surface, with
+    tau' = -F_sigma/F_tau, G = tau + sigma and H = a0 b0, so Delta = G H."""
+    one = 1
+    f_sigma = p * at.a1 * (at.s1 * at.alpha1 + at.beta1)
+    tau1 = -f_sigma / at.f_tau
+    H = at.a0 * at.b0
+    H_s = -at.s1 * at.a1 * at.b0
+    H_t = -at.t1 * at.b1 * at.a0
+    dH = H_s + H_t * tau1
+    dds = (one + tau1) * H + (tau + sigma) * dH
+    return tau1, H, H_s, H_t, dH, dds
+
+
+class _PSlope(NamedTuple):
+    """The p-derivatives (sigma and tau held) of the atoms a0, b0, A, B and
+    F, with tau_p = -F_p/F_tau: Ls = ln us, Lt = ln ut, ls = ln sigma and
+    tpl = tau^p ln tau."""
+
+    Ls: object
+    Lt: object
+    ls: object
+    tpl: object
+    a0_p: object
+    b0_p: object
+    A_p: object
+    B_p: object
+    tau_p: object
+
+
+def _p_slope(p, sigma, tau, at: _Atoms) -> _PSlope:
+    """_PSlope at (p, sigma, tau); every ln tau is folded into the bounded
+    tau^p ln tau (tau_pow_log)."""
+    Ls = slog(at.us)
+    Lt = slog(at.ut)
+    ls = slog(sigma)
+    tpl = tau_pow_log(tau, p)  # tau^p ln tau
+    a0_p = at.a0 * (Ls / (p * p) - at.sp * ls / (p * at.us))
+    b0_p = at.b0 * (Lt / (p * p) - tpl / (p * at.ut))
+    A_p = b0_p - a0_p
+    B_p = tau * b0_p + sigma * a0_p
+    alpha0 = spow(at.A, p)
+    beta0 = spow(at.B, p)
+    f_p = alpha0 * slog(at.A) + p * at.alpha1 * A_p + beta0 * slog(at.B) + p * at.beta1 * B_p
+    return _PSlope(Ls, Lt, ls, tpl, a0_p, b0_p, A_p, B_p, -f_p / at.f_tau)
+
+
+def _delta_p(p, sigma, tau, at: _Atoms, ps: _PSlope):
+    """dDelta/dp along the surface from the atoms and their p-slopes."""
+    G = tau + sigma
+    H = at.a0 * at.b0
+    dDelta_dp = G * (ps.a0_p * at.b0 + at.a0 * ps.b0_p)
+    dDelta_dtau = H - G * at.t1 * at.b1 * at.a0
+    return dDelta_dp + dDelta_dtau * ps.tau_p
+
+
+def delta_p_deriv(p, sigma, tau):
+    """dDelta/dp along the constraint surface, atom form.
+
+    Valid on zero-touching tau enclosures: every ln(tau) occurrence is folded
+    into the bounded product tau^p ln(tau).
+    """
+    at = _power_atoms(p, sigma, tau)
+    return _delta_p(p, sigma, tau, at, _p_slope(p, sigma, tau, at))
+
+
+def delta_gradient(p, sigma, tau):
+    """(dDelta/dsigma, dDelta/dp) along the constraint surface: the values of
+    delta_sigma_derivs and delta_p_deriv, bit for bit, from one set of power
+    atoms."""
+    at = _power_atoms(p, sigma, tau)
+    dds = _sigma_slope(p, sigma, tau, at)[-1]
+    return dds, _delta_p(p, sigma, tau, at, _p_slope(p, sigma, tau, at))
+
+
+class _SigmaTerms(NamedTuple):
+    """The second-order sigma atoms: s2, t2, a2, b2, alpha2, beta2, the
+    partials of A, B (A_s = s1 a1, A_t = -t1 b1, B_s = a1, B_t = b1; every
+    mixed partial of A and B vanishes), F_sigma sigma = p q_ss,
+    F_sigma tau, F_tau tau = p q_tt, tau' and tau'', and H with its
+    partials and its sigma-derivatives dH, d2H along the surface."""
+
+    s2: object
+    t2: object
+    a2: object
+    b2: object
+    alpha2: object
+    beta2: object
+    A_s: object
+    A_t: object
+    A_ss: object
+    A_tt: object
+    B_ss: object
+    B_tt: object
+    q_ss: object
+    q_tt: object
+    f_st: object
+    f_tt: object
+    tau1: object
+    tau2: object
+    H: object
+    H_t: object
+    H_st: object
+    H_tt: object
+    dH: object
+    d2H: object
+    dds: object
+    dds2: object
+
+
+def _sigma_terms(p, sigma, tau, at: _Atoms) -> _SigmaTerms:
+    """_SigmaTerms by implicit differentiation:
+    tau'' = -(F_ss + 2 F_st tau' + F_tt tau'^2)/F_tau."""
+    one = 1
+    inv_p, s1, t1, a1, b1 = at.inv_p, at.s1, at.t1, at.a1, at.b1
+    alpha1, beta1 = at.alpha1, at.beta1
+    s2 = spow(sigma, p - 2)
+    t2 = tpow(tau, p - 2)
+    a2 = spow(at.us, -2 - inv_p)
+    b2 = spow(at.ut, -2 - inv_p)
+    alpha2 = spow(at.A, p - 2)
+    beta2 = spow(at.B, p - 2)
+    tau1, H, H_s, H_t, dH, dds = _sigma_slope(p, sigma, tau, at)
+
+    A_s = s1 * a1
+    A_t = -t1 * b1
+    B_s = a1
+    B_t = b1
+    A_ss = (p - one) * s2 * a1 - (p + one) * s1 * s1 * a2
+    A_tt = -(p - one) * t2 * b1 + (p + one) * t1 * t1 * b2
+    B_ss = -(p + one) * s1 * a2
+    B_tt = -(p + one) * t1 * b2
+
+    q_ss = (
+        (p - one) * alpha2 * A_s * A_s
+        + alpha1 * A_ss
+        + (p - one) * beta2 * B_s * B_s
+        + beta1 * B_ss
+    )
+    f_ss = p * q_ss
+    f_st = p * (p - one) * a1 * b1 * (beta2 - alpha2 * s1 * t1)
+    q_tt = (
+        (p - one) * alpha2 * A_t * A_t
+        + alpha1 * A_tt
+        + (p - one) * beta2 * B_t * B_t
+        + beta1 * B_tt
+    )
+    f_tt = p * q_tt
+    tau2 = -(f_ss + 2 * f_st * tau1 + f_tt * tau1 * tau1) / at.f_tau
 
     G = tau + sigma
-    H = a0 * b0
-    dDelta_dp = G * (a0_p * b0 + a0 * b0_p)
-    dDelta_dtau = H - G * t1 * b1 * a0
-    return dDelta_dp + dDelta_dtau * tau_p_slope
+    H_ss = -A_ss * at.b0
+    H_st = s1 * t1 * a1 * b1
+    H_tt = A_tt * at.a0
+    d2H = H_ss + 2 * H_st * tau1 + H_tt * tau1 * tau1 + H_t * tau2
+    dds2 = tau2 * H + 2 * (one + tau1) * dH + G * d2H
+    return _SigmaTerms(
+        s2, t2, a2, b2, alpha2, beta2, A_s, A_t, A_ss, A_tt, B_ss, B_tt,
+        q_ss, q_tt, f_st, f_tt, tau1, tau2, H, H_t, H_st, H_tt, dH, d2H, dds, dds2,
+    )
 
 
 def delta_sigma_derivs(p, sigma, tau):
@@ -311,77 +479,8 @@ def delta_sigma_derivs(p, sigma, tau):
     from zero and any p > 1 works).  Implicit differentiation throughout:
     tau' = -F_sigma/F_tau, tau'' = -(F_ss + 2 F_st tau' + F_tt tau'^2)/F_tau.
     """
-    one = 1
-    inv_p = one / p
-    sp = spow(sigma, p)
-    s1 = spow(sigma, p - one)
-    s2 = spow(sigma, p - 2)
-    tp_ = spow_nonneg(tau, p)
-    t1 = spow_nonneg(tau, p - one)
-    t2 = tpow(tau, p - 2)
-    us = one + sp
-    ut = one + tp_
-    a0 = spow(us, -inv_p)
-    a1 = spow(us, -one - inv_p)
-    a2 = spow(us, -2 - inv_p)
-    b0 = spow(ut, -inv_p)
-    b1 = spow(ut, -one - inv_p)
-    b2 = spow(ut, -2 - inv_p)
-    A = b0 - a0
-    B = tau * b0 + sigma * a0
-    if isinstance(A, Interval) and A.lo <= 0.0:
-        raise DomainError(f"A enclosure {A!r} not positive (box too wide)")
-    alpha1 = spow(A, p - one)
-    alpha2 = spow(A, p - 2)
-    beta1 = spow(B, p - one)
-    beta2 = spow(B, p - 2)
-
-    f_sigma = p * a1 * (s1 * alpha1 + beta1)
-    f_tau = p * b1 * (beta1 - t1 * alpha1)
-    if isinstance(f_tau, Interval):
-        if f_tau.contains_zero():
-            raise SingularConstraint(f"F_tau enclosure {f_tau!r} contains zero")
-    tau1 = -f_sigma / f_tau
-
-    A_s = s1 * a1
-    A_t = -t1 * b1
-    B_s = a1
-    B_t = b1
-    A_ss = (p - one) * s2 * a1 - (p + one) * s1 * s1 * a2
-    A_tt = -(p - one) * t2 * b1 + (p + one) * t1 * t1 * b2
-    B_ss = -(p + one) * s1 * a2
-    B_tt = -(p + one) * t1 * b2
-
-    f_ss = p * (
-        (p - one) * alpha2 * A_s * A_s
-        + alpha1 * A_ss
-        + (p - one) * beta2 * B_s * B_s
-        + beta1 * B_ss
-    )
-    f_st = p * (p - one) * a1 * b1 * (beta2 - alpha2 * s1 * t1)
-    f_tt = p * (
-        (p - one) * alpha2 * A_t * A_t
-        + alpha1 * A_tt
-        + (p - one) * beta2 * B_t * B_t
-        + beta1 * B_tt
-    )
-    tau2 = -(f_ss + 2 * f_st * tau1 + f_tt * tau1 * tau1) / f_tau
-
-    G = tau + sigma
-    H = a0 * b0
-    H_s = -s1 * a1 * b0
-    H_t = -t1 * b1 * a0
-    H_ss = -A_ss * b0
-    H_st = s1 * t1 * a1 * b1
-    H_tt = A_tt * a0
-    dH = H_s + H_t * tau1
-    dds = (one + tau1) * H + G * dH
-    dds2 = (
-        tau2 * H
-        + 2 * (one + tau1) * dH
-        + G * (H_ss + 2 * H_st * tau1 + H_tt * tau1 * tau1 + H_t * tau2)
-    )
-    return dds, dds2
+    st = _sigma_terms(p, sigma, tau, _power_atoms(p, sigma, tau))
+    return st.dds, st.dds2
 
 
 # -- boundary values on the p-axis ---------------------------------------------

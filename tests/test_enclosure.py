@@ -20,6 +20,7 @@ from critlat.batch import (
 )
 from critlat.jets import (
     TAU_STEPS,
+    delta_gradient,
     delta_p_deriv,
     delta_sigma_derivs,
     phi_consts,
@@ -274,6 +275,33 @@ class TestAtomFormulaEnclosures:
         assert enc.tau.lo == 0.0
         with pytest.raises(DomainError):
             delta_sigma_derivs(X.p, X.sigma, enc.tau)
+
+    def test_gradient_is_both_derivatives_bit_for_bit(self):
+        # delta_gradient takes the atoms that delta_sigma_derivs and
+        # delta_p_deriv share once, and returns their values unchanged
+        rng = np.random.default_rng(17)
+        n = 2000
+        p = rng.uniform(1.3, 4.5, n)
+        sp = (2.0**p - 1.0) ** (1.0 / p)
+        s = 1.0 + rng.uniform(0.0, 1.02, n) * (sp - 1.0)
+        w = np.array([0.0, 1e-9, 1e-6, 1e-3, 2e-2])[np.arange(n) % 5]
+        P, S = VI(p, p + w), VI(s, s + w)
+        T, _ = tau_enclose_batch(P, S)
+        with np.errstate(all="ignore"):
+            got = delta_gradient(P, S, T)
+            want = delta_sigma_derivs(P, S, T)[0], delta_p_deriv(P, S, T)
+        nan = lambda x: np.where(np.isnan(x), np.nan, x).tobytes()
+        for g, v in zip(got, want):
+            assert nan(g.lo) == nan(v.lo) and nan(g.hi) == nan(v.hi)
+        assert (~got[1].invalid()).sum() > n // 2
+        X = Box.of(2.35, 2.37, 1.3, 1.32)
+        tau = E.tau_interval(X).tau
+        got = delta_gradient(X.p, X.sigma, tau)
+        want = delta_sigma_derivs(X.p, X.sigma, tau)[0], delta_p_deriv(X.p, X.sigma, tau)
+        assert [(g.lo, g.hi) for g in got] == [(v.lo, v.hi) for v in want]
+        t = M.tau_point(2.36, 1.31)
+        assert delta_gradient(2.36, 1.31, t) == (
+            delta_sigma_derivs(2.36, 1.31, t)[0], delta_p_deriv(2.36, 1.31, t))
 
     def test_numpy_floats_and_arrays_match_floats(self):
         # the float lane takes numpy float scalars, with the per-float
