@@ -40,6 +40,11 @@ them would evaluate them.  A wave costs a few milliseconds of numpy calls
 whatever its width, so a narrow job ends in fewer waves; the lanes whose
 parent passed are wasted, and the `nodes` that the benchmark counts include
 them.
+
+Both subpavings pair a natural enclosure with a midpoint mean-value form on
+subcells inside the domain and keep the tighter bound of each: Delta minus
+its boundary value in subpave_delta_above, d2Delta/dsigma2 in
+subpave_convex_positive, whose slopes are the third derivatives of Delta.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ from .jets import (
     delta_gradient,
     delta_scalar,
     delta_sigma_derivs,
+    delta_third_derivs,
     phi_consts,
     phi_scalar,
     sigma_p_scalar,
@@ -412,6 +418,21 @@ def subpave_convex_positive(jobs, sigma_bias: float = 8.0) -> list[Subpaving]:
     certified job's hull is that of its subcell enclosures, hull lo > 0.
     The width floor is 1e-6.
 
+    Each subcell is tested with the natural extension of d2Delta/dsigma2
+    and, where that fails on a subcell verified inside the domain (so the
+    mean-value segment stays there), with the midpoint-centered mean-value
+    form d2Delta/dsigma2(m) + d3Delta/dsigma3(X)(S - sm)
+    + d3Delta/dsigma2dp(X)(P - pm) (jets.delta_third_derivs); a subcell's
+    enclosure is the intersection of the two, a NaN form leaving the natural
+    one.  The natural enclosure of d2Delta/dsigma2 is hundreds of times
+    wider than its range; the form's excess over the range shrinks with the
+    square of the subcell's width (Moore, Interval Analysis, 1966, centered
+    forms).  The form is skipped where it cannot pass: on subcells the
+    natural form certifies, and where the midpoint's value is not positive
+    (the form's lower bound lies below it).  Each chunk of a wave runs its
+    box lanes and their midpoints through one tau_enclose_batch call and one
+    delta_sigma_derivs call (_with_midpoints).
+
     sigma_bias > 1 refines sigma ahead of p: the second-derivative enclosure
     is far more sensitive to the sigma/tau spread than to p.
     """
@@ -421,13 +442,33 @@ def subpave_convex_positive(jobs, sigma_bias: float = 8.0) -> list[Subpaving]:
     ]
 
     def chunk(boxes):
-        P = VI(boxes[:, 0], boxes[:, 1])
-        S = VI(boxes[:, 2], boxes[:, 3])
-        T, vac = tau_enclose_batch(P, S, seed=VI(boxes[:, 4], boxes[:, 5]))
-        _, dds2 = delta_sigma_derivs(P, S, T)
-        ok = dds2.lo > 0.0
+        n = len(boxes)
+        pm = 0.5 * (boxes[:, 0] + boxes[:, 1])
+        sm = 0.5 * (boxes[:, 2] + boxes[:, 3])
+        P2, S2, T2, vac2 = _with_midpoints(boxes, pm, sm)
+        _, d2 = delta_sigma_derivs(P2, S2, T2)
+        P, S = VI(P2.lo[:n], P2.hi[:n]), VI(S2.lo[:n], S2.hi[:n])
+        T, vac = VI(T2.lo[:n], T2.hi[:n]), vac2[:n]
+        lo, hi = d2.lo[:n], d2.hi[:n]
+        # the mean-value form, on the lanes it can certify: in the domain,
+        # failing the natural form, with a midpoint value above zero (the
+        # form's lower bound lies below the midpoint's)
+        mid_ok = ~(vac2[n:] | T2.invalid()[n:]) & (d2.lo[n:] > 0.0)
+        mv = np.flatnonzero(~vac & ~(lo > 0.0) & mid_ok)
+        if mv.size:
+            mv = mv[S.hi[mv] <= sigma_p_batch(VI(P.lo[mv], P.hi[mv])).lo]
+        if mv.size:
+            Pq, Sq, Tq = (VI(x.lo[mv], x.hi[mv]) for x in (P, S, T))
+            d3s, d2sp = delta_third_derivs(Pq, Sq, Tq)
+            form = (
+                VI(d2.lo[mv + n], d2.hi[mv + n])
+                + d3s * VI(Sq.lo - sm[mv], Sq.hi - sm[mv])
+                + d2sp * VI(Pq.lo - pm[mv], Pq.hi - pm[mv])
+            )
+            lo[mv] = np.fmax(lo[mv], form.lo)
+            hi[mv] = np.fmin(hi[mv], form.hi)
         boxes[:, 4], boxes[:, 5] = T.lo, T.hi
-        return vac, ok, dds2.lo, dds2.hi
+        return vac, lo > 0.0, lo, hi
 
     return _subpave(jobs, scales, 1e-6, lambda boxes: _in_chunks(boxes, chunk))
 

@@ -10,7 +10,10 @@ tau_p, Delta(p, 1) and their p-slopes.
 
 The surface derivatives are implicit differentiation written out in the atoms:
 tau' = -F_sigma/F_tau and tau'' = -(F_ss + 2 F_st tau' + F_tt tau'^2)/F_tau in
-sigma, tau_p = -F_p/F_tau in p.
+sigma, tau_p = -F_p/F_tau in p, and on to tau''' and the mixed tau_sp and
+tau_ssp for the third derivatives d3Delta/dsigma3 and d3Delta/dsigma2dp.  The
+atoms that several derivatives share are computed once per call
+(_power_atoms, _sigma_terms, _p_slope), so each formula is written once.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ __all__ = [
     "delta_sigma_derivs",
     "delta_p_deriv",
     "delta_gradient",
+    "delta_third_derivs",
     "tau_pow_log",
     "SingularConstraint",
 ]
@@ -214,25 +218,44 @@ def phi_prime(p, sigma, tau):
     return d_prefix * g + spow(u, inv_p) * d_g
 
 
-def tau_pow_log(tau, p):
-    """Enclosure of tau^p * ln(tau) for tau in [0, 0.36] and p > 1.
+_E = (math.nextafter(math.e, 0.0), math.nextafter(math.e, 4.0))
 
-    The product extends continuously by 0 at tau = 0; it is decreasing in tau
-    on [0, 0.36] (p ln tau + 1 < 0 there for p > 1) and increasing in p, so
-    monotone endpoint evaluation is tight.  Scalar types: float, float array,
-    Interval, VI.
+
+def tau_pow_log(tau, p):
+    """Enclosure of tau^p * ln(tau) for tau in [0, 1), any exponent p.
+
+    For p > 0 the product extends continuously by 0 at tau = 0; it falls
+    until tau* = exp(-1/p), where it takes its least value -1/(e p), and
+    rises after.  It is increasing in p (its p-slope is tau^p ln(tau)^2), so
+    the lower bound is taken at p lo and the upper at p hi, each at a tau end
+    or at tau*.  Below tau* (every tau <= 0.36 when p > 1) it is decreasing,
+    and monotone endpoint evaluation is tight.  A lane whose p reaches 0 or
+    below takes the natural product, which needs tau > 0.  Scalar types:
+    float, float array, Interval, VI.
     """
     if isinstance(tau, Interval):
         P = p if isinstance(p, Interval) else Interval.point(float(p))
+        if P.lo <= 0.0:
+            if tau.lo <= 0.0:
+                raise DomainError(f"tau^p ln tau unbounded at tau = 0 for p {P!r}")
+            return ipow(tau, P) * tau.log()
         if tau.hi == 0.0:
             return Interval(0.0, 0.0)
         th = Interval.point(tau.hi)
-        lo = (ipow(th, Interval.point(P.lo)) * th.log()).lo
+        plo, phi = Interval.point(P.lo), Interval.point(P.hi)
+        lo = (ipow(th, plo) * th.log()).lo
         if tau.lo > 0.0:
             tl = Interval.point(tau.lo)
-            hi = (ipow(tl, Interval.point(P.hi)) * tl.log()).hi
+            hi = (ipow(tl, phi) * tl.log()).hi
         else:
             hi = 0.0
+        turn = math.exp(-1.0 / P.lo)
+        if tau.hi > turn * (1.0 - 1e-9):  # tau* may lie in tau: past the fall
+            if tau.lo > 0.0:
+                lo = min(lo, (ipow(tl, plo) * tl.log()).lo)
+            if tau.lo <= turn * (1.0 + 1e-9):
+                lo = min(lo, (Interval(-1.0, -1.0) / (plo * Interval(*_E))).lo)
+            hi = max(hi, (ipow(th, phi) * th.log()).hi)
         return Interval(lo, hi)
     if isinstance(tau, VI):
         P = p if isinstance(p, VI) else VI.point(np.asarray(p, dtype=float))
@@ -244,6 +267,19 @@ def tau_pow_log(tau, p):
         phi = VI.point(P.hi)
         hi = (tl.pow(phi) * tl.log()).hi
         hi = np.where(tau.lo > 0.0, hi, 0.0)
+        positive = P.lo > 0.0
+        turn = np.exp(-1.0 / np.where(positive, P.lo, 1.0))
+        past = positive & (tau.hi > turn * (1.0 - 1e-9))
+        if past.any():  # tau* may lie in tau: past the fall
+            at_lo = np.where(tau.lo > 0.0, (tl.pow(plo) * tl.log()).lo, 0.0)
+            least = (-1.0 / (VI.point(np.where(positive, P.lo, 1.0)) * VI(*_E))).lo
+            least = np.where(tau.lo <= turn * (1.0 + 1e-9), least, np.inf)
+            lo = np.where(past, np.minimum(np.minimum(lo, at_lo), least), lo)
+            hi = np.where(past, np.maximum(hi, (th.pow(phi) * th.log()).hi), hi)
+        if not positive.all():
+            natural = tau.pow(P) * tau.log()
+            lo = np.where(positive, lo, natural.lo)
+            hi = np.where(positive, hi, natural.hi)
         bad = (tau.lo < 0.0) | np.isnan(tau.lo)
         return VI(np.where(bad, np.nan, lo), np.where(bad, np.nan, hi))
     if isinstance(tau, np.ndarray):
@@ -323,14 +359,17 @@ def _sigma_slope(p, sigma, tau, at: _Atoms):
 
 
 class _PSlope(NamedTuple):
-    """The p-derivatives (sigma and tau held) of the atoms a0, b0, A, B and
-    F, with tau_p = -F_p/F_tau: Ls = ln us, Lt = ln ut, ls = ln sigma and
-    tpl = tau^p ln tau."""
+    """The p-derivatives (sigma and tau held) of the atoms at (p, sigma, tau):
+    ls = ln sigma, tpl = tau^p ln tau, lA = ln A, lB = ln B, ra = d ln a0/dp,
+    rb = d ln b0/dp, the p-slopes of a0, b0, A and B, and
+    tau_p = -F_p/F_tau."""
 
-    Ls: object
-    Lt: object
     ls: object
     tpl: object
+    lA: object
+    lB: object
+    ra: object
+    rb: object
     a0_p: object
     b0_p: object
     A_p: object
@@ -341,18 +380,20 @@ class _PSlope(NamedTuple):
 def _p_slope(p, sigma, tau, at: _Atoms) -> _PSlope:
     """_PSlope at (p, sigma, tau); every ln tau is folded into the bounded
     tau^p ln tau (tau_pow_log)."""
-    Ls = slog(at.us)
-    Lt = slog(at.ut)
     ls = slog(sigma)
-    tpl = tau_pow_log(tau, p)  # tau^p ln tau
-    a0_p = at.a0 * (Ls / (p * p) - at.sp * ls / (p * at.us))
-    b0_p = at.b0 * (Lt / (p * p) - tpl / (p * at.ut))
+    tpl = tau_pow_log(tau, p)
+    ra = slog(at.us) / (p * p) - at.sp * ls / (p * at.us)
+    rb = slog(at.ut) / (p * p) - tpl / (p * at.ut)
+    a0_p = at.a0 * ra
+    b0_p = at.b0 * rb
     A_p = b0_p - a0_p
     B_p = tau * b0_p + sigma * a0_p
+    lA = slog(at.A)
+    lB = slog(at.B)
     alpha0 = spow(at.A, p)
     beta0 = spow(at.B, p)
-    f_p = alpha0 * slog(at.A) + p * at.alpha1 * A_p + beta0 * slog(at.B) + p * at.beta1 * B_p
-    return _PSlope(Ls, Lt, ls, tpl, a0_p, b0_p, A_p, B_p, -f_p / at.f_tau)
+    f_p = alpha0 * lA + p * at.alpha1 * A_p + beta0 * lB + p * at.beta1 * B_p
+    return _PSlope(ls, tpl, lA, lB, ra, rb, a0_p, b0_p, A_p, B_p, -f_p / at.f_tau)
 
 
 def _delta_p(p, sigma, tau, at: _Atoms, ps: _PSlope):
@@ -481,6 +522,160 @@ def delta_sigma_derivs(p, sigma, tau):
     """
     st = _sigma_terms(p, sigma, tau, _power_atoms(p, sigma, tau))
     return st.dds, st.dds2
+
+
+def delta_third_derivs(p, sigma, tau):
+    """(d3Delta/dsigma3, d3Delta/dsigma2dp) along the constraint surface: the
+    slopes that the mean-value form of d2Delta/dsigma2 takes over a box.
+
+    Implicit differentiation once more, with D = d/dsigma and E = d/dp along
+    the surface (E K = K_p + K_tau tau_p for a function K of p, sigma and
+    tau).  D3 F = 0 gives
+    tau''' = -(F_sss + 3 F_sst tau' + 3 F_stt tau'^2 + F_ttt tau'^3
+               + 3 (F_st + F_tt tau') tau'')/F_tau,
+    E D F = 0 gives tau_sp = -(E F_s + E F_t tau')/F_tau and E D2 F = 0
+    gives tau_ssp alike; then, with Delta = G H and G = tau + sigma,
+    D3 Delta = tau''' H + 3 tau'' DH + 3 (1 + tau') D2H + G D3H and
+    E D2 Delta = tau_ssp H + tau'' EH + 2 tau_sp DH + 2 (1 + tau') E DH
+    + tau_p D2H + G E D2H.  The partials of A = b0 - a0 and B = tau b0 +
+    sigma a0 are those of a0(sigma) and b0(tau), every mixed one zero, and
+    their p-partials follow from d ln a_i/dp = ra - i sigma^p ln(sigma)/us
+    and d ln b_i/dp = rb - i tau^p ln(tau)/ut.  Every ln tau is folded into a
+    bounded tau^e ln tau (tau_pow_log).  tau^(p-3) needs tau > 0 when p < 3:
+    where the tau enclosure touches zero the VI lane poisons.
+    """
+    one = 1
+    at = _power_atoms(p, sigma, tau)
+    st = _sigma_terms(p, sigma, tau, at)
+    ps = _p_slope(p, sigma, tau, at)
+    s1, t1, a0, a1, b0, b1 = at.s1, at.t1, at.a0, at.a1, at.b0, at.b1
+    alpha1, beta1, f_tau = at.alpha1, at.beta1, at.f_tau
+    s2, t2, a2, b2, alpha2, beta2 = st.s2, st.t2, st.a2, st.b2, st.alpha2, st.beta2
+    A_s, A_t, A_ss, A_tt, B_ss, B_tt = st.A_s, st.A_t, st.A_ss, st.A_tt, st.B_ss, st.B_tt
+    B_s, B_t = a1, b1
+    f_st, f_tt, tau1, tau2, tau_p = st.f_st, st.f_tt, st.tau1, st.tau2, ps.tau_p
+    H, H_t, H_st, H_tt = st.H, st.H_t, st.H_st, st.H_tt
+    pm1, pm2, pp1 = p - one, p - 2, p + one
+    k3 = pm1 * pm2
+    m3 = 3 * pm1
+    pq = pp1 * (2 * p + one)
+    pp = p * pm1
+    s11 = s1 * s1
+    t11 = t1 * t1
+    As2, At2, Ast = A_s * A_s, A_t * A_t, A_s * A_t
+    Bs2, Bt2, Bst = B_s * B_s, B_t * B_t, B_s * B_t
+
+    # third partials in (sigma, tau), and tau''' and D3 Delta
+    s3 = s2 / sigma
+    t3 = tpow(tau, p - 3)
+    a3 = a2 / at.us
+    b3 = b2 / at.ut
+    alpha3 = alpha2 / at.A
+    beta3 = beta2 / at.B
+    A_sss = k3 * s3 * a1 - m3 * pp1 * s1 * s2 * a2 + pq * s11 * s1 * a3
+    A_ttt = m3 * pp1 * t1 * t2 * b2 - k3 * t3 * b1 - pq * t11 * t1 * b3
+    B_sss = pq * s11 * a3 - pp1 * pm1 * s2 * a2
+    B_ttt = pq * t11 * b3 - pp1 * pm1 * t2 * b2
+    u, v = alpha3 * A_s, alpha3 * A_t
+    x, y = beta3 * B_s, beta3 * B_t
+    f_sss = p * (
+        k3 * (u * As2 + x * Bs2) + m3 * (alpha2 * A_s * A_ss + beta2 * B_s * B_ss)
+        + alpha1 * A_sss + beta1 * B_sss
+    )
+    f_sst = pp * (pm2 * (u * Ast + x * Bst) + alpha2 * A_ss * A_t + beta2 * B_ss * B_t)
+    f_stt = pp * (pm2 * (v * Ast + y * Bst) + alpha2 * A_s * A_tt + beta2 * B_s * B_tt)
+    f_ttt = p * (
+        k3 * (v * At2 + y * Bt2) + m3 * (alpha2 * A_t * A_tt + beta2 * B_t * B_tt)
+        + alpha1 * A_ttt + beta1 * B_ttt
+    )
+    Df_t = f_st + f_tt * tau1  # D F_tau
+    tau3 = -(
+        f_sss + tau1 * (3 * f_sst + tau1 * (3 * f_stt + tau1 * f_ttt)) + 3 * Df_t * tau2
+    ) / f_tau
+    H_sss = -(A_sss * b0)
+    H_sst = -(A_ss * A_t)
+    H_stt = -(A_s * A_tt)
+    H_ttt = A_ttt * a0
+    DH_t = H_st + H_tt * tau1
+    d3H = (
+        H_sss + tau1 * (3 * H_sst + tau1 * (3 * H_stt + tau1 * H_ttt))
+        + 3 * DH_t * tau2 + H_t * tau3
+    )
+    G = tau + sigma
+    d3s = tau3 * H + 3 * (tau2 * st.dH + (one + tau1) * st.d2H) + G * d3H
+
+    # p-partials (sigma and tau held), and tau_sp, tau_ssp and E D2 Delta
+    ls = ps.ls
+    ka = at.sp * ls / at.us
+    kb = ps.tpl / at.ut
+    ga1 = ps.ra - ka  # d ln a1/dp
+    ga2 = ga1 - ka
+    gb1 = ps.rb - kb
+    gb2 = gb1 - kb
+    tl1 = tau_pow_log(tau, pm1)  # tau^(p-1) ln tau
+    tl2 = tau_pow_log(tau, pm2)
+    alpha1_p = alpha1 * ps.lA + pm1 * alpha2 * ps.A_p
+    alpha2_p = alpha2 * ps.lA + pm2 * alpha3 * ps.A_p
+    beta1_p = beta1 * ps.lB + pm1 * beta2 * ps.B_p
+    beta2_p = beta2 * ps.lB + pm2 * beta3 * ps.B_p
+    X1 = s2 * a1  # A_ss = pm1 X1 - pp1 X2
+    X2 = s11 * a2
+    Y1 = t2 * b1  # A_tt = pp1 Y2 - pm1 Y1
+    Y2 = t11 * b2
+    A_sp = A_s * (ls + ga1)
+    A_tp = A_t * gb1 - tl1 * b1
+    B_sp = B_s * ga1
+    B_tp = B_t * gb1
+    A_ssp = X1 * (one + pm1 * (ls + ga1)) - X2 * (one + pp1 * (2 * ls + ga2))
+    A_ttp = Y2 + pp1 * (2 * t1 * tl1 * b2 + Y2 * gb2) - Y1 - pm1 * (tl2 * b1 + Y1 * gb1)
+    B_ssp = -(s1 * a2 * (one + pp1 * (ls + ga2)))
+    B_ttp = -(t1 * b2 * (one + pp1 * gb2) + pp1 * tl1 * b2)
+    m2 = 2 * pm1
+    f_sp = alpha1 * A_s + beta1 * B_s + p * (
+        alpha1_p * A_s + alpha1 * A_sp + beta1_p * B_s + beta1 * B_sp
+    )
+    f_tp = alpha1 * A_t + beta1 * B_t + p * (
+        alpha1_p * A_t + alpha1 * A_tp + beta1_p * B_t + beta1 * B_tp
+    )
+    g_a = alpha2 + pm1 * alpha2_p
+    g_b = beta2 + pm1 * beta2_p
+    f_ssp = st.q_ss + p * (
+        g_a * As2 + m2 * alpha2 * A_s * A_sp + alpha1_p * A_ss + alpha1 * A_ssp
+        + g_b * Bs2 + m2 * beta2 * B_s * B_sp + beta1_p * B_ss + beta1 * B_ssp
+    )
+    f_ttp = st.q_tt + p * (
+        g_a * At2 + m2 * alpha2 * A_t * A_tp + alpha1_p * A_tt + alpha1 * A_ttp
+        + g_b * Bt2 + m2 * beta2 * B_t * B_tp + beta1_p * B_tt + beta1 * B_ttp
+    )
+    f_stp = (2 * p - one) * (alpha2 * Ast + beta2 * Bst) + pp * (
+        alpha2_p * Ast + alpha2 * (A_sp * A_t + A_s * A_tp)
+        + beta2_p * Bst + beta2 * (B_sp * B_t + B_s * B_tp)
+    )
+    Ef_t = f_tp + f_tt * tau_p
+    tau_sp = -(f_sp + f_st * tau_p + Ef_t * tau1) / f_tau
+    tau_ssp = -(
+        f_ssp + f_sst * tau_p
+        + tau1 * (2 * (f_stp + f_stt * tau_p) + tau1 * (f_ttp + f_ttt * tau_p))
+        + 2 * tau_sp * Df_t + Ef_t * tau2
+    ) / f_tau
+    H_sp = -(A_s * b0 * (ls + ga1 + ps.rb))
+    H_tp = a0 * (A_tp + A_t * ps.ra)
+    H_ssp = -(b0 * (A_ssp + A_ss * ps.rb))
+    H_stp = -(A_sp * A_t + A_s * A_tp)
+    H_ttp = a0 * (A_ttp + A_tt * ps.ra)
+    EH_t = H_tp + H_tt * tau_p
+    EdH = H_sp + H_st * tau_p + EH_t * tau1 + H_t * tau_sp
+    Ed2H = (
+        H_ssp + H_sst * tau_p
+        + tau1 * (2 * (H_stp + H_stt * tau_p) + tau1 * (H_ttp + H_ttt * tau_p))
+        + 2 * tau_sp * DH_t + EH_t * tau2 + H_t * tau_ssp
+    )
+    EH = H * (ps.ra + ps.rb) + H_t * tau_p
+    d2sp = (
+        tau_ssp * H + tau2 * EH + 2 * (tau_sp * st.dH + (one + tau1) * EdH)
+        + tau_p * st.d2H + G * Ed2H
+    )
+    return d3s, d2sp
 
 
 # -- boundary values on the p-axis ---------------------------------------------

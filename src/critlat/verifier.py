@@ -24,6 +24,13 @@ parameter domain 1 < sigma < sigma_p(p); evaluation boxes may straddle the
 curved upper boundary, where enclosures remain valid for in-domain points by
 inclusion isotonicity.
 
+A witness's value is the hull of its subpaving's per-sub-box enclosures.  A
+Monotone witness (fid d_sigma2_column_low or d_sigma2_column_high) takes on
+each sub-box the tighter bound of two forms of d2Delta/dsigma2: the natural
+extension and, on sub-boxes inside the domain, the midpoint mean-value form
+with the third derivatives of Delta as slopes (batch.subpave_convex_positive);
+a checker of the column evaluates the same pair.
+
 A leaf is a Box plus its id, the bisection path from its initial cell (the
 parent id plus "0" or "1").  Every certificate comes from a subpaving job:
 each generation of leaves is certified in rounds (_certify_rounds).  A leaf's

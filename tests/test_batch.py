@@ -124,8 +124,8 @@ def test_tau_lanes_stop_early(phi_lanes):
 # down to the width floor and one wholly beyond the curve (vacuous)
 _MIXED_JOBS = {
     "convex": [
-        B.Job(2.7, 2.72, 1.0, 1.02, 30000),
-        B.Job(2.7, 2.72, 1.0, 1.02, 50),
+        B.Job(2.7, 2.72, 1.0, 1.2, 30000),
+        B.Job(2.7, 2.72, 1.0, 1.2, 50),
         B.Job(2.0 - 1.5e-6, 2.0 + 1.5e-6, 1.2, 1.2 + 3e-6, 30000),
         B.Job(2.0, 2.001, 1.9, 1.95, 1000),
     ],

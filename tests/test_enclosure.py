@@ -22,12 +22,16 @@ from critlat.jets import (
     TAU_STEPS,
     delta_gradient,
     delta_p_deriv,
+    delta_scalar,
     delta_sigma_derivs,
+    delta_third_derivs,
+    f_tau_scalar,
     phi_consts,
     phi_prime,
     phi_scalar,
     tau_p_resid_scalar,
     tau_p_scalar,
+    tau_pow_log,
 )
 from critlat.vints import VI
 
@@ -324,6 +328,114 @@ class TestAtomFormulaEnclosures:
         assert np.all(np.abs(arrays - want) <= 1e-13 * np.abs(want).max(axis=0))
 
 
+_COMPLEX_STEP = 1e-30
+
+
+def _surface_references(n: int, seed: int):
+    """(p, sigma, refs) at n points, p in [2.05, 4.5] and sigma in the
+    domain, refs one row (d3Delta/dsigma3, d3Delta/dsigma2dp, dDelta/dsigma,
+    d2Delta/dsigma2, dDelta/dp) per point.  d3Delta/dsigma3 is a complex step
+    in sigma of the float d2Delta/dsigma2, tau following the surface by one
+    Newton step as in moduli.derivatives; the rest are moduli.derivatives."""
+    rng = np.random.default_rng(seed)
+    ps = rng.uniform(2.05, 4.5, n)
+    ss = np.array([1.0 + f * (M.sigma_p(p) - 1.0)
+                   for p, f in zip(ps, rng.uniform(0.0, 0.98, n))])
+    h = _COMPLEX_STEP
+    refs = []
+    for p, s in zip(ps.tolist(), ss.tolist()):
+        t0 = M.tau_point(p, s)
+        tc = t0 - M._f_resid(p, complex(s, h), t0) / f_tau_scalar(p, s, t0)
+        d = M.derivatives(p, s)
+        refs.append((delta_sigma_derivs(p, complex(s, h), tc)[1].imag / h,
+                     d.d_sigma2_p, d.d_sigma, d.d_sigma2, d.d_p))
+    return ps, ss, np.array(refs)
+
+
+class TestThirdDerivatives:
+    """The atom formulas of d3Delta/dsigma3 and d3Delta/dsigma2dp (the slopes
+    of the convexity columns' mean-value form), with the first and second
+    derivatives, on point and thin VI lanes: each enclosure holds the
+    references at the lane's corner (p, sigma)."""
+
+    refs = None
+
+    @classmethod
+    def setup_class(cls):
+        cls.ps, cls.ss, cls.refs = _surface_references(300, 41)
+
+    def test_float_lane_matches_references(self):
+        # and the first derivatives match complex steps of Delta itself
+        h = _COMPLEX_STEP
+        for k, (p, s) in enumerate(zip(self.ps.tolist(), self.ss.tolist())):
+            t = M.tau_point(p, s)
+            got = (*delta_third_derivs(p, s, t), *delta_gradient(p, s, t),
+                   delta_sigma_derivs(p, s, t)[1])
+            want = self.refs[k, [0, 1, 2, 4, 3]]
+            assert np.allclose(got, want, rtol=1e-9, atol=1e-12), (p, s)
+            ft = f_tau_scalar(p, s, t)
+            steps = []
+            for pc, sc in ((p, complex(s, h)), (complex(p, h), s)):
+                tc = t - M._f_resid(pc, sc, t) / ft
+                steps.append(delta_scalar(pc, sc, tc).imag / h)
+            assert np.allclose(steps, want[[2, 3]], rtol=1e-9, atol=1e-12), (p, s)
+
+    @pytest.mark.parametrize("width", [0.0, 1e-9, 1e-6])
+    def test_enclosures_contain_references(self, width):
+        P = VI(self.ps, self.ps + width)
+        S = VI(self.ss, self.ss + width)
+        T, vac = tau_enclose_batch(P, S)
+        assert not vac.any()
+        with np.errstate(all="ignore"):  # as the batch entry points run them
+            encs = (*delta_third_derivs(P, S, T), *delta_sigma_derivs(P, S, T),
+                    delta_p_deriv(P, S, T))
+            grad = delta_gradient(P, S, T)
+        names = ("d_sigma3", "d_sigma2_p", "d_sigma", "d_sigma2", "d_p")
+        for name, v, r in zip(names, encs, self.refs.T):
+            assert np.all((v.lo <= r) & (r <= v.hi)), name
+        for v, r in zip(grad, self.refs.T[[2, 4]]):
+            assert np.all((v.lo <= r) & (r <= v.hi))
+        if width == 0.0:  # point lanes enclose to a few thousand ulps
+            for v, r in zip(encs, self.refs.T):
+                assert np.all(v.hi - v.lo <= 1e-9 * np.maximum(1.0, np.abs(r)))
+
+    def test_tau_pow_log_turns_below_exponent_one(self):
+        # tau^e ln tau falls to -1/(e e) at tau = exp(-1/e) and rises after;
+        # exponents below 1 put the turn inside [0, 0.36], as p - 2 does
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(43)
+        n = 3000
+        e = rng.uniform(-0.3, 1.5, n)
+        t = rng.uniform(0.0, 0.36, n)
+        t[::5] = 0.0
+        w = np.array([0.0, 1e-9, 1e-3, 0.1])[np.arange(n) % 4]
+        E_, T_ = VI(e, e + w), VI(t, np.minimum(t + w[::-1], 0.36))
+        with np.errstate(all="ignore"):
+            got = tau_pow_log(T_, E_)
+        def f(tau, ex):
+            return mp.mpf(0) if tau == 0 else tau**ex * mp.log(tau)
+        turned = 0
+        for i in range(n):
+            lo, hi = got.lo[i], got.hi[i]
+            if np.isnan(lo):  # an exponent reaching 0 on a tau touching 0
+                assert E_.lo[i] <= 0.0 and T_.lo[i] == 0.0
+                continue
+            tl, th = mp.mpf(T_.lo[i]), mp.mpf(T_.hi[i])
+            el, eh = mp.mpf(E_.lo[i]), mp.mpf(E_.hi[i])
+            taus = [tl, th, tl + (th - tl) / 3]
+            if el > 0 and tl <= mp.exp(-1 / el) <= th:
+                taus.append(mp.exp(-1 / el))
+                turned += 1
+            for tau in taus:
+                for ex in (el, eh, (el + eh) / 2):
+                    assert lo <= f(tau, ex) <= hi, i
+            if i % 20 == 0:
+                iv = tau_pow_log(Interval(T_.lo[i], T_.hi[i]), Interval(E_.lo[i], E_.hi[i]))
+                for tau in taus:
+                    assert iv.lo <= f(tau, el) and f(tau, eh) <= iv.hi, i
+        assert turned > 100
+
+
 def both_lanes(scalar_fn, batch_fn, p_lo, p_hi):
     """The enclosure over [p_lo, p_hi] on the Interval lane and on a one-lane
     VI, each as a (lo, hi) pair: every generic formula is checked on both."""
@@ -603,6 +715,25 @@ class TestBatchLane:
         ss = rng.uniform(1.1, 1.3, 4000)
         excess = M.delta_point_vec(ps, ss) - (2.0**ps - 1.0) ** (1.0 / ps) / 2.0
         assert excess.min() > 0.0
+
+    @pytest.mark.parametrize(
+        "box, most_nodes",
+        [
+            # mono-low column at sigma = 1: 11,253 nodes by the natural form
+            ((2.6, 2.625, 1.0, 1.02), 100),
+            # mono-high column reaching the curve: 10,559 by the natural form
+            ((2.6, 2.6125, 1.8404818500913165, 1.897712184595973), 2500),
+        ],
+    )
+    def test_subpave_convex_mean_value_columns(self, box, most_nodes):
+        [done] = subpave_convex_positive([Job(*box, 30000)])
+        assert done.end == B.CERTIFIED and done.nodes <= most_nodes
+        rng = np.random.default_rng(47)
+        ps = rng.uniform(box[0], box[1], 2000)
+        top = np.minimum(box[3], (2.0**ps - 1.0) ** (1.0 / ps) * (1.0 - 1e-9))
+        ss = box[2] + rng.uniform(0.0, 1.0, 2000) * (top - box[2])
+        _, d2 = delta_sigma_derivs(ps, ss, M.tau_point_vec(ps, ss))
+        assert 0.0 < done.hull[0] <= d2.min() and d2.max() <= done.hull[1]
 
     def test_subpave_convex_is_true_claim(self):
         [done] = subpave_convex_positive([Job(2.33, 2.35, 1.75, 1.82, 30000)])
