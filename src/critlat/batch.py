@@ -385,18 +385,20 @@ def _subpave(jobs, scales, min_width: float, wave) -> list[Subpaving]:
     return result
 
 
-def _with_midpoints(boxes: np.ndarray, pm: np.ndarray, sm: np.ndarray):
-    """(P, S, T, vacuous) of the box lanes, then of their midpoints (pm, sm),
-    from one tau fixed point: a midpoint starts from its box's seed, which
-    encloses the midpoint's tau too."""
+def _with_midpoints(boxes: np.ndarray):
+    """The midpoints (pm, sm) of the boxes, and (P, S, T, vacuous) of the box
+    lanes, then of their midpoints, from one tau fixed point: a midpoint
+    starts from its box's seed, which encloses the midpoint's tau too."""
     n = len(boxes)
+    pm = 0.5 * (boxes[:, 0] + boxes[:, 1])
+    sm = 0.5 * (boxes[:, 2] + boxes[:, 3])
     lanes = np.concatenate([boxes, boxes])
     lanes[n:, 0] = lanes[n:, 1] = pm
     lanes[n:, 2] = lanes[n:, 3] = sm
     P2 = VI(lanes[:, 0], lanes[:, 1])
     S2 = VI(lanes[:, 2], lanes[:, 3])
     T2, vac2 = tau_enclose_batch(P2, S2, seed=VI(lanes[:, 4], lanes[:, 5]))
-    return P2, S2, T2, vac2
+    return pm, sm, P2, S2, T2, vac2
 
 
 MAX_LANES = 4096  # lanes evaluated at once; wider waves only cost memory
@@ -443,9 +445,7 @@ def subpave_convex_positive(jobs, sigma_bias: float = 8.0) -> list[Subpaving]:
 
     def chunk(boxes):
         n = len(boxes)
-        pm = 0.5 * (boxes[:, 0] + boxes[:, 1])
-        sm = 0.5 * (boxes[:, 2] + boxes[:, 3])
-        P2, S2, T2, vac2 = _with_midpoints(boxes, pm, sm)
+        pm, sm, P2, S2, T2, vac2 = _with_midpoints(boxes)
         _, d2 = delta_sigma_derivs(P2, S2, T2)
         P, S = VI(P2.lo[:n], P2.hi[:n]), VI(S2.lo[:n], S2.hi[:n])
         T, vac = VI(T2.lo[:n], T2.hi[:n]), vac2[:n]
@@ -502,9 +502,7 @@ def subpave_delta_above(jobs, side: str) -> list[Subpaving]:
 
     def chunk(boxes):
         n = len(boxes)
-        pm = 0.5 * (boxes[:, 0] + boxes[:, 1])
-        sm = 0.5 * (boxes[:, 2] + boxes[:, 3])
-        P2, S2, T2, vac2 = _with_midpoints(boxes, pm, sm)
+        pm, sm, P2, S2, T2, vac2 = _with_midpoints(boxes)
         P, S = VI(P2.lo[:n], P2.hi[:n]), VI(S2.lo[:n], S2.hi[:n])
         T, vac = VI(T2.lo[:n], T2.hi[:n]), vac2[:n]
         d2 = delta_scalar(P2, S2, T2)

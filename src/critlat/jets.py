@@ -218,7 +218,7 @@ def phi_prime(p, sigma, tau):
     return d_prefix * g + spow(u, inv_p) * d_g
 
 
-_E = (math.nextafter(math.e, 0.0), math.nextafter(math.e, 4.0))
+_E = (math.nextafter(math.e, 0.0), math.nextafter(math.e, 4.0))  # e, rounded outward
 
 
 def tau_pow_log(tau, p):
@@ -300,7 +300,6 @@ class _Atoms(NamedTuple):
     inv_p: object
     sp: object
     s1: object
-    tp: object
     t1: object
     us: object
     ut: object
@@ -341,11 +340,11 @@ def _power_atoms(p, sigma, tau) -> _Atoms:
     if isinstance(f_tau, Interval):
         if f_tau.contains_zero():
             raise SingularConstraint(f"F_tau enclosure {f_tau!r} contains zero")
-    return _Atoms(inv_p, sp, s1, tp_, t1, us, ut, a0, a1, b0, b1, A, B, alpha1, beta1, f_tau)
+    return _Atoms(inv_p, sp, s1, t1, us, ut, a0, a1, b0, b1, A, B, alpha1, beta1, f_tau)
 
 
 def _sigma_slope(p, sigma, tau, at: _Atoms):
-    """(tau', H, H_s, H_t, dH/dsigma, dDelta/dsigma) along the surface, with
+    """(tau', H, H_t, dH/dsigma, dDelta/dsigma) along the surface, with
     tau' = -F_sigma/F_tau, G = tau + sigma and H = a0 b0, so Delta = G H."""
     one = 1
     f_sigma = p * at.a1 * (at.s1 * at.alpha1 + at.beta1)
@@ -355,7 +354,7 @@ def _sigma_slope(p, sigma, tau, at: _Atoms):
     H_t = -at.t1 * at.b1 * at.a0
     dH = H_s + H_t * tau1
     dds = (one + tau1) * H + (tau + sigma) * dH
-    return tau1, H, H_s, H_t, dH, dds
+    return tau1, H, H_t, dH, dds
 
 
 class _PSlope(NamedTuple):
@@ -471,7 +470,7 @@ def _sigma_terms(p, sigma, tau, at: _Atoms) -> _SigmaTerms:
     b2 = spow(at.ut, -2 - inv_p)
     alpha2 = spow(at.A, p - 2)
     beta2 = spow(at.B, p - 2)
-    tau1, H, H_s, H_t, dH, dds = _sigma_slope(p, sigma, tau, at)
+    tau1, H, H_t, dH, dds = _sigma_slope(p, sigma, tau, at)
 
     A_s = s1 * a1
     A_t = -t1 * b1

@@ -358,8 +358,6 @@ class TestThirdDerivatives:
     derivatives, on point and thin VI lanes: each enclosure holds the
     references at the lane's corner (p, sigma)."""
 
-    refs = None
-
     @classmethod
     def setup_class(cls):
         cls.ps, cls.ss, cls.refs = _surface_references(300, 41)
