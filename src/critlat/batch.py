@@ -18,9 +18,9 @@ The tau fixed point stops each lane on its own, once a step returns the
 lane's iterate unchanged bit for bit: the step depends on that lane alone,
 so the lane sits on an exact fixed point and the result is that of the full
 step count (tau_enclose_batch).  A subpaving child starts from its parent
-box's enclosure, which ends at the same fixed point in fewer steps.  The
-delta subpaving runs each box's midpoint through the same call as the box,
-seeded alike: the parent box contains the midpoint too.
+box's enclosure, which ends at the same fixed point in fewer steps.  Both
+subpavings run each box's midpoint through the same call as the box, seeded
+alike: the parent box contains the midpoint too.
 
 Every entry point runs under np.errstate(all="ignore") (_quiet): the VI ops
 leave numpy's floating-point warnings to their caller, and a lane that
