@@ -62,7 +62,7 @@ from .jets import (
     delta_edge_low_scalar,
     delta_gradient,
     delta_scalar,
-    delta_sigma_derivs,
+    delta_sigma_terms,
     delta_third_derivs,
     phi_consts,
     phi_scalar,
@@ -385,6 +385,13 @@ def _subpave(jobs, scales, min_width: float, wave) -> list[Subpaving]:
     return result
 
 
+def _lanes(x, idx):
+    """Lanes idx of a VI, or of every VI of a NamedTuple of them."""
+    if isinstance(x, VI):
+        return VI._of(x.lo[idx], x.hi[idx])
+    return type(x)(*(_lanes(v, idx) for v in x))
+
+
 def _with_midpoints(boxes: np.ndarray):
     """The midpoints (pm, sm) of the boxes, and (P, S, T, vacuous) of the box
     lanes, then of their midpoints, from one tau fixed point: a midpoint
@@ -432,8 +439,10 @@ def subpave_convex_positive(jobs, sigma_bias: float = 8.0) -> list[Subpaving]:
     forms).  The form is skipped where it cannot pass: on subcells the
     natural form certifies, and where the midpoint's value is not positive
     (the form's lower bound lies below it).  Each chunk of a wave runs its
-    box lanes and their midpoints through one tau_enclose_batch call and one
-    delta_sigma_derivs call (_with_midpoints).
+    box lanes and their midpoints through one tau_enclose_batch call
+    (_with_midpoints) and one jets.delta_sigma_terms call, whose atoms and
+    second-order terms on the form's lanes the third derivatives take over
+    instead of computing them again.
 
     sigma_bias > 1 refines sigma ahead of p: the second-derivative enclosure
     is far more sensitive to the sigma/tau spread than to p.
@@ -446,9 +455,10 @@ def subpave_convex_positive(jobs, sigma_bias: float = 8.0) -> list[Subpaving]:
     def chunk(boxes):
         n = len(boxes)
         pm, sm, P2, S2, T2, vac2 = _with_midpoints(boxes)
-        _, d2 = delta_sigma_derivs(P2, S2, T2)
-        P, S = VI(P2.lo[:n], P2.hi[:n]), VI(S2.lo[:n], S2.hi[:n])
-        T, vac = VI(T2.lo[:n], T2.hi[:n]), vac2[:n]
+        at, st = delta_sigma_terms(P2, S2, T2)
+        d2 = st.dds2
+        P, S, T = (_lanes(x, slice(n)) for x in (P2, S2, T2))
+        vac = vac2[:n]
         lo, hi = d2.lo[:n], d2.hi[:n]
         # the mean-value form, on the lanes it can certify: in the domain,
         # failing the natural form, with a midpoint value above zero (the
@@ -458,8 +468,8 @@ def subpave_convex_positive(jobs, sigma_bias: float = 8.0) -> list[Subpaving]:
         if mv.size:
             mv = mv[S.hi[mv] <= sigma_p_batch(VI(P.lo[mv], P.hi[mv])).lo]
         if mv.size:
-            Pq, Sq, Tq = (VI(x.lo[mv], x.hi[mv]) for x in (P, S, T))
-            d3s, d2sp = delta_third_derivs(Pq, Sq, Tq)
+            Pq, Sq, Tq = (_lanes(x, mv) for x in (P, S, T))
+            d3s, d2sp = delta_third_derivs(Pq, Sq, Tq, (_lanes(at, mv), _lanes(st, mv)))
             form = (
                 VI(d2.lo[mv + n], d2.hi[mv + n])
                 + d3s * VI(Sq.lo - sm[mv], Sq.hi - sm[mv])

@@ -47,6 +47,7 @@ __all__ = [
     "tau_p_scalar",
     "delta_edge_low_scalar",
     "d_delta_edge_low_scalar",
+    "delta_sigma_terms",
     "delta_sigma_derivs",
     "delta_p_deriv",
     "delta_gradient",
@@ -510,6 +511,15 @@ def _sigma_terms(p, sigma, tau, at: _Atoms) -> _SigmaTerms:
     )
 
 
+def delta_sigma_terms(p, sigma, tau):
+    """(_Atoms, _SigmaTerms) at (p, sigma, tau): the power atoms and the
+    second-order sigma terms, which d2Delta/dsigma2 and the third
+    derivatives share.  On the VI lane every field is a VI of the same lanes,
+    and each lane depends on that lane's (p, sigma, tau) alone."""
+    at = _power_atoms(p, sigma, tau)
+    return at, _sigma_terms(p, sigma, tau, at)
+
+
 def delta_sigma_derivs(p, sigma, tau):
     """(dDelta/dsigma, d2Delta/dsigma2) along the constraint surface.
 
@@ -519,13 +529,16 @@ def delta_sigma_derivs(p, sigma, tau):
     from zero and any p > 1 works).  Implicit differentiation throughout:
     tau' = -F_sigma/F_tau, tau'' = -(F_ss + 2 F_st tau' + F_tt tau'^2)/F_tau.
     """
-    st = _sigma_terms(p, sigma, tau, _power_atoms(p, sigma, tau))
+    st = delta_sigma_terms(p, sigma, tau)[1]
     return st.dds, st.dds2
 
 
-def delta_third_derivs(p, sigma, tau):
+def delta_third_derivs(p, sigma, tau, terms=None):
     """(d3Delta/dsigma3, d3Delta/dsigma2dp) along the constraint surface: the
     slopes that the mean-value form of d2Delta/dsigma2 takes over a box.
+    `terms` is delta_sigma_terms(p, sigma, tau), computed here when None; a
+    caller that has them already, on these lanes or (VI lane) on a wider
+    call of which these lanes are a selection, passes them on.
 
     Implicit differentiation once more, with D = d/dsigma and E = d/dp along
     the surface (E K = K_p + K_tau tau_p for a function K of p, sigma and
@@ -544,8 +557,7 @@ def delta_third_derivs(p, sigma, tau):
     where the tau enclosure touches zero the VI lane poisons.
     """
     one = 1
-    at = _power_atoms(p, sigma, tau)
-    st = _sigma_terms(p, sigma, tau, at)
+    at, st = delta_sigma_terms(p, sigma, tau) if terms is None else terms
     ps = _p_slope(p, sigma, tau, at)
     s1, t1, a0, a1, b0, b1 = at.s1, at.t1, at.a0, at.a1, at.b0, at.b1
     alpha1, beta1, f_tau = at.alpha1, at.beta1, at.f_tau

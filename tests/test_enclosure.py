@@ -397,6 +397,31 @@ class TestThirdDerivatives:
             for v, r in zip(encs, self.refs.T):
                 assert np.all(v.hi - v.lo <= 1e-9 * np.maximum(1.0, np.abs(r)))
 
+    def test_shared_terms_give_the_same_bits(self):
+        # the convexity columns take the terms of d2Delta/dsigma2 on box and
+        # midpoint lanes, and hand a selection of the box lanes' terms to the
+        # third derivatives: the same bits as computing them afresh
+        rng = np.random.default_rng(19)
+        n = 2000
+        p = rng.uniform(1.3, 4.5, n)
+        sp = (2.0**p - 1.0) ** (1.0 / p)
+        s = 1.0 + rng.uniform(0.0, 1.02, n) * (sp - 1.0)
+        w = np.array([0.0, 1e-9, 1e-6, 1e-3, 2e-2])[np.arange(n) % 5]
+        P, S = VI(p, p + w), VI(s, s + w)
+        T, _ = tau_enclose_batch(P, S)
+        q = np.flatnonzero(rng.uniform(size=n) < 0.3)
+        nan = lambda x: np.where(np.isnan(x), np.nan, x).tobytes()
+        with np.errstate(all="ignore"):
+            at, st = jets.delta_sigma_terms(P, S, T)
+            sub = [B._lanes(x, q) for x in (P, S, T)]
+            got = delta_third_derivs(*sub, (B._lanes(at, q), B._lanes(st, q)))
+            want = delta_third_derivs(*sub)
+            d2 = delta_sigma_derivs(P, S, T)[1]
+        assert nan(d2.lo) == nan(st.dds2.lo) and nan(d2.hi) == nan(st.dds2.hi)
+        for g, v in zip(got, want):
+            assert nan(g.lo) == nan(v.lo) and nan(g.hi) == nan(v.hi)
+        assert (~got[1].invalid()).sum() > q.size // 2
+
     def test_tau_pow_log_turns_below_exponent_one(self):
         # tau^e ln tau falls to -1/(e e) at tau = exp(-1/e) and rises after;
         # exponents below 1 put the turn inside [0, 0.36], as p - 2 does
