@@ -36,7 +36,14 @@ and move their bounds 2 steps outward.  pow takes its range from the four
 corners np.power(x.lo|x.hi, y.lo|y.hi): for x > 0, x**y is monotone in x at
 fixed y and in y at fixed x, so over a box it lies between the corner min
 and max, for every sign of y and for x on either side of 1 (Moore, Interval
-Analysis, 1966; Tucker, Validated Numerics, 2011, ch. 5).
+Analysis, 1966; Tucker, Validated Numerics, 2011, ch. 5).  When the whole
+call lies on one side of each boundary (every lane x.hi <= 1, or every lane
+x.lo >= 1; and every lane y.lo >= 0, or every lane y.hi <= 0), the direction
+of each monotonicity is known, and pow computes only the two corners where
+the min and the max sit, with no min/max (_two_corners).  Those corners are
+among the four, so the bounds are those of the four-corner form whenever
+np.power keeps the corners' order; an empty call, a mixed one and one with a
+NaN bound take the four corners.
 """
 
 from __future__ import annotations
@@ -78,6 +85,38 @@ def _dn2_nonneg(x):
 def _up2_nonneg(x):
     """Two floats above 0 <= x < _BELOW_MAX; callers poison the other lanes."""
     return (x.view(np.int64) + 2).view(np.float64)
+
+
+def _two_corners(xl, xh, yl, yh):
+    """The corners ((x, y) of the least, (x, y) of the greatest) of x**y over
+    every lane of a call, or None where the four corners are needed.
+
+    For x > 0, x**y rises in x when y >= 0 and falls when y <= 0, and falls
+    in y when x <= 1 and rises when x >= 1.  So when every lane has
+    x.hi <= 1 (or every lane x.lo >= 1), and every lane y.lo >= 0 (or every
+    lane y.hi <= 0), the exact least and greatest values over each lane's box
+    sit at the same two corners in every lane.  An empty call, a mixed one
+    and one with a NaN bound take the four corners; the one exception is a
+    NaN x.lo under x.hi <= 1, whose lane pow poisons on either path.  The two
+    are among the four, so a bound is never wider, and it is the same
+    whenever np.power keeps the corners' order."""
+    if not (xl.size and yl.size):
+        return None
+    x_top = xh.max()  # NaN fails every test below
+    if x_top <= 1.0:
+        y_least, y_greatest = yh, yl
+    elif x_top >= 1.0 and xl.min() >= 1.0:
+        y_least, y_greatest = yl, yh
+    else:
+        return None
+    y_bot, y_top = yl.min(), yh.max()
+    if y_bot >= 0.0 and y_top >= 0.0:
+        x_least, x_greatest = xl, xh
+    elif y_top <= 0.0 and y_bot <= 0.0:
+        x_least, x_greatest = xh, xl
+    else:
+        return None
+    return (x_least, y_least), (x_greatest, y_greatest)
 
 
 def _poison(bad, x):
@@ -190,14 +229,22 @@ class VI:
         """self**other for positive self: the min and max of the four corners
         np.power(self.lo|self.hi, other.lo|other.hi), nudged 2 ulp outward,
         the lower bound clamped at 0.  Lanes with self.lo <= 0, or whose upper
-        bound overflows, are NaN."""
+        bound overflows, are NaN.  When every lane of the call lies in one
+        monotone class (_two_corners), only the min and max corners are
+        computed."""
         o = self._coerce(other)
-        c1 = np.power(self.lo, o.lo)
-        c2 = np.power(self.lo, o.hi)
-        c3 = np.power(self.hi, o.lo)
-        c4 = np.power(self.hi, o.hi)
-        lo = np.minimum(np.minimum(c1, c2), np.minimum(c3, c4))
-        hi = np.maximum(np.maximum(c1, c2), np.maximum(c3, c4))
+        corners = _two_corners(self.lo, self.hi, o.lo, o.hi)
+        if corners is None:
+            c1 = np.power(self.lo, o.lo)
+            c2 = np.power(self.lo, o.hi)
+            c3 = np.power(self.hi, o.lo)
+            c4 = np.power(self.hi, o.hi)
+            lo = np.minimum(np.minimum(c1, c2), np.minimum(c3, c4))
+            hi = np.maximum(np.maximum(c1, c2), np.maximum(c3, c4))
+        else:
+            (x_lo, y_lo), (x_hi, y_hi) = corners
+            lo = np.power(x_lo, y_lo)
+            hi = np.power(x_hi, y_hi)
         bad = ~((self.lo > 0.0) & (hi < _BELOW_MAX))
         return VI._of(_poison(bad, _dn2_nonneg(lo)), _poison(bad, _up2_nonneg(hi)))
 

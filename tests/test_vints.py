@@ -88,6 +88,11 @@ def power(x, y):
 @example([(1e300, 1e300)], [(2.0, 2.0)], 0.0)  # overflow
 @example([(1e-300, 1e-300)], [(2.0, 2.0)], 0.0)  # underflow
 @example([(0.0, 1.0), (-1.0, 1.0)], [(1.0, 2.0), (1.0, 2.0)], 0.5)
+# every lane in one monotone class: pow takes two corners
+@example([(0.25, 0.5), (TINY, 1.0)], [(1.5, 2.5), (0.0, 0.5)], 0.5)  # x <= 1, y >= 0
+@example([(0.25, 0.5), (0.5, 1.0)], [(-2.5, -1.5), (-0.5, 0.0)], 0.5)  # x <= 1, y <= 0
+@example([(1.5, 3.0), (1.0, 1e300)], [(0.5, 2.0), (0.0, 0.0)], 0.5)  # x >= 1, y >= 0
+@example([(1.5, 3.0), (1.0, 1.0)], [(-2.0, -0.5), (-400.0, -0.0)], 0.5)  # x >= 1, y <= 0
 def test_pow_contains_exact(xs, ys, t):
     n = min(len(xs), len(ys))
     xs, ys = xs[:n], ys[:n]
@@ -376,6 +381,56 @@ def test_pow_and_exp_steps_equal_nextafter_forms():
         ]
     for new, old in pairs:
         assert np.all(_same_bits(new.lo, old.lo) & _same_bits(new.hi, old.hi))
+
+
+def _one_class_lanes(rng, n, lo, hi, edge):
+    """n sorted lanes drawn from [lo, hi], a sixth of them points, a sixth
+    with `edge` (the class boundary, 1 or 0) as an end and a sixth at it."""
+    a, b = rng.uniform(lo, hi, n), rng.uniform(lo, hi, n)
+    b[::6] = a[::6]
+    a[1::6] = edge
+    a[2::6] = b[2::6] = edge
+    return _sorted_lanes(a, b)
+
+
+@pytest.mark.parametrize("x_side", ["below 1", "above 1"])
+@pytest.mark.parametrize("y_side", ["nonnegative", "nonpositive"])
+def test_two_corner_pow_equals_four_corners(x_side, y_side):
+    # a call whose lanes all lie in one monotone class takes two np.power
+    # corners; its bits are those of the four-corner form, on wide arrays,
+    # bases at exactly 1, exponents at exactly 0, point exponents, 0-d lanes
+    # and an empty call
+    rng = np.random.default_rng(12)
+    n = 120_000
+    ln_x = (-745.0, 0.0) if x_side == "below 1" else (0.0, 709.0)
+    y_range = (0.0, 4.5) if y_side == "nonnegative" else (-4.5, 0.0)
+    x = _one_class_lanes(rng, n, *ln_x, 0.0)
+    x = VI(np.exp(x.lo), np.exp(x.hi))
+    y = _one_class_lanes(rng, n, *y_range, 0.0)
+    calls = [
+        (x, y),
+        (x, VI(y.lo, y.lo)),  # point exponents
+        (x, VI(y.lo[:1], y.lo[:1])),  # one exponent for every lane
+        (VI(x.lo[0], x.hi[0]), VI(y.lo[0], y.hi[0])),  # 0-d
+        (VI(x.lo[:0], x.hi[:0]), VI(y.lo[:0], y.hi[:0])),  # empty
+    ]
+    if x_side == "below 1":  # a NaN x.lo poisons its lane on either path
+        calls.append((VI(np.where(np.arange(n) % 5, x.lo, np.nan), x.hi), y))
+    for xs, ys in calls:
+        assert (vints._two_corners(xs.lo, xs.hi, ys.lo, ys.hi) is None) == (xs.lo.size == 0)
+        new, old = xs.pow(ys), _old_pow(xs, ys)
+        assert np.shape(new.lo) == np.shape(old.lo)
+        assert np.all(_same_bits(new.lo, old.lo) & _same_bits(new.hi, old.hi))
+        nn = xs.pow_nonneg(ys)
+        old_nn = _old_pow_nonneg(xs, ys)
+        assert np.all(_same_bits(nn.lo, old_nn.lo) & _same_bits(nn.hi, old_nn.hi))
+    # a NaN anywhere else, or one lane across a class boundary: four corners
+    for xs, ys in [(VI(x.lo, np.where(np.arange(n) % 7, x.hi, np.nan)), y),
+                   (x, VI(y.lo, np.where(np.arange(n) % 7, y.hi, np.nan))),
+                   (x, VI(np.where(np.arange(n) % 7, y.lo, np.nan), y.hi)),
+                   (x, VI(np.append(y.lo[1:], -1.0), np.append(y.hi[1:], 1.0))),
+                   (VI(np.append(x.lo[1:], 0.5), np.append(x.hi[1:], 2.0)), y)]:
+        assert vints._two_corners(xs.lo, xs.hi, ys.lo, ys.hi) is None
 
 
 @pytest.mark.parametrize("expo_lo", [TINY, -1.0])
