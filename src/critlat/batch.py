@@ -7,12 +7,16 @@ The fixed-point map and the boundary formulas are the generic-scalar ones of
 jets.py, evaluated on the VI lane, so soundness per lane is the scalar
 argument verbatim; the functions here are the VI-lane entry points.
 
-tau_p depends on p alone, and its search is lane-independent: a lane's
-probes depend on its own p-interval alone (jets.tau_p_scalar).  So the
-low-side subpaving searches each distinct p-interval of a wave once, box
-lanes and midpoints together, and hands the brackets of the previous wave on
-to the next, whose sigma-split children carry their parent's p-interval; the
-boundary functions take the bracket as an argument.
+The boundary values sigma_p, Delta(p, 1) and their p-slopes depend on the
+p-interval alone, and a wave has far fewer distinct p-intervals than boxes
+(sigma-split children carry their parent's).  So a Delta-wave chunk keys its
+box lanes and midpoints by p-interval (_p_keys), evaluates each boundary
+function once on the key table and gathers the values to the lanes.  The
+tau_p search is lane-independent as well: a lane's probes depend on its own
+p-interval alone (jets.tau_p_scalar).  So the low-side subpaving searches
+only the keys that the previous wave's table lacks, and hands its table on
+to the next wave (_tau_p_wave); the boundary functions take the bracket as
+an argument.
 
 The tau fixed point stops each lane on its own, once a step returns the
 lane's iterate unchanged bit for bit: the step depends on that lane alone,
@@ -211,17 +215,24 @@ def _merge_keys(*tables):
     return (keys, *(np.concatenate([t[i] for t in tables])[first] for i in (1, 2)))
 
 
-def _tau_p_wave(P: VI, pm: np.ndarray, known: tuple) -> tuple[VI, VI, tuple]:
-    """tau_p brackets for the box lanes P and the midpoints pm of one wave,
-    and this wave's table for the next one: (keys, tau lo, tau hi) per
-    distinct (p lo, p hi), the keys (_keys) sorted.
+def _p_keys(P: VI, pm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct p-intervals of the box lanes P and of the points pm, as
+    sorted keys (_keys), and each lane's index into them: the box lanes
+    first, then pm."""
+    return np.unique(
+        _keys(np.concatenate([P.lo, pm]), np.concatenate([P.hi, pm])), return_inverse=True
+    )
+
+
+def _tau_p_wave(P: VI, pm: np.ndarray, known: tuple) -> tuple[tuple, np.ndarray]:
+    """The key table of the box lanes P and the midpoints pm of one chunk,
+    (keys, tau lo, tau hi) with a tau_p bracket per key (_p_keys), and each
+    lane's index into it; the table also goes on to the next wave.
 
     Only the distinct p-intervals absent from `known`, the previous wave's
     table, are searched: in one tau_p_enclose_batch call, or none.
     """
-    keys, lane_key = np.unique(
-        _keys(np.concatenate([P.lo, pm]), np.concatenate([P.hi, pm])), return_inverse=True
-    )
+    keys, lane_key = _p_keys(P, pm)
     ref, ref_lo, ref_hi = known
     at = np.searchsorted(ref, keys)
     found = at < ref.size
@@ -232,9 +243,7 @@ def _tau_p_wave(P: VI, pm: np.ndarray, known: tuple) -> tuple[VI, VI, tuple]:
     if new.any():
         T = tau_p_enclose_batch(VI(keys.real[new], keys.imag[new]))
         lo[new], hi[new] = T.lo, T.hi
-    tlo, thi = lo[lane_key], hi[lane_key]
-    n = pm.size
-    return VI(tlo[:n], thi[:n]), VI(tlo[n:], thi[n:]), (keys, lo, hi)
+    return (keys, lo, hi), lane_key
 
 
 def _split_boxes(boxes: np.ndarray, scale_p: float, scale_s: float) -> np.ndarray:
@@ -502,10 +511,14 @@ def subpave_delta_above(jobs, side: str) -> list[Subpaving]:
     in (p, sigma), so thin initial cells must not starve the other axis.
 
     Each chunk of a wave (_in_chunks) runs its box lanes and their midpoints
-    through one tau_enclose_batch call.  On side "low" it makes at most one
-    tau_p_enclose_batch call (_tau_p_wave), and the brackets of all chunks
-    of a wave go on to the next wave only; as tau_p lanes are independent,
-    the result is bit for bit that of searching every lane afresh.
+    through one tau_enclose_batch call, and makes one call of each boundary
+    function it needs on the distinct p-intervals of its box lanes and
+    midpoints: sigma_p_batch and d_sigma_p_batch on side "high",
+    sigma_p_batch, edge_low_batch and d_edge_low_batch on side "low".  On
+    side "low" it also makes at most one tau_p_enclose_batch call
+    (_tau_p_wave), and the brackets of all chunks of a wave go on to the next
+    wave only; as every lane of these functions is independent of the
+    others, the result is bit for bit that of evaluating every lane afresh.
     """
     known = _NO_KEYS  # side "low": the previous wave's tau_p table
     fresh: list = []  # and those of the current wave's chunks so far
@@ -513,23 +526,31 @@ def subpave_delta_above(jobs, side: str) -> list[Subpaving]:
     def chunk(boxes):
         n = len(boxes)
         pm, sm, P2, S2, T2, vac2 = _with_midpoints(boxes)
-        P, S = VI(P2.lo[:n], P2.hi[:n]), VI(S2.lo[:n], S2.hi[:n])
-        T, vac = VI(T2.lo[:n], T2.hi[:n]), vac2[:n]
+        P, S, T = (_lanes(x, slice(n)) for x in (P2, S2, T2))
+        vac = vac2[:n]
         d2 = delta_scalar(P2, S2, T2)
-        delta = VI(d2.lo[:n], d2.hi[:n])
+        delta = _lanes(d2, slice(n))
         bad = vac2[n:] | T2.invalid()[n:]  # midpoints without a surface point
         dm = VI(np.where(bad, np.nan, d2.lo[n:]), np.where(bad, np.nan, d2.hi[n:]))
-        sp_box = sigma_p_batch(P)
+        # the boundary values on the chunk's distinct p-intervals, box lanes'
+        # and midpoints', gathered to the lanes
         if side == "high":
-            bound = sp_box * 0.5
-            bound_slope = d_sigma_p_batch(P) * 0.5
-            bm = sigma_p_batch(VI.point(pm)) * 0.5
+            keys, key = _p_keys(P, pm)
+            K = VI._of(keys.real, keys.imag)
+            sp = sigma_p_batch(K)
+            edge = sp * 0.5
+            slope = d_sigma_p_batch(K) * 0.5
         else:
-            tp, tp_mid, seen = _tau_p_wave(P, pm, _merge_keys(known, *fresh))
-            fresh.append(seen)
-            bound = edge_low_batch(P, tp)
-            bound_slope = d_edge_low_batch(P, tp)
-            bm = edge_low_batch(VI.point(pm), tp_mid)
+            table, key = _tau_p_wave(P, pm, _merge_keys(known, *fresh))
+            fresh.append(table)
+            keys, tau_lo, tau_hi = table
+            K = VI._of(keys.real, keys.imag)
+            tp = VI._of(tau_lo, tau_hi)
+            sp = sigma_p_batch(K)
+            edge = edge_low_batch(K, tp)
+            slope = d_edge_low_batch(K, tp)
+        sp_box, bound, bound_slope = (_lanes(x, key[:n]) for x in (sp, edge, slope))
+        bm = _lanes(edge, key[n:])
         diff_lo = _dn(delta.lo - bound.hi)
         diff_hi = _up(delta.hi - bound.lo)
 

@@ -12,8 +12,12 @@ from critlat.vints import VI
 
 
 def _no_reuse(P, pm, known):
-    # the reference: every lane bisected afresh
-    return B.tau_p_enclose_batch(P), B.tau_p_enclose_batch(VI.point(pm)), known
+    # the reference: every lane bisected afresh, its bracket written to its key
+    keys, lane_key = B._p_keys(P, pm)
+    T = B.tau_p_enclose_batch(VI(np.concatenate([P.lo, pm]), np.concatenate([P.hi, pm])))
+    lo, hi = np.empty(keys.size), np.empty(keys.size)
+    lo[lane_key], hi[lane_key] = T.lo, T.hi
+    return (keys, lo, hi), lane_key
 
 
 @pytest.mark.parametrize(
@@ -40,7 +44,7 @@ def test_low_side_bisects_each_p_interval_once(monkeypatch, box, max_nodes):
         return edge_low(P, tp)
 
     def spy_d_edge_low(P, tp):
-        calls["d_edge_low"] += 1  # once per wave
+        calls["d_edge_low"] += 1  # once per chunk
         return d_edge_low(P, tp)
 
     monkeypatch.setattr(B, "tau_p_enclose_batch", spy_tau_p)
@@ -51,10 +55,10 @@ def test_low_side_bisects_each_p_interval_once(monkeypatch, box, max_nodes):
     assert got == expected
     flat = [k for keys in tau_p_keys for k in keys]
     assert len(flat) == len(set(flat))
-    waves = calls["d_edge_low"]
-    assert waves > 1
-    assert 1 <= len(tau_p_keys) <= waves
-    assert calls["edge_low"] == 2 * waves
+    chunks = calls["d_edge_low"]
+    assert chunks > 1
+    assert 1 <= len(tau_p_keys) <= chunks
+    assert calls["edge_low"] == chunks  # box lanes and midpoints in one call
 
 
 @pytest.fixture
