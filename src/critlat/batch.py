@@ -23,7 +23,7 @@ lane's iterate unchanged bit for bit: the step depends on that lane alone,
 so the lane sits on an exact fixed point and the result is that of the full
 step count (tau_enclose_batch).  A subpaving child starts from its parent
 box's enclosure, which ends at the same fixed point in fewer steps.  Both
-subpavings run each box's midpoint through the same call as the box, seeded
+subpavings run a box's midpoint through the same call as the box, seeded
 alike: the parent box contains the midpoint too.
 
 Every entry point runs under np.errstate(all="ignore") (_quiet): the VI ops
@@ -49,6 +49,13 @@ Both subpavings pair a natural enclosure with a midpoint mean-value form on
 subcells inside the domain and keep the tighter bound of each: Delta minus
 its boundary value in subpave_delta_above, d2Delta/dsigma2 in
 subpave_convex_positive, whose slopes are the third derivatives of Delta.
+Whether a box lies inside the domain, S.hi <= sigma_p(P).lo, is known before
+the fixed point, so only inside boxes get a midpoint lane (_with_midpoints)
+and, in the Delta waves, a gradient lane; the column waves compute the power
+atoms and second-order terms of d2Delta/dsigma2 once on box and midpoint
+lanes, and the third derivatives take those of the form's lanes
+(jets.delta_third_derivs with terms).  Each value is computed once, on the
+lanes that read it, and every lane's value is that of computing it alone.
 """
 
 from __future__ import annotations
@@ -401,16 +408,17 @@ def _lanes(x, idx):
     return type(x)(*(_lanes(v, idx) for v in x))
 
 
-def _with_midpoints(boxes: np.ndarray):
-    """The midpoints (pm, sm) of the boxes, and (P, S, T, vacuous) of the box
-    lanes, then of their midpoints, from one tau fixed point: a midpoint
-    starts from its box's seed, which encloses the midpoint's tau too."""
-    n = len(boxes)
-    pm = 0.5 * (boxes[:, 0] + boxes[:, 1])
-    sm = 0.5 * (boxes[:, 2] + boxes[:, 3])
-    lanes = np.concatenate([boxes, boxes])
-    lanes[n:, 0] = lanes[n:, 1] = pm
-    lanes[n:, 2] = lanes[n:, 3] = sm
+def _with_midpoints(boxes: np.ndarray, inside: np.ndarray):
+    """The midpoints (pm, sm) of the boxes inside[k], and (P, S, T, vacuous)
+    of all box lanes, then of those midpoints, from one tau fixed point: a
+    midpoint starts from its box's seed, which encloses the midpoint's tau
+    too."""
+    mid = boxes[inside]
+    pm = 0.5 * (mid[:, 0] + mid[:, 1])
+    sm = 0.5 * (mid[:, 2] + mid[:, 3])
+    mid[:, 0] = mid[:, 1] = pm
+    mid[:, 2] = mid[:, 3] = sm
+    lanes = np.concatenate([boxes, mid])
     P2 = VI(lanes[:, 0], lanes[:, 1])
     S2 = VI(lanes[:, 2], lanes[:, 3])
     T2, vac2 = tau_enclose_batch(P2, S2, seed=VI(lanes[:, 4], lanes[:, 5]))
@@ -448,10 +456,11 @@ def subpave_convex_positive(jobs, sigma_bias: float = 8.0) -> list[Subpaving]:
     forms).  The form is skipped where it cannot pass: on subcells the
     natural form certifies, and where the midpoint's value is not positive
     (the form's lower bound lies below it).  Each chunk of a wave runs its
-    box lanes and their midpoints through one tau_enclose_batch call
-    (_with_midpoints) and one jets.delta_sigma_terms call, whose atoms and
-    second-order terms on the form's lanes the third derivatives take over
-    instead of computing them again.
+    box lanes, and the midpoints of those inside the domain (sigma_p_batch
+    on the box lanes), through one tau_enclose_batch call (_with_midpoints)
+    and one jets.delta_sigma_terms call, whose atoms and second-order terms
+    on the form's lanes the third derivatives take over instead of computing
+    them again.
 
     sigma_bias > 1 refines sigma ahead of p: the second-derivative enclosure
     is far more sensitive to the sigma/tau spread than to p.
@@ -463,26 +472,26 @@ def subpave_convex_positive(jobs, sigma_bias: float = 8.0) -> list[Subpaving]:
 
     def chunk(boxes):
         n = len(boxes)
-        pm, sm, P2, S2, T2, vac2 = _with_midpoints(boxes)
+        P, S = VI(boxes[:, 0], boxes[:, 1]), VI(boxes[:, 2], boxes[:, 3])
+        inside = np.flatnonzero(S.hi <= sigma_p_batch(P).lo)
+        pm, sm, P2, S2, T2, vac2 = _with_midpoints(boxes, inside)
         at, st = delta_sigma_terms(P2, S2, T2)
         d2 = st.dds2
-        P, S, T = (_lanes(x, slice(n)) for x in (P2, S2, T2))
-        vac = vac2[:n]
+        T, vac = _lanes(T2, slice(n)), vac2[:n]
         lo, hi = d2.lo[:n], d2.hi[:n]
-        # the mean-value form, on the lanes it can certify: in the domain,
-        # failing the natural form, with a midpoint value above zero (the
-        # form's lower bound lies below the midpoint's)
+        # the mean-value form, on the lanes it can certify: inside the
+        # domain, failing the natural form, with a midpoint value above zero
+        # (the form's lower bound lies below the midpoint's)
         mid_ok = ~(vac2[n:] | T2.invalid()[n:]) & (d2.lo[n:] > 0.0)
-        mv = np.flatnonzero(~vac & ~(lo > 0.0) & mid_ok)
-        if mv.size:
-            mv = mv[S.hi[mv] <= sigma_p_batch(VI(P.lo[mv], P.hi[mv])).lo]
+        use = ~vac[inside] & ~(lo[inside] > 0.0) & mid_ok
+        mv = inside[use]
         if mv.size:
             Pq, Sq, Tq = (_lanes(x, mv) for x in (P, S, T))
             d3s, d2sp = delta_third_derivs(Pq, Sq, Tq, (_lanes(at, mv), _lanes(st, mv)))
             form = (
-                VI(d2.lo[mv + n], d2.hi[mv + n])
-                + d3s * VI(Sq.lo - sm[mv], Sq.hi - sm[mv])
-                + d2sp * VI(Pq.lo - pm[mv], Pq.hi - pm[mv])
+                _lanes(d2, n + np.flatnonzero(use))
+                + d3s * VI(Sq.lo - sm[use], Sq.hi - sm[use])
+                + d2sp * VI(Pq.lo - pm[use], Pq.hi - pm[use])
             )
             lo[mv] = np.fmax(lo[mv], form.lo)
             hi[mv] = np.fmin(hi[mv], form.hi)
@@ -510,11 +519,13 @@ def subpave_delta_above(jobs, side: str) -> list[Subpaving]:
     Splitting is by absolute width: the mean-value error is roughly isotropic
     in (p, sigma), so thin initial cells must not starve the other axis.
 
-    Each chunk of a wave (_in_chunks) runs its box lanes and their midpoints
-    through one tau_enclose_batch call, and makes one call of each boundary
-    function it needs on the distinct p-intervals of its box lanes and
+    Each chunk of a wave (_in_chunks) makes one call of each boundary
+    function it needs on the distinct p-intervals of its box lanes and their
     midpoints: sigma_p_batch and d_sigma_p_batch on side "high",
-    sigma_p_batch, edge_low_batch and d_edge_low_batch on side "low".  On
+    sigma_p_batch, edge_low_batch and d_edge_low_batch on side "low".  Then
+    it runs its box lanes, and the midpoints of those inside the domain,
+    through one tau_enclose_batch call, and takes the gradient
+    (delta_gradient) on the inside lanes with a surface point only.  On
     side "low" it also makes at most one tau_p_enclose_batch call
     (_tau_p_wave), and the brackets of all chunks of a wave go on to the next
     wave only; as every lane of these functions is independent of the
@@ -525,15 +536,10 @@ def subpave_delta_above(jobs, side: str) -> list[Subpaving]:
 
     def chunk(boxes):
         n = len(boxes)
-        pm, sm, P2, S2, T2, vac2 = _with_midpoints(boxes)
-        P, S, T = (_lanes(x, slice(n)) for x in (P2, S2, T2))
-        vac = vac2[:n]
-        d2 = delta_scalar(P2, S2, T2)
-        delta = _lanes(d2, slice(n))
-        bad = vac2[n:] | T2.invalid()[n:]  # midpoints without a surface point
-        dm = VI(np.where(bad, np.nan, d2.lo[n:]), np.where(bad, np.nan, d2.hi[n:]))
+        P, S = VI(boxes[:, 0], boxes[:, 1]), VI(boxes[:, 2], boxes[:, 3])
         # the boundary values on the chunk's distinct p-intervals, box lanes'
         # and midpoints', gathered to the lanes
+        pm = 0.5 * (boxes[:, 0] + boxes[:, 1])
         if side == "high":
             keys, key = _p_keys(P, pm)
             K = VI._of(keys.real, keys.imag)
@@ -549,25 +555,34 @@ def subpave_delta_above(jobs, side: str) -> list[Subpaving]:
             sp = sigma_p_batch(K)
             edge = edge_low_batch(K, tp)
             slope = d_edge_low_batch(K, tp)
-        sp_box, bound, bound_slope = (_lanes(x, key[:n]) for x in (sp, edge, slope))
-        bm = _lanes(edge, key[n:])
-        diff_lo = _dn(delta.lo - bound.hi)
-        diff_hi = _up(delta.hi - bound.lo)
+        bound = _lanes(edge, key[:n])
+        # the mean-value form is taken inside the domain only, where its
+        # segment stays: only those boxes get a midpoint
+        inside = np.flatnonzero(S.hi <= sp.lo[key[:n]])
+        _, sm, P2, S2, T2, vac2 = _with_midpoints(boxes, inside)
+        T, vac = _lanes(T2, slice(n)), vac2[:n]
+        d2 = delta_scalar(P2, S2, T2)
+        best_lo = _dn(d2.lo[:n] - bound.hi)
+        best_hi = _up(d2.hi[:n] - bound.lo)
 
-        in_domain = ~vac & (S.hi <= sp_box.lo)
-        dds, ddp = delta_gradient(P, S, T)
-        mvf = (
-            (dm - bm)
-            + dds * VI(S.lo - sm, S.hi - sm)
-            + (ddp - bound_slope) * VI(P.lo - pm, P.hi - pm)
-        )
-        mlo = np.where(in_domain, mvf.lo, np.nan)
-        mhi = np.where(in_domain, mvf.hi, np.nan)
-        best_lo = np.fmax(diff_lo, mlo)
-        best_hi = np.fmin(diff_hi, mhi)
-        ok = best_lo > 0.0
+        use = ~vac[inside]
+        q = inside[use]
+        if q.size:
+            mq = n + np.flatnonzero(use)  # their midpoints' lanes
+            bad = vac2[mq] | T2.invalid()[mq]  # midpoints without a surface point
+            dm = VI(np.where(bad, np.nan, d2.lo[mq]), np.where(bad, np.nan, d2.hi[mq]))
+            Pq, Sq, Tq = (_lanes(x, q) for x in (P, S, T))
+            dds, ddp = delta_gradient(Pq, Sq, Tq)
+            smq, pmq = sm[use], pm[q]
+            mvf = (
+                (dm - _lanes(edge, key[n + q]))
+                + dds * VI(Sq.lo - smq, Sq.hi - smq)
+                + (ddp - _lanes(slope, key[q])) * VI(Pq.lo - pmq, Pq.hi - pmq)
+            )
+            best_lo[q] = np.fmax(best_lo[q], mvf.lo)
+            best_hi[q] = np.fmin(best_hi[q], mvf.hi)
         boxes[:, 4], boxes[:, 5] = T.lo, T.hi
-        return vac, ok, best_lo, best_hi
+        return vac, best_lo > 0.0, best_lo, best_hi
 
     def wave(boxes):
         nonlocal known
