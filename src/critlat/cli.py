@@ -1,7 +1,8 @@
 """Command-line front end: eval, verify, p0, and lattice subcommands.
 
-Exit codes: 0 success / complete certificate, 2 input error, 3 incomplete
-certification (partial certificate still written), 4 numeric failure.
+Exit codes: 0 success / complete certificate, 2 input error (a non-finite p
+or tolerance included), 3 incomplete certification (partial certificate still
+written), 4 numeric failure (an overflow included).
 Configuration precedence: flags > environment variables > config file.
 Environment: CRITLAT_WORKERS (default worker count), CRITLAT_CONFIG (config
 file path).  Rigorous bounds are printed with stated rounding direction
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -99,8 +101,14 @@ def _parse_complex(text: str) -> complex:
         raise CliError(f"cannot parse complex number {text!r}") from None
 
 
+def _finite_p(p: float) -> float:
+    if not math.isfinite(p):
+        raise CliError(f"p must be finite, got {p}")
+    return p
+
+
 def cmd_eval(args, cfg: RunConfig, out) -> int:
-    p, sigma = args.p, args.sigma
+    p, sigma = _finite_p(args.p), args.sigma
     try:
         mod.ParamDomain(p, sigma)
     except DomainError as e:
@@ -167,7 +175,7 @@ def cmd_verify(args, cfg: RunConfig, out) -> int:
 
 
 def cmd_p0(args, cfg: RunConfig, out) -> int:
-    if args.tol <= 0.0:
+    if not args.tol > 0.0:  # NaN too
         raise CliError("tolerance must be positive")
     try:
         iv = ver.enclose_p0(args.tol)
@@ -182,7 +190,7 @@ def cmd_lattice(args, cfg: RunConfig, out) -> int:
     kind = {"L0": "L0", "L1": "L1", "lambda0": "L0", "lambda1": "L1"}.get(args.kind)
     if kind is None:
         raise CliError(f"unknown lattice kind {args.kind!r}")
-    if args.p <= 1.0:
+    if _finite_p(args.p) <= 1.0:
         raise CliError(f"lattice needs p > 1, got {args.p}")
     L = mod.lattice_basis(kind, args.p)
     print("quantity,value,accuracy", file=out)
@@ -302,6 +310,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except (DomainError, mod.NoRootInRange, IntervalError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except OverflowError as e:
+        print(f"error: numeric overflow: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

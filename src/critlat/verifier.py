@@ -585,7 +585,7 @@ def enclose_p0(tolerance: float, bracket: tuple[float, float] = (2.5, 2.65)) -> 
     Requires sign-definite difference enclosures at the bracket ends; result
     has width <= tolerance and contains the crossover.
     """
-    if tolerance <= 0.0:
+    if not tolerance > 0.0:  # NaN too
         raise DomainError("tolerance must be positive")
     lo, hi = bracket
     g_lo = _g_enclosure(lo)

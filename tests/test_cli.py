@@ -21,6 +21,14 @@ def run(argv):
     return code, out.getvalue()
 
 
+def refused(argv, capsys):
+    """The exit code of a run that must print nothing but one error line."""
+    code, out = run(argv)
+    err = capsys.readouterr().err
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    return code
+
+
 class TestEval:
     def test_delta_closed_form(self):
         code, out = run(["eval", "--p", "2", "--sigma", "1", "--what", "delta"])
@@ -44,6 +52,10 @@ class TestEval:
         names = {l.split(",")[0] for l in out.splitlines()[1:]}
         assert names == {"d_sigma", "d_sigma2", "d_p", "d_sigma_p", "d_sigma2_p"}
 
+    def test_overflowing_p_exit_4(self, capsys):
+        # sigma_p(1e10) overflows a float: a numeric refusal
+        assert refused(["eval", "--p", "1e10", "--sigma", "1.5"], capsys) == 4
+
     def test_derivatives_on_the_curve_exit_4(self, capsys):
         # tau = 0 on sigma = sigma_p: a numeric refusal, not a traceback
         sigma = repr(sigma_p(2.4))
@@ -65,6 +77,11 @@ class TestP0:
     def test_zero_tolerance_exit_2(self):
         code, _ = run(["p0", "--tol", "0"])
         assert code == 2
+
+    def test_nan_tolerance_exit_2(self, capsys):
+        # NaN fails every comparison: without the check the bisection would
+        # not run and the unrefined bracket would print
+        assert refused(["p0", "--tol", "nan"], capsys) == 2
 
     def test_tight_tolerance(self):
         code, out = run(["p0", "--tol", "1e-6"])
@@ -102,6 +119,13 @@ class TestLattice:
     def test_multiplier_rejected_exit_4(self):
         code, _ = run(["lattice", "--kind", "L0", "--p", "2", "--multiplier", "1i"])
         assert code == 4
+
+    @pytest.mark.parametrize("p", ["nan", "inf"])
+    def test_non_finite_p_exit_2(self, p, capsys):
+        assert refused(["lattice", "--kind", "L0", "--p", p], capsys) == 2
+
+    def test_overflowing_p_exit_4(self, capsys):
+        assert refused(["lattice", "--kind", "L0", "--p", "1e10", "--curve"], capsys) == 4
 
     def test_bad_kind_exit_2(self):
         code, _ = run(["lattice", "--kind", "L9", "--p", "2", "--det"])

@@ -241,6 +241,8 @@ class TestP0:
     def test_bad_tolerance(self):
         with pytest.raises(DomainError):
             V.enclose_p0(0.0)
+        with pytest.raises(DomainError):
+            V.enclose_p0(float("nan"))
 
     def test_no_sign_change_error(self):
         with pytest.raises(V.NoSignChange):
