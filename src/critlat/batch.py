@@ -409,10 +409,10 @@ def _lanes(x, idx):
 
 
 def _with_midpoints(boxes: np.ndarray, inside: np.ndarray):
-    """The midpoints (pm, sm) of the boxes inside[k], and (P, S, T, vacuous)
-    of all box lanes, then of those midpoints, from one tau fixed point: a
-    midpoint starts from its box's seed, which encloses the midpoint's tau
-    too."""
+    """The midpoints (pm, sm) of the boxes that the indices `inside` name,
+    and (P, S, T, vacuous) of all box lanes, then of those midpoints, from
+    one tau fixed point: a midpoint starts from its box's seed, which
+    encloses the midpoint's tau too."""
     mid = boxes[inside]
     pm = 0.5 * (mid[:, 0] + mid[:, 1])
     sm = 0.5 * (mid[:, 2] + mid[:, 3])
