@@ -7,16 +7,14 @@ The fixed-point map and the boundary formulas are the generic-scalar ones of
 jets.py, evaluated on the VI lane, so soundness per lane is the scalar
 argument verbatim; the functions here are the VI-lane entry points.
 
-The boundary values sigma_p, Delta(p, 1) and their p-slopes depend on the
-p-interval alone, and a wave has far fewer distinct p-intervals than boxes
-(sigma-split children carry their parent's).  So a Delta-wave chunk keys its
-box lanes and midpoints by p-interval (_p_keys), evaluates each boundary
-function once on the key table and gathers the values to the lanes.  The
-tau_p search is lane-independent as well: a lane's probes depend on its own
-p-interval alone (jets.tau_p_scalar).  So the low-side subpaving searches
-only the keys that the previous wave's table lacks, and hands its table on
-to the next wave (_tau_p_wave); the boundary functions take the bracket as
-an argument.
+The boundary values sigma_p, tau_p, Delta(p, 1) and their p-slopes depend on
+the p-interval alone, and a wave has far fewer distinct p-intervals than
+boxes (sigma-split children carry their parent's).  So a Delta-wave chunk
+keys its box lanes and midpoints by p-interval (_p_keys), evaluates each
+boundary function once on the key table and gathers the values to the
+lanes; the table lives as long as the chunk.  Each lane of these functions
+depends on its own p-interval alone (the tau_p search too:
+jets.tau_p_scalar), so a lane's value is that of evaluating it alone.
 
 The tau fixed point stops each lane on its own, once a step returns the
 lane's iterate unchanged bit for bit: the step depends on that lane alone,
@@ -213,15 +211,6 @@ def _keys(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.stack([lo, hi], axis=-1).view(np.complex128).ravel()
 
 
-_NO_KEYS = (_keys(np.empty(0), np.empty(0)), np.empty(0), np.empty(0))
-
-
-def _merge_keys(*tables):
-    """One sorted table of the keys of several; equal keys hold equal brackets."""
-    keys, first = np.unique(np.concatenate([t[0] for t in tables]), return_index=True)
-    return (keys, *(np.concatenate([t[i] for t in tables])[first] for i in (1, 2)))
-
-
 def _p_keys(P: VI, pm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct p-intervals of the box lanes P and of the points pm, as
     sorted keys (_keys), and each lane's index into them: the box lanes
@@ -229,28 +218,6 @@ def _p_keys(P: VI, pm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(
         _keys(np.concatenate([P.lo, pm]), np.concatenate([P.hi, pm])), return_inverse=True
     )
-
-
-def _tau_p_wave(P: VI, pm: np.ndarray, known: tuple) -> tuple[tuple, np.ndarray]:
-    """The key table of the box lanes P and the midpoints pm of one chunk,
-    (keys, tau lo, tau hi) with a tau_p bracket per key (_p_keys), and each
-    lane's index into it; the table also goes on to the next wave.
-
-    Only the distinct p-intervals absent from `known`, the previous wave's
-    table, are searched: in one tau_p_enclose_batch call, or none.
-    """
-    keys, lane_key = _p_keys(P, pm)
-    ref, ref_lo, ref_hi = known
-    at = np.searchsorted(ref, keys)
-    found = at < ref.size
-    found[found] = ref[at[found]] == keys[found]
-    lo, hi = np.empty(keys.size), np.empty(keys.size)
-    lo[found], hi[found] = ref_lo[at[found]], ref_hi[at[found]]
-    new = ~found
-    if new.any():
-        T = tau_p_enclose_batch(VI(keys.real[new], keys.imag[new]))
-        lo[new], hi[new] = T.lo, T.hi
-    return (keys, lo, hi), lane_key
 
 
 def _split_boxes(boxes: np.ndarray, scale_p: float, scale_s: float) -> np.ndarray:
@@ -311,17 +278,18 @@ def _speculate(boxes: np.ndarray, scale, room: int) -> list[np.ndarray]:
     return levels
 
 
-def _subpave(jobs, scales, min_width: float, wave) -> list[Subpaving]:
+def _subpave(jobs, scales, min_width: float, chunk) -> list[Subpaving]:
     """Adaptive subpaving of all jobs at once, one merged VI array per wave.
 
     A box is a row (p lo, p hi, sigma lo, sigma hi, tau lo, tau hi), the tau
     columns seeding its fixed point (tau_enclose_batch): TAU_SEED for a
     job's first box, then the enclosure of an evaluated ancestor.
-    wave(boxes) evaluates the concatenated boxes of the running jobs,
-    overwrites their tau columns with their enclosures and returns per-lane
-    (vacuous, ok, lo, hi), ok meaning the enclosure [lo, hi] is positive.  A
-    job passes when every box is vacuous or ok; otherwise its failing boxes
-    are split on the job's scales.  A job whose node count would exceed its
+    A wave concatenates the boxes of the running jobs and evaluates them in
+    slices (_in_chunks): chunk(boxes) overwrites the tau columns of a slice
+    with their enclosures and returns per-lane (vacuous, ok, lo, hi), ok
+    meaning the enclosure [lo, hi] is positive; it keeps nothing from one
+    slice to the next.  A job passes when every box is vacuous or ok;
+    otherwise its failing boxes are split on the job's scales.  A job whose node count would exceed its
     budget stops before the boxes are evaluated, and one with a failing box
     thinner than min_width stops after it.
 
@@ -357,7 +325,7 @@ def _subpave(jobs, scales, min_width: float, wave) -> list[Subpaving]:
             break
         evaluated = np.concatenate([level for lv in levels for level in lv])
         boxes = {}  # the next wave's: the children of the deepest failing boxes
-        vac, ok, lo, hi = wave(evaluated)
+        vac, ok, lo, hi = _in_chunks(evaluated, chunk)
         good = vac | ok
         live = ok & ~vac
         running = []
@@ -438,7 +406,7 @@ def _in_chunks(boxes: np.ndarray, evaluate) -> tuple:
 
 
 @_quiet
-def subpave_convex_positive(jobs, sigma_bias: float = 8.0) -> list[Subpaving]:
+def subpave_convex_positive(jobs) -> list[Subpaving]:
     """Certify d2Delta/dsigma2 > 0 over each job's box (within the domain) by
     adaptive subpaving; all jobs run as one merged subpaving (_subpave).  A
     certified job's hull is that of its subcell enclosures, hull lo > 0.
@@ -462,11 +430,12 @@ def subpave_convex_positive(jobs, sigma_bias: float = 8.0) -> list[Subpaving]:
     on the form's lanes the third derivatives take over instead of computing
     them again.
 
-    sigma_bias > 1 refines sigma ahead of p: the second-derivative enclosure
-    is far more sensitive to the sigma/tau spread than to p.
+    The split axis weighs sigma's relative width eight times p's, refining
+    sigma ahead of p: the second-derivative enclosure is far more sensitive
+    to the sigma/tau spread than to p.
     """
     scales = [
-        (max(j.p_hi - j.p_lo, 1e-12), max(j.s_hi - j.s_lo, 1e-12) / sigma_bias)
+        (max(j.p_hi - j.p_lo, 1e-12), max(j.s_hi - j.s_lo, 1e-12) / 8.0)
         for j in jobs
     ]
 
@@ -498,7 +467,7 @@ def subpave_convex_positive(jobs, sigma_bias: float = 8.0) -> list[Subpaving]:
         boxes[:, 4], boxes[:, 5] = T.lo, T.hi
         return vac, lo > 0.0, lo, hi
 
-    return _subpave(jobs, scales, 1e-6, lambda boxes: _in_chunks(boxes, chunk))
+    return _subpave(jobs, scales, 1e-6, chunk)
 
 
 @_quiet
@@ -521,18 +490,15 @@ def subpave_delta_above(jobs, side: str) -> list[Subpaving]:
 
     Each chunk of a wave (_in_chunks) makes one call of each boundary
     function it needs on the distinct p-intervals of its box lanes and their
-    midpoints: sigma_p_batch and d_sigma_p_batch on side "high",
-    sigma_p_batch, edge_low_batch and d_edge_low_batch on side "low".  Then
-    it runs its box lanes, and the midpoints of those inside the domain,
-    through one tau_enclose_batch call, and takes the gradient
-    (delta_gradient) on the inside lanes with a surface point only.  On
-    side "low" it also makes at most one tau_p_enclose_batch call
-    (_tau_p_wave), and the brackets of all chunks of a wave go on to the next
-    wave only; as every lane of these functions is independent of the
-    others, the result is bit for bit that of evaluating every lane afresh.
+    midpoints (_p_keys): sigma_p_batch and d_sigma_p_batch on side "high";
+    sigma_p_batch, tau_p_enclose_batch, edge_low_batch and d_edge_low_batch
+    on side "low".  Then it runs its box lanes, and the midpoints of those
+    inside the domain, through one tau_enclose_batch call, and takes the
+    gradient (delta_gradient) on the inside lanes with a surface point only.
+    No value passes from one chunk or wave to the next; as every lane of
+    these functions is independent of the others, the result is bit for bit
+    that of evaluating every lane afresh.
     """
-    known = _NO_KEYS  # side "low": the previous wave's tau_p table
-    fresh: list = []  # and those of the current wave's chunks so far
 
     def chunk(boxes):
         n = len(boxes)
@@ -540,19 +506,14 @@ def subpave_delta_above(jobs, side: str) -> list[Subpaving]:
         # the boundary values on the chunk's distinct p-intervals, box lanes'
         # and midpoints', gathered to the lanes
         pm = 0.5 * (boxes[:, 0] + boxes[:, 1])
+        keys, key = _p_keys(P, pm)
+        K = VI._of(keys.real, keys.imag)
+        sp = sigma_p_batch(K)
         if side == "high":
-            keys, key = _p_keys(P, pm)
-            K = VI._of(keys.real, keys.imag)
-            sp = sigma_p_batch(K)
             edge = sp * 0.5
             slope = d_sigma_p_batch(K) * 0.5
         else:
-            table, key = _tau_p_wave(P, pm, _merge_keys(known, *fresh))
-            fresh.append(table)
-            keys, tau_lo, tau_hi = table
-            K = VI._of(keys.real, keys.imag)
-            tp = VI._of(tau_lo, tau_hi)
-            sp = sigma_p_batch(K)
+            tp = tau_p_enclose_batch(K)
             edge = edge_low_batch(K, tp)
             slope = d_edge_low_batch(K, tp)
         bound = _lanes(edge, key[:n])
@@ -584,12 +545,4 @@ def subpave_delta_above(jobs, side: str) -> list[Subpaving]:
         boxes[:, 4], boxes[:, 5] = T.lo, T.hi
         return vac, best_lo > 0.0, best_lo, best_hi
 
-    def wave(boxes):
-        nonlocal known
-        out = _in_chunks(boxes, chunk)
-        if fresh:  # side "low"
-            known = _merge_keys(*fresh)
-            fresh.clear()
-        return out
-
-    return _subpave(jobs, [(1.0, 1.0)] * len(jobs), 1e-7, wave)
+    return _subpave(jobs, [(1.0, 1.0)] * len(jobs), 1e-7, chunk)

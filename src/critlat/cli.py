@@ -1,8 +1,9 @@
 """Command-line front end: eval, verify, p0, and lattice subcommands.
 
-Exit codes: 0 success / complete certificate, 2 input error (a non-finite p
-or tolerance included), 3 incomplete certification (partial certificate still
-written), 4 numeric failure (an overflow included).
+Exit codes: 0 success / complete certificate, 2 input error (a non-finite
+number or tolerance and a bad config value included), 3 incomplete
+certification (partial certificate still written), 4 numeric failure (an
+overflow included).
 Configuration precedence: flags > environment variables > config file.
 Environment: CRITLAT_WORKERS (default worker count), CRITLAT_CONFIG (config
 file path).  Rigorous bounds are printed with stated rounding direction
@@ -37,6 +38,16 @@ class CliError(Exception):
         self.code = code
 
 
+FORMATS = ("structured", "tabular")
+
+
+def _count(name: str, value) -> int:
+    """value if it is an integer >= 1, else a CliError."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise CliError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
+
+
 @dataclass
 class RunConfig:
     """Resolved configuration: flags > environment > config file."""
@@ -56,6 +67,8 @@ class RunConfig:
                     cfg = json.load(fh)
             except (OSError, json.JSONDecodeError) as e:
                 raise CliError(f"cannot read config file {path}: {e}")
+            if not isinstance(cfg, dict):
+                raise CliError(f"config file {path} must hold a JSON object")
         env_workers = os.environ.get("CRITLAT_WORKERS")
         workers = cfg.get("workers", 1)
         if env_workers is not None:
@@ -65,16 +78,20 @@ class RunConfig:
                 raise CliError(f"bad CRITLAT_WORKERS {env_workers!r}") from None
         if getattr(args, "workers", None) is not None:
             workers = args.workers
-        if workers < 1:
-            raise CliError("workers must be >= 1")
         node_budget = cfg.get("node_budget", 24000)
         if getattr(args, "node_budget", None) is not None:
             node_budget = args.node_budget
+        output = getattr(args, "out", None) or cfg.get("output")
+        if not isinstance(output, (str, type(None))):
+            raise CliError(f"output must be a file name, got {output!r}")
+        fmt = getattr(args, "format", None) or cfg.get("format", "structured")
+        if fmt not in FORMATS:
+            raise CliError(f"format must be one of {', '.join(FORMATS)}, got {fmt!r}")
         return cls(
-            workers=workers,
-            node_budget=node_budget,
-            output=getattr(args, "out", None) or cfg.get("output"),
-            format=getattr(args, "format", None) or cfg.get("format", "structured"),
+            workers=_count("workers", workers),
+            node_budget=_count("node_budget", node_budget),
+            output=output,
+            format=fmt,
         )
 
 
@@ -96,9 +113,12 @@ def _print_bounds(name: str, iv: Interval, out) -> None:
 
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text.replace(" ", "").replace("i", "j"))
+        z = complex(text.replace(" ", "").replace("i", "j"))
     except ValueError:
         raise CliError(f"cannot parse complex number {text!r}") from None
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise CliError(f"complex number must be finite, got {text!r}")
+    return z
 
 
 def _finite_p(p: float) -> float:
@@ -192,16 +212,19 @@ def cmd_lattice(args, cfg: RunConfig, out) -> int:
         raise CliError(f"unknown lattice kind {args.kind!r}")
     if _finite_p(args.p) <= 1.0:
         raise CliError(f"lattice needs p > 1, got {args.p}")
+    mult = _parse_complex(args.multiplier) if args.multiplier else None
+    if args.orbit:
+        orbit_lam = _parse_complex(args.orbit[0])
+        if not args.orbit[1].isdecimal():
+            raise CliError(f"orbit length must be an integer >= 0, got {args.orbit[1]!r}")
+        n = int(args.orbit[1])
     L = mod.lattice_basis(kind, args.p)
     print("quantity,value,accuracy", file=out)
-    did_any = False
     if args.basis or not (args.det or args.curve or args.multiplier or args.orbit):
         print(f"omega1,{L.omega1[0]!r}{L.omega1[1]:+}j,exact formula", file=out)
         print(f"omega2,{L.omega2[0]!r}{L.omega2[1]:+}j,exact formula", file=out)
-        did_any = True
     if args.det:
         print(f"det,{mod.lattice_det(L)!r},double rounding", file=out)
-        did_any = True
     CL = el.complexify(L)
     if args.curve:
         try:
@@ -211,30 +234,20 @@ def cmd_lattice(args, cfg: RunConfig, out) -> int:
         print(f"g2,{E.g2!r},±{E.g2_err!r}", file=out)
         print(f"g3,{E.g3!r},±{E.g3_err!r}", file=out)
         print(f"discriminant,{E.discriminant!r},error-checked nonzero", file=out)
-        did_any = True
     if args.multiplier:
-        lam = _parse_complex(args.multiplier)
         try:
-            act = el.multiplier_check(CL, lam)
+            act = el.multiplier_check(CL, mult)
         except el.NotAMultiplier as e:
             raise CliError(str(e), EXIT_NUMERIC)
-        print(f"multiplier,{lam!r},accepted", file=out)
+        print(f"multiplier,{mult!r},accepted", file=out)
         print(f"matrix,{act.matrix!r},integer", file=out)
-        did_any = True
     if args.orbit:
-        lam = _parse_complex(args.orbit[0])
-        n = int(args.orbit[1])
-        if n < 0:
-            raise CliError("orbit length must be >= 0")
         try:
-            act = el.multiplier_check(CL, lam)
+            act = el.multiplier_check(CL, orbit_lam)
         except el.NotAMultiplier as e:
             raise CliError(str(e), EXIT_NUMERIC)
         orbit = el.z_action_orbit(act, (1, 0), n)
         print(f"orbit,{';'.join(f'{j},{k}' for j, k in orbit)},integer", file=out)
-        did_any = True
-    if not did_any:
-        raise CliError("no lattice action requested")
     return EXIT_OK
 
 
@@ -264,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--policy", choices=("full", "interior"), default="full")
     pv.add_argument("--node-budget", type=int, dest="node_budget")
     pv.add_argument("--out", help="certificate file (stdout if omitted)")
-    pv.add_argument("--format", choices=("structured", "tabular"), default="structured")
+    pv.add_argument("--format", choices=FORMATS, help="default structured")
 
     pp = sub.add_parser("p0", help="rigorous enclosure of the boundary crossover p0")
     pp.add_argument("--tol", type=float, required=True)

@@ -33,7 +33,6 @@ __all__ = [
     "spow_nonneg",
     "tpow",
     "f_tau_scalar",
-    "atoms_f",
     "delta_scalar",
     "lift",
     "TAU_SEED",
@@ -115,34 +114,6 @@ def lift(p, lo, hi=None):
         shape = p.lo.shape
         return VI(np.full(shape, lo), np.full(shape, hi))
     return Interval(lo, hi)
-
-
-# -- moduli atoms in generic scalars -------------------------------------------
-
-
-def atoms_f(p, sigma, tau):
-    """(a0, a1, b0, b1, A, B) for F and F_tau; tau may touch zero."""
-    one = 1
-    inv_p = one / p
-    sp = spow(sigma, p)
-    tp = spow_nonneg(tau, p)
-    a0 = spow(one + sp, -inv_p)
-    b0 = spow(one + tp, -inv_p)
-    a1 = spow(one + sp, -one - inv_p)
-    b1 = spow(one + tp, -one - inv_p)
-    A = b0 - a0
-    B = tau * b0 + sigma * a0
-    return a0, a1, b0, b1, A, B
-
-
-def f_tau_scalar(p, sigma, tau):
-    """dF/dtau = p * b1 * (B^(p-1) - tau^(p-1) * A^(p-1)), generic scalar."""
-    _, _, _, b1, A, B = atoms_f(p, sigma, tau)
-    one = 1
-    t1 = spow_nonneg(tau, p - one)
-    alpha1 = spow(A, p - one)
-    beta1 = spow(B, p - one)
-    return p * b1 * (beta1 - t1 * alpha1)
 
 
 # -- Delta, the tau fixed point and the surface derivatives --------------------
@@ -342,6 +313,11 @@ def _power_atoms(p, sigma, tau) -> _Atoms:
         if f_tau.contains_zero():
             raise SingularConstraint(f"F_tau enclosure {f_tau!r} contains zero")
     return _Atoms(inv_p, sp, s1, t1, us, ut, a0, a1, b0, b1, A, B, alpha1, beta1, f_tau)
+
+
+def f_tau_scalar(p, sigma, tau):
+    """dF/dtau = p * b1 * (B^(p-1) - tau^(p-1) * A^(p-1)), generic scalar."""
+    return _power_atoms(p, sigma, tau).f_tau
 
 
 def _sigma_slope(p, sigma, tau, at: _Atoms):

@@ -155,22 +155,14 @@ class Certificate:
         return [r for r in self.leaves if r.status.verdict == VERDICT_UNDECIDED]
 
 
-def _sigma_p_inf(p_lo: float, p_hi: float, m: int = 16) -> float:
-    """Verified lower bound for sigma_p over [p_lo, p_hi] (sliced, so no
-    monotonicity assumption)."""
-    cuts = np.linspace(p_lo, p_hi, m + 1)
-    return min(
-        sigma_p_enclosure(Interval(float(cuts[i]), float(cuts[i + 1]))).lo
-        for i in range(m)
-    )
-
-
-def _sigma_p_sup(p_lo: float, p_hi: float, m: int = 16) -> float:
-    cuts = np.linspace(p_lo, p_hi, m + 1)
-    return max(
-        sigma_p_enclosure(Interval(float(cuts[i]), float(cuts[i + 1]))).hi
-        for i in range(m)
-    )
+def _sigma_p_range(p_lo: float, p_hi: float) -> tuple[float, float]:
+    """Verified (lower, upper) bounds for sigma_p over [p_lo, p_hi], from 16
+    slices (so no monotonicity assumption)."""
+    cuts = np.linspace(p_lo, p_hi, 17)
+    slices = [
+        sigma_p_enclosure(Interval(float(a), float(b))) for a, b in zip(cuts[:-1], cuts[1:])
+    ]
+    return min(iv.lo for iv in slices), max(iv.hi for iv in slices)
 
 
 def _float_margins(pm: float, sm: float) -> tuple[float, float]:
@@ -320,7 +312,7 @@ def _certify_steps(X, band, sigma_top, node_budget):
         return column(VERDICT_MONO_LOW, "d_sigma2_column_low", 1.0, s_hi, probes, 30.0)
 
     def try_mono_high():
-        top = sigma_top if sigma_top is not None else _sigma_p_sup(p_lo, p_hi)
+        top = sigma_top if sigma_top is not None else _sigma_p_range(p_lo, p_hi)[1]
         if s_hi >= top:
             top = s_hi  # high-band cells already cover the curve
         if p_lo <= 2.0:
@@ -442,7 +434,6 @@ def verify_strip(
     budget: int = 10000,
     workers: int = 1,
     node_budget: int = 24000,
-    initial_p_slices: int | None = None,
 ) -> Certificate:
     """Adaptive certification over {p in p_range, 1 <= sigma <= sigma_p(p)}.
 
@@ -464,8 +455,7 @@ def verify_strip(
     if sigma_policy not in ("full", "interior"):
         raise DomainError(f"unknown sigma policy {sigma_policy!r}")
     p_lo, p_hi = p_range.lo, p_range.hi
-    s_inf = _sigma_p_inf(p_lo, p_hi)
-    s_sup = _sigma_p_sup(p_lo, p_hi)
+    s_inf, s_sup = _sigma_p_range(p_lo, p_hi)
     if 1.0 + strip >= s_inf - strip:
         raise DomainError(
             f"strip {strip} leaves no interior band (sigma_p as low as {s_inf})"
@@ -482,14 +472,13 @@ def verify_strip(
         bands = [("mid", 1.0 + strip, s_inf - strip)]
         region = Box(p_range, Interval(1.0 + strip, s_inf - strip))
 
-    if initial_p_slices is None:
-        initial_p_slices = max(1, min(8, round((p_hi - p_lo) / 0.025)))
-    p_cuts = [p_lo + (p_hi - p_lo) * k / initial_p_slices for k in range(initial_p_slices + 1)]
+    p_slices = max(1, min(8, round((p_hi - p_lo) / 0.025)))
+    p_cuts = [p_lo + (p_hi - p_lo) * k / p_slices for k in range(p_slices + 1)]
     p_cuts[0], p_cuts[-1] = p_lo, p_hi
 
     frontier = []  # (id, box, band) per leaf to certify
     for band, a, b in bands:
-        for k in range(initial_p_slices):
+        for k in range(p_slices):
             box = Box(Interval(p_cuts[k], p_cuts[k + 1]), Interval(a, b))
             frontier.append((f"c{len(frontier)}", box, band))
 
@@ -555,7 +544,7 @@ def verify_strip(
             "strip": strip,
             "budget": budget,
             "node_budget": node_budget,
-            "initial_p_slices": initial_p_slices,
+            "initial_p_slices": p_slices,
             "seed": [DEFAULT_SEED.lo, DEFAULT_SEED.hi],
         },
         leaves=ordered,

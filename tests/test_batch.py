@@ -1,7 +1,8 @@
-"""The VI-lane subpaving: tau_p brackets are reused across waves, never
-recomputed for a p-interval the previous wave already bisected; the tau
-fixed point stops each lane at its exact fixed point; merged jobs end bit
-for bit as they would alone."""
+"""The VI-lane subpaving: each chunk evaluates the boundary functions, the
+tau_p search included, once per distinct p-interval of its lanes, and ends
+bit for bit as evaluating every lane afresh; the tau fixed point stops each
+lane at its exact fixed point; merged jobs end bit for bit as they would
+alone."""
 
 import numpy as np
 import pytest
@@ -11,13 +12,23 @@ from critlat.jets import TAU_SEED, TAU_STEPS
 from critlat.vints import VI
 
 
-def _no_reuse(P, pm, known):
-    # the reference: every lane bisected afresh, its bracket written to its key
-    keys, lane_key = B._p_keys(P, pm)
-    T = B.tau_p_enclose_batch(VI(np.concatenate([P.lo, pm]), np.concatenate([P.hi, pm])))
-    lo, hi = np.empty(keys.size), np.empty(keys.size)
-    lo[lane_key], hi[lane_key] = T.lo, T.hi
-    return (keys, lo, hi), lane_key
+def _own_keys(P, pm):
+    # the reference: every lane its own key, so every lane is evaluated afresh
+    keys = B._keys(np.concatenate([P.lo, pm]), np.concatenate([P.hi, pm]))
+    return keys, np.arange(keys.size)
+
+
+def _chunk_counter(monkeypatch):
+    """Counts the chunks that _in_chunks hands its evaluator."""
+    chunks = [0]
+    in_chunks = B._in_chunks
+
+    def count(boxes, evaluate):
+        chunks[0] += -(-len(boxes) // B.MAX_LANES)
+        return in_chunks(boxes, evaluate)
+
+    monkeypatch.setattr(B, "_in_chunks", count)
+    return chunks
 
 
 @pytest.mark.parametrize(
@@ -29,36 +40,35 @@ def _no_reuse(P, pm, known):
 )
 def test_low_side_bisects_each_p_interval_once(monkeypatch, box, max_nodes):
     with monkeypatch.context() as m:
-        m.setattr(B, "_tau_p_wave", _no_reuse)
+        m.setattr(B, "_p_keys", _own_keys)
         expected = B.subpave_delta_above([B.Job(*box, max_nodes)], "low")
 
     tau_p_keys, calls = [], {"edge_low": 0, "d_edge_low": 0}
     tau_p, edge_low, d_edge_low = B.tau_p_enclose_batch, B.edge_low_batch, B.d_edge_low_batch
 
-    def spy_tau_p(P, *a):
+    def spy_tau_p(P):
         tau_p_keys.append(list(zip(P.lo.tolist(), P.hi.tolist())))
-        return tau_p(P, *a)
+        return tau_p(P)
 
     def spy_edge_low(P, tp):
         calls["edge_low"] += 1
         return edge_low(P, tp)
 
     def spy_d_edge_low(P, tp):
-        calls["d_edge_low"] += 1  # once per chunk
+        calls["d_edge_low"] += 1
         return d_edge_low(P, tp)
 
     monkeypatch.setattr(B, "tau_p_enclose_batch", spy_tau_p)
     monkeypatch.setattr(B, "edge_low_batch", spy_edge_low)
     monkeypatch.setattr(B, "d_edge_low_batch", spy_d_edge_low)
+    chunks = _chunk_counter(monkeypatch)
     got = B.subpave_delta_above([B.Job(*box, max_nodes)], "low")
 
     assert got == expected
-    flat = [k for keys in tau_p_keys for k in keys]
-    assert len(flat) == len(set(flat))
-    chunks = calls["d_edge_low"]
-    assert chunks > 1
-    assert 1 <= len(tau_p_keys) <= chunks
-    assert calls["edge_low"] == chunks  # box lanes and midpoints in one call
+    assert all(len(keys) == len(set(keys)) for keys in tau_p_keys)
+    # box lanes and midpoints in one call of each per chunk
+    assert chunks[0] > 1
+    assert len(tau_p_keys) == calls["edge_low"] == calls["d_edge_low"] == chunks[0]
 
 
 @pytest.fixture
@@ -223,31 +233,26 @@ def test_warm_tau_seeds_change_no_bits(kind, phi_lanes, monkeypatch):
     assert seeded["box"] > 0 and (seeded["midpoint"] > 0 or kind == "convex")
 
 
-def test_tau_p_tables_carry_across_chunks(monkeypatch):
-    # waves split into chunks of 37 lanes: each chunk looks its p-intervals up
-    # in the previous wave's table (all of its chunks) and in the current
-    # wave's earlier chunks, so none is searched twice, as in whole waves
+def test_chunks_search_each_p_interval_once_per_call(monkeypatch):
+    # waves split into chunks of 37 lanes: each chunk searches the distinct
+    # p-intervals of its own lanes, none twice within one call, and the job
+    # ends as in whole waves
     tau_p = B.tau_p_enclose_batch
-    searched, chunks = [], [0]
+    searched = []
 
     def spy(P):
-        searched.extend(zip(P.lo.tolist(), P.hi.tolist()))
+        searched.append(list(zip(P.lo.tolist(), P.hi.tolist())))
         return tau_p(P)
-
-    in_chunks = B._in_chunks
-
-    def count(boxes, evaluate):
-        chunks[0] += -(-len(boxes) // B.MAX_LANES)
-        return in_chunks(boxes, evaluate)
 
     job = [B.Job(2.6, 2.625, 1.02, 1.1, 40000)]
     expected = B.subpave_delta_above(job, "low")
     monkeypatch.setattr(B, "MAX_LANES", 37)
     monkeypatch.setattr(B, "tau_p_enclose_batch", spy)
-    monkeypatch.setattr(B, "_in_chunks", count)
+    chunks = _chunk_counter(monkeypatch)
     assert B.subpave_delta_above(job, "low") == expected
     assert chunks[0] > 2 * 17  # many waves span several chunks
-    assert len(searched) == len(set(searched))
+    assert len(searched) == chunks[0]
+    assert all(len(keys) == len(set(keys)) for keys in searched)
 
 
 @pytest.mark.parametrize("kind", sorted(_MIXED_JOBS))

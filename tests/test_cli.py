@@ -131,6 +131,18 @@ class TestLattice:
         code, _ = run(["lattice", "--kind", "L9", "--p", "2", "--det"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "action",
+        [
+            ["--orbit", "2", "x"],  # an orbit length that is no integer
+            ["--orbit", "nan", "3"],
+            ["--orbit", "1e400", "3"],  # overflows to inf
+            ["--multiplier", "nan"],
+        ],
+    )
+    def test_bad_lattice_numbers_exit_2(self, action, capsys):
+        assert refused(["lattice", "--kind", "L0", "--p", "2", *action], capsys) == 2
+
     def test_orbit(self):
         code, out = run(["lattice", "--kind", "L0", "--p", "2", "--orbit", "2", "3"])
         assert code == 0
@@ -252,6 +264,40 @@ class TestConfig:
             assert json.loads(out)["workers"] == 4
         finally:
             del os.environ["CRITLAT_WORKERS"]
+
+    def test_config_format_reaches_verify(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"format": "tabular"}))
+        argv = ["--config", str(cfg_path), "verify", "--p", "2.33", "2.34", "--budget", "50"]
+        code, out = run(argv)
+        assert code == 0
+        assert out.startswith("metric,value\n")
+        # the flag still wins over the config file
+        code, out = run(argv + ["--format", "structured"])
+        assert code == 0 and json.loads(out)["leaves"]
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"workers": "2"},
+            {"workers": 1.5},
+            {"node_budget": "x"},
+            {"node_budget": 0},
+            {"format": "xml"},
+            {"output": 5},  # open() would take it for a file descriptor
+            [1, 2],  # not a JSON object
+        ],
+    )
+    def test_bad_config_values_exit_2(self, cfg, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = ["--config", str(cfg_path), "verify", "--p", "2.33", "2.34", "--budget", "50"]
+        assert refused(argv, capsys) == 2
+
+    def test_zero_node_budget_exit_2(self, capsys):
+        # a zero budget would leave every strip Undecided after a long run
+        argv = ["verify", "--p", "2.6", "2.8", "--node-budget", "0"]
+        assert refused(argv, capsys) == 2
 
 
 class TestVerifyNearTwo:

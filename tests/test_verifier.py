@@ -49,7 +49,7 @@ class TestCertifyBox:
             assert st.verdict == V.VERDICT_UNDECIDED
 
     def test_monotone_high_near_curve(self):
-        top = V._sigma_p_sup(2.34, 2.36)
+        top = V._sigma_p_range(2.34, 2.36)[1]
         X = Box(Interval(2.34, 2.36), Interval(1.79, top))
         st = V.certify_box(X, band="high", sigma_top=top)
         assert st.verdict == V.VERDICT_MONO_HIGH
@@ -80,7 +80,7 @@ _MIXED_LEAVES = [
 class TestMergedRounds:
     def test_generation_matches_certify_box(self, monkeypatch):
         tasks = [
-            (Box.of(a, b, c, d), band, V._sigma_p_sup(a, b), nb)
+            (Box.of(a, b, c, d), band, V._sigma_p_range(a, b)[1], nb)
             for (a, b, c, d), band, nb in _MIXED_LEAVES
         ]
         lanes = [0]  # fixed-point lane-iterations on the VI lane
@@ -145,7 +145,7 @@ class TestMergedRounds:
         monkeypatch.setattr(V, "_leaf_bounds", spy)
         boxes = [Box.of(2.3, 2.302, 1.2, 1.202), Box.of(2.302, 2.304, 1.2, 1.202),
                  Box.of(2.3, 2.302, 1.202, 1.204), Box.of(2.3, 2.302, 1.3, 1.302)]
-        tasks = [(X, "mid", V._sigma_p_sup(X.p.lo, X.p.hi), 24000) for X in boxes]
+        tasks = [(X, "mid", V._sigma_p_range(X.p.lo, X.p.hi)[1], 24000) for X in boxes]
         merged = V._certify_chunk(tasks)
         assert sorted(calls) == [(2.3, 2.302), (2.302, 2.304)]
         for X, (_, bl, bh, _, _) in zip(boxes, merged):
