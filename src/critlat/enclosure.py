@@ -13,6 +13,12 @@ scalar-Interval entry points and add the p > 1 domain checks.
 delta_eif encloses Delta on a box, optionally refined by a mean-value form
 whose gradient comes from the same atom formulas (jets.delta_gradient) that
 the VI lane certifies with.
+
+The certification engine subpaves on the VI lane (batch.py) and calls only
+the p-only boundary enclosures here (enclose_p0, the sigma_p range of a
+strip).  tau_interval and delta_eif, the scalar (p, sigma) lane, have no
+caller in a verify run; the tests and the benchmark's scalar workload use
+them.
 """
 
 from __future__ import annotations
@@ -30,13 +36,12 @@ from .jets import (
     delta_gradient,
     delta_scalar,
     phi_consts,
-    phi_prime,
     phi_scalar,
     sigma_p_scalar,
     tau_p_resid_scalar,
     tau_p_scalar,
 )
-from .moduli import sigma_p, tau_point
+from .moduli import sigma_p
 
 __all__ = [
     "EifElement",
@@ -44,7 +49,6 @@ __all__ = [
     "EmptyEnclosure",
     "SingularConstraint",
     "DEFAULT_SEED",
-    "precheck_clamped",
     "tau_interval",
     "delta_eif",
     "sigma_p_enclosure",
@@ -77,7 +81,6 @@ class EifElement:
 class TauEnclosure:
     tau: Interval
     iterations: int
-    precheck: bool
 
 
 # -- closed-form boundary enclosures ------------------------------------------
@@ -121,24 +124,6 @@ def d_delta_edge_low_enclosure(P: Interval) -> Interval:
     return d_delta_edge_low_scalar(P, tau_p_enclosure(P))
 
 
-# -- Remark-1 convergence precheck ----------------------------------------------
-
-
-def precheck_clamped(X: Box) -> bool:
-    """|phi'_tau| < 1 at the box midpoint with its point-solved tau, the
-    midpoint clamped into the parameter domain (total: curve-straddling boxes
-    get the nearest in-domain midpoint).  Recorded per leaf; no verdict
-    reads it."""
-    pm, sm = X.mid
-    hi = sigma_p(pm) * (1.0 - 1e-12)
-    sm = min(max(sm, 1.0), hi)
-    try:
-        tau = tau_point(pm, sm)
-        return abs(phi_prime(pm, sm, tau)) < 1.0
-    except Exception:
-        return False
-
-
 # -- the interval fixed-point iteration ------------------------------------------
 
 
@@ -163,7 +148,6 @@ def tau_interval(X: Box) -> TauEnclosure:
     no surface point.
     """
     _check_seed_clamp(X.p)
-    pre = precheck_clamped(X)
     P = X.p
     consts = phi_consts(P, X.sigma)
     T = DEFAULT_SEED
@@ -174,7 +158,7 @@ def tau_interval(X: Box) -> TauEnclosure:
         if Tn == T:
             break
         T = Tn
-    return TauEnclosure(tau=T, iterations=n, precheck=pre)
+    return TauEnclosure(tau=T, iterations=n)
 
 
 # -- eif-elements ------------------------------------------------------------------

@@ -39,7 +39,6 @@ __all__ = [
     "TAU_STEPS",
     "phi_consts",
     "phi_scalar",
-    "phi_prime",
     "sigma_p_scalar",
     "d_sigma_p_scalar",
     "tau_p_resid_scalar",
@@ -172,22 +171,6 @@ def phi_scalar(p, inv_p, a0, sa0, tau):
     u = 1 + spow_nonneg(tau, p)
     A = spow(u, -inv_p) - a0
     return spow(u, inv_p) * (spow(1 - spow(A, p), inv_p) - sa0)
-
-
-def phi_prime(p, sigma, tau):
-    """d/dtau of the fixed-point map (for the convergence precheck)."""
-    one = 1
-    inv_p = one / p
-    a0 = spow(one + spow(sigma, p), -inv_p)
-    u = one + spow_nonneg(tau, p)
-    t1 = tpow(tau, p - one)
-    A = spow(u, -inv_p) - a0
-    Ap = spow(A, p)
-    inner = one - Ap
-    g = spow(inner, inv_p) - sigma * a0
-    d_prefix = t1 * spow(u, inv_p - one)
-    d_g = t1 * spow(u, -inv_p - one) * spow(A, p - one) * spow(inner, inv_p - one)
-    return d_prefix * g + spow(u, inv_p) * d_g
 
 
 _E = (math.nextafter(math.e, 0.0), math.nextafter(math.e, 4.0))  # e, rounded outward

@@ -34,7 +34,7 @@ a checker of the column evaluates the same pair.
 A leaf is a Box plus its id, the bisection path from its initial cell (the
 parent id plus "0" or "1").  Every certificate comes from a subpaving job:
 each generation of leaves is certified in rounds (_certify_rounds).  A leaf's
-attempts are a generator (_certify_steps) that runs its prescreens and cost
+attempts are a generator (_certify_leaf) that runs its prescreens and cost
 models lazily and yields one subpaving job per attempt that gets past them.
 Round r gathers the next job of every leaf still undecided and runs all jobs
 of one kind (convex column, delta above sigma_p/2, delta above Delta(p, 1))
@@ -42,9 +42,8 @@ as one merged subpaving in batch.py, whose jobs end as they would alone; so
 each leaf gets the status, and the certificate the bytes, of certifying it
 on its own.  certify_box is the one-leaf case.  With several workers one
 process pool serves the run, and each worker certifies one contiguous chunk
-of the generation (sorted by leaf id) the same way.  A leaf record also
-carries the boundary bounds over its p-range, its tau enclosure and the
-precheck; no verdict reads them.
+of the generation (sorted by leaf id) the same way.  A leaf record holds
+only what its verdict rests on: its id, band, box and status.
 """
 
 from __future__ import annotations
@@ -69,9 +68,7 @@ from .enclosure import (
     SingularConstraint,
     delta_edge_high_enclosure,
     delta_edge_low_enclosure,
-    precheck_clamped,
     sigma_p_enclosure,
-    tau_interval,
 )
 from .interval import Box, DomainError, Interval
 from .jets import delta_sigma_derivs
@@ -133,10 +130,6 @@ class LeafRecord:
     box: Box
     band: str  # "low" | "mid" | "high"
     status: CertStatus
-    bound_low: Interval  # enclosure of Delta(p, 1) over the leaf p-range
-    bound_high: Interval  # enclosure of Delta(p, sigma_p) over the leaf p-range
-    tau: Interval | None = None
-    precheck: bool | None = None
 
 
 @dataclass
@@ -197,10 +190,10 @@ def certify_box(
     (needed for the monotone-high column).  This is the one-cell case of
     _certify_rounds.
     """
-    return _certify_rounds([_certify_steps(X, band, sigma_top, node_budget)])[0]
+    return _certify_rounds([_certify_leaf(X, band, sigma_top, node_budget)])[0]
 
 
-def _certify_steps(X, band, sigma_top, node_budget):
+def _certify_leaf(X, band, sigma_top, node_budget):
     """certify_box for one cell as a generator: it yields (kind, batch.Job)
     for each attempt that needs a subpaving, with kind "convex" (a column
     for subpave_convex_positive) or the side "high"/"low" of
@@ -225,11 +218,16 @@ def _certify_steps(X, band, sigma_top, node_budget):
             a, b = float("nan"), float("nan")
         mh_list.append(a)
         ml_list.append(b)
-    mh = min(mh_list)
-    ml = min(ml_list)
-    mh, ml = (mh if mh == mh else -1.0), (ml if ml == ml else -1.0)
-    mh_mean = sum(mh_list) / len(mh_list) if mh == mh else -1.0
-    ml_mean = sum(ml_list) / len(ml_list) if ml == ml else -1.0
+
+    def _screen(margins: list) -> tuple[float, float]:
+        # (least, mean) sampled margin; a failed (NaN) sample rules out
+        # like a non-positive one
+        if any(m != m for m in margins):
+            return -1.0, -1.0
+        return min(margins), sum(margins) / len(margins)
+
+    mh, mh_mean = _screen(mh_list)
+    ml, ml_mean = _screen(ml_list)
 
     straddles = s_hi > sigma_p(pm)
 
@@ -359,7 +357,7 @@ def _certify_steps(X, band, sigma_top, node_budget):
 
 
 def _certify_rounds(steps: list) -> list[CertStatus]:
-    """Run the _certify_steps generators of many cells in rounds.
+    """Run the _certify_leaf generators of many cells in rounds.
 
     A round gathers the next subpaving job of every cell still undecided
     (each cell's prescreens and cost-model skips run lazily, in its own
@@ -396,35 +394,10 @@ def _certify_rounds(steps: list) -> list[CertStatus]:
     return status
 
 
-def _leaf_bounds(p_lo: float, p_hi: float) -> tuple[Interval, Interval]:
-    P = Interval(p_lo, p_hi)
-    return delta_edge_low_enclosure(P), delta_edge_high_enclosure(P)
-
-
-def _certify_leaf(args, bounds):
-    """A leaf's record fields (bounds, tau, precheck) and its _certify_steps,
-    not yet started; `bounds` is _leaf_bounds of the leaf's p-interval."""
-    X, band, sigma_top, node_budget = args
-    try:
-        enc = tau_interval(X)
-        tau_iv, pre = enc.tau, enc.precheck
-    except _ENCLOSURE_ERRORS:
-        tau_iv, pre = None, precheck_clamped(X)
-    return (*bounds, tau_iv, pre), _certify_steps(X, band, sigma_top, node_budget)
-
-
-def _certify_chunk(tasks) -> list[tuple]:
-    """(status, bound_low, bound_high, tau, precheck) per task, all leaves
-    certified together in rounds of merged subpavings.  The bounds depend on
-    the p-interval alone, so each distinct one is enclosed once."""
-    bounds = {}
-    for X, *_ in tasks:
-        key = (X.p.lo, X.p.hi)
-        if key not in bounds:
-            bounds[key] = _leaf_bounds(*key)
-    leaves = [_certify_leaf(t, bounds[t[0].p.lo, t[0].p.hi]) for t in tasks]
-    statuses = _certify_rounds([steps for _, steps in leaves])
-    return [(st, *rec) for (rec, _), st in zip(leaves, statuses)]
+def _certify_chunk(tasks) -> list[CertStatus]:
+    """The status of each (X, band, sigma_top, node_budget) task, all leaves
+    certified together in rounds of merged subpavings."""
+    return _certify_rounds([_certify_leaf(*t) for t in tasks])
 
 
 def verify_strip(
@@ -508,11 +481,8 @@ def verify_strip(
                 results = [r for part in pool.map(_certify_chunk, chunks) for r in part]
 
             next_frontier = []
-            for (cid, X, band), (status, bl, bh, tau_iv, pre) in zip(frontier, results):
-                leaves[cid] = LeafRecord(
-                    id=cid, box=X, band=band, status=status,
-                    bound_low=bl, bound_high=bh, tau=tau_iv, precheck=pre,
-                )
+            for (cid, X, band), status in zip(frontier, results):
+                leaves[cid] = LeafRecord(id=cid, box=X, band=band, status=status)
                 if status.verdict != VERDICT_UNDECIDED:
                     continue
                 if n_leaves + 1 > budget:
@@ -602,12 +572,10 @@ def enclose_p0(tolerance: float, bracket: tuple[float, float] = (2.5, 2.65)) -> 
 
 # -- certificate documents ------------------------------------------------------------
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
-def _iv(iv: Interval | None):
-    if iv is None:
-        return None
+def _iv(iv: Interval) -> list[str]:
     return [repr(iv.lo), repr(iv.hi)]
 
 
@@ -649,10 +617,6 @@ def emit_certificate(cert: Certificate, format: str = "structured") -> str:
                         "box_p": _iv(r.status.witness.box.p),
                         "box_sigma": _iv(r.status.witness.box.sigma),
                     },
-                    "bound_low": _iv(r.bound_low),
-                    "bound_high": _iv(r.bound_high),
-                    "tau": _iv(r.tau),
-                    "precheck": r.precheck,
                 }
                 for r in cert.leaves
             ],

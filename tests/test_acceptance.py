@@ -109,7 +109,6 @@ def test_criterion_4_enclosure_soundness_suite():
 
         enc = E.tau_interval(X)
         assert E.DEFAULT_SEED.contains_interval(enc.tau)
-        assert enc.precheck  # Remark-1 gate holds on in-domain boxes
         ps = rng.uniform(X.p.lo, X.p.hi, n_samples)
         ss = rng.uniform(X.sigma.lo, X.sigma.hi, n_samples)
         taus = M.tau_point_vec(ps, ss)
@@ -154,7 +153,7 @@ def test_criterion_4_enclosure_soundness_suite():
           "no escape from the VI enclosures of tau, delta, dDelta/dsigma, "
           "d2Delta/dsigma2 and dDelta/dp, nor from the Interval-lane tau and "
           f"delta (natural and refined); {chains} nested chains "
-          "refinement-consistent; seed [0, 0.36] and precheck gate held")
+          "refinement-consistent; seed [0, 0.36] held")
 
 
 def test_criterion_5_derivatives_vs_decimal_fd():

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, determinism, config."""
 
+import hashlib
 import io
 import json
 import math
@@ -200,6 +201,26 @@ class TestVerify:
             assert run(argv_w)[0] == 0
             docs.append(path.read_bytes())
         assert docs[0] == docs[1]
+
+    @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            (["verify", "--p", "2.6", "2.8", "--strip", "0.02", "--budget", "10000"],
+             "eaee40332f9baee26c1cf8979b52267d504ff4621d59103c5a632e9e92feb4da"),
+            (["verify", "--p", "2.3", "2.4"],
+             "6c3ea8f7fa2992a8a0b04a8a6d005b175364296868cf228dcf086e470a1840a5"),
+            (["p0", "--tol", "1e-6"],
+             "750f1da8eaa56387a5a06154ed72b37ca7a76e7b2a9fd68b0f9080a0d75413a6"),
+        ],
+        ids=["strip_one", "p2.3-2.4", "p0"],
+    )
+    def test_fixture_output_is_pinned(self, argv, sha256, monkeypatch):
+        # the fixture runs' bytes: a change that moves them on purpose
+        # updates the pin and says why in CHANGES.md
+        monkeypatch.delenv("CRITLAT_CONFIG", raising=False)
+        code, out = run(["--workers", "1", *argv])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
     def test_corner_pow_narrows_inside_log_exp_pow(self, tmp_path, monkeypatch):
         # VI.pow as exp(y * log x), its form before the four-corner rule:

@@ -27,7 +27,6 @@ from critlat.jets import (
     delta_third_derivs,
     f_tau_scalar,
     phi_consts,
-    phi_prime,
     phi_scalar,
     tau_p_resid_scalar,
     tau_p_scalar,
@@ -40,15 +39,6 @@ SQRT3 = math.sqrt(3.0)
 
 def point_box(p: float, s: float) -> Box:
     return Box(Interval.point(p), Interval.point(s))
-
-
-class TestPrecheck:
-    def test_degenerate_point_at_curve(self):
-        # at (2, sqrt3) the fixed point sits at tau = 0 and the map is defined
-        p = 2.0
-        sp = M.sigma_p(p) * (1.0 - 1e-12)
-        assert abs(phi_prime(p, sp, 0.0)) < 1.0
-        assert E.precheck_clamped(point_box(p, sp))
 
 
 class TestTauInterval:
@@ -68,7 +58,6 @@ class TestTauInterval:
         enc = E.tau_interval(point_box(2.3, 1.3))
         assert E.DEFAULT_SEED == Interval(0.0, 0.36)
         assert enc.tau.lo >= 0.0 and enc.tau.hi <= 0.36
-        assert enc.precheck
 
     def test_seed_holds_every_in_domain_tau(self):
         # in-domain tau lies in [0, tau_p], and tau_p < 0.36 iff the residual

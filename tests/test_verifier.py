@@ -2,12 +2,14 @@
 enclosure, and certificate documents."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from critlat.interval import Box, DomainError, Interval
 from critlat import batch as B
+from critlat import enclosure as E
 from critlat import moduli as M
 from critlat import verifier as V
 
@@ -106,7 +108,7 @@ class TestMergedRounds:
             monkeypatch.setattr(V, name, spy)
         merged = V._certify_chunk(tasks)
 
-        assert [m[0] for m in merged] == alone
+        assert merged == alone
         # each lane stops at its own fixed point: merging adds no work
         assert lanes[0] == alone_lanes
         first_round = {e for ends in rounds[:3] for e in ends}
@@ -119,37 +121,44 @@ class TestMergedRounds:
         assert "width floor hit" in alone[5].reason
         assert "no in-domain subcell" in alone[6].reason
 
-    def test_leaf_record_feeds_its_tau_enclosure_to_certify(self, monkeypatch):
-        # tau_interval runs once per leaf, and the record's tau is its result
-        made = []
-        tau_interval = V.tau_interval
+    def test_no_scalar_lane_in_verify_strip(self, monkeypatch):
+        # certifying runs on the VI lane: no leaf encloses tau or tau_p on
+        # the scalar Interval lane
+        calls = []
+        for name in ("tau_interval", "tau_p_enclosure"):
+            fn = getattr(E, name)
 
-        def spy_tau(X):
-            made.append(tau_interval(X))
-            return made[-1]
+            def spy(*a, _fn=fn, _name=name):
+                calls.append(_name)
+                return _fn(*a)
 
-        monkeypatch.setattr(V, "tau_interval", spy_tau)
-        X = Box.of(2.3, 2.302, 1.2, 1.202)
-        [(_, _, _, tau, _)] = V._certify_chunk([(X, "mid", 1.82, 24000)])
-        assert len(made) == 1
-        assert tau == made[0].tau
+            for mod in list(sys.modules.values()):
+                if (getattr(mod, "__name__", "").startswith("critlat")
+                        and getattr(mod, name, None) is fn):
+                    monkeypatch.setattr(mod, name, spy)
+        cert = V.verify_strip(Interval(2.31, 2.34), "interior", budget=500)
+        assert cert.complete
+        assert calls == []
 
-    def test_leaf_bounds_once_per_p_interval(self, monkeypatch):
-        # the record bounds depend on the p-interval only
-        leaf_bounds, calls = V._leaf_bounds, []
 
-        def spy(p_lo, p_hi):
-            calls.append((p_lo, p_hi))
-            return leaf_bounds(p_lo, p_hi)
+class TestPrescreen:
+    def test_failed_sample_rules_out_like_a_non_positive_one(self, monkeypatch):
+        # a NaN margin from any sample, not only the first, skips the
+        # attempt: min() drops a NaN that does not come first
+        X = Box.of(2.3, 2.35, 1.3, 1.35)  # certifies interior when unpatched
+        margins, n = V._float_margins, [0]
 
-        monkeypatch.setattr(V, "_leaf_bounds", spy)
-        boxes = [Box.of(2.3, 2.302, 1.2, 1.202), Box.of(2.302, 2.304, 1.2, 1.202),
-                 Box.of(2.3, 2.302, 1.202, 1.204), Box.of(2.3, 2.302, 1.3, 1.302)]
-        tasks = [(X, "mid", V._sigma_p_range(X.p.lo, X.p.hi)[1], 24000) for X in boxes]
-        merged = V._certify_chunk(tasks)
-        assert sorted(calls) == [(2.3, 2.302), (2.302, 2.304)]
-        for X, (_, bl, bh, _, _) in zip(boxes, merged):
-            assert (bl, bh) == leaf_bounds(X.p.lo, X.p.hi)
+        def one_failed_sample(pm, sm):
+            n[0] += 1
+            return (float("nan"),) * 2 if n[0] == 2 else margins(pm, sm)
+
+        monkeypatch.setattr(V, "_float_margins", one_failed_sample)
+        monkeypatch.setattr(V, "_float_dds2", lambda pm, sm: float("nan"))
+        st = V.certify_box(X)
+        assert st.verdict == V.VERDICT_UNDECIDED
+        ends = st.reason.split("; ")
+        assert len(ends) == 3
+        assert all("skipped by prescreen" in e for e in ends), st.reason
 
 
 class TestVerifyStrip:
@@ -267,6 +276,15 @@ class TestCertificateDocuments:
             if rec.status.witness is not None:
                 assert float(leaf["witness"]["value"][0]) == rec.status.witness.value.lo
                 assert float(leaf["witness"]["value"][1]) == rec.status.witness.value.hi
+
+    def test_format_2_leaf_schema(self):
+        # a leaf holds what a verdict reads: where it is, what it claims, why
+        doc = V.parse_certificate(V.emit_certificate(self.make_cert()))
+        assert doc["format_version"] == 2
+        assert doc["leaves"]
+        for leaf in doc["leaves"]:
+            assert leaf.keys() == {
+                "id", "band", "p", "sigma", "verdict", "reason", "witness"}
 
     def test_empty_certificate_emits(self):
         cert = V.Certificate(
