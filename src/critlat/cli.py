@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 
 from . import __version__
-from .interval import DomainError, Interval, IntervalError
+from .interval import DomainError, Interval, IntervalError, IntervalOverflow
 from . import elliptic as el
 from . import moduli as mod
 from . import verifier as ver
@@ -176,6 +176,8 @@ def cmd_verify(args, cfg: RunConfig, out) -> int:
     except ver.BudgetExhausted as e:
         cert = e.certificate
         code = EXIT_INCOMPLETE
+    except IntervalOverflow as e:
+        raise CliError(f"numeric overflow: {e}", EXIT_NUMERIC)
     except (DomainError, IntervalError) as e:
         raise CliError(str(e))
     doc = ver.emit_certificate(cert, format=cfg.format)

@@ -1,47 +1,59 @@
-"""Rigorous interval enclosures on (p, sigma) boxes.
+"""Scalar Interval entry points: rigorous enclosures on one (p, sigma) box or
+one p-interval.
 
-The tau enclosure comes from the interval fixed-point iteration
+Each one evaluates its whole formula on a one-lane VI and returns lane 0 as
+an Interval, so there is one interval kernel (critlat.vints).  The boundary
+values (sigma_p, tau_p, Delta(p, 1), Delta(p, sigma_p) = sigma_p/2 and the
+p-slopes) go through the batch.py entry points that the certification
+engine calls, and equal lane 0 of them bit for bit; the functions here add
+the p > 1 domain checks.  With p > 1 only an overflow turns a boundary lane
+NaN, and that raises IntervalOverflow.
+
+tau_interval runs the fixed-point iteration of batch.tau_enclose_batch on
+one lane with its own loop, which counts the steps:
 tau <- (1 + tau^p)^(1/p) * ((1 - A^p)^(1/p) - sigma*a0), seeded at
 jets.TAU_SEED = [0, 0.36] and intersected with the previous iterate after
 every step.  The iterates are nested, so every one encloses tau; the
-iteration stops when a step returns its iterate unchanged (an exact fixed
-point) or at the jets.TAU_STEPS cap, the same rule as the VI lane.  The map
-and the boundary formulas (sigma_p, tau_p, Delta(p, 1) and the p-slopes) are
-written once over the generic scalar in jets.py; the functions here are the
-scalar-Interval entry points and add the p > 1 domain checks.
+iteration stops when a step returns its iterate unchanged, bit for bit (an
+exact fixed point), or at the jets.TAU_STEPS cap.  An emptied iterate raises
+EmptyEnclosure; a NaN one (a box too wide for the map's atoms) DomainError.
 
 delta_eif encloses Delta on a box, optionally refined by a mean-value form
 whose gradient comes from the same atom formulas (jets.delta_gradient) that
 the VI lane certifies with.
 
 The certification engine subpaves on the VI lane (batch.py) and calls only
-the p-only boundary enclosures here (enclose_p0, the sigma_p range of a
-strip).  tau_interval and delta_eif, the scalar (p, sigma) lane, have no
-caller in a verify run; the tests and the benchmark's scalar workload use
-them.
+the boundary values of the p0 bracket here (verifier._g_enclosure).
+tau_interval and delta_eif have no caller in a verify run; the tests and the
+benchmark's scalar workload use them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .interval import EMPTY, Box, DomainError, Interval, intersect
+import numpy as np
+
+from .batch import (
+    d_edge_low_batch,
+    d_sigma_p_batch,
+    edge_low_batch,
+    sigma_p_batch,
+    tau_p_enclose_batch,
+)
+from .interval import Box, DomainError, Interval, _vi as _lane
 from .jets import (
     TAU_SEED,
     TAU_STEPS,
     SingularConstraint,
-    d_delta_edge_low_scalar,
-    d_sigma_p_scalar,
-    delta_edge_low_scalar,
     delta_gradient,
     delta_scalar,
     phi_consts,
     phi_scalar,
-    sigma_p_scalar,
     tau_p_resid_scalar,
-    tau_p_scalar,
 )
 from .moduli import sigma_p
+from .vints import VI
 
 __all__ = [
     "EifElement",
@@ -83,56 +95,63 @@ class TauEnclosure:
     iterations: int
 
 
+def _lane0(v: VI) -> Interval:
+    """Lane 0 of v; a NaN bound raises IntervalOverflow (Interval refuses
+    a non-finite bound)."""
+    return Interval(v.lo[0], v.hi[0])
+
+
 # -- closed-form boundary enclosures ------------------------------------------
 
 
-def _require_p_above_1(P: Interval, what: str) -> None:
+def _p_lane(P: Interval, what: str) -> VI:
     if P.lo <= 1.0:
         raise DomainError(f"{what} needs p > 1, got {P!r}")
+    return _lane(P)
 
 
 def sigma_p_enclosure(P: Interval) -> Interval:
     """(2^P - 1)^(1/P)."""
-    _require_p_above_1(P, "sigma_p")
-    return sigma_p_scalar(P)
+    return _lane0(sigma_p_batch(_p_lane(P, "sigma_p")))
 
 
 def tau_p_enclosure(P: Interval) -> Interval:
     """Bracket of {tau_p(p) : p in P} (see jets.tau_p_scalar)."""
-    _require_p_above_1(P, "tau_p")
-    return tau_p_scalar(P)
+    return _lane0(tau_p_enclose_batch(_p_lane(P, "tau_p")))
 
 
 def delta_edge_low_enclosure(P: Interval) -> Interval:
     """Delta(P, 1) = 4^(-1/P) (1 + tau_p)/(1 - tau_p)."""
-    return delta_edge_low_scalar(P, tau_p_enclosure(P))
+    K = _p_lane(P, "Delta(p, 1)")
+    return _lane0(edge_low_batch(K, tau_p_enclose_batch(K)))
 
 
 def delta_edge_high_enclosure(P: Interval) -> Interval:
-    """Delta(P, sigma_p) = sigma_p / 2."""
-    return sigma_p_enclosure(P) / 2
+    """Delta(P, sigma_p) = sigma_p / 2, as batch.subpave_delta_above takes it."""
+    return _lane0(sigma_p_batch(_p_lane(P, "sigma_p")) * 0.5)
 
 
 def d_sigma_p_enclosure(P: Interval) -> Interval:
     """d sigma_p / dp = sigma_p * [2^p ln2 / (p(2^p-1)) - ln(2^p-1)/p^2]."""
-    _require_p_above_1(P, "d sigma_p/dp")
-    return d_sigma_p_scalar(P)
+    return _lane0(d_sigma_p_batch(_p_lane(P, "d sigma_p/dp")))
 
 
 def d_delta_edge_low_enclosure(P: Interval) -> Interval:
     """d/dp of Delta(p, 1), via implicit tau_p'(p) = -h_p/h_tau."""
-    return d_delta_edge_low_scalar(P, tau_p_enclosure(P))
+    K = _p_lane(P, "d Delta(p, 1)/dp")
+    return _lane0(d_edge_low_batch(K, tau_p_enclose_batch(K)))
 
 
 # -- the interval fixed-point iteration ------------------------------------------
 
 
-def _check_seed_clamp(P: Interval) -> None:
+def _check_seed_clamp(P: VI) -> None:
     # tau_p(p) < seed.hi for all p in P iff the residual at seed.hi is negative.
     r = tau_p_resid_scalar(P, DEFAULT_SEED.hi)
-    if r.hi >= 0.0:
+    if not r.hi[0] < 0.0:
         raise DomainError(
-            f"cannot verify tau_p < {DEFAULT_SEED.hi} over {P!r}: residual {r!r}"
+            f"cannot verify tau_p < {DEFAULT_SEED.hi} over p in "
+            f"[{P.lo[0]!r}, {P.hi[0]!r}]: residual [{r.lo[0]!r}, {r.hi[0]!r}]"
         )
 
 
@@ -147,30 +166,31 @@ def tau_interval(X: Box) -> TauEnclosure:
     `iterations` counts the steps taken.  EmptyEnclosure means the box holds
     no surface point.
     """
-    _check_seed_clamp(X.p)
-    P = X.p
-    consts = phi_consts(P, X.sigma)
-    T = DEFAULT_SEED
-    for n in range(1, TAU_STEPS + 1):
-        Tn = intersect(phi_scalar(P, *consts, T), T)
-        if Tn is EMPTY:
-            raise EmptyEnclosure(f"iteration emptied on {X!r} at step {n}")
-        if Tn == T:
-            break
-        T = Tn
-    return TauEnclosure(tau=T, iterations=n)
+    P, S, T = _lane(X.p), _lane(X.sigma), _lane(DEFAULT_SEED)
+    with np.errstate(all="ignore"):
+        _check_seed_clamp(P)
+        consts = phi_consts(P, S)
+        for n in range(1, TAU_STEPS + 1):
+            Tn, empty = phi_scalar(P, *consts, T).intersect(T)
+            if empty[0]:
+                raise EmptyEnclosure(f"iteration emptied on {X!r} at step {n}")
+            if Tn.invalid()[0]:
+                raise DomainError(f"{X!r} leaves the domain of the map at step {n}")
+            if Tn.lo.tobytes() + Tn.hi.tobytes() == T.lo.tobytes() + T.hi.tobytes():
+                break
+            T = Tn
+    return TauEnclosure(tau=_lane0(T), iterations=n)
 
 
 # -- eif-elements ------------------------------------------------------------------
 
 
-def _mid_point_delta(X: Box) -> tuple[float, float, Interval]:
+def _mid_point_delta(X: Box) -> tuple[float, float, VI]:
     pm, sm = X.mid
     sm = min(max(sm, 1.0), sigma_p(pm) * (1.0 - 1e-12))
     mid_box = Box(Interval.point(pm), Interval.point(sm))
     t_mid = tau_interval(mid_box)
-    dm = delta_scalar(mid_box.p, mid_box.sigma, t_mid.tau)
-    return pm, sm, dm
+    return pm, sm, delta_scalar(_lane(mid_box.p), _lane(mid_box.sigma), _lane(t_mid.tau))
 
 
 def delta_eif(X: Box, tau: TauEnclosure, refine: bool = False) -> EifElement:
@@ -181,17 +201,21 @@ def delta_eif(X: Box, tau: TauEnclosure, refine: bool = False) -> EifElement:
     over the box.  It needs the tau enclosure bounded away from zero: tau = 0
     exactly on the curve sigma = sigma_p, so then the box misses the curve
     and every mean-value segment stays on the domain side of it.  Elsewhere,
-    or where the gradient enclosure fails, the natural value is returned.
+    or where the midpoint's tau or the gradient enclosure fails (a NaN
+    bound), the natural value is returned.
     """
-    value = delta_scalar(X.p, X.sigma, tau.tau)
-    if refine and tau.tau.lo > 0.0:
-        try:
-            dds, ddp = delta_gradient(X.p, X.sigma, tau.tau)
-            pm, sm, dm = _mid_point_delta(X)
-            mvf = dm + dds * (X.sigma - sm) + ddp * (X.p - pm)
-            tight = intersect(value, mvf)
-            if tight is not EMPTY:
-                value = tight
-        except (DomainError, SingularConstraint, EmptyEnclosure):
-            pass
-    return EifElement(box=X, value=value, fid="delta")
+    P, S, T = _lane(X.p), _lane(X.sigma), _lane(tau.tau)
+    with np.errstate(all="ignore"):
+        value = delta_scalar(P, S, T)
+        if refine and tau.tau.lo > 0.0:
+            try:
+                pm, sm, dm = _mid_point_delta(X)
+            except (DomainError, EmptyEnclosure):
+                pass
+            else:
+                dds, ddp = delta_gradient(P, S, T)
+                mvf = dm + dds * (S - sm) + ddp * (P - pm)
+                lo, hi = np.fmax(value.lo, mvf.lo), np.fmin(value.hi, mvf.hi)
+                if lo[0] <= hi[0]:
+                    value = VI._of(lo, hi)
+    return EifElement(box=X, value=_lane0(value), fid="delta")

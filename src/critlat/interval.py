@@ -1,22 +1,23 @@
-"""Outward-rounded interval arithmetic kernel.
+"""Closed real intervals: the value type of boxes, witnesses and scalar
+enclosures.
 
-Every enclosure guarantee downstream reduces to this module: all operations
-return intervals that contain the exact real result, with lower bounds never
-rounded up and upper bounds never rounded down.
-
-Rounding realization: next-representable-value nudging (math.nextafter), not
-hardware rounding-mode switches.  Core arithmetic (+, -, *, /) uses error-free
-transformations (TwoSum / Dekker's product) to detect exact results, so exact
-endpoint arithmetic stays exact and inexact results are nudged one step in the
-correct direction only.  Where those transforms fail, a product or quotient
-is nudged one step both ways instead: beyond 1e290 they may overflow, and
-below 2**-960 (a nonzero product, or a quotient or dividend) the rounding
-error may underflow, which once let [0, 0.5] * [0, 5e-324] return [0, 0].  Elementary functions (exp, log, pow) trust libm to
-2 ulp and nudge accordingly.
+Every enclosure guarantee downstream reduces to the outward-rounded ops of
+critlat.vints, the one interval kernel.  An Interval's arithmetic (+, -, *,
+/, neg, exp, log, pow and sqrt) runs the VI op on a one-lane VI (_lane) and
+takes its bounds back as Python floats, so an Interval bound is the bound of
+the same op on the VI lane, bit for bit.  Where a VI lane turns NaN an
+Interval op raises instead: DivisionByZeroInterval for a divisor that
+contains 0, DomainError for a log or pow of a base reaching 0 or below and
+for a sqrt of a negative one, and IntervalOverflow for a bound that leaves
+the finite range (the Interval constructor refuses a non-finite bound).
+sqrt, which the VI lane does not have, steps the correctly rounded np.sqrt
+one float outward with the same steps.  width is hi - lo rounded up: exact
+differences stay exact.
 
 Trusted base: math.exp, math.log, math.pow, np.exp, np.log, np.power and
 cmath.exp (each real part) return values within 2 ulp of the exact result.
-The Interval and VI lanes widen by that much, and the q-series error model of
+The VI lane, whose steps give every Interval bound, widens by that much,
+and the q-series error model of
 elliptic.weierstrass_curve counts it as 4u per part.
 tests/test_interval.py::test_trusted_libm_within_2_ulp checks it against
 mpmath at 120 bits on seeded samples, and skips where mpmath is missing.
@@ -35,6 +36,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+
+from .vints import VI, _dn, _up
 
 __all__ = [
     "Interval",
@@ -44,22 +50,13 @@ __all__ = [
     "IntervalOverflow",
     "DivisionByZeroInterval",
     "DomainError",
-    "ipow",
     "intersect",
     "hull",
 ]
 
-_INF = math.inf
-_SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
-_LIBM_ULPS = 2  # safety margin for non-correctly-rounded libm calls
-_HUGE = 1e290  # beyond this, error-free transforms may overflow; nudge blindly
-# below this, the rounding error of a product or quotient may underflow, so
-# the error-free transforms cannot tell its sign; nudge blindly
-_TINY = 2.0**-960
-
 
 class IntervalError(Exception):
-    """Base class for interval kernel failures."""
+    """Base class for interval failures."""
 
 
 class IntervalOverflow(IntervalError):
@@ -86,56 +83,24 @@ class _EmptyInterval:
 EMPTY = _EmptyInterval()
 
 
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    # Knuth TwoSum: s + e == a + b exactly.
-    s = a + b
-    t = s - b
-    e = (a - t) + (b - (s - t))
-    return s, e
+def _vi(x) -> VI:
+    """x, an Interval or a number, as a one-lane VI."""
+    if isinstance(x, Interval):
+        return VI._of(np.array([x.lo]), np.array([x.hi]))
+    return VI.point(np.array([float(x)]))
 
 
-def _split(x: float) -> tuple[float, float]:
-    c = _SPLITTER * x
-    hi = c - (c - x)
-    return hi, x - hi
+def _lane(op, *args) -> "Interval":
+    """op on one-lane VIs of args, as an Interval; a non-finite bound (a NaN
+    lane or an overflow) raises IntervalOverflow."""
+    with np.errstate(all="ignore"):
+        r = op(*map(_vi, args))
+    return Interval(r.lo[0], r.hi[0])
 
 
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    # Dekker product: p + e == a * b exactly (for p finite, |a|,|b| < ~1e150).
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, e
-
-
-def _down(x: float) -> float:
-    return math.nextafter(x, -_INF)
-
-
-def _up(x: float) -> float:
-    return math.nextafter(x, _INF)
-
-
-def _down_n(x: float, n: int) -> float:
-    for _ in range(n):
-        x = math.nextafter(x, -_INF)
-    return x
-
-
-def _up_n(x: float, n: int) -> float:
-    for _ in range(n):
-        x = math.nextafter(x, _INF)
-    return x
-
-
-def _lo_from(v: float, e: float) -> float:
-    # v + e is the exact value; return a float <= it.
-    return v if e >= 0.0 else _down(v)
-
-
-def _hi_from(v: float, e: float) -> float:
-    return v if e <= 0.0 else _up(v)
+def _positive(x: "Interval", what: str) -> None:
+    if not x.lo > 0.0:
+        raise DomainError(f"{what} of {x!r} with non-positive lower bound")
 
 
 class Interval:
@@ -174,8 +139,10 @@ class Interval:
 
     @property
     def width(self) -> float:
-        w, e = _two_sum(self.hi, -self.lo)
-        return _hi_from(w, e)
+        w = self.hi - self.lo
+        if math.isfinite(w) and Fraction(w) < Fraction(self.hi) - Fraction(self.lo):
+            w = math.nextafter(w, math.inf)
+        return w
 
     @property
     def mid(self) -> float:
@@ -194,162 +161,57 @@ class Interval:
     def contains_interval(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
-    # -- arithmetic ----------------------------------------------------------
-
-    @staticmethod
-    def _coerce(other) -> "Interval":
-        if isinstance(other, Interval):
-            return other
-        return Interval(float(other), float(other))
+    # -- arithmetic on the VI lane ---------------------------------------------
 
     def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
+        return _lane(VI.__neg__, self)
 
     def __add__(self, other) -> "Interval":
-        o = self._coerce(other)
-        slo, elo = _two_sum(self.lo, o.lo)
-        shi, ehi = _two_sum(self.hi, o.hi)
-        return Interval(_lo_from(slo, elo), _hi_from(shi, ehi))
+        return _lane(VI.__add__, self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Interval":
-        o = self._coerce(other)
-        slo, elo = _two_sum(self.lo, -o.hi)
-        shi, ehi = _two_sum(self.hi, -o.lo)
-        return Interval(_lo_from(slo, elo), _hi_from(shi, ehi))
+        return _lane(VI.__sub__, self, other)
 
     def __rsub__(self, other) -> "Interval":
-        return self._coerce(other).__sub__(self)
+        return _lane(VI.__sub__, other, self)
 
     def __mul__(self, other) -> "Interval":
-        o = self._coerce(other)
-        pairs = (
-            (self.lo, o.lo),
-            (self.lo, o.hi),
-            (self.hi, o.lo),
-            (self.hi, o.hi),
-        )
-        lo = _INF
-        hi = -_INF
-        for a, b in pairs:
-            if abs(a) > _HUGE or abs(b) > _HUGE:
-                p = a * b
-                if not math.isfinite(p):
-                    raise IntervalOverflow("product overflow")
-                plo, phi = _down(p), _up(p)
-            else:
-                p, e = _two_prod(a, b)
-                if abs(p) < _TINY and a and b:
-                    plo, phi = _down(p), _up(p)
-                else:
-                    plo, phi = _lo_from(p, e), _hi_from(p, e)
-            if plo < lo:
-                lo = plo
-            if phi > hi:
-                hi = phi
-        return Interval(lo, hi)
+        return _lane(VI.__mul__, self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Interval":
-        o = self._coerce(other)
-        if o.lo <= 0.0 <= o.hi:
-            raise DivisionByZeroInterval(f"divisor {o!r} contains zero")
-        pairs = (
-            (self.lo, o.lo),
-            (self.lo, o.hi),
-            (self.hi, o.lo),
-            (self.hi, o.hi),
-        )
-        lo = _INF
-        hi = -_INF
-        for x, y in pairs:
-            q = x / y
-            if not math.isfinite(q):
-                raise IntervalOverflow("quotient overflow")
-            qlo, qhi = _div_bounds(x, y, q)
-            if qlo < lo:
-                lo = qlo
-            if qhi > hi:
-                hi = qhi
-        return Interval(lo, hi)
+        return _div(self, other)
 
     def __rtruediv__(self, other) -> "Interval":
-        return self._coerce(other).__truediv__(self)
-
-    # -- elementary functions -------------------------------------------------
+        return _div(other, self)
 
     def exp(self) -> "Interval":
-        try:
-            lo = math.exp(self.lo)
-            hi = math.exp(self.hi)
-        except OverflowError:
-            raise IntervalOverflow("exp overflow") from None
-        if not math.isfinite(hi):
-            raise IntervalOverflow("exp overflow")
-        return Interval(max(0.0, _down_n(lo, _LIBM_ULPS)), _up_n(hi, _LIBM_ULPS))
+        return _lane(VI.exp, self)
 
     def log(self) -> "Interval":
-        if self.lo <= 0.0:
-            raise DomainError(f"log of {self!r} with non-positive lower bound")
-        return Interval(
-            _down_n(math.log(self.lo), _LIBM_ULPS),
-            _up_n(math.log(self.hi), _LIBM_ULPS),
-        )
+        _positive(self, "log")
+        return _lane(VI.log, self)
+
+    def pow(self, other) -> "Interval":
+        """self**other for self > 0, from VI.pow's corners."""
+        _positive(self, "pow")
+        return _lane(VI.pow, self, other)
 
     def sqrt(self) -> "Interval":
         if self.lo < 0.0:
             raise DomainError(f"sqrt of {self!r} with negative lower bound")
-        return Interval(
-            max(0.0, _down(math.sqrt(self.lo))), _up(math.sqrt(self.hi))
-        )
+        r = np.sqrt(np.array([self.lo, self.hi]))
+        return Interval(max(0.0, _dn(r[0])), _up(r[1]))
 
 
-def _div_bounds(x: float, y: float, q: float) -> tuple[float, float]:
-    # Directed bounds for the endpoint quotient x/y given the rounded q.
-    if abs(q) > _HUGE or abs(y) > _HUGE or abs(q) < _TINY or abs(x) < _TINY:
-        return _down(q), _up(q)
-    qy, e2 = _two_prod(q, y)
-    n1 = x - qy  # exact by Sterbenz (qy within one ulp factor of x)
-    n = n1 - e2
-    if n == 0.0:
-        return _down(q), _up(q)  # ambiguous at subnormal scale: be safe
-    # true quotient = q + n/y
-    if (n > 0.0) == (y > 0.0):
-        return q, _up(q)
-    return _down(q), q
-
-
-def ipow(x: Interval, y) -> Interval:
-    """Enclosure of {a**b : a in x, b in y}; requires x.lo > 0.
-
-    Point exponents take the monotone endpoint route through math.pow,
-    interval exponents go through exp(y * log x).
-    """
-    if x.lo <= 0.0:
-        raise DomainError(f"pow of {x!r} with non-positive lower bound")
-    yi = Interval._coerce(y)
-    if yi.is_point():
-        e = yi.lo
-        if e == 0.0:
-            return Interval(1.0, 1.0)
-        try:
-            plo = math.pow(x.lo, e)
-            phi = math.pow(x.hi, e)
-        except OverflowError:
-            raise IntervalOverflow("pow overflow") from None
-        if e < 0.0:
-            plo, phi = phi, plo
-        if not (math.isfinite(plo) and math.isfinite(phi)):
-            raise IntervalOverflow("pow overflow")
-        return Interval(
-            max(0.0, _down_n(plo, _LIBM_ULPS)), _up_n(phi, _LIBM_ULPS)
-        )
-    return (yi * x.log()).exp()
+def _div(x, y) -> Interval:
+    d = _vi(y)
+    if d.lo[0] <= 0.0 <= d.hi[0]:
+        raise DivisionByZeroInterval(f"divisor {y!r} contains zero")
+    return _lane(VI.__truediv__, x, y)
 
 
 def intersect(a: Interval, b: Interval):

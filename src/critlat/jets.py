@@ -1,9 +1,12 @@
 """The formulas of the moduli surface, each written once over a generic scalar.
 
-Arguments may be floats (numpy float scalars too), float arrays, Intervals or
-VIs, so the same code gives machine-double values, vectorized samples, or
-rigorous enclosures: enclosure.py evaluates the formulas on the Interval lane
-and batch.py on the VI lane.  The formulas are the power atoms of
+Arguments may be floats (numpy float scalars too), float arrays or VIs, so
+the same code gives machine-double values, vectorized samples, or rigorous
+enclosures: batch.py evaluates the formulas on the VI lane, and the scalar
+Interval entry points of enclosure.py run them on one VI lane.  On the VI
+lane a lane whose box leaves an atom's domain, or whose enclosure of F_tau
+contains zero, turns NaN instead of raising.  The formulas are the power
+atoms of
 F(tau, sigma, p) = A^p + B^p - 1 and Delta, the tau fixed-point map, the
 derivatives of Delta along the surface F = 0, and the boundary values sigma_p,
 tau_p, Delta(p, 1) and their p-slopes.
@@ -24,7 +27,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .interval import DomainError, Interval, ipow
 from .vints import VI
 
 __all__ = [
@@ -64,8 +66,8 @@ class SingularConstraint(Exception):
 
 
 def slog(x):
-    """ln x on every lane: float, float array, Interval, VI."""
-    if isinstance(x, (Interval, VI)):
+    """ln x on every lane: float, float array, VI."""
+    if isinstance(x, VI):
         return x.log()
     if isinstance(x, np.ndarray):
         return np.log(x)
@@ -74,8 +76,6 @@ def slog(x):
 
 def spow(x, y):
     """x**y for positive x, generic scalar."""
-    if isinstance(x, Interval):
-        return ipow(x, y)
     if isinstance(x, VI):
         return x.pow(y)
     return x**y
@@ -84,45 +84,26 @@ def spow(x, y):
 def spow_nonneg(x, y):
     """x**y for x >= 0 and exponent y with positive lower range.
 
-    The strict kernel pow rejects zero-containing bases; here x = 0 is allowed
-    (tau intervals are clamped into [0, 0.36] and may touch zero).
+    VI.pow poisons zero-touching bases; here x = 0 is allowed (tau
+    intervals are clamped into [0, 0.36] and may touch zero).
     """
-    if isinstance(x, Interval):
-        ylo = y.lo if isinstance(y, Interval) else float(y)
-        if ylo <= 0.0:
-            raise DomainError("spow_nonneg needs a positive exponent")
-        if x.lo > 0.0:
-            return ipow(x, y)
-        if x.lo < 0.0:
-            raise DomainError(f"negative base {x!r}")
-        if x.hi == 0.0:
-            return Interval(0.0, 0.0)
-        return Interval(0.0, ipow(Interval(x.hi, x.hi), y).hi)
     if isinstance(x, VI):
         return x.pow_nonneg(y)
     return x**y
 
 
 def lift(p, lo, hi=None):
-    """The constant [lo, hi] (the point lo when hi is None) in the lane of p.
-
-    lo and hi are floats, or per-lane float arrays on the VI lane."""
-    if hi is None:
-        hi = lo
-    if isinstance(p, VI):
-        shape = p.lo.shape
-        return VI(np.full(shape, lo), np.full(shape, hi))
-    return Interval(lo, hi)
+    """The constant [lo, hi] (the point lo when hi is None) in the lanes of
+    the VI p; lo and hi are floats or per-lane float arrays."""
+    return VI.full_like(p, lo, lo if hi is None else hi)
 
 
 # -- Delta, the tau fixed point and the surface derivatives --------------------
 
 
 def tpow(tau, e):
-    """tau**e; a zero-touching tau interval is only valid for e > 0.  On a
-    VI tau, pow_nonneg equals pow on the lanes off zero when e > 0 there."""
-    if isinstance(tau, Interval) and tau.lo <= 0.0:
-        return spow_nonneg(tau, e)
+    """tau**e; a zero-touching tau lane is only valid for e > 0.  On a VI
+    tau, pow_nonneg equals pow on the lanes off zero when e > 0 there."""
     if isinstance(tau, VI):
         touches = tau.lo <= 0.0
         if not np.any(touches):
@@ -146,7 +127,7 @@ def delta_scalar(p, sigma, tau):
     return (tau + sigma) * a0 * b0
 
 
-# The tau fixed point T <- phi(T) ∩ T on both lanes: the seed (every
+# The tau fixed point T <- phi(T) ∩ T: the seed (every
 # in-domain tau lies in [0, tau_p], and tau_p < 0.36 for every p > 1) and the
 # step cap.  The iterates are nested, so each one encloses tau; a step that
 # returns its iterate unchanged has reached an exact fixed point.
@@ -166,8 +147,8 @@ def phi_scalar(p, inv_p, a0, sa0, tau):
     """Fixed-point map for tau: (1+tau^p)^(1/p) * ((1 - A^p)^(1/p) - sigma*a0)
     with A = (1+tau^p)^(-1/p) - a0 and (inv_p, a0, sa0) from phi_consts.
 
-    On the Interval lane a box too wide for A > 0 or 1 - A^p > 0 raises the
-    DomainError of the kernel pow; on the VI lane such lanes turn NaN."""
+    On the VI lane a box too wide for A > 0 or 1 - A^p > 0 turns its lane
+    NaN."""
     u = 1 + spow_nonneg(tau, p)
     A = spow(u, -inv_p) - a0
     return spow(u, inv_p) * (spow(1 - spow(A, p), inv_p) - sa0)
@@ -186,32 +167,8 @@ def tau_pow_log(tau, p):
     or at tau*.  Below tau* (every tau <= 0.36 when p > 1) it is decreasing,
     and monotone endpoint evaluation is tight.  A lane whose p reaches 0 or
     below takes the natural product, which needs tau > 0.  Scalar types:
-    float, float array, Interval, VI.
+    float, float array, VI.
     """
-    if isinstance(tau, Interval):
-        P = p if isinstance(p, Interval) else Interval.point(float(p))
-        if P.lo <= 0.0:
-            if tau.lo <= 0.0:
-                raise DomainError(f"tau^p ln tau unbounded at tau = 0 for p {P!r}")
-            return ipow(tau, P) * tau.log()
-        if tau.hi == 0.0:
-            return Interval(0.0, 0.0)
-        th = Interval.point(tau.hi)
-        plo, phi = Interval.point(P.lo), Interval.point(P.hi)
-        lo = (ipow(th, plo) * th.log()).lo
-        if tau.lo > 0.0:
-            tl = Interval.point(tau.lo)
-            hi = (ipow(tl, phi) * tl.log()).hi
-        else:
-            hi = 0.0
-        turn = math.exp(-1.0 / P.lo)
-        if tau.hi > turn * (1.0 - 1e-9):  # tau* may lie in tau: past the fall
-            if tau.lo > 0.0:
-                lo = min(lo, (ipow(tl, plo) * tl.log()).lo)
-            if tau.lo <= turn * (1.0 + 1e-9):
-                lo = min(lo, (Interval(-1.0, -1.0) / (plo * Interval(*_E))).lo)
-            hi = max(hi, (ipow(th, phi) * th.log()).hi)
-        return Interval(lo, hi)
     if isinstance(tau, VI):
         P = p if isinstance(p, VI) else VI.point(np.asarray(p, dtype=float))
         th = VI.point(np.where(tau.hi > 0.0, tau.hi, 0.5))
@@ -271,8 +228,8 @@ class _Atoms(NamedTuple):
 
 def _power_atoms(p, sigma, tau) -> _Atoms:
     """The atoms that dDelta/dsigma, dDelta/dp and the higher derivatives
-    share, computed once; on the Interval lane a non-positive A raises
-    DomainError and an F_tau enclosing zero SingularConstraint."""
+    share, computed once; on the VI lane a lane whose A is not positive
+    turns NaN."""
     one = 1
     inv_p = one / p
     sp = spow(sigma, p)
@@ -287,14 +244,9 @@ def _power_atoms(p, sigma, tau) -> _Atoms:
     b1 = spow(ut, -one - inv_p)
     A = b0 - a0
     B = tau * b0 + sigma * a0
-    if isinstance(A, Interval) and A.lo <= 0.0:
-        raise DomainError(f"A enclosure {A!r} not positive (box too wide)")
     alpha1 = spow(A, p - one)
     beta1 = spow(B, p - one)
     f_tau = p * b1 * (beta1 - t1 * alpha1)
-    if isinstance(f_tau, Interval):
-        if f_tau.contains_zero():
-            raise SingularConstraint(f"F_tau enclosure {f_tau!r} contains zero")
     return _Atoms(inv_p, sp, s1, t1, us, ut, a0, a1, b0, b1, A, B, alpha1, beta1, f_tau)
 
 
@@ -652,7 +604,7 @@ def delta_third_derivs(p, sigma, tau, terms=None):
 #
 # Functions of p alone, for the two edges of the parameter domain: sigma = 1,
 # where Delta(p, 1) is fixed by tau_p, and the curve sigma = sigma_p(p), where
-# Delta = sigma_p/2.  p is an Interval or a VI.
+# Delta = sigma_p/2.  p is a VI.
 
 _LN2 = (math.nextafter(math.log(2.0), 0.0), math.nextafter(math.log(2.0), 1.0))
 _LN4 = (math.nextafter(math.log(4.0), 0.0), math.nextafter(math.log(4.0), 4.0))
@@ -697,13 +649,9 @@ def tau_p_scalar(p):
     probes of all lanes in one residual call per step.  Every end is verified;
     the estimate only chooses where to start.  A lane's probes depend on its
     own p alone, so its bracket does not depend on the other lanes of its
-    call.  The two lanes round differently: on the same p the VI bracket sits
-    some ulps off the Interval one, each end on its own lane's transition.
+    call.
     """
-    if isinstance(p, VI):
-        plo, phi = np.ravel(p.lo), np.ravel(p.hi)
-    else:
-        plo, phi = np.array([p.lo]), np.array([p.hi])
+    plo, phi = np.ravel(p.lo), np.ravel(p.hi)
     n = plo.size
     # search lanes: the lo end of p lane i is lane i, its hi end lane n + i.
     # The estimates pair the p ends as the interval residual does:
@@ -712,21 +660,14 @@ def tau_p_scalar(p):
 
     def verified(t, lanes):
         # lo ends: h.lo > 0 verified; hi ends: h.hi < 0 not verified
-        if isinstance(p, VI):
-            i = lanes % n
-            r = tau_p_resid_scalar(VI(plo[i], phi[i]), t)
-            r_lo, r_hi = r.lo, r.hi
-        else:
-            rs = [tau_p_resid_scalar(p, float(x)) for x in t]
-            r_lo, r_hi = np.array([r.lo for r in rs]), np.array([r.hi for r in rs])
-        return np.where(lanes < n, r_lo > 0.0, ~(r_hi < 0.0))
+        i = lanes % n
+        r = tau_p_resid_scalar(VI(plo[i], phi[i]), t)
+        return np.where(lanes < n, r.lo > 0.0, ~(r.hi < 0.0))
 
     k = _last_true(verified, start, step)
     lo = k[:n].view(np.float64)
     hi = (k[n:] + 1).view(np.float64)
-    if isinstance(p, VI):
-        return VI(lo.reshape(p.lo.shape), hi.reshape(p.lo.shape))
-    return Interval(float(lo[0]), float(hi[0]))
+    return VI(lo.reshape(p.lo.shape), hi.reshape(p.lo.shape))
 
 
 _HALF_BITS = int(np.float64(0.5).view(np.int64))

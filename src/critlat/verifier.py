@@ -58,6 +58,7 @@ import numpy as np
 from . import __version__ as _version
 from .batch import (
     Job,
+    sigma_p_batch,
     subpave_convex_positive,
     subpave_delta_above,
 )
@@ -68,11 +69,11 @@ from .enclosure import (
     SingularConstraint,
     delta_edge_high_enclosure,
     delta_edge_low_enclosure,
-    sigma_p_enclosure,
 )
-from .interval import Box, DomainError, Interval
+from .interval import Box, DomainError, Interval, IntervalOverflow
 from .jets import delta_sigma_derivs
 from .moduli import delta_edge_low, delta_point, sigma_p, tau_point
+from .vints import VI
 
 __all__ = [
     "CertStatus",
@@ -150,12 +151,14 @@ class Certificate:
 
 def _sigma_p_range(p_lo: float, p_hi: float) -> tuple[float, float]:
     """Verified (lower, upper) bounds for sigma_p over [p_lo, p_hi], from 16
-    slices (so no monotonicity assumption)."""
+    slices (so no monotonicity assumption) in one sigma_p_batch call.  A
+    slice whose sigma_p overflows is NaN, and raises IntervalOverflow."""
     cuts = np.linspace(p_lo, p_hi, 17)
-    slices = [
-        sigma_p_enclosure(Interval(float(a), float(b))) for a, b in zip(cuts[:-1], cuts[1:])
-    ]
-    return min(iv.lo for iv in slices), max(iv.hi for iv in slices)
+    sp = sigma_p_batch(VI(cuts[:-1], cuts[1:]))
+    lo, hi = float(sp.lo.min()), float(sp.hi.max())
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise IntervalOverflow(f"sigma_p overflows over p in [{p_lo}, {p_hi}]")
+    return lo, hi
 
 
 def _float_margins(pm: float, sm: float) -> tuple[float, float]:
@@ -235,9 +238,9 @@ def _certify_leaf(X, band, sigma_top, node_budget):
     # nodes inside the domain; curve-straddling regions fall back to natural
     # extensions, ~area*(C/margin)^2, and the second-derivative columns carry
     # a heavier dependency constant.  Attempts whose estimate dwarfs the node
-    # budget are skipped and attempts get cost-proportional budgets (the leaf
-    # splits instead; estimates tune cost, never soundness).  An attempt
-    # returns (kind, job, witness builder) or why it was skipped.
+    # budget are skipped (the leaf splits instead; estimates tune cost, never
+    # soundness); every job that runs gets node_budget.  An attempt returns
+    # (kind, job, witness builder) or why it was skipped.
     def _interior_est(margin_min: float, margin_mean: float, area: float) -> float:
         # straddling cells pay the quadratic natural-extension price along the
         # whole curve edge, where the minimum margin binds; in-domain cells
@@ -247,9 +250,6 @@ def _certify_leaf(X, band, sigma_top, node_budget):
         if straddles:
             return area * (2.5 / margin_min) ** 2
         return area * 24.0 / margin_mean
-
-    def _attempt_nodes(est: float) -> int:
-        return int(min(3.0 * node_budget, max(float(node_budget), 6.0 * est)))
 
     area = (p_hi - p_lo) * (s_hi - s_lo)
 
@@ -265,7 +265,7 @@ def _certify_leaf(X, band, sigma_top, node_budget):
         skip = _skip(margin, 1e-7, est, 3.0 * node_budget)
         if skip:
             return skip
-        job = Job(p_lo, p_hi, s_lo, s_hi, _attempt_nodes(est))
+        job = Job(p_lo, p_hi, s_lo, s_hi, node_budget)
         fid = f"delta_minus_edge_{side}"
         return side, job, lambda w: CertStatus(
             verdict=VERDICT_INTERIOR,
@@ -285,16 +285,13 @@ def _certify_leaf(X, band, sigma_top, node_budget):
             return float("inf")
         return col_area * (dep / margin) ** 2
 
-    def _column_nodes(est: float) -> int:
-        return int(min(6.0 * node_budget, max(float(node_budget), 4.0 * est)))
-
     def column(verdict: str, fid: str, c_lo: float, c_hi: float, probes, dep):
         m = min(probes) if probes else 0.0
         est = _column_est(m, (p_hi - p_lo) * (c_hi - c_lo), dep)
         skip = _skip(m, 1e-8, est, 4.0 * node_budget)
         if skip:
             return skip
-        job = Job(p_lo, p_hi, c_lo, c_hi, _column_nodes(est))
+        job = Job(p_lo, p_hi, c_lo, c_hi, node_budget)
         col = Box(X.p, Interval(c_lo, c_hi))
         return "convex", job, lambda w: CertStatus(
             verdict=verdict,

@@ -1,12 +1,12 @@
-"""Vectorized interval arrays: the batch evaluation engine.
+"""Vectorized interval arrays: critlat's one interval kernel.
 
 A VI holds parallel lo/hi arrays of outward-rounded bounds, one interval per
-lane.  Semantics match the scalar kernel with two deliberate differences:
-every inexact bound is moved outward unconditionally (cheaper than
-exactness detection, never tighter than the scalar kernel), and domain
-violations poison the lane with NaN instead of raising, so one bad subcell
-cannot abort a batch.  NaN lanes fail every sign test, which is the safe
-direction for certification.
+lane.  Every bound an op computes is moved outward unconditionally, with no
+test for an exact result, and domain violations poison the lane with NaN
+instead of raising, so one bad subcell cannot abort a batch.  NaN lanes fail
+every sign test, which is the safe direction for certification.  The scalar
+critlat.interval.Interval runs these ops on a one-lane VI and raises where
+the lane would be NaN.
 
 The outward steps take no np.nextafter call:
 

@@ -94,3 +94,15 @@ def test_traced_result_attributes_exist():
     assert "tau" in fields(enclosure.TauEnclosure)
     assert "terms" in fields(elliptic.EisensteinSum)
     assert {"g2", "g3", "discriminant"} <= fields(elliptic.EllipticCurve)
+
+
+def test_counted_operators_are_class_attributes():
+    # Recorder.install reads cls.__dict__[meth] for every operator it
+    # counts, so a dropped or inherited one would fail every traced pass
+    from critlat.interval import Interval
+    from critlat.vints import VI
+
+    spans = load_spans()
+    assert [m for m in spans.INTERVAL_OPS if m not in Interval.__dict__] == []
+    vi_ops = [m for methods in spans.VI_OPS.values() for m in methods]
+    assert [m for m in vi_ops if m not in VI.__dict__] == []

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from critlat.interval import Box, DomainError, Interval, intersect, ipow
+from critlat.interval import Box, DomainError, Interval
 from critlat import batch as B
 from critlat import enclosure as E
 from critlat import jets
@@ -29,7 +29,6 @@ from critlat.jets import (
     phi_consts,
     phi_scalar,
     tau_p_resid_scalar,
-    tau_p_scalar,
     tau_pow_log,
 )
 from critlat.vints import VI
@@ -39,6 +38,15 @@ SQRT3 = math.sqrt(3.0)
 
 def point_box(p: float, s: float) -> Box:
     return Box(Interval.point(p), Interval.point(s))
+
+
+def lane(iv: Interval) -> VI:
+    """iv as a one-lane VI: the jets formulas take float, ndarray and VI."""
+    return VI(np.array([iv.lo]), np.array([iv.hi]))
+
+
+def lane0(v: VI) -> Interval:
+    return Interval(v.lo[0], v.hi[0])
 
 
 class TestTauInterval:
@@ -64,13 +72,12 @@ class TestTauInterval:
         # h(0.36) = 2(1 - 0.36)^p - (1 + 0.36^p) is negative, h decreasing in
         # t: checked for every p > 1, the range the CLI accepts
         seed = E.DEFAULT_SEED.hi
-        edges = np.linspace(1.0, 1.6, 61).tolist()
-        for lo, hi in zip(edges, edges[1:]):
-            assert tau_p_resid_scalar(Interval(lo, hi), seed).hi < 0.0, (lo, hi)
+        edges = np.linspace(1.0, 1.6, 61)
+        assert np.all(tau_p_resid_scalar(VI(edges[:-1], edges[1:]), seed).hi < 0.0)
         # p >= 1.6: h(0.36) < 2 (1 - 0.36)^p - 1 <= 2 (1 - 0.36)^1.6 - 1
         base = 1.0 - Interval.point(seed)
         assert base.hi < 1.0
-        assert (2.0 * ipow(base, Interval.point(edges[-1])) - 1.0).hi < 0.0
+        assert (2.0 * base.pow(Interval.point(edges[-1])) - 1.0).hi < 0.0
 
     def test_stops_at_exact_fixed_point(self):
         # one more intersected step from the result returns it unchanged, on
@@ -85,8 +92,9 @@ class TestTauInterval:
                 boxes.append(Box.of(p, p + w, s, s + w))
         for X in boxes:
             enc = E.tau_interval(X)
-            consts = phi_consts(X.p, X.sigma)
-            assert intersect(phi_scalar(X.p, *consts, enc.tau), enc.tau) == enc.tau, X
+            P, T = lane(X.p), lane(enc.tau)
+            Tn, empty = phi_scalar(P, *phi_consts(P, lane(X.sigma)), T).intersect(T)
+            assert not empty[0] and lane0(Tn) == enc.tau, X
             assert enc.iterations <= TAU_STEPS
 
     def test_sampling_never_escapes(self):
@@ -112,12 +120,11 @@ class TestTauInterval:
         # widths never grow once past the first step (intersection per step)
         X = Box.of(2.3, 2.32, 1.25, 1.27)
         widths = []
-        T = E.DEFAULT_SEED
-        consts = phi_consts(X.p, X.sigma)
+        P, T = lane(X.p), lane(E.DEFAULT_SEED)
+        consts = phi_consts(P, lane(X.sigma))
         for _ in range(30):
-            T2 = intersect(phi_scalar(X.p, *consts, T), T)
-            widths.append(T2.width)
-            T = T2
+            T, _ = phi_scalar(P, *consts, T).intersect(T)
+            widths.append(lane0(T).width)
         assert all(w2 <= w1 + 1e-15 for w1, w2 in zip(widths, widths[1:]))
 
     def test_refinement_nesting(self):
@@ -182,10 +189,10 @@ class TestDeltaEif:
 
 def derivative_enclosures(X: Box) -> dict[str, Interval]:
     """dDelta/dsigma, d2Delta/dsigma2 and dDelta/dp enclosed over X by the
-    atom formulas on the Interval lane, keyed as in moduli.DeltaDerivatives."""
-    tau = E.tau_interval(X).tau
-    dds, dds2 = delta_sigma_derivs(X.p, X.sigma, tau)
-    return {"d_sigma": dds, "d_sigma2": dds2, "d_p": delta_p_deriv(X.p, X.sigma, tau)}
+    atom formulas on one VI lane, keyed as in moduli.DeltaDerivatives."""
+    args = lane(X.p), lane(X.sigma), lane(E.tau_interval(X).tau)
+    dds, dds2 = delta_sigma_derivs(*args)
+    return {"d_sigma": lane0(dds), "d_sigma2": lane0(dds2), "d_p": lane0(delta_p_deriv(*args))}
 
 
 class TestDerivativeEifs:
@@ -251,7 +258,8 @@ class TestDerivativeEifs:
 class TestAtomFormulaEnclosures:
     def test_enclosure_contains_pointwise(self):
         X = Box.of(2.3, 2.33, 1.4, 1.45)
-        dds, dds2 = delta_sigma_derivs(X.p, X.sigma, E.tau_interval(X).tau)
+        encs = derivative_enclosures(X)
+        dds, dds2 = encs["d_sigma"], encs["d_sigma2"]
         rng = np.random.default_rng(7)
         for _ in range(40):
             p = rng.uniform(X.p.lo, X.p.hi)
@@ -266,8 +274,9 @@ class TestAtomFormulaEnclosures:
         X = Box(Interval.point(p), Interval(sp * 0.999, sp))
         enc = E.tau_interval(X)
         assert enc.tau.lo == 0.0
-        with pytest.raises(DomainError):
-            delta_sigma_derivs(X.p, X.sigma, enc.tau)
+        with np.errstate(all="ignore"):  # the VI lane turns NaN
+            dds, dds2 = delta_sigma_derivs(lane(X.p), lane(X.sigma), lane(enc.tau))
+        assert dds2.invalid()[0]
 
     def test_gradient_is_both_derivatives_bit_for_bit(self):
         # delta_gradient takes the atoms that delta_sigma_derivs and
@@ -288,9 +297,9 @@ class TestAtomFormulaEnclosures:
             assert nan(g.lo) == nan(v.lo) and nan(g.hi) == nan(v.hi)
         assert (~got[1].invalid()).sum() > n // 2
         X = Box.of(2.35, 2.37, 1.3, 1.32)
-        tau = E.tau_interval(X).tau
-        got = delta_gradient(X.p, X.sigma, tau)
-        want = delta_sigma_derivs(X.p, X.sigma, tau)[0], delta_p_deriv(X.p, X.sigma, tau)
+        args = lane(X.p), lane(X.sigma), lane(E.tau_interval(X).tau)
+        got = delta_gradient(*args)
+        want = delta_sigma_derivs(*args)[0], delta_p_deriv(*args)
         assert [(g.lo, g.hi) for g in got] == [(v.lo, v.hi) for v in want]
         t = M.tau_point(2.36, 1.31)
         assert delta_gradient(2.36, 1.31, t) == (
@@ -441,10 +450,6 @@ class TestThirdDerivatives:
             for tau in taus:
                 for ex in (el, eh, (el + eh) / 2):
                     assert lo <= f(tau, ex) <= hi, i
-            if i % 20 == 0:
-                iv = tau_pow_log(Interval(T_.lo[i], T_.hi[i]), Interval(E_.lo[i], E_.hi[i]))
-                for tau in taus:
-                    assert iv.lo <= f(tau, el) and f(tau, eh) <= iv.hi, i
         assert turned > 100
 
 
@@ -517,6 +522,25 @@ class TestBoundaryEnclosures:
             alone = B.tau_p_enclose_batch(VI(lo[i : i + 1], hi[i : i + 1]))
             assert bits(alone, slice(None)) == bits(whole, [i])
 
+    def test_entry_points_equal_batch_lanes(self):
+        # each scalar entry point is lane i of its batch twin, bit for bit,
+        # on seeded p-intervals (a batch lane ignores the other lanes)
+        lo, hi = _tau_p_lanes(60, 35)
+        P = VI(lo, hi)
+        tp = B.tau_p_enclose_batch(P)
+        twins = {
+            E.sigma_p_enclosure: B.sigma_p_batch(P),
+            E.tau_p_enclosure: tp,
+            E.delta_edge_low_enclosure: B.edge_low_batch(P, tp),
+            E.delta_edge_high_enclosure: B.sigma_p_batch(P) * 0.5,
+            E.d_sigma_p_enclosure: B.d_sigma_p_batch(P),
+            E.d_delta_edge_low_enclosure: B.d_edge_low_batch(P, tp),
+        }
+        for fn, v in twins.items():
+            for i in range(lo.size):
+                r = fn(Interval(lo[i], hi[i]))
+                assert _same_bits([r.lo, r.hi], [v.lo[i], v.hi[i]]), (fn.__name__, i)
+
     def test_p_at_most_1_rejected_on_scalar_lane(self):
         for fn in (E.sigma_p_enclosure, E.tau_p_enclosure, E.d_sigma_p_enclosure,
                    E.delta_edge_low_enclosure, E.d_delta_edge_low_enclosure):
@@ -528,25 +552,20 @@ def _bisect_tau_p(p, max_steps=80):
     """The sign bisection of [0, 1/2] that jets.tau_p_scalar replaced, kept as
     the reference: lo moves only to midpoints with h.lo > 0 verified, hi only
     to midpoints with h.hi < 0, until no midpoint lies strictly inside its
-    bracket or after max_steps steps."""
-    if isinstance(p, VI):
-        lo, lo_cap = np.zeros(p.lo.shape), np.full(p.lo.shape, 0.5)
-        hi, hi_cap = np.full(p.lo.shape, 0.5), np.zeros(p.lo.shape)
-        where, any_ = np.where, np.any
-    else:
-        lo, lo_cap, hi, hi_cap = 0.0, 0.5, 0.5, 0.0
-        where, any_ = (lambda c, a, b: a if c else b), bool
+    bracket or after max_steps steps; p is a VI."""
+    lo, lo_cap = np.zeros(p.lo.shape), np.full(p.lo.shape, 0.5)
+    hi, hi_cap = np.full(p.lo.shape, 0.5), np.zeros(p.lo.shape)
     with np.errstate(all="ignore"):
         for _ in range(max_steps):
             m_lo = 0.5 * (lo + lo_cap)
             m_hi = 0.5 * (hi + hi_cap)
-            if not any_((lo < m_lo) & (m_lo < lo_cap) | (hi_cap < m_hi) & (m_hi < hi)):
+            if not np.any((lo < m_lo) & (m_lo < lo_cap) | (hi_cap < m_hi) & (m_hi < hi)):
                 break
             pos = tau_p_resid_scalar(p, m_lo).lo > 0.0
             neg = tau_p_resid_scalar(p, m_hi).hi < 0.0
-            lo, lo_cap = where(pos, m_lo, lo), where(pos, lo_cap, m_lo)
-            hi, hi_cap = where(neg, m_hi, hi), where(neg, hi_cap, m_hi)
-    return (np.asarray(lo), np.asarray(hi))
+            lo, lo_cap = np.where(pos, m_lo, lo), np.where(pos, lo_cap, m_lo)
+            hi, hi_cap = np.where(neg, m_hi, hi), np.where(neg, hi_cap, m_hi)
+    return lo, hi
 
 
 def _tau_p_lanes(n, seed):
@@ -584,13 +603,18 @@ class TestTauPSearch:
         assert _same_bits(got.lo, ref_lo) and _same_bits(got.hi, ref_hi)
 
     def test_interval_lane_equals_bisection(self):
-        # 1,000 lanes here; 20,000 took 81 s and agreed as well
+        # the scalar entry point, one p-interval a call, on 1,000 lanes and
+        # the edge lanes with p > 1; it refuses p <= 1
         lo, hi = _tau_p_lanes(1000, 32)
-        lanes = list(zip(lo.tolist(), hi.tolist())) + _EDGE_P[2:]
-        for a, b in lanes:
-            got = tau_p_scalar(Interval(a, b))
-            ref_lo, ref_hi = _bisect_tau_p(Interval(a, b))
-            assert (got.lo, got.hi) == (float(ref_lo), float(ref_hi)), (a, b)
+        lo = np.concatenate([lo, [a for a, _ in _EDGE_P[4:]]])
+        hi = np.concatenate([hi, [b for _, b in _EDGE_P[4:]]])
+        ref_lo, ref_hi = _bisect_tau_p(VI(lo, hi))
+        for i, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+            got = E.tau_p_enclosure(Interval(a, b))
+            assert (got.lo, got.hi) == (ref_lo[i], ref_hi[i]), (a, b)
+        for a, b in _EDGE_P[2:4]:
+            with pytest.raises(DomainError):
+                E.tau_p_enclosure(Interval(a, b))
 
     def test_huge_p_bracket_lies_inside_the_capped_bisection(self):
         for a, b in _HUGE_P:
@@ -599,42 +623,35 @@ class TestTauPSearch:
             assert ref_lo[0] <= got.lo[0] < got.hi[0] <= ref_hi[0]
             # the cap left the old bracket wider
             assert (got.lo[0], got.hi[0]) != (ref_lo[0], ref_hi[0])
-            got = tau_p_scalar(Interval(a, b))
-            ref_lo, ref_hi = _bisect_tau_p(Interval(a, b))
-            assert ref_lo <= got.lo < got.hi <= ref_hi
+            got = E.tau_p_enclosure(Interval(a, b))
+            assert ref_lo[0] <= got.lo < got.hi <= ref_hi[0]
 
     def test_ends_are_transitions_around_the_root(self):
         # on each lane, lo is verified positive and the next float is not, hi
         # verified negative and the float before it not; the bracket holds the
-        # 50-digit root at both p ends.  The lanes round differently, so their
-        # brackets differ by some ulps.
+        # 50-digit root at both p ends.  The scalar entry point runs the same
+        # search on one VI lane, so the two brackets agree bit for bit.
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 50
         lo, hi = _tau_p_lanes(40, 33)
         V = B.tau_p_enclose_batch(VI(lo, hi))
-        differ = 0
         for i, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
-            P = Interval(a, b)
-            S = tau_p_scalar(P)
-            for lane, (t_lo, t_hi), resid in (
-                ("VI", (float(V.lo[i]), float(V.hi[i])),
-                 lambda t: tau_p_resid_scalar(VI(np.array([a]), np.array([b])), np.array([t]))),
-                ("Interval", (S.lo, S.hi), lambda t: tau_p_resid_scalar(P, t)),
-            ):
-                r = [resid(t) for t in (t_lo, math.nextafter(t_lo, 1.0),
-                                        t_hi, math.nextafter(t_hi, 0.0))]
-                lo_of = [float(np.asarray(x.lo).ravel()[0]) for x in r]
-                hi_of = [float(np.asarray(x.hi).ravel()[0]) for x in r]
-                assert lo_of[0] > 0.0 and not lo_of[1] > 0.0, (lane, a, b)
-                assert hi_of[2] < 0.0 and not hi_of[3] < 0.0, (lane, a, b)
-                for q in (a, b):
-                    q = mpmath.mpf(q)
-                    root = mpmath.findroot(
-                        lambda x: 2 * (1 - x) ** q - 1 - x**q, (0.01, 0.49), solver="bisect"
-                    )
-                    assert mpmath.mpf(t_lo) < root < mpmath.mpf(t_hi), (lane, a, b)
-            differ += (S.lo, S.hi) != (float(V.lo[i]), float(V.hi[i]))
-        assert differ > 0
+            S = E.tau_p_enclosure(Interval(a, b))
+            t_lo, t_hi = float(V.lo[i]), float(V.hi[i])
+            assert _same_bits([S.lo, S.hi], [t_lo, t_hi]), (a, b)
+            P = VI(np.array([a]), np.array([b]))
+            r = [tau_p_resid_scalar(P, np.array([t])) for t in (
+                t_lo, math.nextafter(t_lo, 1.0), t_hi, math.nextafter(t_hi, 0.0))]
+            lo_of = [float(x.lo[0]) for x in r]
+            hi_of = [float(x.hi[0]) for x in r]
+            assert lo_of[0] > 0.0 and not lo_of[1] > 0.0, (a, b)
+            assert hi_of[2] < 0.0 and not hi_of[3] < 0.0, (a, b)
+            for q in (a, b):
+                q = mpmath.mpf(q)
+                root = mpmath.findroot(
+                    lambda x: 2 * (1 - x) ** q - 1 - x**q, (0.01, 0.49), solver="bisect"
+                )
+                assert mpmath.mpf(t_lo) < root < mpmath.mpf(t_hi), (a, b)
 
     def test_an_exotic_lane_does_not_stretch_the_search(self, monkeypatch):
         calls = [0]

@@ -1,4 +1,5 @@
-"""Interval kernel: anchor examples, containment, isotonicity, rounding direction."""
+"""Interval value type: anchor examples, containment, isotonicity, rounding
+direction, and its ops as one-lane VI ops."""
 
 import cmath
 import math
@@ -19,8 +20,8 @@ from critlat.interval import (
     IntervalOverflow,
     hull,
     intersect,
-    ipow,
 )
+from critlat.vints import VI
 
 OPS = {
     "add": operator.add,
@@ -41,13 +42,10 @@ def ulps_wide(iv: Interval) -> int:
 
 
 class TestArith:
-    def test_add_exact(self):
-        r = Interval(1, 2) + Interval(3, 4)
-        assert r == Interval(4, 6)
-
     def test_mul_sign_cases(self):
         r = Interval(1, 2) * Interval(-1, 1)
-        assert r == Interval(-2, 2)
+        assert r.contains_interval(Interval(-2, 2))
+        assert ulps_wide(Interval(r.lo, -2.0)) <= 1 and ulps_wide(Interval(2.0, r.hi)) <= 1
 
     def test_div_third_tight(self):
         r = Interval(1, 1) / Interval(3, 3)
@@ -63,9 +61,6 @@ class TestArith:
         big = Interval(1e308, 1e308)
         with pytest.raises(IntervalOverflow):
             big + big
-
-    def test_sub_exact(self):
-        assert Interval(5, 7) - Interval(2, 3) == Interval(2, 5)
 
     def test_directed_rounding_add(self):
         # 0.1 + 0.2 rounds; bounds must bracket the exact rational sum.
@@ -83,7 +78,7 @@ class TestArith:
 
 class TestElem:
     def test_pow_sqrt4(self):
-        r = ipow(Interval(4, 4), Interval(0.5, 0.5))
+        r = Interval(4, 4).pow(Interval(0.5, 0.5))
         assert r.contains(2.0)
         assert ulps_wide(r) <= 4
 
@@ -95,7 +90,7 @@ class TestElem:
         getcontext().prec = 40
         lo_exact = Decimal(2) ** Decimal("1.5")
         hi_exact = Decimal(3) ** Decimal("1.5")
-        r = ipow(Interval(2, 3), Interval(1.5, 1.5))
+        r = Interval(2, 3).pow(Interval(1.5, 1.5))
         assert Decimal(r.lo) <= lo_exact
         assert Decimal(r.hi) >= hi_exact
         # stays reasonably tight
@@ -104,7 +99,7 @@ class TestElem:
 
     def test_pow_rejects_zero_base(self):
         with pytest.raises(DomainError):
-            ipow(Interval(0.0, 2.0), Interval(1.5, 1.5))
+            Interval(0.0, 2.0).pow(Interval(1.5, 1.5))
 
     def test_ln_rejects_nonpositive(self):
         with pytest.raises(DomainError):
@@ -209,7 +204,7 @@ class TestContainment:
             assert np.all((np.exp(pts) >= e.lo) & (np.exp(pts) <= e.hi))
             l = x.log()
             assert np.all((np.log(pts) >= l.lo) & (np.log(pts) <= l.hi))
-            pw = ipow(x, Interval(1.3, 1.7))
+            pw = x.pow(Interval(1.3, 1.7))
             ys = rng.uniform(1.3, 1.7, size=1000)
             vals = pts**ys
             assert np.all((vals >= pw.lo) & (vals <= pw.hi))
@@ -284,6 +279,87 @@ class TestBox:
         assert b.contains_point(pm, sm)
         assert b.contains_box(Box.of(2.2, 2.8, 1.1, 1.4))
         assert not b.contains_box(Box.of(2.2, 3.2, 1.1, 1.4))
+
+
+def _bits(*xs):
+    return np.array(xs, dtype=float).view(np.int64).tolist()
+
+
+def _one_lane(x):
+    if isinstance(x, Interval):
+        return VI(np.array([x.lo]), np.array([x.hi]))
+    return VI(np.array([float(x)]), np.array([float(x)]))
+
+
+class TestOneLaneVI:
+    """Every Interval op is the VI op on a one-lane VI, bit for bit, and
+    raises the documented exception where that lane is NaN."""
+
+    def test_ops_equal_one_lane_vi_ops(self):
+        rng = np.random.default_rng(20261019)
+        binary = {
+            "add": (operator.add, VI.__add__),
+            "sub": (operator.sub, VI.__sub__),
+            "mul": (operator.mul, VI.__mul__),
+            "div": (operator.truediv, VI.__truediv__),
+            "pow": (Interval.pow, VI.pow),
+        }
+        unary = {"neg": (Interval.__neg__, VI.__neg__), "exp": (Interval.exp, VI.exp),
+                 "log": (Interval.log, VI.log)}
+        for _ in range(400):
+            lo = rng.uniform(0.01, 5.0, 2) * rng.choice([1e-8, 1.0, 1e6])
+            x = Interval(lo[0], lo[0] + rng.choice([0.0, 1e-9, 0.5]) * lo[0])
+            y = Interval(lo[1], lo[1] * (1.0 + rng.choice([0.0, 1e-6, 2.0])))
+            if rng.random() < 0.5:
+                x = -x if rng.random() < 0.5 else x
+            others = (y, float(y.lo), -y)
+            e = rng.uniform(-4.5, 4.5)
+            exponents = (Interval(e, e + rng.choice([0.0, 1e-9, 1.0])), e)
+            with np.errstate(all="ignore"):
+                for name, (op, vop) in binary.items():
+                    for o in exponents if name == "pow" else others:
+                        if name == "pow" and not x.lo > 0.0:
+                            continue
+                        r, v = op(x, o), vop(_one_lane(x), _one_lane(o))
+                        assert _bits(r.lo, r.hi) == _bits(v.lo[0], v.hi[0]), (name, x, o)
+                    if name != "pow":  # the reflected ops, a float on the left
+                        r, v = op(float(y.hi), x), vop(_one_lane(y.hi), _one_lane(x))
+                        assert _bits(r.lo, r.hi) == _bits(v.lo[0], v.hi[0]), (name, x)
+                for name, (op, vop) in unary.items():
+                    if name == "log" and not x.lo > 0.0 or name == "exp" and x.hi > 700.0:
+                        continue
+                    r, v = op(x), vop(_one_lane(x))
+                    assert _bits(r.lo, r.hi) == _bits(v.lo[0], v.hi[0]), (name, x)
+            if x.lo >= 0.0:  # sqrt: np.sqrt stepped one float outward
+                r = x.sqrt()
+                want = Fraction(x.lo), Fraction(x.hi)
+                assert Fraction(r.lo) ** 2 <= want[0] and want[1] <= Fraction(r.hi) ** 2
+                assert ulps_wide(Interval(r.lo, math.sqrt(x.lo))) <= 1
+                assert ulps_wide(Interval(math.sqrt(x.hi), r.hi)) <= 1
+
+    @pytest.mark.parametrize(
+        "call, exc",
+        [
+            (lambda: Interval(0.0, 1.0).log(), DomainError),
+            (lambda: Interval(-1.0, 2.0).log(), DomainError),
+            (lambda: Interval(0.0, 2.0).pow(1.5), DomainError),
+            (lambda: Interval(-1.0, -0.5).pow(Interval(1.0, 2.0)), DomainError),
+            (lambda: Interval(-1.0, 4.0).sqrt(), DomainError),
+            (lambda: Interval(1.0, 2.0) / Interval(-1.0, 1.0), DivisionByZeroInterval),
+            (lambda: Interval(1.0, 2.0) / Interval(0.0, 1.0), DivisionByZeroInterval),
+            (lambda: Interval(1.0, 2.0) / 0.0, DivisionByZeroInterval),
+            (lambda: 1.0 / Interval(-2.0, 0.0), DivisionByZeroInterval),
+            (lambda: Interval(1e308, 1e308) + 1e308, IntervalOverflow),
+            (lambda: -1e308 - Interval(1e308, 1e308), IntervalOverflow),
+            (lambda: Interval(1e200, 1e200) * 1e200, IntervalOverflow),
+            (lambda: Interval(1e300, 1e300) / 1e-300, IntervalOverflow),
+            (lambda: Interval(709.0, 710.0).exp(), IntervalOverflow),
+            (lambda: Interval(1e300, 1e300).pow(2.0), IntervalOverflow),
+        ],
+    )
+    def test_nan_lanes_raise(self, call, exc):
+        with pytest.raises(exc):
+            call()
 
 
 def test_trusted_libm_within_2_ulp():

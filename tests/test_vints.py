@@ -166,6 +166,11 @@ def bounded(lo, hi, exact):
 @given(lanes_of(finite), lanes_of(finite), st.floats(0.0, 1.0))
 @example([(TINY, 2 * TINY)], [(0.5, 3.0)], 0.5)  # subnormal products
 @example([(-1e300, 1e300)], [(1e300, 1e300)], 0.5)  # overflow to inf
+@example([(0.0, 0.5)], [(0.0, TINY)], 0.0)  # a product rounding to 0
+@example([(3 * TINY, 3 * TINY)], [(2.0**70, 2.0**70)], 0.0)  # subnormal factor
+@example([(1e-160, 3e-160)], [(1e-160, 1e-160)], 0.5)  # underflowing product
+@example([(1e150, 1e155)], [(1e140, 1e150)], 0.5)
+@example([(-0.0, 0.0)], [(-MAX, MAX)], 0.5)  # zero times anything
 def test_mul_contains_exact(xs, ys, t):
     n = min(len(xs), len(ys))
     xs, ys = xs[:n], ys[:n]
@@ -211,6 +216,7 @@ def test_pow_and_exp_edges(x, y, expect):
 @example([(2.0**-1022, 2.0**-1020)], [(-(2.0**-1021), 0.0)], 0.5)  # near underflow
 @example([(1e300, 1e300)], [(MAX, MAX)], 0.5)  # overflow to inf
 @example([(-MAX, -1e300)], [(-MAX, 0.0)], 0.5)
+@example([(0.1, 0.1)], [(0.2, 0.2)], 0.0)  # inexact at a point
 def test_add_and_sub_contain_exact(xs, ys, t):
     n = min(len(xs), len(ys))
     xs, ys = xs[:n], ys[:n]
@@ -241,6 +247,10 @@ nonzero = st.one_of(
 @example([(2.0**-1021, 2.0**-1020)], [(1.5, 3.0)], 0.5)  # near underflow
 @example([(1e300, 1e300)], [(1e-300, 2e-300)], 0.5)  # overflow to inf
 @example([(-1e300, 1e300)], [(TINY, TINY)], 0.5)
+@example([(1e-300, 3e-300)], [(7e-301, 7e-301)], 0.0)  # tiny dividend, normal quotient
+@example([(4.0153906355662307e-308, 4.0153906355662307e-308)],
+         [(-8.835808627950198e-06, -8.835808627950198e-06)], 0.0)  # underflowing residual
+@example([(1e-200, 1e-200)], [(3e200, 3e200)], 0.0)  # subnormal quotient
 def test_div_contains_exact(xs, ys, t):
     n = min(len(xs), len(ys))
     xs, ys = xs[:n], ys[:n]
