@@ -1,4 +1,4 @@
-"""Interval lane: each result contains the exact value at every sampled point
+"""Interval ops: each result contains the exact value at every sampled point
 of its input intervals, and an operation raises only where it is undefined
 (a divisor containing 0, log or pow of a non-positive base) or a bound leaves
 the finite range.  Exact values come from Fraction (add, sub, mul, div) and
@@ -19,7 +19,6 @@ from critlat.interval import (  # noqa: E402
     DomainError,
     Interval,
     IntervalOverflow,
-    ipow,
 )
 
 MAX = sys.float_info.max
@@ -178,7 +177,7 @@ def test_pow_contains_exact(x, y, point_exponent, t):
     if point_exponent:
         y = (y[0], y[0])
     with mpmath.workprec(200):
-        r = run(ipow, Interval(*x), y[0] if point_exponent else Interval(*y))
+        r = run(Interval.pow, Interval(*x), y[0] if point_exponent else Interval(*y))
         if not x[0] > 0.0:
             assert isinstance(r, DomainError), r
             return
