@@ -257,7 +257,8 @@ VACUOUS = "no in-domain subcell"
 class Subpaving(NamedTuple):
     """How a job ended: hull (lo, hi) of its subcell enclosures when
     certified (hull lo > 0), else None; end is one of CERTIFIED, BUDGET_HIT,
-    FLOOR_HIT or VACUOUS; nodes counts its boxes so far."""
+    FLOOR_HIT or VACUOUS; nodes counts its boxes so far, and never the
+    boxes that would take it over its budget (nodes <= max_nodes)."""
 
     hull: tuple[float, float] | None
     end: str
@@ -289,9 +290,10 @@ def _subpave(jobs, scales, min_width: float, chunk) -> list[Subpaving]:
     with their enclosures and returns per-lane (vacuous, ok, lo, hi), ok
     meaning the enclosure [lo, hi] is positive; it keeps nothing from one
     slice to the next.  A job passes when every box is vacuous or ok;
-    otherwise its failing boxes are split on the job's scales.  A job whose node count would exceed its
-    budget stops before the boxes are evaluated, and one with a failing box
-    thinner than min_width stops after it.
+    otherwise its failing boxes are split on the job's scales.  A job whose
+    node count would exceed its budget stops before the boxes are evaluated,
+    and reports its count without them; one with a failing box thinner than
+    min_width stops after it.
 
     A wave evaluates a job's boxes together with its next split levels
     (_speculate), every box of each, and then replays the levels one at a
@@ -315,10 +317,10 @@ def _subpave(jobs, scales, min_width: float, chunk) -> list[Subpaving]:
     while running:
         batch, levels = [], []
         for j in running:
-            nodes[j] += len(boxes[j])
-            if nodes[j] > jobs[j].max_nodes:
+            if nodes[j] + len(boxes[j]) > jobs[j].max_nodes:
                 result[j] = Subpaving(None, BUDGET_HIT, nodes[j])
             else:
+                nodes[j] += len(boxes[j])
                 batch.append(j)
                 levels.append(_speculate(boxes[j], scales[j], jobs[j].max_nodes - nodes[j]))
         if not batch:
@@ -336,10 +338,11 @@ def _subpave(jobs, scales, min_width: float, chunk) -> list[Subpaving]:
             for depth, level in enumerate(lv):
                 a, b = b, b + len(level)
                 if depth:
-                    nodes[j] += int(np.count_nonzero(need))
-                    if nodes[j] > jobs[j].max_nodes:
+                    n = int(np.count_nonzero(need))
+                    if nodes[j] + n > jobs[j].max_nodes:
                         result[j] = Subpaving(None, BUDGET_HIT, nodes[j])
                         break
+                    nodes[j] += n
                 seen = live[a:b] & need
                 if seen.any():
                     wlo, whi = hull[j]

@@ -141,7 +141,7 @@ def cmd_eval(args, cfg: RunConfig, out) -> int:
         print(f"tau,{tau!r},{resid!r}", file=out)
     if what in ("delta", "all"):
         mp = mod.delta_point(p, sigma)
-        resid = mp.atoms.alpha[0] + mp.atoms.beta[0] - 1.0
+        resid = mod._f_resid(p, sigma, mp.tau)
         print(f"delta,{mp.delta!r},{resid!r}", file=out)
     if what in ("derivatives", "all"):
         try:
@@ -156,10 +156,10 @@ def cmd_eval(args, cfg: RunConfig, out) -> int:
 
 
 def cmd_verify(args, cfg: RunConfig, out) -> int:
-    p_lo, p_hi = args.p
+    p_lo, p_hi = map(_finite_p, args.p)
     if not (1.0 < p_lo < p_hi):
         raise CliError(f"need 1 < p_lo < p_hi, got {p_lo}, {p_hi}")
-    if args.strip <= 0.0:
+    if not args.strip > 0.0:  # NaN too
         raise CliError("strip width must be positive")
     if args.budget < 1:
         raise CliError("budget must be >= 1")

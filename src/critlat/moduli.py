@@ -32,7 +32,6 @@ from .jets import (
 
 __all__ = [
     "ParamDomain",
-    "AtomSet",
     "ModuliPoint",
     "Lattice2",
     "BoundaryMin",
@@ -47,7 +46,6 @@ __all__ = [
     "derivatives",
     "lattice_basis",
     "lattice_det",
-    "atoms",
     "tau_p_vec",
     "tau_point_vec",
     "delta_point_vec",
@@ -83,26 +81,11 @@ class ParamDomain:
 
 
 @dataclass(frozen=True)
-class AtomSet:
-    """Power atoms at a point: s_i, t_i, a_i, b_i (i = 0, 1, 2), A, B, alpha_i, beta_i."""
-
-    s: tuple[float, float, float]
-    t: tuple[float, float, float]
-    a: tuple[float, float, float]
-    b: tuple[float, float, float]
-    A: float
-    B: float
-    alpha: tuple[float, float, float]
-    beta: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
 class ModuliPoint:
     p: float
     sigma: float
     tau: float
     delta: float
-    atoms: AtomSet
 
 
 @dataclass(frozen=True)
@@ -228,34 +211,12 @@ def tau_point(p: float, sigma: float, newton: bool = True) -> float:
     return t
 
 
-def atoms(p: float, sigma: float, tau: float) -> AtomSet:
-    p, sigma, tau = float(p), float(sigma), float(tau)
-    sp = sigma**p
-    tp_ = tau**p
-
-    def _tpow(e: float) -> float:
-        # tau^e extended by limits at tau = 0 (e < 0 diverges for i = 2, p < 2)
-        if tau > 0.0:
-            return tau**e
-        return 1.0 if e == 0.0 else (0.0 if e > 0.0 else math.inf)
-
-    s = tuple(sigma ** (p - i) for i in range(3))
-    t = tuple(_tpow(p - i) for i in range(3))
-    a = tuple((1.0 + sp) ** (-i - 1.0 / p) for i in range(3))
-    b = tuple((1.0 + tp_) ** (-i - 1.0 / p) for i in range(3))
-    A = b[0] - a[0]
-    B = tau * b[0] + sigma * a[0]
-    alpha = tuple(A ** (p - i) for i in range(3))
-    beta = tuple(B ** (p - i) for i in range(3))
-    return AtomSet(s=s, t=t, a=a, b=b, A=A, B=B, alpha=alpha, beta=beta)
-
-
 def delta_point(p: float, sigma: float) -> ModuliPoint:
     """Solve tau and assemble the full moduli point with Delta."""
     tau = tau_point(p, sigma)
-    at = atoms(p, sigma, tau)
-    delta = (tau + sigma) * at.b[0] * at.a[0]
-    return ModuliPoint(p=p, sigma=sigma, tau=tau, delta=delta, atoms=at)
+    a0 = (1.0 + sigma**p) ** (-1.0 / p)
+    b0 = (1.0 + tau**p) ** (-1.0 / p)
+    return ModuliPoint(p=p, sigma=sigma, tau=tau, delta=(tau + sigma) * b0 * a0)
 
 
 def delta_edge_low(p: float) -> float:

@@ -34,16 +34,21 @@ a checker of the column evaluates the same pair.
 A leaf is a Box plus its id, the bisection path from its initial cell (the
 parent id plus "0" or "1").  Every certificate comes from a subpaving job:
 each generation of leaves is certified in rounds (_certify_rounds).  A leaf's
-attempts are a generator (_certify_leaf) that runs its prescreens and cost
-models lazily and yields one subpaving job per attempt that gets past them.
-Round r gathers the next job of every leaf still undecided and runs all jobs
-of one kind (convex column, delta above sigma_p/2, delta above Delta(p, 1))
-as one merged subpaving in batch.py, whose jobs end as they would alone; so
-each leaf gets the status, and the certificate the bytes, of certifying it
-on its own.  certify_box is the one-leaf case.  With several workers one
-process pool serves the run, and each worker certifies one contiguous chunk
-of the generation (sorted by leaf id) the same way.  A leaf record holds
-only what its verdict rests on: its id, band, box and status.
+attempts are a generator (_certify_leaf) over one table of attempts
+(interior-high, interior-low, mono-low, mono-high) in an order set by the
+leaf's band and its sampled margins.  It runs each attempt's float prescreen
+and its cost rule lazily, estimating area*(c/margin)^2 nodes against a
+multiple of the node budget, and yields one subpaving job per attempt that
+gets past them.  Only a curve-straddling interior attempt or a convexity
+column can be skipped by cost.  Round r gathers the next job of every leaf
+still undecided and runs all jobs of one kind (convex column, delta above
+sigma_p/2, delta above Delta(p, 1)) as one merged subpaving in batch.py,
+whose jobs end as they would alone; so each leaf gets the status, and the
+certificate the bytes, of certifying it on its own.  certify_box is the
+one-leaf case.  With several workers one process pool serves the run, and
+each worker certifies one contiguous chunk of the generation (sorted by leaf
+id) the same way.  A leaf record holds only what its verdict rests on: its
+id, band, box and status.
 """
 
 from __future__ import annotations
@@ -65,8 +70,6 @@ from .batch import (
 from .enclosure import (
     DEFAULT_SEED,
     EifElement,
-    EmptyEnclosure,
-    SingularConstraint,
     delta_edge_high_enclosure,
     delta_edge_low_enclosure,
 )
@@ -178,9 +181,6 @@ def _float_dds2(pm: float, sm: float) -> float:
         return float("nan")
 
 
-_ENCLOSURE_ERRORS = (DomainError, SingularConstraint, EmptyEnclosure)
-
-
 def certify_box(
     X: Box,
     band: str = "mid",
@@ -203,6 +203,10 @@ def _certify_leaf(X, band, sigma_top, node_budget):
     subpave_delta_above, is sent the job's batch.Subpaving, and returns the
     CertStatus.  An Undecided status's reason lists how each attempt ended,
     in order, the last one last.
+
+    The attempts form one table: each plan returns why it is skipped, or
+    (kind, c_lo, c_hi, verdict, fid) for a subpaving of the cell's p-range
+    times [c_lo, c_hi], whose hull becomes the witness.
     """
     p_lo, p_hi = X.p.lo, X.p.hi
     s_lo, s_hi = X.sigma.lo, X.sigma.hi
@@ -212,143 +216,91 @@ def _certify_leaf(X, band, sigma_top, node_budget):
     # cell entirely, so the expensive subpaving is skipped (prescreens gate
     # attempts, never certify anything).
     pm, sm = X.mid
-    samples = [(pm, sm), (p_lo, s_lo), (p_lo, s_hi), (p_hi, s_lo), (p_hi, s_hi)]
-    mh_list, ml_list = [], []
-    for ps, ss in samples:
+    margins = []
+    for ps, ss in [(pm, sm), (p_lo, s_lo), (p_lo, s_hi), (p_hi, s_lo), (p_hi, s_hi)]:
         try:
-            a, b = _float_margins(ps, ss)
+            margins.append(_float_margins(ps, ss))
         except Exception:
-            a, b = float("nan"), float("nan")
-        mh_list.append(a)
-        ml_list.append(b)
-
-    def _screen(margins: list) -> tuple[float, float]:
-        # (least, mean) sampled margin; a failed (NaN) sample rules out
-        # like a non-positive one
-        if any(m != m for m in margins):
-            return -1.0, -1.0
-        return min(margins), sum(margins) / len(margins)
-
-    mh, mh_mean = _screen(mh_list)
-    ml, ml_mean = _screen(ml_list)
+            margins.append((float("nan"), float("nan")))
+    # each side's least sampled margin; a failed (NaN) sample rules out like
+    # a non-positive one
+    mh, ml = (-1.0 if any(m != m for m in side) else min(side) for side in zip(*margins))
 
     straddles = s_hi > sigma_p(pm)
 
-    # cost models: subpaving with the mean-value form needs ~area*C/margin
-    # nodes inside the domain; curve-straddling regions fall back to natural
-    # extensions, ~area*(C/margin)^2, and the second-derivative columns carry
-    # a heavier dependency constant.  Attempts whose estimate dwarfs the node
-    # budget are skipped (the leaf splits instead; estimates tune cost, never
-    # soundness); every job that runs gets node_budget.  An attempt returns
-    # (kind, job, witness builder) or why it was skipped.
-    def _interior_est(margin_min: float, margin_mean: float, area: float) -> float:
-        # straddling cells pay the quadratic natural-extension price along the
-        # whole curve edge, where the minimum margin binds; in-domain cells
-        # pay the mean-value price, which tracks the average margin
-        if margin_mean <= 1e-13 or margin_min <= 1e-13:
-            return float("inf")
-        if straddles:
-            return area * (2.5 / margin_min) ** 2
-        return area * 24.0 / margin_mean
-
-    area = (p_hi - p_lo) * (s_hi - s_lo)
-
-    def _skip(margin: float, floor: float, est: float, cap: float) -> str | None:
+    # cost model: a subpaving of [c_lo, c_hi] needs ~area*(c/margin)^2 nodes.
+    # Inside the domain the mean-value form keeps an interior attempt cheap
+    # (c = 0); a curve-straddling cell falls back to natural extensions along
+    # the curve edge (c = 2.5), and the second-derivative columns carry a
+    # heavier dependency constant: 30 for the sigma = 1 anchor (tau ~ 0.27
+    # fattens every atom), 12 for curve columns where tau is pinned near
+    # zero.  An attempt whose estimate exceeds cap * node_budget is skipped
+    # (the leaf splits instead; estimates tune cost, never soundness); every
+    # job that runs gets node_budget.
+    def skip(margin, floor, c, cap, c_lo, c_hi):
         if not margin > floor:
             return f"skipped by prescreen (margin {margin:.3g} <= {floor:g})"
-        if est > cap:
-            return f"skipped by cost model (estimate {est:.3g} > {cap:.0f} nodes)"
+        est = (p_hi - p_lo) * (c_hi - c_lo) * (c / margin) ** 2
+        limit = cap * node_budget
+        if est > limit:
+            return f"skipped by cost model (estimate {est:.3g} > {limit:.0f} nodes)"
         return None
 
-    def interior(side: str, margin: float, margin_mean: float):
-        est = _interior_est(margin, margin_mean, area)
-        skip = _skip(margin, 1e-7, est, 3.0 * node_budget)
-        if skip:
-            return skip
-        job = Job(p_lo, p_hi, s_lo, s_hi, node_budget)
-        fid = f"delta_minus_edge_{side}"
-        return side, job, lambda w: CertStatus(
-            verdict=VERDICT_INTERIOR,
-            witness=EifElement(box=X, value=Interval(*w), fid=fid),
-        )
+    def interior(side, margin):
+        c = 2.5 if straddles else 0.0
+        plan = (side, s_lo, s_hi, VERDICT_INTERIOR, f"delta_minus_edge_{side}")
+        return skip(margin, 1e-7, c, 3.0, s_lo, s_hi) or plan
 
-    def try_interior_high():
-        return interior("high", mh, mh_mean)
+    def column(verdict, fid, c_lo, c_hi, sigmas, c):
+        # least second sigma-derivative over a 3 x 3 grid of the column
+        m = min([_float_dds2(pp, ss) for pp in (p_lo, pm, p_hi) for ss in sigmas])
+        return skip(m, 1e-8, c, 4.0, c_lo, c_hi) or ("convex", c_lo, c_hi, verdict, fid)
 
-    def try_interior_low():
-        return interior("low", ml, ml_mean)
+    def mono_low():
+        sigmas = (1.0 + 1e-9, 1.0 + 0.5 * (s_hi - 1.0), s_hi)
+        return column(VERDICT_MONO_LOW, "d_sigma2_column_low", 1.0, s_hi, sigmas, 30.0)
 
-    def _column_est(margin: float, col_area: float, dep: float) -> float:
-        # dep ~ 30 for the sigma=1 anchor (tau ~ 0.27 fattens every atom),
-        # ~ 12 for curve columns where tau is pinned near zero
-        if margin <= 1e-13:
-            return float("inf")
-        return col_area * (dep / margin) ** 2
-
-    def column(verdict: str, fid: str, c_lo: float, c_hi: float, probes, dep):
-        m = min(probes) if probes else 0.0
-        est = _column_est(m, (p_hi - p_lo) * (c_hi - c_lo), dep)
-        skip = _skip(m, 1e-8, est, 4.0 * node_budget)
-        if skip:
-            return skip
-        job = Job(p_lo, p_hi, c_lo, c_hi, node_budget)
-        col = Box(X.p, Interval(c_lo, c_hi))
-        return "convex", job, lambda w: CertStatus(
-            verdict=verdict,
-            witness=EifElement(box=col, value=Interval(*w), fid=fid),
-        )
-
-    def try_mono_low():
-        probes = [
-            _float_dds2(pp, ss)
-            for pp in (p_lo, pm, p_hi)
-            for ss in (1.0 + 1e-9, 1.0 + 0.5 * (s_hi - 1.0), s_hi)
-        ]
-        return column(VERDICT_MONO_LOW, "d_sigma2_column_low", 1.0, s_hi, probes, 30.0)
-
-    def try_mono_high():
-        top = sigma_top if sigma_top is not None else _sigma_p_range(p_lo, p_hi)[1]
-        if s_hi >= top:
-            top = s_hi  # high-band cells already cover the curve
+    def mono_high():
         if p_lo <= 2.0:
             # tau^(p-2) atoms degenerate at the curve for p <= 2
             return "skipped, p <= 2"
-        probes = [
-            _float_dds2(pp, ss)
-            for pp in (p_lo, pm, p_hi)
-            for ss in (s_lo, 0.5 * (s_lo + sigma_p(pm)), sigma_p(pm) * (1.0 - 1e-9))
-        ]
-        return column(VERDICT_MONO_HIGH, "d_sigma2_column_high", s_lo, top, probes, 12.0)
+        top = sigma_top if sigma_top is not None else _sigma_p_range(p_lo, p_hi)[1]
+        top = max(top, s_hi)  # high-band cells already cover the curve
+        sp = sigma_p(pm)
+        sigmas = (s_lo, 0.5 * (s_lo + sp), sp * (1.0 - 1e-9))
+        return column(VERDICT_MONO_HIGH, "d_sigma2_column_high", s_lo, top, sigmas, 12.0)
 
+    plans = {
+        "interior-high": lambda: interior("high", mh),
+        "interior-low": lambda: interior("low", ml),
+        "mono-low": mono_low,
+        "mono-high": mono_high,
+    }
     if band == "high":
-        attempts = [try_mono_high, try_interior_low, try_interior_high]
+        order = ["mono-high", "interior-low", "interior-high"]
     elif band == "low":
-        attempts = (
-            [try_interior_high, try_mono_low, try_interior_low]
+        order = (
+            ["interior-high", "mono-low", "interior-low"]
             if mh >= ml
-            else [try_mono_low, try_interior_low, try_interior_high]
+            else ["mono-low", "interior-low", "interior-high"]
         )
     else:
-        attempts = (
-            [try_interior_high, try_interior_low, try_mono_high]
+        order = (
+            ["interior-high", "interior-low", "mono-high"]
             if mh >= ml
-            else [try_interior_low, try_interior_high, try_mono_low]
+            else ["interior-low", "interior-high", "mono-low"]
         )
     ends = []
-    for attempt in attempts:
-        name = attempt.__name__[4:].replace("_", "-")
-        try:
-            plan = attempt()
-        except _ENCLOSURE_ERRORS as e:
-            ends.append(f"{name}: {type(e).__name__}")
-            continue
+    for name in order:
+        plan = plans[name]()
         if isinstance(plan, str):
             ends.append(f"{name}: {plan}")
             continue
-        kind, job, witness = plan
-        done = yield kind, job
+        kind, c_lo, c_hi, verdict, fid = plan
+        done = yield kind, Job(p_lo, p_hi, c_lo, c_hi, node_budget)
         if done.hull is not None:
-            return witness(done.hull)
+            box = Box(X.p, Interval(c_lo, c_hi))
+            return CertStatus(verdict, EifElement(box=box, value=Interval(*done.hull), fid=fid))
         ends.append(f"{name}: {done.end} ({done.nodes} nodes)")
     return CertStatus(verdict=VERDICT_UNDECIDED, reason="; ".join(ends))
 
@@ -420,7 +372,7 @@ def verify_strip(
     t0 = time.perf_counter()
     if not (1.0 < p_range.lo < p_range.hi):
         raise DomainError(f"invalid p range {p_range!r}")
-    if strip <= 0.0:
+    if not strip > 0.0:  # NaN too
         raise DomainError("strip width must be positive")
     if sigma_policy not in ("full", "interior"):
         raise DomainError(f"unknown sigma policy {sigma_policy!r}")

@@ -267,6 +267,17 @@ def test_speculative_levels_change_no_end(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", sorted(_MIXED_JOBS))
+def test_budget_hit_counts_only_evaluated_nodes(kind):
+    # a job that stops at its node budget reports the boxes before the wave
+    # or level that would exceed it, never more than its budget
+    jobs = _MIXED_JOBS[kind]
+    hits = [(s, job) for s, job in zip(_subpave(kind, jobs), jobs) if s.end == B.BUDGET_HIT]
+    assert hits
+    for s, job in hits:
+        assert 0 < s.nodes <= job.max_nodes
+
+
+@pytest.mark.parametrize("kind", sorted(_MIXED_JOBS))
 def test_speculation_stays_within_the_node_budget(kind, monkeypatch):
     # the boxes a job evaluates at each depth, from a run without speculation,
     # give its node count when a wave starts there; the speculative levels of

@@ -168,6 +168,14 @@ class TestVerify:
         code, _ = run(["verify", "--p", "2.4", "2.3", "--budget", "10"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--p", "2.3", "inf"], ["--p", "2.3", "2.4", "--strip", "nan"]],
+        ids=["inf_p", "nan_strip"],
+    )
+    def test_non_finite_input_exit_2(self, argv, capsys):
+        assert refused(["verify", *argv], capsys) == 2
+
     @pytest.mark.parametrize("p_range", [["2.3", "1e308"], ["1e6", "2e6"]])
     def test_overflowing_sigma_p_exit_4(self, p_range, capsys):
         # sigma_p overflows a float on these strips: a numeric refusal
@@ -209,23 +217,27 @@ class TestVerify:
         assert docs[0] == docs[1]
 
     @pytest.mark.parametrize(
-        "argv, sha256",
+        "argv, code, sha256",
         [
-            (["verify", "--p", "2.6", "2.8", "--strip", "0.02", "--budget", "10000"],
+            (["verify", "--p", "2.6", "2.8", "--strip", "0.02", "--budget", "10000"], 0,
              "4e233cbc990710e682e8b679dc087387ab572000ae500b2ff4f59cee551f9924"),
-            (["verify", "--p", "2.3", "2.4"],
+            (["verify", "--p", "2.3", "2.4"], 0,
              "5776bcb65d18f4fd87247af21db024536eadf8f856600de1f6995f1698f013cd"),
-            (["p0", "--tol", "1e-6"],
+            (["p0", "--tol", "1e-6"], 0,
              "750f1da8eaa56387a5a06154ed72b37ca7a76e7b2a9fd68b0f9080a0d75413a6"),
+            # the one fixture whose reasons show prescreen skips, cost-model
+            # skips and node budget hits
+            (["verify", "--p", "1.99", "2.01", "--strip", "0.02", "--budget", "24"], 3,
+             "4dbfa178eeb46219befd365a74ceaa4506b9e48870ec1bef80623b9eccf91f96"),
         ],
-        ids=["strip_one", "p2.3-2.4", "p0"],
+        ids=["strip_one", "p2.3-2.4", "p0", "p1.99-2.01"],
     )
-    def test_fixture_output_is_pinned(self, argv, sha256, monkeypatch):
+    def test_fixture_output_is_pinned(self, argv, code, sha256, monkeypatch):
         # the fixture runs' bytes: a change that moves them on purpose
         # updates the pin and says why in CHANGES.md
         monkeypatch.delenv("CRITLAT_CONFIG", raising=False)
-        code, out = run(["--workers", "1", *argv])
-        assert code == 0
+        got, out = run(["--workers", "1", *argv])
+        assert got == code
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
     def test_corner_pow_narrows_inside_log_exp_pow(self, tmp_path, monkeypatch):
@@ -361,8 +373,7 @@ class TestVerifyNearTwo:
             r"skipped by prescreen \(margin \S+ <= \S+\)"
             r"|skipped by cost model \(estimate \S+ > \d+ nodes\)"
             r"|skipped, p <= 2"
-            r"|(node budget hit|width floor hit|no in-domain subcell) \(\d+ nodes\)"
-            r"|[A-Za-z]+)$"
+            r"|(node budget hit|width floor hit|no in-domain subcell) \(\d+ nodes\))$"
         )
         ends = [e for l in undecided for e in l["reason"].split("; ")]
         assert len(ends) == 3 * len(undecided)

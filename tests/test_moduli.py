@@ -132,14 +132,6 @@ class TestDelta:
         d = M.delta_point_hp(2.3, 1.4)
         assert abs(float(d) - M.delta_point(2.3, 1.4).delta) < 1e-13
 
-    def test_atoms_consistency(self):
-        mp = M.delta_point(2.3, 1.4)
-        at = mp.atoms
-        assert abs(at.A - (at.b[0] - at.a[0])) < 1e-15
-        assert abs(at.B - (mp.tau * at.b[0] + mp.sigma * at.a[0])) < 1e-15
-        assert abs(at.alpha[0] + at.beta[0] - 1.0) < 1e-12
-        assert 0.0 <= at.A <= 1.0 and 0.0 <= at.B <= 1.0
-
 
 class TestBoundaryMin:
     def test_tie_at_p2(self):

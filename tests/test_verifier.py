@@ -161,6 +161,21 @@ class TestPrescreen:
         assert all("skipped by prescreen" in e for e in ends), st.reason
 
 
+class TestPlanner:
+    def test_first_high_band_cell_of_strip_one_skips_every_attempt(self):
+        # verify --p 2.6 2.8: its first high-band cell splits without a
+        # subpaving; the reason names the estimate or margin behind each skip
+        s_lo, s_hi = V._sigma_p_range(2.6, 2.8)
+        X = Box(Interval(2.6, 2.625), Interval(s_lo - 0.02, s_hi))
+        st = V.certify_box(X, band="high", sigma_top=s_hi)
+        assert st.verdict == V.VERDICT_UNDECIDED
+        assert st.reason.split("; ") == [
+            "mono-high: skipped by cost model (estimate 1.54e+05 > 96000 nodes)",
+            "interior-low: skipped by cost model (estimate 2.62e+05 > 72000 nodes)",
+            "interior-high: skipped by prescreen (margin -1.11e-16 <= 1e-07)",
+        ]
+
+
 class TestVerifyStrip:
     def test_small_interior_complete(self):
         cert = V.verify_strip(Interval(2.31, 2.34), "interior", strip=0.02, budget=500)
@@ -187,6 +202,8 @@ class TestVerifyStrip:
             V.verify_strip(Interval(2.3, 2.4), "sideways")
         with pytest.raises(DomainError):
             V.verify_strip(Interval(2.3, 2.4), "full", strip=-0.1)
+        with pytest.raises(DomainError):
+            V.verify_strip(Interval(2.3, 2.4), "full", strip=float("nan"))
 
     def test_budget_exhaustion_near_2(self):
         with pytest.raises(V.BudgetExhausted) as ei:
