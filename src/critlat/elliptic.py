@@ -561,17 +561,55 @@ def orbit_stats(E: EllipticCurve, z0: complex, n: int) -> tuple[list[complex], f
 
     Returns (orbit sample, mean); the sample keeps every 50th point plus the
     endpoints.  Needs n >= 100 for the mean to be meaningful.
+
+    The result is bit for bit that of stepping with `_sphere_log_deriv`,
+    exceptions included; the loop only saves interpreter work.  Each step
+    inlines `_parts`, `_quotient_rule` and the spherical derivative with every
+    expression and its order kept, except that the powers are products in the
+    order CPython's complex `**` multiplies: x^2 = x*x, x^3 = x*x^2,
+    x^4 = x^2*x^2, den^2 = den*den.  (`**` also multiplies its result by
+    1 + 0j, which can only flip the sign of a zero part; the sums with the
+    curve's constant terms and abs() erase that flip, as the tests check on
+    signed-zero curves and starts.)  `1 + |x|^2` is carried over from the
+    step that made x.  A step goes to `_sphere_log_deriv` instead when the
+    fast step divides by zero, overflows, or gives a spherical derivative
+    outside (0, inf); so do the first step and every step from infinity.
+    Poles, critical points and overflowing powers thus get the reference's
+    value or exception.
     """
     if n < 100:
         raise ValueError("orbit statistics need n >= 100")
     c = _coeffs(E)
+    g2, g3, half_g2, two_g3, g2sq_16 = c
+    log, inf = math.log, math.inf
     x = z0
+    x_sq1 = math.nan  # 1 + |x|^2: NaN here and inf at infinity go to the reference
     total = 0.0
     sample = [x]
-    for k in range(n):
-        step_log, x = _sphere_log_deriv(c, x)
-        total += step_log
-        if (k + 1) % 50 == 0:
+    full, rest = divmod(n, 50)
+    for block in range(full + 1):
+        for _ in range(50 if block < full else rest):
+            if x_sq1 < inf:
+                try:
+                    x2 = x * x
+                    g2x = g2 * x
+                    four_x3 = 4.0 * (x * x2)
+                    num = x2 * x2 + half_g2 * x2 + two_g3 * x + g2sq_16
+                    den = four_x3 - g2x - g3
+                    fx = num / den
+                    fp = ((four_x3 + g2x + two_g3) * den - num * (12.0 * x2 - g2)) / (den * den)
+                    fx_sq1 = 1.0 + abs(fx) ** 2
+                    sd = abs(fp) * x_sq1 / fx_sq1
+                except (ZeroDivisionError, OverflowError):
+                    sd = 0.0
+                if 0.0 < sd < inf:
+                    total += log(sd)
+                    x, x_sq1 = fx, fx_sq1
+                    continue
+            step_log, x = _sphere_log_deriv(c, x)
+            total += step_log
+            x_sq1 = 1.0 + abs(x) ** 2
+        if block < full:
             sample.append(x)
     if sample[-1] != x:
         sample.append(x)

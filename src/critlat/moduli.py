@@ -155,6 +155,9 @@ def tau_p(p: float, newton: bool = True) -> float:
     if newton:
         for _ in range(4):
             d = -2.0 * p * (1.0 - t) ** (p - 1.0) - p * t ** (p - 1.0)
+            if d == 0.0:
+                # from p ~ 3e16 both powers underflow at the bisection's t
+                raise OverflowError(f"tau_p({p!r}): the Newton derivative underflows to 0")
             t -= _tau_p_resid(t, p) / d
     return t
 

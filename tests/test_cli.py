@@ -6,10 +6,14 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import critlat
 from critlat import verifier
 from critlat.cli import main
 from critlat.moduli import sigma_p
@@ -128,6 +132,13 @@ class TestLattice:
 
     def test_overflowing_p_exit_4(self, capsys):
         assert refused(["lattice", "--kind", "L0", "--p", "1e10", "--curve"], capsys) == 4
+
+    @pytest.mark.parametrize(
+        "action", [["--p", "1e17"], ["--p", "1e20", "--curve", "--det"]]
+    )
+    def test_underflowing_tau_p_exit_4(self, action, capsys):
+        # tau_p's Newton derivative underflows to 0 from p ~ 3e16
+        assert refused(["lattice", "--kind", "L1", *action], capsys) == 4
 
     def test_bad_kind_exit_2(self):
         code, _ = run(["lattice", "--kind", "L9", "--p", "2", "--det"])
@@ -390,3 +401,14 @@ def test_no_warnings_escape():
         code, out = run(["--workers", "1", "verify", "--p", "2.33", "2.34", "--budget", "50"])
     assert code == 0
     assert json.loads(out)["leaves"]
+
+
+def test_python_m_critlat_runs_the_cli():
+    # a checkout runs `python -m critlat` with src/ on the path, uninstalled
+    src = str(Path(critlat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-m", "critlat", "--version"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"critlat {critlat.__version__}"

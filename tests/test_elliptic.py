@@ -437,6 +437,35 @@ def _old_orbit_stats(E, z0, n):
     return sample, total / n
 
 
+def _reference_orbit_stats(E, z0, n):
+    """orbit_stats stepped by one _sphere_log_deriv call per step, sampled
+    by (k + 1) % 50: the reference the inlined loop must match bit for bit."""
+    if n < 100:
+        raise ValueError("orbit statistics need n >= 100")
+    c = EL._coeffs(E)
+    x, total, sample = z0, 0.0, [z0]
+    for k in range(n):
+        step_log, x = EL._sphere_log_deriv(c, x)
+        total += step_log
+        if (k + 1) % 50 == 0:
+            sample.append(x)
+    if sample[-1] != x:
+        sample.append(x)
+    return sample, total / n
+
+
+def _outcome(f, *args):
+    """repr of f's result, or the type and message of what it raised."""
+    try:
+        return repr(f(*args))
+    except Exception as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _curve(g2, g3):
+    return EL.EllipticCurve(g2=g2, g3=g3, discriminant=1.0 + 0j, g2_err=0.0, g3_err=0.0)
+
+
 class TestOrbitStats:
     def test_fused_step_is_bitwise_the_old_formula(self):
         E = EL.weierstrass_curve(hex_lattice())
@@ -479,6 +508,51 @@ class TestOrbitStats:
         sample, lyap = EL.orbit_stats(E, 1.0 + 0j, 200)
         assert EL.is_infinity(sample[-1])
         assert lyap > 0.0  # infinity is repelling (derivative 4 in the chart)
+
+    def test_inlined_loop_matches_reference_step(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        E_hex = EL.weierstrass_curve(hex_lattice())
+        E_syn = _curve(7.0 + 0j, -3.0 + 0j)  # poles at 1, 0.5 and -1.5
+        E_L1 = EL.weierstrass_curve(EL.complexify(M.lattice_basis("L1", 2.5)))
+        zero = st.sampled_from([0.0, -0.0])
+        coef = st.one_of(zero, st.floats(-10.0, 10.0))
+        part = st.one_of(zero, st.floats(-3.0, 3.0))
+        big = st.floats(1e60, 1e300).flatmap(lambda r: st.sampled_from([r, -r]))
+
+        def curve(a, s, b, t):
+            return _curve(complex(a, s), complex(b, t))
+
+        curves = st.one_of(
+            st.sampled_from([E_hex, E_syn, E_L1]),
+            # real curves: the orbit of a real start keeps signed-zero imaginary parts
+            st.builds(curve, coef, zero, coef, zero),
+            st.builds(curve, coef, coef, coef, coef),
+        )
+        special = st.one_of(
+            st.just(EL.INFINITY),
+            st.sampled_from([1.0 + 0j, 0.5 + 0j, complex(-1.5, -0.0)]),
+            st.builds(complex, big, st.one_of(zero, big, part)),  # |z| >= 1e60
+            st.builds(cmath.rect, st.floats(1e60, 1e300), st.floats(-math.pi, math.pi)),
+        )
+        # half the starts are plain points, whose orbits mostly run all n steps
+        plain = st.builds(complex, part, part)
+        starts = st.booleans().flatmap(lambda b: plain if b else special)
+
+        @hyp.given(curves, starts, st.integers(100, 400))
+        @hyp.example(E_syn, 1.0 + 0j, 137)  # a pole, then infinity
+        @hyp.example(E_syn, EL.INFINITY, 150)
+        @hyp.example(_curve(0j, 0j), 0j, 100)  # a degenerate pole raises
+        @hyp.example(_curve(complex(7.0, -0.0), complex(-3.0, -0.0)), complex(0.3, -0.0), 149)
+        @hyp.example(E_hex, complex(-0.0, 1.2), 400)
+        @hyp.example(E_hex, 1e60 + 1e60j, 101)  # den^2 overflows to NaN
+        @hyp.example(E_hex, complex(1e80, -0.0), 100)  # x^4 overflows
+        @hyp.example(_curve(7.0 + 0j, 0j), 1e-160 + 1e-160j, 100)  # |f(x)|^2 overflows
+        @hyp.example(_curve(7.0 + 0j, 0j), complex(-0.0, 1e-170), 100)  # den^2 underflows
+        def check(E, z0, n):
+            assert _outcome(EL.orbit_stats, E, z0, n) == _outcome(_reference_orbit_stats, E, z0, n)
+
+        check()
 
     def test_short_orbit_rejected(self):
         E = EL.weierstrass_curve(hex_lattice())
