@@ -10,7 +10,7 @@ argument verbatim; the functions here are the VI-lane entry points.
 The boundary values sigma_p, tau_p, Delta(p, 1) and their p-slopes depend on
 the p-interval alone, and a wave has far fewer distinct p-intervals than
 boxes (sigma-split children carry their parent's).  So a Delta-wave chunk
-keys its box lanes and midpoints by p-interval (_p_keys), evaluates each
+keys its box lanes and centers by p-interval (_p_keys), evaluates each
 boundary function once on the key table and gathers the values to the
 lanes; the table lives as long as the chunk.  Each lane of these functions
 depends on its own p-interval alone (the tau_p search too:
@@ -21,8 +21,8 @@ lane's iterate unchanged bit for bit: the step depends on that lane alone,
 so the lane sits on an exact fixed point and the result is that of the full
 step count (tau_enclose_batch).  A subpaving child starts from its parent
 box's enclosure, which ends at the same fixed point in fewer steps.  Both
-subpavings run a box's midpoint through the same call as the box, seeded
-alike: the parent box contains the midpoint too.
+subpavings run a box's center through the same call as the box, seeded
+alike: the parent box contains the center too.
 
 Every entry point runs under np.errstate(all="ignore") (_quiet): the VI ops
 leave numpy's floating-point warnings to their caller, and a lane that
@@ -43,17 +43,19 @@ whatever its width, so a narrow job ends in fewer waves; the lanes whose
 parent passed are wasted, and the `nodes` that the benchmark counts include
 them.
 
-Both subpavings pair a natural enclosure with a midpoint mean-value form on
-subcells inside the domain and keep the tighter bound of each: Delta minus
-its boundary value in subpave_delta_above, d2Delta/dsigma2 in
-subpave_convex_positive, whose slopes are the third derivatives of Delta.
-Whether a box lies inside the domain, S.hi <= sigma_p(P).lo, is known before
-the fixed point, so only inside boxes get a midpoint lane (_with_midpoints)
-and, in the Delta waves, a gradient lane; the column waves compute the power
-atoms and second-order terms of d2Delta/dsigma2 once on box and midpoint
-lanes, and the third derivatives take those of the form's lanes
-(jets.delta_third_derivs with terms).  Each value is computed once, on the
-lanes that read it, and every lane's value is that of computing it alone.
+Both subpavings pair a natural enclosure with a mean-value form and keep
+the tighter bound of each: Delta minus its boundary value in
+subpave_delta_above, d2Delta/dsigma2 in subpave_convex_positive.  The form
+is centered at a point c of the box whose path to every in-domain point of
+the box stays in the domain (_centers): the midpoint of a box inside the
+domain, S.hi <= sigma_p(P).lo, else (P.hi, min(sm, sigma_p(P.hi))), the
+path running first in sigma at P.hi and then in p.  Whether a box lies
+inside is known before the fixed point, so each box's center lane joins the
+same tau_enclose_batch call (_with_centers).  The column waves compute the
+power atoms and second-order terms of d2Delta/dsigma2 once on box and center
+lanes, and the form's slopes (jets.delta_held_slopes) take those of its
+lanes.  Each value is computed once, on the lanes that read it, and every
+lane's value is that of computing it alone.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ from .jets import (
     delta_gradient,
     delta_scalar,
     delta_sigma_terms,
-    delta_third_derivs,
+    delta_held_slopes,
     phi_consts,
     phi_scalar,
     sigma_p_scalar,
@@ -125,7 +127,7 @@ def tau_enclose_batch(
     Each lane starts from its lane of `seed`, or from TAU_SEED where `seed`
     is None or the lane is not finite.  A lane seeded with the enclosure of a
     box that contains it (its parent box, for a subpaving child and for the
-    child's midpoint) still encloses tau, and ends bit for bit as from
+    child's center) still encloses tau, and ends bit for bit as from
     TAU_SEED in fewer steps: the step T -> phi(T) ∩ T is inclusion-isotone,
     in the lane's T and in its (P, S), so the lane's fixed point from
     TAU_SEED lies inside the seed, and the iteration ends at the same
@@ -211,12 +213,13 @@ def _keys(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.stack([lo, hi], axis=-1).view(np.complex128).ravel()
 
 
-def _p_keys(P: VI, pm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct p-intervals of the box lanes P and of the points pm, as
-    sorted keys (_keys), and each lane's index into them: the box lanes
-    first, then pm."""
+def _p_keys(P: VI, *points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct p-intervals of the box lanes P and of the points of each
+    array in `points`, as sorted keys (_keys), and each lane's index into
+    them: the box lanes first, then the points in their order."""
     return np.unique(
-        _keys(np.concatenate([P.lo, pm]), np.concatenate([P.hi, pm])), return_inverse=True
+        _keys(np.concatenate([P.lo, *points]), np.concatenate([P.hi, *points])),
+        return_inverse=True,
     )
 
 
@@ -379,21 +382,33 @@ def _lanes(x, idx):
     return type(x)(*(_lanes(v, idx) for v in x))
 
 
-def _with_midpoints(boxes: np.ndarray, inside: np.ndarray):
-    """The midpoints (pm, sm) of the boxes that the indices `inside` name,
-    and (P, S, T, vacuous) of all box lanes, then of those midpoints, from
-    one tau fixed point: a midpoint starts from its box's seed, which
-    encloses the midpoint's tau too."""
-    mid = boxes[inside]
-    pm = 0.5 * (mid[:, 0] + mid[:, 1])
-    sm = 0.5 * (mid[:, 2] + mid[:, 3])
-    mid[:, 0] = mid[:, 1] = pm
-    mid[:, 2] = mid[:, 3] = sm
-    lanes = np.concatenate([boxes, mid])
-    P2 = VI(lanes[:, 0], lanes[:, 1])
-    S2 = VI(lanes[:, 2], lanes[:, 3])
-    T2, vac2 = tau_enclose_batch(P2, S2, seed=VI(lanes[:, 4], lanes[:, 5]))
-    return pm, sm, P2, S2, T2, vac2
+def _centers(boxes: np.ndarray, inside: np.ndarray, curve: np.ndarray):
+    """The centers of the boxes' mean-value forms: (idx, pc, sc), the boxes
+    idx that get one and their centers (pc, sc).  A box inside the domain
+    (the mask `inside`) is centered at its midpoint (pm, sm); any other at
+    (P.hi, min(sm, curve)), curve the VI lower bound of sigma_p([P.hi]) per
+    box, where that lies in the box (sc >= S.lo).  The second center lies in
+    the domain, and so does the path from it to any in-domain point (p,
+    sigma) of the box, first in sigma at P.hi, then in p at sigma: sigma_p
+    increases (tests/test_sigma_p_increasing.py), so sigma <= sigma_p(p) <=
+    sigma_p(q) for every q in [p, P.hi]."""
+    pm = 0.5 * (boxes[:, 0] + boxes[:, 1])
+    sm = 0.5 * (boxes[:, 2] + boxes[:, 3])
+    pc = np.where(inside, pm, boxes[:, 1])
+    sc = np.where(inside, sm, np.minimum(sm, curve))
+    idx = np.flatnonzero(inside | (sc >= boxes[:, 2]))
+    return idx, pc[idx], sc[idx]
+
+
+def _with_centers(boxes: np.ndarray, idx: np.ndarray, pc: np.ndarray, sc: np.ndarray):
+    """(P, S, T, vacuous) of all box lanes, then of the centers (pc, sc) of
+    the boxes idx, from one tau fixed point: a center starts from its box's
+    seed, which encloses the center's tau too."""
+    P2 = VI(np.concatenate([boxes[:, 0], pc]), np.concatenate([boxes[:, 1], pc]))
+    S2 = VI(np.concatenate([boxes[:, 2], sc]), np.concatenate([boxes[:, 3], sc]))
+    seed = np.concatenate([boxes[:, 4:], boxes[idx, 4:]])
+    T2, vac2 = tau_enclose_batch(P2, S2, seed=VI(seed[:, 0], seed[:, 1]))
+    return P2, S2, T2, vac2
 
 
 MAX_LANES = 4096  # lanes evaluated at once; wider waves only cost memory
@@ -415,23 +430,28 @@ def subpave_convex_positive(jobs) -> list[Subpaving]:
     certified job's hull is that of its subcell enclosures, hull lo > 0.
     The width floor is 1e-6.
 
-    Each subcell is tested with the natural extension of d2Delta/dsigma2
-    and, where that fails on a subcell verified inside the domain (so the
-    mean-value segment stays there), with the midpoint-centered mean-value
-    form d2Delta/dsigma2(m) + d3Delta/dsigma3(X)(S - sm)
-    + d3Delta/dsigma2dp(X)(P - pm) (jets.delta_third_derivs); a subcell's
-    enclosure is the intersection of the two, a NaN form leaving the natural
-    one.  The natural enclosure of d2Delta/dsigma2 is hundreds of times
-    wider than its range; the form's excess over the range shrinks with the
-    square of the subcell's width (Moore, Interval Analysis, 1966, centered
-    forms).  The form is skipped where it cannot pass: on subcells the
-    natural form certifies, and where the midpoint's value is not positive
-    (the form's lower bound lies below it).  Each chunk of a wave runs its
-    box lanes, and the midpoints of those inside the domain (sigma_p_batch
-    on the box lanes), through one tau_enclose_batch call (_with_midpoints)
-    and one jets.delta_sigma_terms call, whose atoms and second-order terms
-    on the form's lanes the third derivatives take over instead of computing
-    them again.
+    Each subcell X is tested with the natural extension of d2Delta/dsigma2
+    and, where that fails, with the mean-value form centered at c = (pc, sc)
+    (_centers) that holds the atom u = tau^(p-2) apart:
+    f(c) + h_s(X)(S - sc) + h_p(X)(P - pc) + C1(X)(u(X) - u(c)), with h_s,
+    h_p the slopes of f = d2Delta/dsigma2 with u held and C1 = df/du
+    (jets.delta_held_slopes).  f is affine in u, so f(x) - f(c) =
+    [f(x, u(x)) - f(c, u(x))] + C1(c)(u(x) - u(c)), and the first bracket is
+    the held slopes' integral along the path from c to x, in the domain.  u
+    is not smooth where tau reaches 0, on the curve, but the held slopes and
+    C1 stay finite there (p >= 2), so subcells across the curve get the form
+    too.  A subcell's enclosure is the intersection of the two, a NaN form
+    leaving the natural one.  The natural enclosure of d2Delta/dsigma2 is
+    hundreds of times wider than its range; the form's excess over the range
+    shrinks with the square of the subcell's width (Moore, Interval
+    Analysis, 1966, centered forms).  The form is skipped where it cannot
+    pass: on subcells the natural form certifies, and where the center's
+    value is not positive (the form's lower bound lies below it).  Each
+    chunk of a wave runs its box lanes and their centers (sigma_p_batch on
+    the box lanes and on their P.hi) through one tau_enclose_batch call
+    (_with_centers) and one jets.delta_sigma_terms call, whose atoms and
+    second-order terms on the form's lanes the held slopes take over instead
+    of computing them again.
 
     The split axis weighs sigma's relative width eight times p's, refining
     sigma ahead of p: the second-derivative enclosure is far more sensitive
@@ -445,25 +465,29 @@ def subpave_convex_positive(jobs) -> list[Subpaving]:
     def chunk(boxes):
         n = len(boxes)
         P, S = VI(boxes[:, 0], boxes[:, 1]), VI(boxes[:, 2], boxes[:, 3])
-        inside = np.flatnonzero(S.hi <= sigma_p_batch(P).lo)
-        pm, sm, P2, S2, T2, vac2 = _with_midpoints(boxes, inside)
+        sp = sigma_p_batch(VI(np.concatenate([P.lo, P.hi]), np.concatenate([P.hi, P.hi])))
+        idx, pc, sc = _centers(boxes, S.hi <= sp.lo[:n], sp.lo[n:])
+        P2, S2, T2, vac2 = _with_centers(boxes, idx, pc, sc)
         at, st = delta_sigma_terms(P2, S2, T2)
         d2 = st.dds2
         T, vac = _lanes(T2, slice(n)), vac2[:n]
         lo, hi = d2.lo[:n], d2.hi[:n]
-        # the mean-value form, on the lanes it can certify: inside the
-        # domain, failing the natural form, with a midpoint value above zero
-        # (the form's lower bound lies below the midpoint's)
-        mid_ok = ~(vac2[n:] | T2.invalid()[n:]) & (d2.lo[n:] > 0.0)
-        use = ~vac[inside] & ~(lo[inside] > 0.0) & mid_ok
-        mv = inside[use]
+        # the mean-value form, on the lanes it can certify: failing the
+        # natural form, with a center value above zero (the form's lower
+        # bound lies below the center's)
+        c_ok = ~(vac2[n:] | T2.invalid()[n:]) & (d2.lo[n:] > 0.0)
+        use = ~vac[idx] & ~(lo[idx] > 0.0) & c_ok
+        mv = idx[use]
         if mv.size:
+            cq = n + np.flatnonzero(use)  # their centers' lanes
             Pq, Sq, Tq = (_lanes(x, mv) for x in (P, S, T))
-            d3s, d2sp = delta_third_derivs(Pq, Sq, Tq, (_lanes(at, mv), _lanes(st, mv)))
+            h_s, h_p, c1 = delta_held_slopes(Pq, Sq, Tq, (_lanes(at, mv), _lanes(st, mv)))
+            pcq, scq = pc[use], sc[use]
             form = (
-                _lanes(d2, n + np.flatnonzero(use))
-                + d3s * VI(Sq.lo - sm[use], Sq.hi - sm[use])
-                + d2sp * VI(Pq.lo - pm[use], Pq.hi - pm[use])
+                _lanes(d2, cq)
+                + h_s * VI(Sq.lo - scq, Sq.hi - scq)
+                + h_p * VI(Pq.lo - pcq, Pq.hi - pcq)
+                + c1 * (_lanes(st.t2, mv) - _lanes(st.t2, cq))
             )
             lo[mv] = np.fmax(lo[mv], form.lo)
             hi[mv] = np.fmin(hi[mv], form.hi)
@@ -480,11 +504,12 @@ def subpave_delta_above(jobs, side: str) -> list[Subpaving]:
     subpaving (_subpave).  The width floor is 1e-7.
 
     side "high": boundary = sigma_p(p)/2;  side "low": boundary = Delta(p, 1).
-    Each subcell is tested with the natural difference and, when the subcell
-    is verified fully inside the domain (so the mean-value segment stays
-    there), with a midpoint-centered mean-value form whose gradient comes
-    from the atom-formula enclosures; the boundary slope is subtracted inside
-    the p-gradient, which is where the two terms cancel.  A certified job's
+    Each subcell is tested with the natural difference and with a mean-value
+    form centered at c = (pc, sc) (_centers, whose path from c stays in the
+    domain), f(c) + dDelta/dsigma(X)(S - sc) + (dDelta/dp(X) - boundary'(P))
+    (P - pc) for f = Delta - boundary, the gradient from the atom-formula
+    enclosures; the boundary slope is subtracted inside the p-gradient,
+    which is where the two terms cancel.  A certified job's
     hull is that of its per-subcell difference enclosures (hull lo > 0).
     Vacuous subcells (beyond the curve) pass.
 
@@ -492,12 +517,12 @@ def subpave_delta_above(jobs, side: str) -> list[Subpaving]:
     in (p, sigma), so thin initial cells must not starve the other axis.
 
     Each chunk of a wave (_in_chunks) makes one call of each boundary
-    function it needs on the distinct p-intervals of its box lanes and their
-    midpoints (_p_keys): sigma_p_batch and d_sigma_p_batch on side "high";
-    sigma_p_batch, tau_p_enclose_batch, edge_low_batch and d_edge_low_batch
-    on side "low".  Then it runs its box lanes, and the midpoints of those
-    inside the domain, through one tau_enclose_batch call, and takes the
-    gradient (delta_gradient) on the inside lanes with a surface point only.
+    function it needs on the distinct p-intervals of its box lanes, their
+    midpoints and their P.hi (_p_keys): sigma_p_batch and d_sigma_p_batch on
+    side "high"; sigma_p_batch, tau_p_enclose_batch, edge_low_batch and
+    d_edge_low_batch on side "low".  Then it runs its box lanes and their
+    centers through one tau_enclose_batch call, and takes the gradient
+    (delta_gradient) on the lanes with a surface point and a center only.
     No value passes from one chunk or wave to the next; as every lane of
     these functions is independent of the others, the result is bit for bit
     that of evaluating every lane afresh.
@@ -506,10 +531,10 @@ def subpave_delta_above(jobs, side: str) -> list[Subpaving]:
     def chunk(boxes):
         n = len(boxes)
         P, S = VI(boxes[:, 0], boxes[:, 1]), VI(boxes[:, 2], boxes[:, 3])
-        # the boundary values on the chunk's distinct p-intervals, box lanes'
-        # and midpoints', gathered to the lanes
+        # the boundary values on the chunk's distinct p-intervals, box lanes',
+        # midpoints' and upper ends', gathered to the lanes
         pm = 0.5 * (boxes[:, 0] + boxes[:, 1])
-        keys, key = _p_keys(P, pm)
+        keys, key = _p_keys(P, pm, P.hi)
         K = VI._of(keys.real, keys.imag)
         sp = sigma_p_batch(K)
         if side == "high":
@@ -520,28 +545,28 @@ def subpave_delta_above(jobs, side: str) -> list[Subpaving]:
             edge = edge_low_batch(K, tp)
             slope = d_edge_low_batch(K, tp)
         bound = _lanes(edge, key[:n])
-        # the mean-value form is taken inside the domain only, where its
-        # segment stays: only those boxes get a midpoint
-        inside = np.flatnonzero(S.hi <= sp.lo[key[:n]])
-        _, sm, P2, S2, T2, vac2 = _with_midpoints(boxes, inside)
+        inside = S.hi <= sp.lo[key[:n]]
+        idx, pc, sc = _centers(boxes, inside, sp.lo[key[2 * n :]])
+        ckey = np.where(inside, key[n : 2 * n], key[2 * n :])[idx]  # the centers' p
+        P2, S2, T2, vac2 = _with_centers(boxes, idx, pc, sc)
         T, vac = _lanes(T2, slice(n)), vac2[:n]
         d2 = delta_scalar(P2, S2, T2)
         best_lo = _dn(d2.lo[:n] - bound.hi)
         best_hi = _up(d2.hi[:n] - bound.lo)
 
-        use = ~vac[inside]
-        q = inside[use]
+        use = ~vac[idx]
+        q = idx[use]
         if q.size:
-            mq = n + np.flatnonzero(use)  # their midpoints' lanes
-            bad = vac2[mq] | T2.invalid()[mq]  # midpoints without a surface point
-            dm = VI(np.where(bad, np.nan, d2.lo[mq]), np.where(bad, np.nan, d2.hi[mq]))
+            cq = n + np.flatnonzero(use)  # their centers' lanes
+            bad = vac2[cq] | T2.invalid()[cq]  # centers without a surface point
+            dc = VI(np.where(bad, np.nan, d2.lo[cq]), np.where(bad, np.nan, d2.hi[cq]))
             Pq, Sq, Tq = (_lanes(x, q) for x in (P, S, T))
             dds, ddp = delta_gradient(Pq, Sq, Tq)
-            smq, pmq = sm[use], pm[q]
+            pcq, scq = pc[use], sc[use]
             mvf = (
-                (dm - _lanes(edge, key[n + q]))
-                + dds * VI(Sq.lo - smq, Sq.hi - smq)
-                + (ddp - _lanes(slope, key[q])) * VI(Pq.lo - pmq, Pq.hi - pmq)
+                (dc - _lanes(edge, ckey[use]))
+                + dds * VI(Sq.lo - scq, Sq.hi - scq)
+                + (ddp - _lanes(slope, key[q])) * VI(Pq.lo - pcq, Pq.hi - pcq)
             )
             best_lo[q] = np.fmax(best_lo[q], mvf.lo)
             best_hi[q] = np.fmin(best_hi[q], mvf.hi)

@@ -14,7 +14,8 @@ tau_p, Delta(p, 1) and their p-slopes.
 The surface derivatives are implicit differentiation written out in the atoms:
 tau' = -F_sigma/F_tau and tau'' = -(F_ss + 2 F_st tau' + F_tt tau'^2)/F_tau in
 sigma, tau_p = -F_p/F_tau in p, and on to tau''' and the mixed tau_sp and
-tau_ssp for the third derivatives d3Delta/dsigma3 and d3Delta/dsigma2dp.  The
+tau_ssp for the slopes of d2Delta/dsigma2 in sigma and p with its atom
+tau^(p-2) held (delta_held_slopes).  The
 atoms that several derivatives share are computed once per call
 (_power_atoms, _sigma_terms, _p_slope), so each formula is written once.
 """
@@ -51,7 +52,7 @@ __all__ = [
     "delta_sigma_derivs",
     "delta_p_deriv",
     "delta_gradient",
-    "delta_third_derivs",
+    "delta_held_slopes",
     "tau_pow_log",
     "SingularConstraint",
 ]
@@ -444,12 +445,24 @@ def delta_sigma_derivs(p, sigma, tau):
     return st.dds, st.dds2
 
 
-def delta_third_derivs(p, sigma, tau, terms=None):
-    """(d3Delta/dsigma3, d3Delta/dsigma2dp) along the constraint surface: the
-    slopes that the mean-value form of d2Delta/dsigma2 takes over a box.
-    `terms` is delta_sigma_terms(p, sigma, tau), computed here when None; a
-    caller that has them already, on these lanes or (VI lane) on a wider
-    call of which these lanes are a selection, passes them on.
+def delta_held_slopes(p, sigma, tau, terms=None):
+    """(h_s, h_p, C1): the slopes in sigma and p of d2Delta/dsigma2 along the
+    constraint surface with its one atom u = tau^(p-2) held, and C1, its
+    coefficient; the terms of the mean-value form of d2Delta/dsigma2 over a
+    box.  `terms` is delta_sigma_terms(p, sigma, tau), computed here when
+    None; a caller that has them already, on these lanes or (VI lane) on a
+    wider call of which these lanes are a selection, passes them on.
+
+    u is t2 of _sigma_terms and enters d2Delta/dsigma2 through A_tt only, so
+    d2Delta/dsigma2 = C0 + C1 u with
+    C1 = -(p-1) b1 tau'^2 [G a0 - p alpha1 (H + G H_t)/F_tau], and
+    d3Delta/dsigma3 = h_s + C1 (p-2) tau^(p-3) tau',
+    d3Delta/dsigma2dp = h_p + C1 (tau^(p-2) ln tau + (p-2) tau^(p-3) tau_p).
+    Holding u drops the -(p-1)(p-2) tau^(p-3) b1 term of A_ttt and the
+    -(p-1) tau^(p-2) ln(tau) b1 term of A_ttp, which carry its derivatives;
+    what is left stays finite where tau reaches 0 (the curve sigma =
+    sigma_p(p)) when p >= 2, so one form serves boxes inside the domain and
+    boxes that straddle the curve (batch.subpave_convex_positive).
 
     Implicit differentiation once more, with D = d/dsigma and E = d/dp along
     the surface (E K = K_p + K_tau tau_p for a function K of p, sigma and
@@ -464,8 +477,7 @@ def delta_third_derivs(p, sigma, tau, terms=None):
     sigma a0 are those of a0(sigma) and b0(tau), every mixed one zero, and
     their p-partials follow from d ln a_i/dp = ra - i sigma^p ln(sigma)/us
     and d ln b_i/dp = rb - i tau^p ln(tau)/ut.  Every ln tau is folded into a
-    bounded tau^e ln tau (tau_pow_log).  tau^(p-3) needs tau > 0 when p < 3:
-    where the tau enclosure touches zero the VI lane poisons.
+    bounded tau^e ln tau (tau_pow_log).
     """
     one = 1
     at, st = delta_sigma_terms(p, sigma, tau) if terms is None else terms
@@ -487,15 +499,14 @@ def delta_third_derivs(p, sigma, tau, terms=None):
     As2, At2, Ast = A_s * A_s, A_t * A_t, A_s * A_t
     Bs2, Bt2, Bst = B_s * B_s, B_t * B_t, B_s * B_t
 
-    # third partials in (sigma, tau), and tau''' and D3 Delta
+    # third partials in (sigma, tau), and tau''' and D3 Delta, u held
     s3 = s2 / sigma
-    t3 = tpow(tau, p - 3)
     a3 = a2 / at.us
     b3 = b2 / at.ut
     alpha3 = alpha2 / at.A
     beta3 = beta2 / at.B
     A_sss = k3 * s3 * a1 - m3 * pp1 * s1 * s2 * a2 + pq * s11 * s1 * a3
-    A_ttt = m3 * pp1 * t1 * t2 * b2 - k3 * t3 * b1 - pq * t11 * t1 * b3
+    A_ttt = m3 * pp1 * t1 * t2 * b2 - pq * t11 * t1 * b3  # u held
     B_sss = pq * s11 * a3 - pp1 * pm1 * s2 * a2
     B_ttt = pq * t11 * b3 - pp1 * pm1 * t2 * b2
     u, v = alpha3 * A_s, alpha3 * A_t
@@ -524,7 +535,7 @@ def delta_third_derivs(p, sigma, tau, terms=None):
         + 3 * DH_t * tau2 + H_t * tau3
     )
     G = tau + sigma
-    d3s = tau3 * H + 3 * (tau2 * st.dH + (one + tau1) * st.d2H) + G * d3H
+    h_s = tau3 * H + 3 * (tau2 * st.dH + (one + tau1) * st.d2H) + G * d3H
 
     # p-partials (sigma and tau held), and tau_sp, tau_ssp and E D2 Delta
     ls = ps.ls
@@ -535,7 +546,6 @@ def delta_third_derivs(p, sigma, tau, terms=None):
     gb1 = ps.rb - kb
     gb2 = gb1 - kb
     tl1 = tau_pow_log(tau, pm1)  # tau^(p-1) ln tau
-    tl2 = tau_pow_log(tau, pm2)
     alpha1_p = alpha1 * ps.lA + pm1 * alpha2 * ps.A_p
     alpha2_p = alpha2 * ps.lA + pm2 * alpha3 * ps.A_p
     beta1_p = beta1 * ps.lB + pm1 * beta2 * ps.B_p
@@ -549,7 +559,7 @@ def delta_third_derivs(p, sigma, tau, terms=None):
     B_sp = B_s * ga1
     B_tp = B_t * gb1
     A_ssp = X1 * (one + pm1 * (ls + ga1)) - X2 * (one + pp1 * (2 * ls + ga2))
-    A_ttp = Y2 + pp1 * (2 * t1 * tl1 * b2 + Y2 * gb2) - Y1 - pm1 * (tl2 * b1 + Y1 * gb1)
+    A_ttp = Y2 + pp1 * (2 * t1 * tl1 * b2 + Y2 * gb2) - Y1 - pm1 * Y1 * gb1  # u held
     B_ssp = -(s1 * a2 * (one + pp1 * (ls + ga2)))
     B_ttp = -(t1 * b2 * (one + pp1 * gb2) + pp1 * tl1 * b2)
     m2 = 2 * pm1
@@ -593,11 +603,12 @@ def delta_third_derivs(p, sigma, tau, terms=None):
         + 2 * tau_sp * DH_t + EH_t * tau2 + H_t * tau_ssp
     )
     EH = H * (ps.ra + ps.rb) + H_t * tau_p
-    d2sp = (
+    h_p = (
         tau_ssp * H + tau2 * EH + 2 * (tau_sp * st.dH + (one + tau1) * EdH)
         + tau_p * st.d2H + G * Ed2H
     )
-    return d3s, d2sp
+    c1 = -(pm1 * b1 * tau1 * tau1 * (G * a0 - p * alpha1 * (H + G * H_t) / f_tau))
+    return h_s, h_p, c1
 
 
 # -- boundary values on the p-axis ---------------------------------------------

@@ -154,7 +154,12 @@ def tau_p(p: float, newton: bool = True) -> float:
     t = 0.5 * (lo + hi)
     if newton:
         for _ in range(4):
-            d = -2.0 * p * (1.0 - t) ** (p - 1.0) - p * t ** (p - 1.0)
+            try:
+                d = -2.0 * p * (1.0 - t) ** (p - 1.0) - p * t ** (p - 1.0)
+            except OverflowError:
+                # from p ~ 3e14 a step overshoots below 0, where (1 - t)^(p - 1)
+                # overflows
+                raise OverflowError(f"tau_p({p!r}): the Newton step overflows") from None
             if d == 0.0:
                 # from p ~ 3e16 both powers underflow at the bisection's t
                 raise OverflowError(f"tau_p({p!r}): the Newton derivative underflows to 0")

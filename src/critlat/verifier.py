@@ -27,9 +27,12 @@ inclusion isotonicity.
 A witness's value is the hull of its subpaving's per-sub-box enclosures.  A
 Monotone witness (fid d_sigma2_column_low or d_sigma2_column_high) takes on
 each sub-box the tighter bound of two forms of d2Delta/dsigma2: the natural
-extension and, on sub-boxes inside the domain, the midpoint mean-value form
-with the third derivatives of Delta as slopes (batch.subpave_convex_positive);
-a checker of the column evaluates the same pair.
+extension and a mean-value form whose slopes hold its atom tau^(p-2) fixed,
+plus that atom's own term (batch.subpave_convex_positive); an Interior
+witness takes the natural difference and a mean-value form with the gradient
+of Delta as slopes.  A mean-value form is centered at the sub-box's midpoint
+when the sub-box lies inside the domain, else at (P.hi, min(sm,
+sigma_p(P.hi))); a checker of a witness evaluates the same pair (SCHEME).
 
 A leaf is a Box plus its id, the bisection path from its initial cell (the
 parent id plus "0" or "1").  Every certificate comes from a subpaving job:
@@ -93,7 +96,7 @@ __all__ = [
     "replay_leaf",
 ]
 
-SCHEME = "convex-column-1"
+SCHEME = "convex-column-2"
 
 VERDICT_INTERIOR = "CertifiedInterior"
 VERDICT_MONO_LOW = "CertifiedMonotoneLow"

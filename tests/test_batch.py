@@ -4,17 +4,20 @@ bit for bit as evaluating every lane afresh; the tau fixed point stops each
 lane at its exact fixed point; merged jobs end bit for bit as they would
 alone."""
 
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
 from critlat import batch as B
-from critlat.jets import TAU_SEED, TAU_STEPS
+from critlat import moduli as M
+from critlat.jets import TAU_SEED, TAU_STEPS, delta_scalar, delta_sigma_derivs
 from critlat.vints import VI
 
 
-def _own_keys(P, pm):
+def _own_keys(P, *points):
     # the reference: every lane its own key, so every lane is evaluated afresh
-    keys = B._keys(np.concatenate([P.lo, pm]), np.concatenate([P.hi, pm]))
+    keys = B._keys(np.concatenate([P.lo, *points]), np.concatenate([P.hi, *points]))
     return keys, np.arange(keys.size)
 
 
@@ -66,7 +69,7 @@ def test_low_side_bisects_each_p_interval_once(monkeypatch, box, max_nodes):
 
     assert got == expected
     assert all(len(keys) == len(set(keys)) for keys in tau_p_keys)
-    # box lanes and midpoints in one call of each per chunk
+    # box lanes and centers in one call of each per chunk
     assert chunks[0] > 1
     assert len(tau_p_keys) == calls["edge_low"] == calls["d_edge_low"] == chunks[0]
 
@@ -199,7 +202,7 @@ def test_job_split_across_chunks_ends_as_if_alone(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", sorted(_MIXED_JOBS))
 def test_warm_tau_seeds_change_no_bits(kind, phi_lanes, monkeypatch):
-    # Children start from their parent box's tau enclosure and midpoints from
+    # Children start from their parent box's tau enclosure and centers from
     # their own box's: each call ends bit for bit as from TAU_SEED, so the
     # jobs end the same, with fewer fixed-point lane-iterations.
     tau = B.tau_enclose_batch
@@ -222,15 +225,15 @@ def test_warm_tau_seeds_change_no_bits(kind, phi_lanes, monkeypatch):
     assert _subpave(kind, jobs) == warm
     assert warm_lanes < phi_lanes[0]
 
-    seeded = {"box": 0, "midpoint": 0}
+    seeded = {"box": 0, "center": 0}
     for P, S, seed, (T, vac) in calls:
         warmed = ~(seed.invalid() | ((seed.lo == TAU_SEED[0]) & (seed.hi == TAU_SEED[1])))
         points = (P.lo == P.hi) & (S.lo == S.hi)
-        seeded["midpoint"] += np.count_nonzero(warmed & points)
+        seeded["center"] += np.count_nonzero(warmed & points)
         seeded["box"] += np.count_nonzero(warmed & ~points)
         T0, vac0 = tau(P, S)
         assert _bits(T.lo, T.hi, vac) == _bits(T0.lo, T0.hi, vac0)
-    assert seeded["box"] > 0 and (seeded["midpoint"] > 0 or kind == "convex")
+    assert seeded["box"] > 0 and (seeded["center"] > 0 or kind == "convex")
 
 
 def test_chunks_search_each_p_interval_once_per_call(monkeypatch):
@@ -308,3 +311,82 @@ def test_speculation_stays_within_the_node_budget(kind, monkeypatch):
             assert sum(sizes) <= max(B.SPECULATE_LANES, sizes[0])
             speculated += len(sizes) > 1
     assert speculated > 0
+
+
+def _chunk(monkeypatch, kind):
+    """The evaluator of one wave's slice that subpave_convex_positive or
+    subpave_delta_above hands _subpave for `kind`."""
+    grabbed = []
+    with monkeypatch.context() as m:
+        m.setattr(B, "_subpave", lambda jobs, scales, floor, chunk: grabbed.append(chunk))
+        _subpave(kind, [])
+    return grabbed[0]
+
+
+def _straddling_boxes(seed, n=400):
+    """n boxes across the curve sigma = sigma_p(p), in _subpave's rows with
+    cold tau seeds: p lo in [2.02, 3.5], widths 1e-4 to 1e-2, and the curve's
+    sigma at p lo inside the sigma-range, so that S.hi > sigma_p(P) > S.lo."""
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(2.02, 3.5, n)
+    wp, ws = 10.0 ** rng.uniform(-4.0, -2.0, (2, n))
+    s = (2.0**p - 1.0) ** (1.0 / p) - rng.uniform(0.05, 0.95, n) * ws
+    return np.column_stack([p, p + wp, s, s + ws, np.full((n, 2), TAU_SEED)])
+
+
+def _in_domain_samples(boxes, seed, k=24):
+    """Per box up to k float points (p, sigma, box index) with sigma below
+    sigma_p(p) by a relative 1e-12: uniform ones and ones next to the curve,
+    where tau^(p-2) changes fastest."""
+    rng = np.random.default_rng(seed)
+    i = np.repeat(np.arange(len(boxes)), k)
+    p = rng.uniform(boxes[i, 0], boxes[i, 1])
+    curve = (2.0**p - 1.0) ** (1.0 / p) * (1.0 - 1e-12)
+    s = np.where(np.arange(i.size) % 3 == 0, curve, rng.uniform(boxes[i, 2], boxes[i, 3]))
+    keep = (boxes[i, 2] <= s) & (s <= np.minimum(curve, boxes[i, 3]))
+    return p[keep], s[keep], i[keep]
+
+
+def test_straddling_boxes_get_centers_in_the_domain():
+    # a box across the curve is centered at p = P.hi and sigma at most the VI
+    # lower bound of sigma_p(P.hi): inside both the box and the domain
+    boxes = _straddling_boxes(61)
+    P = VI(boxes[:, 0], boxes[:, 1])
+    inside = boxes[:, 3] <= B.sigma_p_batch(P).lo
+    curve = B.sigma_p_batch(VI(boxes[:, 1], boxes[:, 1])).lo
+    idx, pc, sc = B._centers(boxes, inside, curve)
+    assert not inside.any() and idx.size > 0.9 * len(boxes)
+    assert np.array_equal(pc, boxes[idx, 1])
+    assert np.all((boxes[idx, 2] <= sc) & (sc <= boxes[idx, 3]))
+    for p, s in zip(pc.tolist(), sc.tolist()):
+        assert M.sigma_p_hp(p) >= Decimal(s)
+
+
+@pytest.mark.parametrize("kind", ["convex", "high", "low"])
+def test_straddle_forms_contain_the_surface(kind, monkeypatch):
+    # every in-domain point's float value lies in its box's enclosure, the
+    # natural one narrowed by the mean-value form centered in the domain
+    boxes = _straddling_boxes(62)
+    P, S = VI(boxes[:, 0], boxes[:, 1]), VI(boxes[:, 2], boxes[:, 3])
+    with np.errstate(all="ignore"):
+        T, _ = B.tau_enclose_batch(P, S)
+        if kind == "convex":
+            natural = delta_sigma_derivs(P, S, T)[1]
+        else:
+            natural = delta_scalar(P, S, T)
+    vac, _, lo, hi = _chunk(monkeypatch, kind)(boxes.copy())
+    p, s, i = _in_domain_samples(boxes, 63)
+    t = M.tau_point_vec(p, s)
+    if kind == "convex":
+        v = delta_sigma_derivs(p, s, t)[1]
+        narrowed = (lo > natural.lo) | (hi < natural.hi)
+    else:
+        tp = M.tau_p_vec(p)
+        edge = (2.0**p - 1.0) ** (1.0 / p) / 2 if kind == "high" else 4.0 ** (-1.0 / p) * (1.0 + tp) / (1.0 - tp)
+        v = delta_scalar(p, s, t) - edge
+        narrowed = hi - lo < natural.hi - natural.lo
+    assert p.size > 4000 and not vac[i].any()
+    tol = 1e-13 * np.maximum(1.0, np.abs(v))  # the float values' rounding
+    outside = (v < lo[i] - tol) | (v > hi[i] + tol)
+    assert not outside.any(), (boxes[i[outside]][:3], v[outside][:3])
+    assert np.count_nonzero(narrowed) > len(boxes) // 5

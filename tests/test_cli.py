@@ -140,6 +140,14 @@ class TestLattice:
         # tau_p's Newton derivative underflows to 0 from p ~ 3e16
         assert refused(["lattice", "--kind", "L1", *action], capsys) == 4
 
+    @pytest.mark.parametrize("p", ["1e15", "1e16"])
+    def test_overflowing_tau_p_step_names_p(self, p, capsys):
+        # tau_p's Newton step overshoots below 0 and its power overflows
+        code, out = run(["lattice", "--kind", "L1", "--p", p])
+        err = capsys.readouterr().err
+        assert code == 4 and out == ""
+        assert err == f"error: numeric overflow: tau_p({float(p)!r}): the Newton step overflows\n"
+
     def test_bad_kind_exit_2(self):
         code, _ = run(["lattice", "--kind", "L9", "--p", "2", "--det"])
         assert code == 2
@@ -231,15 +239,15 @@ class TestVerify:
         "argv, code, sha256",
         [
             (["verify", "--p", "2.6", "2.8", "--strip", "0.02", "--budget", "10000"], 0,
-             "4e233cbc990710e682e8b679dc087387ab572000ae500b2ff4f59cee551f9924"),
+             "7c720c873685d86e3361c83fb24a5eaeab5119d11e4ef02dc58ad55c8c76c981"),
             (["verify", "--p", "2.3", "2.4"], 0,
-             "5776bcb65d18f4fd87247af21db024536eadf8f856600de1f6995f1698f013cd"),
+             "61ff2617ae96bd375eb8f60070cdfabb8dba6786006d8c07cf5d259ece1bd589"),
             (["p0", "--tol", "1e-6"], 0,
              "750f1da8eaa56387a5a06154ed72b37ca7a76e7b2a9fd68b0f9080a0d75413a6"),
-            # the one fixture whose reasons show prescreen skips, cost-model
-            # skips and node budget hits
+            # the one fixture whose reasons show prescreen skips and
+            # cost-model skips
             (["verify", "--p", "1.99", "2.01", "--strip", "0.02", "--budget", "24"], 3,
-             "4dbfa178eeb46219befd365a74ceaa4506b9e48870ec1bef80623b9eccf91f96"),
+             "e096bbea5a8e7d348bdeca0174a95cead19d0c45af6b072d0b767d220010d600"),
         ],
         ids=["strip_one", "p2.3-2.4", "p0", "p1.99-2.01"],
     )
@@ -358,11 +366,12 @@ class TestVerifyNearTwo:
     @pytest.fixture(scope="class")
     def near2(self, tmp_path_factory):
         # the equality line p = 2 can never certify; a small budget exhausts
-        # with the partial certificate still written
+        # with the partial certificate still written.  The node budget is one
+        # that some subpaving job hits, so that every kind of end shows
         path = tmp_path_factory.mktemp("near2") / "near2.json"
         code, _ = run(
             ["verify", "--p", "1.99", "2.01", "--strip", "0.02",
-             "--budget", "24", "--out", str(path)]
+             "--budget", "24", "--node-budget", "2000", "--out", str(path)]
         )
         return code, parse_certificate(path.read_text())
 

@@ -24,12 +24,13 @@ from critlat.jets import (
     delta_p_deriv,
     delta_scalar,
     delta_sigma_derivs,
-    delta_third_derivs,
+    delta_held_slopes,
     f_tau_scalar,
     phi_consts,
     phi_scalar,
     tau_p_resid_scalar,
     tau_pow_log,
+    tpow,
 )
 from critlat.vints import VI
 
@@ -329,32 +330,63 @@ class TestAtomFormulaEnclosures:
 _COMPLEX_STEP = 1e-30
 
 
+def _d_sigma3_step(p: float, s: float) -> float:
+    """d3Delta/dsigma3 at (p, sigma): a complex step in sigma of the float
+    d2Delta/dsigma2, tau following the surface by one Newton step as in
+    moduli.derivatives."""
+    h = _COMPLEX_STEP
+    t0 = M.tau_point(p, s)
+    tc = t0 - M._f_resid(p, complex(s, h), t0) / f_tau_scalar(p, s, t0)
+    return delta_sigma_derivs(p, complex(s, h), tc)[1].imag / h
+
+
 def _surface_references(n: int, seed: int):
     """(p, sigma, refs) at n points, p in [2.05, 4.5] and sigma in the
     domain, refs one row (d3Delta/dsigma3, d3Delta/dsigma2dp, dDelta/dsigma,
-    d2Delta/dsigma2, dDelta/dp) per point.  d3Delta/dsigma3 is a complex step
-    in sigma of the float d2Delta/dsigma2, tau following the surface by one
-    Newton step as in moduli.derivatives; the rest are moduli.derivatives."""
+    d2Delta/dsigma2, dDelta/dp) per point.  d3Delta/dsigma3 is _d_sigma3_step,
+    the rest are moduli.derivatives."""
     rng = np.random.default_rng(seed)
     ps = rng.uniform(2.05, 4.5, n)
     ss = np.array([1.0 + f * (M.sigma_p(p) - 1.0)
                    for p, f in zip(ps, rng.uniform(0.0, 0.98, n))])
-    h = _COMPLEX_STEP
     refs = []
     for p, s in zip(ps.tolist(), ss.tolist()):
-        t0 = M.tau_point(p, s)
-        tc = t0 - M._f_resid(p, complex(s, h), t0) / f_tau_scalar(p, s, t0)
         d = M.derivatives(p, s)
-        refs.append((delta_sigma_derivs(p, complex(s, h), tc)[1].imag / h,
-                     d.d_sigma2_p, d.d_sigma, d.d_sigma2, d.d_p))
+        refs.append((_d_sigma3_step(p, s), d.d_sigma2_p, d.d_sigma, d.d_sigma2, d.d_p))
     return ps, ss, np.array(refs)
 
 
+def _third_derivs(p, s, t):
+    """(d3Delta/dsigma3, d3Delta/dsigma2dp) from the slopes of d2Delta/dsigma2
+    with u = tau^(p-2) held and its coefficient C1 (delta_held_slopes), and
+    the derivatives of u along the surface: du/dsigma = (p-2) tau^(p-3) tau'
+    and du/dp = tau^(p-2) ln tau + (p-2) tau^(p-3) tau_p.  Floats or VIs."""
+    at, st = jets.delta_sigma_terms(p, s, t)
+    h_s, h_p, c1 = delta_held_slopes(p, s, t, (at, st))
+    tau_p = jets._p_slope(p, s, t, at).tau_p
+    t3 = tpow(t, p - 3) * (p - 2)
+    return h_s + c1 * (t3 * st.tau1), h_p + c1 * (tau_pow_log(t, p - 2) + t3 * tau_p)
+
+
 class TestThirdDerivatives:
-    """The atom formulas of d3Delta/dsigma3 and d3Delta/dsigma2dp (the slopes
-    of the convexity columns' mean-value form), with the first and second
+    """The atom formulas of the slopes of d2Delta/dsigma2 with its atom
+    tau^(p-2) held (the slopes of the convexity columns' mean-value form)
+    and of its coefficient C1, composed into d3Delta/dsigma3 and
+    d3Delta/dsigma2dp (_third_derivs), with the first and second
     derivatives, on point and thin VI lanes: each enclosure holds the
     references at the lane's corner (p, sigma)."""
+
+    @pytest.mark.parametrize(
+        "p, s",
+        [(2.3, 1.5), (2.7, 1.8), (2.6, 1.84), (3.5, 1.7), (2.05, 1.6), (2.7, 1.1),
+         (2.01, 1.7)],
+    )
+    def test_held_slopes_carry_the_third_derivatives(self, p, s):
+        # d3Delta/dsigma3 = h_s + C1 du/dsigma and d3Delta/dsigma2dp = h_p +
+        # C1 du/dp: the held slopes and C1 account for every other atom
+        refs = (_d_sigma3_step(p, s), M.derivatives(p, s).d_sigma2_p)
+        for got, want in zip(_third_derivs(p, s, M.tau_point(p, s)), refs):
+            assert abs(got - want) <= 1e-12 * abs(want), (got, want)
 
     @classmethod
     def setup_class(cls):
@@ -365,7 +397,7 @@ class TestThirdDerivatives:
         h = _COMPLEX_STEP
         for k, (p, s) in enumerate(zip(self.ps.tolist(), self.ss.tolist())):
             t = M.tau_point(p, s)
-            got = (*delta_third_derivs(p, s, t), *delta_gradient(p, s, t),
+            got = (*_third_derivs(p, s, t), *delta_gradient(p, s, t),
                    delta_sigma_derivs(p, s, t)[1])
             want = self.refs[k, [0, 1, 2, 4, 3]]
             assert np.allclose(got, want, rtol=1e-9, atol=1e-12), (p, s)
@@ -383,7 +415,7 @@ class TestThirdDerivatives:
         T, vac = tau_enclose_batch(P, S)
         assert not vac.any()
         with np.errstate(all="ignore"):  # as the batch entry points run them
-            encs = (*delta_third_derivs(P, S, T), *delta_sigma_derivs(P, S, T),
+            encs = (*_third_derivs(P, S, T), *delta_sigma_derivs(P, S, T),
                     delta_p_deriv(P, S, T))
             grad = delta_gradient(P, S, T)
         names = ("d_sigma3", "d_sigma2_p", "d_sigma", "d_sigma2", "d_p")
@@ -397,8 +429,8 @@ class TestThirdDerivatives:
 
     def test_shared_terms_give_the_same_bits(self):
         # the convexity columns take the terms of d2Delta/dsigma2 on box and
-        # midpoint lanes, and hand a selection of the box lanes' terms to the
-        # third derivatives: the same bits as computing them afresh
+        # center lanes, and hand a selection of the box lanes' terms to the
+        # held slopes: the same bits as computing them afresh
         rng = np.random.default_rng(19)
         n = 2000
         p = rng.uniform(1.3, 4.5, n)
@@ -412,8 +444,8 @@ class TestThirdDerivatives:
         with np.errstate(all="ignore"):
             at, st = jets.delta_sigma_terms(P, S, T)
             sub = [B._lanes(x, q) for x in (P, S, T)]
-            got = delta_third_derivs(*sub, (B._lanes(at, q), B._lanes(st, q)))
-            want = delta_third_derivs(*sub)
+            got = delta_held_slopes(*sub, (B._lanes(at, q), B._lanes(st, q)))
+            want = delta_held_slopes(*sub)
             d2 = delta_sigma_derivs(P, S, T)[1]
         assert nan(d2.lo) == nan(st.dds2.lo) and nan(d2.hi) == nan(st.dds2.hi)
         for g, v in zip(got, want):
