@@ -241,6 +241,14 @@ def _split_boxes(boxes: np.ndarray, scale_p: float, scale_s: float) -> np.ndarra
     return out
 
 
+MAX_LANES = 4096  # lanes evaluated at once; wider waves only cost memory
+# a column wave's slice: a column lane's temporaries (the second- and
+# third-derivative atoms of a box and its center) take several times a Delta
+# lane's, and the widest column slice sets a verify pass's peak memory
+COLUMN_LANES = 768
+SPECULATE_LANES = 128  # a job's lanes in one wave, its speculative levels included
+
+
 class Job(NamedTuple):
     """One box to subpave, with its own node budget."""
 
@@ -282,21 +290,21 @@ def _speculate(boxes: np.ndarray, scale, room: int) -> list[np.ndarray]:
     return levels
 
 
-def _subpave(jobs, scales, min_width: float, chunk) -> list[Subpaving]:
+def _subpave(jobs, scales, min_width: float, chunk, lanes: int) -> list[Subpaving]:
     """Adaptive subpaving of all jobs at once, one merged VI array per wave.
 
     A box is a row (p lo, p hi, sigma lo, sigma hi, tau lo, tau hi), the tau
     columns seeding its fixed point (tau_enclose_batch): TAU_SEED for a
     job's first box, then the enclosure of an evaluated ancestor.
     A wave concatenates the boxes of the running jobs and evaluates them in
-    slices (_in_chunks): chunk(boxes) overwrites the tau columns of a slice
-    with their enclosures and returns per-lane (vacuous, ok, lo, hi), ok
-    meaning the enclosure [lo, hi] is positive; it keeps nothing from one
-    slice to the next.  A job passes when every box is vacuous or ok;
-    otherwise its failing boxes are split on the job's scales.  A job whose
-    node count would exceed its budget stops before the boxes are evaluated,
-    and reports its count without them; one with a failing box thinner than
-    min_width stops after it.
+    slices of at most `lanes` lanes (_in_chunks): chunk(boxes) overwrites
+    the tau columns of a slice with their enclosures and returns per-lane
+    (vacuous, ok, lo, hi), ok meaning the enclosure [lo, hi] is positive; it
+    keeps nothing from one slice to the next.  A job passes when every box
+    is vacuous or ok; otherwise its failing boxes are split on the job's
+    scales.  A job whose node count would exceed its budget stops before
+    the boxes are evaluated, and reports its count without them; one with a
+    failing box thinner than min_width stops after it.
 
     A wave evaluates a job's boxes together with its next split levels
     (_speculate), every box of each, and then replays the levels one at a
@@ -330,7 +338,7 @@ def _subpave(jobs, scales, min_width: float, chunk) -> list[Subpaving]:
             break
         evaluated = np.concatenate([level for lv in levels for level in lv])
         boxes = {}  # the next wave's: the children of the deepest failing boxes
-        vac, ok, lo, hi = _in_chunks(evaluated, chunk)
+        vac, ok, lo, hi = _in_chunks(evaluated, chunk, lanes)
         good = vac | ok
         live = ok & ~vac
         running = []
@@ -411,15 +419,11 @@ def _with_centers(boxes: np.ndarray, idx: np.ndarray, pc: np.ndarray, sc: np.nda
     return P2, S2, T2, vac2
 
 
-MAX_LANES = 4096  # lanes evaluated at once; wider waves only cost memory
-SPECULATE_LANES = 128  # a job's lanes in one wave, its speculative levels included
-
-
-def _in_chunks(boxes: np.ndarray, evaluate) -> tuple:
-    """evaluate(boxes) on consecutive slices (views) of at most MAX_LANES
+def _in_chunks(boxes: np.ndarray, evaluate, lanes: int) -> tuple:
+    """evaluate(boxes) on consecutive slices (views) of at most `lanes`
     lanes, its per-lane outputs concatenated.  Past a few thousand lanes numpy's cost
     per lane is flat, while a wave's temporaries grow with its lanes."""
-    parts = [evaluate(boxes[a : a + MAX_LANES]) for a in range(0, len(boxes), MAX_LANES)]
+    parts = [evaluate(boxes[a : a + lanes]) for a in range(0, len(boxes), lanes)]
     return tuple(np.concatenate(out) for out in zip(*parts))
 
 
@@ -455,7 +459,8 @@ def subpave_convex_positive(jobs) -> list[Subpaving]:
 
     The split axis weighs sigma's relative width eight times p's, refining
     sigma ahead of p: the second-derivative enclosure is far more sensitive
-    to the sigma/tau spread than to p.
+    to the sigma/tau spread than to p.  A wave is evaluated in slices of
+    COLUMN_LANES lanes.
     """
     scales = [
         (max(j.p_hi - j.p_lo, 1e-12), max(j.s_hi - j.s_lo, 1e-12) / 8.0)
@@ -494,7 +499,7 @@ def subpave_convex_positive(jobs) -> list[Subpaving]:
         boxes[:, 4], boxes[:, 5] = T.lo, T.hi
         return vac, lo > 0.0, lo, hi
 
-    return _subpave(jobs, scales, 1e-6, chunk)
+    return _subpave(jobs, scales, 1e-6, chunk, COLUMN_LANES)
 
 
 @_quiet
@@ -518,11 +523,13 @@ def subpave_delta_above(jobs, side: str) -> list[Subpaving]:
 
     Each chunk of a wave (_in_chunks) makes one call of each boundary
     function it needs on the distinct p-intervals of its box lanes, their
-    midpoints and their P.hi (_p_keys): sigma_p_batch and d_sigma_p_batch on
-    side "high"; sigma_p_batch, tau_p_enclose_batch, edge_low_batch and
-    d_edge_low_batch on side "low".  Then it runs its box lanes and their
-    centers through one tau_enclose_batch call, and takes the gradient
-    (delta_gradient) on the lanes with a surface point and a center only.
+    midpoints and their P.hi (_p_keys): sigma_p_batch on side "high";
+    sigma_p_batch, tau_p_enclose_batch and edge_low_batch on side "low".
+    Then it runs its box lanes and their centers through one
+    tau_enclose_batch call, and takes the gradient (delta_gradient) on the
+    lanes with a surface point and a center only; the boundary's p-slope
+    (d_sigma_p_batch, d_edge_low_batch) runs on the distinct p-intervals of
+    those lanes alone.
     No value passes from one chunk or wave to the next; as every lane of
     these functions is independent of the others, the result is bit for bit
     that of evaluating every lane afresh.
@@ -539,11 +546,9 @@ def subpave_delta_above(jobs, side: str) -> list[Subpaving]:
         sp = sigma_p_batch(K)
         if side == "high":
             edge = sp * 0.5
-            slope = d_sigma_p_batch(K) * 0.5
         else:
             tp = tau_p_enclose_batch(K)
             edge = edge_low_batch(K, tp)
-            slope = d_edge_low_batch(K, tp)
         bound = _lanes(edge, key[:n])
         inside = S.hi <= sp.lo[key[:n]]
         idx, pc, sc = _centers(boxes, inside, sp.lo[key[2 * n :]])
@@ -562,15 +567,22 @@ def subpave_delta_above(jobs, side: str) -> list[Subpaving]:
             dc = VI(np.where(bad, np.nan, d2.lo[cq]), np.where(bad, np.nan, d2.hi[cq]))
             Pq, Sq, Tq = (_lanes(x, q) for x in (P, S, T))
             dds, ddp = delta_gradient(Pq, Sq, Tq)
+            # the boundary's p-slope, on the distinct box keys the form reads
+            sk, at = np.unique(key[q], return_inverse=True)
+            Ks = _lanes(K, sk)
+            if side == "high":
+                slope = d_sigma_p_batch(Ks) * 0.5
+            else:
+                slope = d_edge_low_batch(Ks, _lanes(tp, sk))
             pcq, scq = pc[use], sc[use]
             mvf = (
                 (dc - _lanes(edge, ckey[use]))
                 + dds * VI(Sq.lo - scq, Sq.hi - scq)
-                + (ddp - _lanes(slope, key[q])) * VI(Pq.lo - pcq, Pq.hi - pcq)
+                + (ddp - _lanes(slope, at)) * VI(Pq.lo - pcq, Pq.hi - pcq)
             )
             best_lo[q] = np.fmax(best_lo[q], mvf.lo)
             best_hi[q] = np.fmin(best_hi[q], mvf.hi)
         boxes[:, 4], boxes[:, 5] = T.lo, T.hi
         return vac, best_lo > 0.0, best_lo, best_hi
 
-    return _subpave(jobs, [(1.0, 1.0)] * len(jobs), 1e-7, chunk)
+    return _subpave(jobs, [(1.0, 1.0)] * len(jobs), 1e-7, chunk, MAX_LANES)

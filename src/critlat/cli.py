@@ -328,6 +328,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except OverflowError as e:
         print(f"error: numeric overflow: {e}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ArithmeticError as e:  # a float result short of its stated accuracy
+        print(f"error: numeric failure: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

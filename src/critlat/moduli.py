@@ -56,6 +56,8 @@ __all__ = [
 ]
 
 _ENDPOINT_TOL = 1e-12
+# bisection steps of tau_p: enough to bracket a root near the least normal float
+TAU_P_STEPS = 1100
 
 
 class NoRootInRange(Exception):
@@ -128,21 +130,29 @@ def sigma_p(p: float) -> float:
 
 
 def _tau_p_resid(tau: float, p: float) -> float:
-    return 2.0 * (1.0 - tau) ** p - 1.0 - tau**p
+    # (1 - tau)^p through log1p: tau_p ~ ln2/p, and for large p rounding
+    # 1 - tau would keep few of tau's digits
+    return 2.0 * math.exp(p * math.log1p(-tau)) - 1.0 - tau**p
 
 
 def tau_p(p: float, newton: bool = True) -> float:
     """Unique root of 2(1-tau)^p = 1 + tau^p in [0, 1].
 
     The left side falls from 2 to 0 and the right rises from 1 to 2, so
-    bisection on [0, 1] cannot miss.  newton=False is the oracle-of-record
-    mode (pure bisection to float exhaustion).
+    bisection on [0, 1] cannot miss.  It stops once the bracket's width is
+    1e-13 of its lower end, and Newton steps then polish the root inside
+    the bracket; the root is found to about 1e-15 relative for every float
+    p > 1 (its float residual has the root's own relative accuracy, as the
+    power goes through log1p).  A bracket that is not that tight after
+    TAU_P_STEPS steps raises ArithmeticError naming p.  newton=False is the
+    oracle-of-record mode (pure bisection to float exhaustion).
     """
     if p <= 1.0:
         raise DomainError(f"tau_p requires p > 1, got {p}")
     lo, hi = 0.0, 1.0
-    it = 0
-    while hi - lo > (1e-13 if newton else 0.0) and it < 200:
+    for _ in range(TAU_P_STEPS):
+        if hi - lo <= (1e-13 * lo if newton else 0.0):
+            break
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -150,20 +160,16 @@ def tau_p(p: float, newton: bool = True) -> float:
             lo = mid
         else:
             hi = mid
-        it += 1
+    if not hi - lo <= 1e-13 * lo:
+        raise ArithmeticError(
+            f"tau_p({p!r}): the root is not bracketed to 1e-13 relative in "
+            f"{TAU_P_STEPS} bisection steps"
+        )
     t = 0.5 * (lo + hi)
     if newton:
         for _ in range(4):
-            try:
-                d = -2.0 * p * (1.0 - t) ** (p - 1.0) - p * t ** (p - 1.0)
-            except OverflowError:
-                # from p ~ 3e14 a step overshoots below 0, where (1 - t)^(p - 1)
-                # overflows
-                raise OverflowError(f"tau_p({p!r}): the Newton step overflows") from None
-            if d == 0.0:
-                # from p ~ 3e16 both powers underflow at the bisection's t
-                raise OverflowError(f"tau_p({p!r}): the Newton derivative underflows to 0")
-            t -= _tau_p_resid(t, p) / d
+            d = -2.0 * p * math.exp((p - 1.0) * math.log1p(-t)) - p * t ** (p - 1.0)
+            t = min(max(t - _tau_p_resid(t, p) / d, lo), hi)
     return t
 
 

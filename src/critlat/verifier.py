@@ -5,7 +5,11 @@ the parameter domain by adaptive covering.  Three certificate kinds per leaf:
 
   CertifiedInterior      Delta exceeds one boundary value outright: the
                          correlated difference Delta - boundary(p) is
-                         subpaved (natural + mean-value forms).
+                         subpaved (natural + mean-value forms).  A mid-band
+                         cell's difference from Delta(p, 1) may be split at
+                         a cut s*: on [1, s*] a convexity column gives
+                         Delta > Delta(p, 1) as for CertifiedMonotoneLow,
+                         and the difference is subpaved on [s*, s_hi] only.
   CertifiedMonotoneLow   d2Delta/dsigma2 > 0 on the column from the cell down
                          to sigma = 1; with the exact stationarity
                          dDelta/dsigma(p, 1) = 0 this gives strict growth away
@@ -19,10 +23,12 @@ dDelta/dsigma itself vanishes identically on both boundary lines (both edges
 are stationary branches of critical lattices; the identities reduce to
 b1(1+tau^p) = b0 and s1*alpha1 = beta1 at tau = 0), so a first-derivative
 sign witness on a boundary-touching strip cannot exist; the convexity witness
-carries the monotone certificates instead.  All claims are restricted to the
-parameter domain 1 < sigma < sigma_p(p); evaluation boxes may straddle the
-curved upper boundary, where enclosures remain valid for in-domain points by
-inclusion isotonicity.
+carries the monotone certificates instead.  For the same reason Delta -
+Delta(p, 1) is O((sigma - 1)^2) near sigma = 1, where a difference subpaving
+needs many nodes; the split interior-low attempt hands that part to a
+column.  All claims are restricted to the parameter domain 1 < sigma <
+sigma_p(p); evaluation boxes may straddle the curved upper boundary, where
+enclosures remain valid for in-domain points by inclusion isotonicity.
 
 A witness's value is the hull of its subpaving's per-sub-box enclosures.  A
 Monotone witness (fid d_sigma2_column_low or d_sigma2_column_high) takes on
@@ -32,19 +38,23 @@ plus that atom's own term (batch.subpave_convex_positive); an Interior
 witness takes the natural difference and a mean-value form with the gradient
 of Delta as slopes.  A mean-value form is centered at the sub-box's midpoint
 when the sub-box lies inside the domain, else at (P.hi, min(sm,
-sigma_p(P.hi))); a checker of a witness evaluates the same pair (SCHEME).
+sigma_p(P.hi))); a checker of a witness evaluates the same pair (SCHEME).  A
+split leaf's column is an element of the same kind as a MonotoneLow witness,
+on P x [1, s*], with s* < sigma_p(P.lo) verified on the VI lane so that the
+column lies in the domain; its witness is the difference on P x [s*, s_hi].
 
 A leaf is a Box plus its id, the bisection path from its initial cell (the
-parent id plus "0" or "1").  Every certificate comes from a subpaving job:
+parent id plus "0" or "1").  Every certificate comes from subpaving jobs:
 each generation of leaves is certified in rounds (_certify_rounds).  A leaf's
 attempts are a generator (_certify_leaf) over one table of attempts
 (interior-high, interior-low, mono-low, mono-high) in an order set by the
 leaf's band and its sampled margins.  It runs each attempt's float prescreen
 and its cost rule lazily, estimating area*(c/margin)^2 nodes against a
-multiple of the node budget, and yields one subpaving job per attempt that
-gets past them.  Only a curve-straddling interior attempt or a convexity
-column can be skipped by cost.  Round r gathers the next job of every leaf
-still undecided and runs all jobs of one kind (convex column, delta above
+multiple of the node budget, and yields the subpaving jobs of each attempt
+that gets past them: one job, or two for a split attempt.  Only a
+curve-straddling interior attempt or a convexity column can be skipped by
+cost.  Round r gathers the jobs of the next attempt of every leaf still
+undecided and runs all jobs of one kind (convex column, delta above
 sigma_p/2, delta above Delta(p, 1)) as one merged subpaving in batch.py,
 whose jobs end as they would alone; so each leaf gets the status, and the
 certificate the bytes, of certifying it on its own.  certify_box is the
@@ -97,6 +107,7 @@ __all__ = [
 ]
 
 SCHEME = "convex-column-2"
+SPLIT_STEPS = 6  # bisection steps locating a split attempt's cut (_split_cut)
 
 VERDICT_INTERIOR = "CertifiedInterior"
 VERDICT_MONO_LOW = "CertifiedMonotoneLow"
@@ -129,6 +140,7 @@ class CertStatus:
     verdict: str
     witness: EifElement | None = None
     reason: str = ""
+    column: EifElement | None = None  # a split interior-low attempt's column
 
 
 @dataclass(frozen=True)
@@ -199,17 +211,51 @@ def certify_box(
     return _certify_rounds([_certify_leaf(X, band, sigma_top, node_budget)])[0]
 
 
+def _split_cut(p_lo: float, p_hi: float, s_lo: float, s_hi: float) -> float | None:
+    """Where a mid-band cell's interior-low attempt splits: s* = 1 + (z - 1)/2,
+    z the first sign change of the float d2Delta/dsigma2 on [1, s_hi] at the
+    cell's p midpoint, from SPLIT_STEPS bisection steps that keep a positive
+    value at their lower end (z is that end; s_hi's own sign is not read,
+    since d2Delta/dsigma2 turns positive again near the curve).  None when
+    d2Delta/dsigma2 <= 0 at sigma = 1, when s* misses (s_lo, s_hi), when the
+    column's 3 x 3 float samples do not all exceed 1e-8, or when s* <
+    sigma_p(p_lo) cannot be verified on the VI lane.  All but that check
+    only tune cost, and everything here depends on the cell alone."""
+    pm = 0.5 * (p_lo + p_hi)
+    a, b = 1.0, s_hi
+    if not _float_dds2(pm, a) > 0.0:
+        return None
+    for _ in range(SPLIT_STEPS):
+        m = 0.5 * (a + b)
+        a, b = (m, b) if _float_dds2(pm, m) > 0.0 else (a, m)
+    cut = 1.0 + 0.5 * (a - 1.0)
+    if not s_lo < cut < s_hi:
+        return None
+    sigmas = (1.0 + 1e-9, 1.0 + 0.5 * (cut - 1.0), cut)
+    if not all(_float_dds2(pp, ss) > 1e-8 for pp in (p_lo, pm, p_hi) for ss in sigmas):
+        return None
+    # the column must lie in the domain for every p of the cell: sigma_p
+    # increases (tests/test_sigma_p_increasing.py), so sigma_p(p_lo) bounds it
+    if not cut < float(sigma_p_batch(VI.point(np.array([p_lo]))).lo[0]):
+        return None
+    return cut
+
+
 def _certify_leaf(X, band, sigma_top, node_budget):
-    """certify_box for one cell as a generator: it yields (kind, batch.Job)
-    for each attempt that needs a subpaving, with kind "convex" (a column
-    for subpave_convex_positive) or the side "high"/"low" of
-    subpave_delta_above, is sent the job's batch.Subpaving, and returns the
-    CertStatus.  An Undecided status's reason lists how each attempt ended,
-    in order, the last one last.
+    """certify_box for one cell as a generator: for each attempt that needs
+    subpavings it yields the list of its (kind, batch.Job), with kind
+    "convex" (a column for subpave_convex_positive) or the side
+    "high"/"low" of subpave_delta_above, is sent the list of the jobs'
+    batch.Subpaving, and returns the CertStatus.  An Undecided status's
+    reason lists how each attempt ended, in order, the last one last.
 
     The attempts form one table: each plan returns why it is skipped, or
-    (kind, c_lo, c_hi, verdict, fid) for a subpaving of the cell's p-range
-    times [c_lo, c_hi], whose hull becomes the witness.
+    (verdict, parts) with parts a list of (kind, c_lo, c_hi, fid), one
+    subpaving each of the cell's p-range times [c_lo, c_hi].  The
+    attempt certifies when every part does; each part's hull becomes an
+    element of the status, the last one its witness.  Every attempt has one
+    part but a split interior-low attempt (_split_cut), whose column comes
+    first.
     """
     p_lo, p_hi = X.p.lo, X.p.hi
     s_lo, s_hi = X.sigma.lo, X.sigma.hi
@@ -250,14 +296,25 @@ def _certify_leaf(X, band, sigma_top, node_budget):
         return None
 
     def interior(side, margin):
-        c = 2.5 if straddles else 0.0
-        plan = (side, s_lo, s_hi, VERDICT_INTERIOR, f"delta_minus_edge_{side}")
-        return skip(margin, 1e-7, c, 3.0, s_lo, s_hi) or plan
+        fid = f"delta_minus_edge_{side}"
+        skipped = skip(margin, 1e-7, 2.5 if straddles else 0.0, 3.0, s_lo, s_hi)
+        if skipped:
+            return skipped
+        cut = _split_cut(p_lo, p_hi, s_lo, s_hi) if side == "low" and band == "mid" else None
+        if cut is None:
+            return VERDICT_INTERIOR, [(side, s_lo, s_hi, fid)]
+        # Delta > Delta(p, 1) on (1, cut] by the MonotoneLow argument (a
+        # convex column from the stationary edge), on [cut, s_hi] by the
+        # difference
+        return VERDICT_INTERIOR, [
+            ("convex", 1.0, cut, "d_sigma2_column_low"),
+            (side, cut, s_hi, fid),
+        ]
 
     def column(verdict, fid, c_lo, c_hi, sigmas, c):
         # least second sigma-derivative over a 3 x 3 grid of the column
         m = min([_float_dds2(pp, ss) for pp in (p_lo, pm, p_hi) for ss in sigmas])
-        return skip(m, 1e-8, c, 4.0, c_lo, c_hi) or ("convex", c_lo, c_hi, verdict, fid)
+        return skip(m, 1e-8, c, 4.0, c_lo, c_hi) or (verdict, [("convex", c_lo, c_hi, fid)])
 
     def mono_low():
         sigmas = (1.0 + 1e-9, 1.0 + 0.5 * (s_hi - 1.0), s_hi)
@@ -299,23 +356,36 @@ def _certify_leaf(X, band, sigma_top, node_budget):
         if isinstance(plan, str):
             ends.append(f"{name}: {plan}")
             continue
-        kind, c_lo, c_hi, verdict, fid = plan
-        done = yield kind, Job(p_lo, p_hi, c_lo, c_hi, node_budget)
-        if done.hull is not None:
-            box = Box(X.p, Interval(c_lo, c_hi))
-            return CertStatus(verdict, EifElement(box=box, value=Interval(*done.hull), fid=fid))
-        ends.append(f"{name}: {done.end} ({done.nodes} nodes)")
+        verdict, parts = plan
+        done = yield [
+            (kind, Job(p_lo, p_hi, c_lo, c_hi, node_budget)) for kind, c_lo, c_hi, _ in parts
+        ]
+        if all(d.hull is not None for d in done):
+            elements = [
+                EifElement(box=Box(X.p, Interval(c_lo, c_hi)), value=Interval(*d.hull), fid=fid)
+                for (_, c_lo, c_hi, fid), d in zip(parts, done)
+            ]
+            *split, witness = elements
+            return CertStatus(verdict, witness, column=split[0] if split else None)
+        how = [f"{d.end} ({d.nodes} nodes)" for d in done]
+        if len(parts) > 1:  # a split attempt: name each part's end
+            how = [
+                f"{'column' if kind == 'convex' else 'difference'} [{c_lo:.6g}, {c_hi:.6g}] {end}"
+                for (kind, c_lo, c_hi, _), end in zip(parts, how)
+            ]
+        ends.append(f"{name}: " + ", ".join(how))
     return CertStatus(verdict=VERDICT_UNDECIDED, reason="; ".join(ends))
 
 
 def _certify_rounds(steps: list) -> list[CertStatus]:
     """Run the _certify_leaf generators of many cells in rounds.
 
-    A round gathers the next subpaving job of every cell still undecided
-    (each cell's prescreens and cost-model skips run lazily, in its own
-    attempt order, when the cell reaches them) and runs all jobs of one kind
-    as one merged subpaving.  Subpaving jobs are independent of each other
-    (batch._subpave), so every cell gets the status it gets alone.
+    A round gathers the jobs of the next attempt of every cell still
+    undecided (each cell's prescreens and cost-model skips run lazily, in
+    its own attempt order, when the cell reaches them) and runs all jobs of
+    one kind as one merged subpaving, whichever cell and attempt they come
+    from.  Subpaving jobs are independent of each other (batch._subpave),
+    so every cell gets the status it gets alone.
     """
     status: list = [None] * len(steps)
     pending: dict = {}
@@ -331,18 +401,20 @@ def _certify_rounds(steps: list) -> list[CertStatus]:
     while pending:
         round_, done = sorted(pending.items()), {}
         pending.clear()
+        # (cell, its job's index, kind, job) for every job of the round
+        flat = [(i, k, kind, job) for i, jobs in round_ for k, (kind, job) in enumerate(jobs)]
         for kind in ("convex", "high", "low"):
-            cells = [i for i, (k, _) in round_ if k == kind]
-            if not cells:
+            mine = [(i, k, job) for i, k, kd, job in flat if kd == kind]
+            if not mine:
                 continue
-            jobs = [job for i, (k, job) in round_ if k == kind]
+            jobs = [job for _, _, job in mine]
             if kind == "convex":
                 ends = subpave_convex_positive(jobs)
             else:
                 ends = subpave_delta_above(jobs, kind)
-            done.update(zip(cells, ends))
-        for i, _ in round_:
-            advance(i, done[i])
+            done.update(((i, k), end) for (i, k, _), end in zip(mine, ends))
+        for i, jobs in round_:
+            advance(i, [done[i, k] for k in range(len(jobs))])
     return status
 
 
@@ -524,20 +596,30 @@ def enclose_p0(tolerance: float, bracket: tuple[float, float] = (2.5, 2.65)) -> 
 
 # -- certificate documents ------------------------------------------------------------
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 
 def _iv(iv: Interval) -> list[str]:
     return [repr(iv.lo), repr(iv.hi)]
 
 
+def _element(e: EifElement | None) -> dict | None:
+    if e is None:
+        return None
+    return {"fid": e.fid, "value": _iv(e.value), "box_p": _iv(e.box.p),
+            "box_sigma": _iv(e.box.sigma)}
+
+
 def emit_certificate(cert: Certificate, format: str = "structured") -> str:
     """Serialize a certificate.
 
-    structured: complete machine-checkable JSON; bounds are shortest
-    round-trip decimal strings (exact, no rounding), so parsing reproduces
-    every float bit-for-bit.  Timing is deliberately excluded: documents are
-    byte-identical across runs and worker counts.
+    structured: complete machine-checkable JSON, format_version 3; bounds
+    are shortest round-trip decimal strings (exact, no rounding), so parsing
+    reproduces every float bit-for-bit.  A leaf holds its id, band, box (p,
+    sigma), verdict, reason, witness and column: the elements (fid, value,
+    box_p, box_sigma) of a certified leaf, the column only for a split
+    interior-low attempt and null otherwise.  Timing is deliberately
+    excluded: documents are byte-identical across runs and worker counts.
     tabular: comma-separated summary (verdict counts, worst margins).
     """
     if format == "structured":
@@ -561,14 +643,8 @@ def emit_certificate(cert: Certificate, format: str = "structured") -> str:
                     "sigma": _iv(r.box.sigma),
                     "verdict": r.status.verdict,
                     "reason": r.status.reason,
-                    "witness": None
-                    if r.status.witness is None
-                    else {
-                        "fid": r.status.witness.fid,
-                        "value": _iv(r.status.witness.value),
-                        "box_p": _iv(r.status.witness.box.p),
-                        "box_sigma": _iv(r.status.witness.box.sigma),
-                    },
+                    "witness": _element(r.status.witness),
+                    "column": _element(r.status.column),
                 }
                 for r in cert.leaves
             ],

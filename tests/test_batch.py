@@ -26,9 +26,9 @@ def _chunk_counter(monkeypatch):
     chunks = [0]
     in_chunks = B._in_chunks
 
-    def count(boxes, evaluate):
-        chunks[0] += -(-len(boxes) // B.MAX_LANES)
-        return in_chunks(boxes, evaluate)
+    def count(boxes, evaluate, lanes):
+        chunks[0] += -(-len(boxes) // lanes)
+        return in_chunks(boxes, evaluate, lanes)
 
     monkeypatch.setattr(B, "_in_chunks", count)
     return chunks
@@ -178,6 +178,7 @@ def test_merged_jobs_end_as_if_alone(kind, phi_lanes, monkeypatch):
     assert _subpave(kind, jobs[::-1]) == alone[::-1]
     # waves evaluated in many runs of whole jobs end the same
     monkeypatch.setattr(B, "MAX_LANES", 100)
+    monkeypatch.setattr(B, "COLUMN_LANES", 100)
     assert _subpave(kind, jobs) == alone
 
 
@@ -186,9 +187,9 @@ def test_job_split_across_chunks_ends_as_if_alone(kind, monkeypatch):
     waves = []
     in_chunks = B._in_chunks
 
-    def spy(boxes, evaluate):
+    def spy(boxes, evaluate, lanes):
         waves.append(len(boxes))
-        return in_chunks(boxes, evaluate)
+        return in_chunks(boxes, evaluate, lanes)
 
     monkeypatch.setattr(B, "_in_chunks", spy)
     jobs = _MIXED_JOBS[kind]
@@ -197,6 +198,7 @@ def test_job_split_across_chunks_ends_as_if_alone(kind, monkeypatch):
     # inside its run of lanes in the merged wave
     assert max(waves) > 37
     monkeypatch.setattr(B, "MAX_LANES", 37)
+    monkeypatch.setattr(B, "COLUMN_LANES", 37)
     assert _subpave(kind, jobs) == alone
 
 
@@ -318,7 +320,7 @@ def _chunk(monkeypatch, kind):
     subpave_delta_above hands _subpave for `kind`."""
     grabbed = []
     with monkeypatch.context() as m:
-        m.setattr(B, "_subpave", lambda jobs, scales, floor, chunk: grabbed.append(chunk))
+        m.setattr(B, "_subpave", lambda jobs, scales, floor, chunk, lanes: grabbed.append(chunk))
         _subpave(kind, [])
     return grabbed[0]
 

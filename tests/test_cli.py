@@ -11,6 +11,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import critlat
@@ -133,20 +134,29 @@ class TestLattice:
     def test_overflowing_p_exit_4(self, capsys):
         assert refused(["lattice", "--kind", "L0", "--p", "1e10", "--curve"], capsys) == 4
 
-    @pytest.mark.parametrize(
-        "action", [["--p", "1e17"], ["--p", "1e20", "--curve", "--det"]]
-    )
-    def test_underflowing_tau_p_exit_4(self, action, capsys):
-        # tau_p's Newton derivative underflows to 0 from p ~ 3e16
-        assert refused(["lattice", "--kind", "L1", *action], capsys) == 4
-
-    @pytest.mark.parametrize("p", ["1e15", "1e16"])
-    def test_overflowing_tau_p_step_names_p(self, p, capsys):
-        # tau_p's Newton step overshoots below 0 and its power overflows
+    @pytest.mark.parametrize("p", ["1e14", "1e15", "1e16", "1e17", "1e20"])
+    def test_large_p_l1_basis_is_accurate(self, p):
+        # omega2 = (b0, tau_p b0) with b0 = 1 in floats, and tau_p ~ ln2/p is
+        # found to 1e-12 relative: 1 - tau no longer rounds tau away
         code, out = run(["lattice", "--kind", "L1", "--p", p])
+        assert code == 0
+        omega2 = complex(out.splitlines()[2].split(",")[1])
+        assert omega2.real == 1.0
+        with mpmath.workprec(120):
+            pm = mpmath.mpf(float(p))
+            ref = mpmath.findroot(
+                lambda t: mpmath.log(2) + pm * mpmath.log1p(-t) - mpmath.log1p(t**pm),
+                (0.5 * mpmath.log(2) / pm, 1.5 * mpmath.log(2) / pm), solver="illinois")
+        assert abs(omega2.imag - float(ref)) <= 1e-12 * float(ref)
+
+    def test_unbracketed_tau_p_exit_4_names_p(self, monkeypatch, capsys):
+        # a tau_p root that bisection cannot bracket to 1e-13 relative is a
+        # numeric failure, not a printed basis
+        monkeypatch.setattr(critlat.moduli, "TAU_P_STEPS", 30)
+        code, out = run(["lattice", "--kind", "L1", "--p", "1e14"])
         err = capsys.readouterr().err
         assert code == 4 and out == ""
-        assert err == f"error: numeric overflow: tau_p({float(p)!r}): the Newton step overflows\n"
+        assert err.startswith(f"error: numeric failure: tau_p({1e14!r}): ")
 
     def test_bad_kind_exit_2(self):
         code, _ = run(["lattice", "--kind", "L9", "--p", "2", "--det"])
@@ -224,6 +234,7 @@ class TestVerify:
         [
             ["--p", "2.33", "2.345", "--policy", "interior", "--budget", "400"],
             ["--p", "2.33", "2.35", "--budget", "600"],  # three leaves to shard
+            ["--p", "2.75", "2.8", "--budget", "100"],  # split leaves in each shard
         ],
     )
     def test_worker_count_keeps_documents(self, tmp_path, argv):
@@ -239,15 +250,15 @@ class TestVerify:
         "argv, code, sha256",
         [
             (["verify", "--p", "2.6", "2.8", "--strip", "0.02", "--budget", "10000"], 0,
-             "7c720c873685d86e3361c83fb24a5eaeab5119d11e4ef02dc58ad55c8c76c981"),
+             "79dc95580da715d330e78bcbe0a55740a8c424a84e69392bbc511eccad8211de"),
             (["verify", "--p", "2.3", "2.4"], 0,
-             "61ff2617ae96bd375eb8f60070cdfabb8dba6786006d8c07cf5d259ece1bd589"),
+             "6ad09aea28f56ce3b52d96a86092bd96a46ba439b01574c20dde03037c0316cf"),
             (["p0", "--tol", "1e-6"], 0,
              "750f1da8eaa56387a5a06154ed72b37ca7a76e7b2a9fd68b0f9080a0d75413a6"),
             # the one fixture whose reasons show prescreen skips and
             # cost-model skips
             (["verify", "--p", "1.99", "2.01", "--strip", "0.02", "--budget", "24"], 3,
-             "e096bbea5a8e7d348bdeca0174a95cead19d0c45af6b072d0b767d220010d600"),
+             "cab6821462ed9a7c5f53ad8f32bb49a69f5d5d664511fd6827e3320fed6c8568"),
         ],
         ids=["strip_one", "p2.3-2.4", "p0", "p1.99-2.01"],
     )

@@ -4,6 +4,7 @@ and critical-lattice bases."""
 import math
 from decimal import Decimal, getcontext
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -48,6 +49,17 @@ class TestTauP:
     def test_newton_agrees_with_bisection(self):
         for p in (1.3, 2.0, 2.7, 3.8):
             assert abs(M.tau_p(p) - M.tau_p(p, newton=False)) < 1e-12
+
+    @pytest.mark.parametrize("p", [1e10, 1e11, 1e12, 1e13, 1e14])
+    def test_large_p_matches_mpmath(self, p):
+        # tau_p ~ ln2/p: (1 - t)^p goes through log1p, so the residual keeps
+        # t's digits, and the bisection stops at a width relative to the root
+        with mp.workprec(120):
+            pm = mp.mpf(p)
+            ref = mp.findroot(
+                lambda t: mp.log(2) + pm * mp.log1p(-t) - mp.log1p(t**pm),
+                (0.5 * mp.log(2) / pm, 1.5 * mp.log(2) / pm), solver="illinois")
+        assert abs(M.tau_p(p) - float(ref)) <= 1e-12 * float(ref)
 
     def test_hp_residual(self):
         getcontext().prec = 40

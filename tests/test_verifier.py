@@ -12,6 +12,7 @@ from critlat import batch as B
 from critlat import enclosure as E
 from critlat import moduli as M
 from critlat import verifier as V
+from critlat.vints import VI
 
 
 class TestCertifyBox:
@@ -72,10 +73,11 @@ _MIXED_LEAVES = [
     ((2.55, 2.57, 1.0, 1.0 + 5e-7), "low", 24000),  # "high" certifies
     ((2.65, 2.66, 1.3, 1.3 + 5e-8), "mid", 24000),  # "low" certifies
     ((2.45, 2.46, 1.4, 1.821332860508517), "mid", 300),  # "high" over budget
-    ((2.75, 2.76, 1.02, 1.2), "mid", 100),  # "low" over budget
+    ((2.75, 2.76, 1.2, 1.5), "mid", 40),  # "low" over budget (above the cut)
     ((2.6, 2.7, 1.0, 1.0 + 5e-7), "low", 24000),  # column under its floor
     ((2.6, 2.62, 1.9, 1.95), "high", 24000),  # column beyond the curve
     ((2.3, 2.302, 1.2, 1.202), "mid", 24000),  # "high" certifies, in-domain
+    ((2.75, 2.76, 1.02, 1.2), "mid", 100),  # split: column and "low" certify
 ]
 
 
@@ -115,11 +117,20 @@ class TestMergedRounds:
         assert first_round == {B.CERTIFIED, B.BUDGET_HIT, B.FLOOR_HIT, B.VACUOUS}
         assert [st.verdict for st in alone[:3]] == [
             V.VERDICT_MONO_LOW, V.VERDICT_INTERIOR, V.VERDICT_INTERIOR]
-        assert alone[-1].witness.fid == "delta_minus_edge_high"
+        assert alone[7].witness.fid == "delta_minus_edge_high"
         assert "node budget hit" in alone[3].reason
-        assert "node budget hit" in alone[4].reason
+        assert alone[4].reason.startswith("interior-low: node budget hit")
         assert "width floor hit" in alone[5].reason
         assert "no in-domain subcell" in alone[6].reason
+        # the split leaf's two jobs ran in the first round, one of each kind
+        split = alone[8]
+        assert split.verdict == V.VERDICT_INTERIOR
+        assert (split.column.fid, split.witness.fid) == (
+            "d_sigma2_column_low", "delta_minus_edge_low")
+        cut = split.column.box.sigma.hi
+        assert split.column.box.sigma.lo == 1.0 and split.witness.box.sigma.lo == cut
+        assert 1.02 < cut < 1.2 and split.witness.box.sigma.hi == 1.2
+        assert all(st.column is None for st in alone[:8])
 
     def test_no_scalar_lane_in_verify_strip(self, monkeypatch):
         # certifying runs on the VI lane: no leaf encloses tau or tau_p on
@@ -159,6 +170,58 @@ class TestPrescreen:
         ends = st.reason.split("; ")
         assert len(ends) == 3
         assert all("skipped by prescreen" in e for e in ends), st.reason
+
+
+class TestSplit:
+    # a mid-band interior-low attempt on P x [s_lo, s_hi] may run as a convex
+    # column on P x [1, s*] and the difference on P x [s*, s_hi]
+
+    def test_failed_split_names_both_ends(self):
+        X = Box.of(2.6, 2.61, 1.02, 1.2)
+        st = V.certify_box(X, sigma_top=V._sigma_p_range(2.6, 2.61)[1], node_budget=40)
+        assert st.verdict == V.VERDICT_UNDECIDED and st.column is None
+        assert st.reason.split("; ")[0] == (
+            "interior-low: column [1, 1.09844] node budget hit (31 nodes), "
+            "difference [1.09844, 1.2] node budget hit (31 nodes)")
+
+    def test_column_certified_alone_is_not_enough(self):
+        # the column certifies, the difference does not: the leaf stays
+        # Undecided, and its reason says how each part ended
+        X = Box.of(2.6, 2.625, 1.02, 1.15)
+        st = V.certify_box(X, sigma_top=V._sigma_p_range(2.6, 2.625)[1], node_budget=160)
+        assert st.verdict == V.VERDICT_UNDECIDED
+        first = st.reason.split("; ")[0]
+        assert first.startswith("interior-low: column [1, ")
+        assert "certified (" in first and "difference [" in first
+        assert first.endswith("node budget hit (127 nodes)")
+
+    def test_cut_lies_below_the_curve_on_the_vi_lane(self, monkeypatch):
+        # s* < sigma_p(p) for every p of the cell, checked against the VI
+        # lower bound of sigma_p([p_lo]) (sigma_p increases); a bound at or
+        # below s* drops the split
+        cut = V._split_cut(2.75, 2.76, 1.02, 1.2)
+        assert cut is not None and 1.02 < cut < 1.2
+        sp = V.sigma_p_batch(VI.point(np.array([2.75])))
+        assert sp.lo[0] <= M.sigma_p(2.75) <= sp.hi[0]
+        for lo, split in ((cut, False), (np.nextafter(cut, 2.0), True)):
+            monkeypatch.setattr(V, "sigma_p_batch", lambda P, _lo=lo: VI(
+                np.array([_lo]), np.array([2.0])))
+            assert (V._split_cut(2.75, 2.76, 1.02, 1.2) == cut) is split
+        # so a cell whose column would pass sigma_p(p_lo) never splits
+        monkeypatch.setattr(V, "sigma_p_batch", lambda P: VI(np.array([1.05]), np.array([2.0])))
+        X = Box.of(2.75, 2.76, 1.02, 1.2)
+        st = V.certify_box(X, sigma_top=V._sigma_p_range(2.75, 2.76)[1], node_budget=100)
+        assert st.column is None
+
+    def test_only_mid_band_low_attempts_split(self):
+        # the same box in the low band runs its interior-low attempt whole
+        X = Box.of(2.75, 2.76, 1.02, 1.2)
+        for band in ("low", "high"):
+            steps = V._certify_leaf(X, band, V._sigma_p_range(2.75, 2.76)[1], 100)
+            jobs = next(steps)
+            while not any(k == "low" for k, _ in jobs):
+                jobs = steps.send([B.Subpaving(None, B.BUDGET_HIT, 0)] * len(jobs))
+            assert len(jobs) == 1 and (jobs[0][1].s_lo, jobs[0][1].s_hi) == (1.02, 1.2)
 
 
 class TestPlanner:
@@ -294,14 +357,30 @@ class TestCertificateDocuments:
                 assert float(leaf["witness"]["value"][0]) == rec.status.witness.value.lo
                 assert float(leaf["witness"]["value"][1]) == rec.status.witness.value.hi
 
-    def test_format_2_leaf_schema(self):
-        # a leaf holds what a verdict reads: where it is, what it claims, why
-        doc = V.parse_certificate(V.emit_certificate(self.make_cert()))
-        assert doc["format_version"] == 2
-        assert doc["leaves"]
+    def test_format_3_leaf_schema(self):
+        # a leaf holds what a verdict reads: where it is, what it claims, why,
+        # and a split attempt's column next to its witness
+        cert = V.verify_strip(Interval(2.75, 2.775), "full", strip=0.02, budget=100)
+        doc = V.parse_certificate(V.emit_certificate(cert))
+        assert doc["format_version"] == 3
+        element = {"fid", "value", "box_p", "box_sigma"}
+        split = 0
         for leaf in doc["leaves"]:
             assert leaf.keys() == {
-                "id", "band", "p", "sigma", "verdict", "reason", "witness"}
+                "id", "band", "p", "sigma", "verdict", "reason", "witness", "column"}
+            if leaf["column"] is None:
+                continue
+            split += 1
+            col, wit = leaf["column"], leaf["witness"]
+            assert col.keys() == wit.keys() == element
+            assert (col["fid"], wit["fid"]) == ("d_sigma2_column_low", "delta_minus_edge_low")
+            assert leaf["verdict"] == V.VERDICT_INTERIOR and leaf["band"] == "mid"
+            assert col["box_p"] == wit["box_p"] == leaf["p"]
+            assert col["box_sigma"][0] == "1.0" and col["box_sigma"][1] == wit["box_sigma"][0]
+            assert float(leaf["sigma"][0]) < float(wit["box_sigma"][0])
+            assert wit["box_sigma"][1] == leaf["sigma"][1]
+            assert float(col["value"][0]) > 0.0 and float(wit["value"][0]) > 0.0
+        assert split == 1
 
     def test_empty_certificate_emits(self):
         cert = V.Certificate(
