@@ -5,63 +5,37 @@ intersect to nothing are vacuous (no surface points: the subcell lies beyond
 the sigma_p curve); lanes that poison to NaN are undecided and get split.
 The fixed-point map and the boundary formulas are the generic-scalar ones of
 jets.py, evaluated on the VI lane, so soundness per lane is the scalar
-argument verbatim; the functions here are the VI-lane entry points.
+argument verbatim; the functions here are the VI-lane entry points.  Every
+entry point runs under np.errstate(all="ignore") (_quiet): the VI ops leave
+numpy's floating-point warnings to their caller, and a lane that overflows
+or leaves its domain is poisoned or stepped outward instead.
 
-The boundary values sigma_p, tau_p, Delta(p, 1) and their p-slopes depend on
-the p-interval alone, and a wave has far fewer distinct p-intervals than
-boxes (sigma-split children carry their parent's).  So a Delta-wave chunk
-keys its box lanes and centers by p-interval (_p_keys), evaluates each
-boundary function once on the key table and gathers the values to the
-lanes; the table lives as long as the chunk.  Each lane of these functions
-depends on its own p-interval alone (the tau_p search too:
-jets.tau_p_scalar), so a lane's value is that of evaluating it alone.
+FORMS is one table from fid to the form that a subpaving certifies
+positive, with its split scales and width floor: Delta minus each boundary
+value, and d2Delta/dsigma2 for the columns up from sigma = 1 and down from
+the curve (one row for both).  _subpave runs (fid, Job) jobs of any fids as
+one merged subpaving: every wave concatenates the boxes of all running
+jobs, with their next split levels (_speculate), into one VI array, which
+keeps numpy busy on wide arrays instead of many narrow ones.  A wave costs
+a few milliseconds of numpy calls whatever its width, so a narrow job ends
+in fewer waves; the lanes whose parent passed are wasted, and the `nodes`
+that the benchmark counts include them.
 
-The tau fixed point stops each lane on its own, once a step returns the
-lane's iterate unchanged bit for bit: the step depends on that lane alone,
-so the lane sits on an exact fixed point and the result is that of the full
-step count (tau_enclose_batch).  A subpaving child starts from its parent
-box's enclosure, which ends at the same fixed point in fewer steps.  Both
-subpavings run a box's center through the same call as the box, seeded
-alike: the parent box contains the center too.
-
-Every entry point runs under np.errstate(all="ignore") (_quiet): the VI ops
-leave numpy's floating-point warnings to their caller, and a lane that
-overflows or leaves its domain is poisoned or stepped outward instead.
-
-The two subpavings take a list of jobs (Job: a box and a node budget) and
-run them as one merged subpaving: every wave concatenates the boxes of all
-running jobs into one VI array, which keeps numpy busy on wide arrays
-instead of many narrow ones.  Every op in a wave is elementwise and each job
-keeps its own budget, split scales and hull, so every job ends (Subpaving)
-as it would alone.
-
-A wave also carries each job's next split levels, every box of each, while
-the job's lanes stay within SPECULATE_LANES and its nodes within its budget
-(_speculate); the levels are then replayed one at a time, as a run without
-them would evaluate them.  A wave costs a few milliseconds of numpy calls
-whatever its width, so a narrow job ends in fewer waves; the lanes whose
-parent passed are wasted, and the `nodes` that the benchmark counts include
-them.
-
-Both subpavings pair a natural enclosure with a mean-value form and keep
-the tighter bound of each: Delta minus its boundary value in
-subpave_delta_above, d2Delta/dsigma2 in subpave_convex_positive.  The form
-is centered at a point c of the box whose path to every in-domain point of
-the box stays in the domain (_centers): the midpoint of a box inside the
-domain, S.hi <= sigma_p(P).lo, else (P.hi, min(sm, sigma_p(P.hi))), the
-path running first in sigma at P.hi and then in p.  Whether a box lies
-inside is known before the fixed point, so each box's center lane joins the
-same tau_enclose_batch call (_with_centers).  The column waves compute the
-power atoms and second-order terms of d2Delta/dsigma2 once on box and center
-lanes, and the form's slopes (jets.delta_held_slopes) take those of its
-lanes.  Each value is computed once, on the lanes that read it, and every
-lane's value is that of computing it alone.
+A slice of a wave (_evaluate) runs each boundary function once on the
+distinct p-intervals that its lanes read (_p_keys): the boundary values
+depend on the p-interval alone, and a wave has far fewer distinct
+p-intervals than boxes (sigma-split children carry their parent's).  Its
+boxes and their centers share one tau fixed point, which stops each lane on
+an exact fixed point, started from the enclosure of the box's parent
+(tau_enclose_batch).  Every lane of these functions depends on its own
+inputs alone (the tau_p search too: jets.tau_p_scalar), and speculation on
+the job alone, so every job ends (Subpaving) as it would alone.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -83,6 +57,7 @@ from .jets import (
 from .vints import VI, _dn, _up
 
 __all__ = [
+    "FORMS",
     "Job",
     "Subpaving",
     "tau_enclose_batch",
@@ -242,7 +217,7 @@ def _split_boxes(boxes: np.ndarray, scale_p: float, scale_s: float) -> np.ndarra
 
 
 MAX_LANES = 4096  # lanes evaluated at once; wider waves only cost memory
-# a column wave's slice: a column lane's temporaries (the second- and
+# a column lane's share of a slice: its temporaries (the second- and
 # third-derivative atoms of a box and its center) take several times a Delta
 # lane's, and the widest column slice sets a verify pass's peak memory
 COLUMN_LANES = 768
@@ -276,6 +251,139 @@ class Subpaving(NamedTuple):
     nodes: int
 
 
+class Lanes(NamedTuple):
+    """A form's lanes of one slice: its n boxes, then the centers of its boxes
+    idx (point lanes), as P, S, tau enclosure T and vacuous mask; key indexes
+    each lane's p-interval in the slice's keys K, and sp = sigma_p_batch(K)."""
+
+    n: int
+    P: VI
+    S: VI
+    T: VI
+    vac: np.ndarray
+    idx: np.ndarray
+    key: np.ndarray
+    K: VI
+    sp: VI
+
+
+def _column(L: Lanes):
+    """d2Delta/dsigma2 per box X: the natural extension, narrowed where it
+    fails by the mean-value form that holds the atom u = tau^(p-2) apart,
+    f(c) + h_s(X)(S - sc) + h_p(X)(P - pc) + C1(X)(u(X) - u(c)), with h_s,
+    h_p the slopes of f = d2Delta/dsigma2 with u held and C1 = df/du
+    (jets.delta_held_slopes).  f is affine in u, so f(x) - f(c) =
+    [f(x, u(x)) - f(c, u(x))] + C1(c)(u(x) - u(c)), and the first bracket is
+    the held slopes' integral along the path from c to x, in the domain.  u
+    is not smooth where tau reaches 0, on the curve, but the held slopes and
+    C1 stay finite there (p >= 2), so subcells across the curve get the form
+    too.  A NaN form leaves the natural enclosure, which is hundreds of
+    times wider than the range; the form's excess over the range shrinks
+    with the square of the subcell's width (Moore, Interval Analysis, 1966,
+    centered forms).  The form is skipped where it cannot pass: where the
+    natural form certifies, and where the center's value is not positive.
+    The held slopes reuse the terms of one delta_sigma_terms call."""
+    n, idx = L.n, L.idx
+    at, st = delta_sigma_terms(L.P, L.S, L.T)
+    d2, t2 = st.dds2, st.t2
+    vac, lo, hi = L.vac[:n], d2.lo[:n], d2.hi[:n]
+    c_ok = ~(L.vac[n:] | L.T.invalid()[n:]) & (d2.lo[n:] > 0.0)
+    use = ~vac[idx] & ~(lo[idx] > 0.0) & c_ok
+    mv = idx[use]
+    if mv.size:
+        cq = n + np.flatnonzero(use)  # their centers' lanes
+        Pq, Sq, Tq = (_lanes(x, mv) for x in (L.P, L.S, L.T))
+        terms = (_lanes(at, mv), _lanes(st, mv))
+        del at, st  # only these lanes live through the held slopes: a pass's memory peak
+        h_s, h_p, c1 = delta_held_slopes(Pq, Sq, Tq, terms)
+        pcq, scq = L.P.lo[cq], L.S.lo[cq]
+        form = (
+            _lanes(d2, cq)
+            + h_s * VI(Sq.lo - scq, Sq.hi - scq)
+            + h_p * VI(Pq.lo - pcq, Pq.hi - pcq)
+            + c1 * (_lanes(t2, mv) - _lanes(t2, cq))
+        )
+        lo[mv] = np.fmax(lo[mv], form.lo)
+        hi[mv] = np.fmin(hi[mv], form.hi)
+    return vac, lo, hi
+
+
+def _delta_minus(boundary):
+    """The form of f = Delta(p, sigma) - boundary(p) per box X: the natural
+    difference, intersected on the boxes with a surface point and a center
+    with the mean-value form f(c) + dDelta/dsigma(X)(S - sc) +
+    (dDelta/dp(X) - boundary'(P))(P - pc), the gradient from the
+    atom-formula enclosures (delta_gradient); the boundary slope is
+    subtracted inside the p-gradient, which is where the two terms cancel.
+    boundary(K, sp) gives the boundary and its p-slope on the distinct
+    p-intervals K of the form's lanes, sp being sigma_p on them."""
+
+    def form(L: Lanes):
+        n, idx = L.n, L.idx
+        u, k = np.unique(L.key, return_inverse=True)  # each lane's key in u
+        edge, slope = boundary(_lanes(L.K, u), _lanes(L.sp, u))
+        bound = _lanes(edge, k[:n])
+        d2 = delta_scalar(L.P, L.S, L.T)
+        best_lo = _dn(d2.lo[:n] - bound.hi)
+        best_hi = _up(d2.hi[:n] - bound.lo)
+        use = ~L.vac[idx]
+        q = idx[use]
+        if q.size:
+            cq = n + np.flatnonzero(use)  # their centers' lanes
+            bad = L.vac[cq] | L.T.invalid()[cq]  # centers without a surface point
+            dc = VI(np.where(bad, np.nan, d2.lo[cq]), np.where(bad, np.nan, d2.hi[cq]))
+            Pq, Sq, Tq = (_lanes(x, q) for x in (L.P, L.S, L.T))
+            dds, ddp = delta_gradient(Pq, Sq, Tq)
+            pcq, scq = L.P.lo[cq], L.S.lo[cq]
+            mvf = (
+                (dc - _lanes(edge, k[cq]))
+                + dds * VI(Sq.lo - scq, Sq.hi - scq)
+                + (ddp - _lanes(slope, k[q])) * VI(Pq.lo - pcq, Pq.hi - pcq)
+            )
+            best_lo[q] = np.fmax(best_lo[q], mvf.lo)
+            best_hi[q] = np.fmin(best_hi[q], mvf.hi)
+        return L.vac[:n], best_lo, best_hi
+
+    return form
+
+
+def _half_sigma_p(K: VI, sp: VI):
+    """Delta(p, sigma_p) = sigma_p/2 and its p-slope."""
+    return sp * 0.5, d_sigma_p_batch(K) * 0.5
+
+
+def _delta_at_one(K: VI, sp: VI):
+    """Delta(p, 1) and its p-slope, from one tau_p bracket per key."""
+    tp = tau_p_enclose_batch(K)
+    return edge_low_batch(K, tp), d_edge_low_batch(K, tp)
+
+
+class Form(NamedTuple):
+    """form(Lanes) -> per-box (vacuous, lo, hi); scale(job) -> split scales; floor."""
+
+    form: Callable
+    scale: Callable
+    floor: float
+
+
+# columns split on relative widths, sigma's weighing eight times p's: the
+# second-derivative enclosure is far more sensitive to the sigma/tau spread
+# than to p.  Differences split on absolute widths: their mean-value error
+# is roughly isotropic in (p, sigma), so thin cells must not starve an axis.
+_COLUMN = Form(
+    _column,
+    lambda job: (max(job.p_hi - job.p_lo, 1e-12), max(job.s_hi - job.s_lo, 1e-12) / 8.0),
+    1e-6,
+)
+FORMS = {
+    "delta_minus_edge_high": Form(_delta_minus(_half_sigma_p), lambda job: (1.0, 1.0), 1e-7),
+    "delta_minus_edge_low": Form(_delta_minus(_delta_at_one), lambda job: (1.0, 1.0), 1e-7),
+    "d_sigma2_column_low": _COLUMN,
+    "d_sigma2_column_high": _COLUMN,
+}
+_ROWS = tuple(dict.fromkeys(FORMS.values()))  # each distinct row once
+
+
 def _speculate(boxes: np.ndarray, scale, room: int) -> list[np.ndarray]:
     """boxes, then as many levels of speculative children as fit: every box
     of the deepest level split on `scale`, while the job's lanes in the wave
@@ -290,41 +398,39 @@ def _speculate(boxes: np.ndarray, scale, room: int) -> list[np.ndarray]:
     return levels
 
 
-def _subpave(jobs, scales, min_width: float, chunk, lanes: int) -> list[Subpaving]:
-    """Adaptive subpaving of all jobs at once, one merged VI array per wave.
+@_quiet
+def _subpave(jobs) -> list[Subpaving]:
+    """Adaptive subpaving of all (fid, Job) jobs at once, one merged VI
+    array per wave: a job certifies its fid's form (FORMS) positive over
+    its box (within the domain).
 
     A box is a row (p lo, p hi, sigma lo, sigma hi, tau lo, tau hi), the tau
-    columns seeding its fixed point (tau_enclose_batch): TAU_SEED for a
-    job's first box, then the enclosure of an evaluated ancestor.
-    A wave concatenates the boxes of the running jobs and evaluates them in
-    slices of at most `lanes` lanes (_in_chunks): chunk(boxes) overwrites
-    the tau columns of a slice with their enclosures and returns per-lane
-    (vacuous, ok, lo, hi), ok meaning the enclosure [lo, hi] is positive; it
-    keeps nothing from one slice to the next.  A job passes when every box
-    is vacuous or ok; otherwise its failing boxes are split on the job's
-    scales.  A job whose node count would exceed its budget stops before
-    the boxes are evaluated, and reports its count without them; one with a
-    failing box thinner than min_width stops after it.
+    columns seeding its fixed point: TAU_SEED for a job's first box, then
+    the enclosure of an evaluated ancestor.  A wave evaluates the boxes of
+    the running jobs in slices (_in_chunks).  A job passes when every box is
+    vacuous or its enclosure [lo, hi] positive; otherwise its failing boxes
+    are split on its scales.  A job whose node count would exceed its budget
+    stops before the boxes are evaluated, and reports its count without
+    them; one with a failing box thinner than its floor stops after it.
 
-    A wave evaluates a job's boxes together with its next split levels
-    (_speculate), every box of each, and then replays the levels one at a
-    time, in the order of a run without them: the budget check on the
-    boxes the level needs (the children, rows 2r and 2r + 1, of the
-    failing boxes r of the level above), the hull over their live lanes,
-    the certified or vacuous end, and the width floor on their failing
-    boxes.  The deepest level's failing boxes, with their enclosures, are
-    split for the next wave.  A box's result does not depend on its seed
-    (tau_enclose_batch) nor on the other lanes of its wave, and
-    speculation depends on the job alone, so each job ends as it would in a
-    run of its own, with or without speculation.
+    A wave evaluates a job's boxes with its next split levels (_speculate),
+    then replays the levels one at a time, as a run without them would: the
+    budget check on the boxes the level needs (rows 2r and 2r + 1, the
+    children of the failing boxes r of the level above), the hull over their
+    live lanes, the certified or vacuous end, and the width floor on their
+    failing boxes.  The deepest level's failing boxes are split next.
     """
+    kind = [_ROWS.index(FORMS[fid]) for fid, _ in jobs]
+    jobs = [job for _, job in jobs]
+    scales = [_ROWS[k].scale(job) for k, job in zip(kind, jobs)]
     boxes = {
         j: np.array([(*job[:4], *TAU_SEED)], dtype=float) for j, job in enumerate(jobs)
     }
     nodes = [0] * len(jobs)
     hull = [(np.inf, -np.inf)] * len(jobs)
     result: list = [None] * len(jobs)
-    running = list(range(len(jobs)))
+    # the jobs of one row side by side: most slices then hold one form
+    running = sorted(range(len(jobs)), key=kind.__getitem__)
     while running:
         batch, levels = [], []
         for j in running:
@@ -337,17 +443,19 @@ def _subpave(jobs, scales, min_width: float, chunk, lanes: int) -> list[Subpavin
         if not batch:
             break
         evaluated = np.concatenate([level for lv in levels for level in lv])
+        levels = [[len(level) for level in lv] for lv in levels]  # only sizes from here
+        kinds = np.repeat([kind[j] for j in batch], list(map(sum, levels)))
         boxes = {}  # the next wave's: the children of the deepest failing boxes
-        vac, ok, lo, hi = _in_chunks(evaluated, chunk, lanes)
-        good = vac | ok
-        live = ok & ~vac
+        vac, lo, hi = _in_chunks(evaluated, kinds)
+        good = vac | (lo > 0.0)
+        live = (lo > 0.0) & ~vac
         running = []
         end = 0
         for j, lv in zip(batch, levels):
-            b, end = end, end + sum(len(level) for level in lv)
-            need = np.ones(len(lv[0]), dtype=bool)
-            for depth, level in enumerate(lv):
-                a, b = b, b + len(level)
+            b, end = end, end + sum(lv)
+            need = np.ones(lv[0], dtype=bool)
+            for depth, size in enumerate(lv):
+                a, b = b, b + size
                 if depth:
                     n = int(np.count_nonzero(need))
                     if nodes[j] + n > jobs[j].max_nodes:
@@ -371,7 +479,7 @@ def _subpave(jobs, scales, min_width: float, chunk, lanes: int) -> list[Subpavin
                 failing = evaluated[a:b][fails]
                 too_thin = np.minimum(
                     failing[:, 1] - failing[:, 0], failing[:, 3] - failing[:, 2]
-                ) < min_width
+                ) < _ROWS[kind[j]].floor
                 if too_thin.any():
                     result[j] = Subpaving(None, FLOOR_HIT, nodes[j])
                     break
@@ -408,181 +516,72 @@ def _centers(boxes: np.ndarray, inside: np.ndarray, curve: np.ndarray):
     return idx, pc[idx], sc[idx]
 
 
-def _with_centers(boxes: np.ndarray, idx: np.ndarray, pc: np.ndarray, sc: np.ndarray):
-    """(P, S, T, vacuous) of all box lanes, then of the centers (pc, sc) of
-    the boxes idx, from one tau fixed point: a center starts from its box's
-    seed, which encloses the center's tau too."""
-    P2 = VI(np.concatenate([boxes[:, 0], pc]), np.concatenate([boxes[:, 1], pc]))
-    S2 = VI(np.concatenate([boxes[:, 2], sc]), np.concatenate([boxes[:, 3], sc]))
+def _evaluate(boxes: np.ndarray, kinds: np.ndarray) -> tuple:
+    """One slice of a wave, box i evaluated with the form of _ROWS[kinds[i]]:
+    per-box (vacuous, lo, hi), the boxes' tau columns overwritten with their
+    enclosures.  One sigma_p_batch call on the distinct p-intervals (_p_keys)
+    of the boxes, their midpoints and their P.hi places their centers
+    (_centers); one tau_enclose_batch call runs the boxes, then the centers,
+    each center seeded with its box's seed.  Each form then runs on its own
+    boxes and their centers."""
+    n = len(boxes)
+    P, S = VI(boxes[:, 0], boxes[:, 1]), VI(boxes[:, 2], boxes[:, 3])
+    keys, key = _p_keys(P, 0.5 * (boxes[:, 0] + boxes[:, 1]), P.hi)
+    K = VI._of(keys.real, keys.imag)
+    sp = sigma_p_batch(K)
+    inside = S.hi <= sp.lo[key[:n]]
+    idx, pc, sc = _centers(boxes, inside, sp.lo[key[2 * n :]])
+    # each lane's p-interval: the boxes', then their centers'
+    key = np.concatenate([key[:n], np.where(inside, key[n : 2 * n], key[2 * n :])[idx]])
+    P2 = VI(np.concatenate([P.lo, pc]), np.concatenate([P.hi, pc]))
+    S2 = VI(np.concatenate([S.lo, sc]), np.concatenate([S.hi, sc]))
     seed = np.concatenate([boxes[:, 4:], boxes[idx, 4:]])
     T2, vac2 = tau_enclose_batch(P2, S2, seed=VI(seed[:, 0], seed[:, 1]))
-    return P2, S2, T2, vac2
+    boxes[:, 4], boxes[:, 5] = T2.lo[:n], T2.hi[:n]
+    vac, lo, hi = np.empty(n, dtype=bool), np.empty(n), np.empty(n)
+    for r in np.flatnonzero(np.bincount(kinds)):  # the rows present
+        mine = kinds == r
+        has = mine[idx]  # the centers of its boxes
+        lanes = np.concatenate([np.flatnonzero(mine), n + np.flatnonzero(has)])
+        L = Lanes(
+            int(np.count_nonzero(mine)),
+            *(_lanes(x, lanes) for x in (P2, S2, T2)),
+            vac2[lanes],
+            (np.cumsum(mine) - 1)[idx[has]],  # those boxes among the form's
+            key[lanes],
+            K,
+            sp,
+        )
+        vac[mine], lo[mine], hi[mine] = _ROWS[r].form(L)
+    return vac, lo, hi
 
 
-def _in_chunks(boxes: np.ndarray, evaluate, lanes: int) -> tuple:
-    """evaluate(boxes) on consecutive slices (views) of at most `lanes`
-    lanes, its per-lane outputs concatenated.  Past a few thousand lanes numpy's cost
-    per lane is flat, while a wave's temporaries grow with its lanes."""
-    parts = [evaluate(boxes[a : a + lanes]) for a in range(0, len(boxes), lanes)]
+def _in_chunks(boxes: np.ndarray, kinds: np.ndarray) -> tuple:
+    """_evaluate on consecutive slices (views) of boxes, its outputs
+    concatenated.  A slice's column lanes times MAX_LANES/COLUMN_LANES plus
+    its other lanes stay within MAX_LANES, as temporaries grow with lanes; a
+    run of one form's lanes that starts inside a slice and does not fit goes
+    whole to the next, so each form runs on as few slices as alone, and runs
+    that fit together share one tau fixed point."""
+    # in integers: MAX_LANES per column lane, COLUMN_LANES per other one
+    ends = np.cumsum(np.where(kinds == _ROWS.index(_COLUMN), MAX_LANES, COLUMN_LANES))
+    first = np.maximum.accumulate(np.where(np.diff(kinds, prepend=-1), np.arange(len(kinds)), 0))
+    parts, a = [], 0
+    while a < len(boxes):
+        room = (ends[a - 1] if a else 0) + MAX_LANES * COLUMN_LANES
+        b = int(np.searchsorted(ends, room, side="right"))
+        if b < len(boxes) and first[b] > a:
+            b = int(first[b])
+        parts.append(_evaluate(boxes[a:b], kinds[a:b]))
+        a = b
     return tuple(np.concatenate(out) for out in zip(*parts))
 
 
-@_quiet
 def subpave_convex_positive(jobs) -> list[Subpaving]:
-    """Certify d2Delta/dsigma2 > 0 over each job's box (within the domain) by
-    adaptive subpaving; all jobs run as one merged subpaving (_subpave).  A
-    certified job's hull is that of its subcell enclosures, hull lo > 0.
-    The width floor is 1e-6.
-
-    Each subcell X is tested with the natural extension of d2Delta/dsigma2
-    and, where that fails, with the mean-value form centered at c = (pc, sc)
-    (_centers) that holds the atom u = tau^(p-2) apart:
-    f(c) + h_s(X)(S - sc) + h_p(X)(P - pc) + C1(X)(u(X) - u(c)), with h_s,
-    h_p the slopes of f = d2Delta/dsigma2 with u held and C1 = df/du
-    (jets.delta_held_slopes).  f is affine in u, so f(x) - f(c) =
-    [f(x, u(x)) - f(c, u(x))] + C1(c)(u(x) - u(c)), and the first bracket is
-    the held slopes' integral along the path from c to x, in the domain.  u
-    is not smooth where tau reaches 0, on the curve, but the held slopes and
-    C1 stay finite there (p >= 2), so subcells across the curve get the form
-    too.  A subcell's enclosure is the intersection of the two, a NaN form
-    leaving the natural one.  The natural enclosure of d2Delta/dsigma2 is
-    hundreds of times wider than its range; the form's excess over the range
-    shrinks with the square of the subcell's width (Moore, Interval
-    Analysis, 1966, centered forms).  The form is skipped where it cannot
-    pass: on subcells the natural form certifies, and where the center's
-    value is not positive (the form's lower bound lies below it).  Each
-    chunk of a wave runs its box lanes and their centers (sigma_p_batch on
-    the box lanes and on their P.hi) through one tau_enclose_batch call
-    (_with_centers) and one jets.delta_sigma_terms call, whose atoms and
-    second-order terms on the form's lanes the held slopes take over instead
-    of computing them again.
-
-    The split axis weighs sigma's relative width eight times p's, refining
-    sigma ahead of p: the second-derivative enclosure is far more sensitive
-    to the sigma/tau spread than to p.  A wave is evaluated in slices of
-    COLUMN_LANES lanes.
-    """
-    scales = [
-        (max(j.p_hi - j.p_lo, 1e-12), max(j.s_hi - j.s_lo, 1e-12) / 8.0)
-        for j in jobs
-    ]
-
-    def chunk(boxes):
-        n = len(boxes)
-        P, S = VI(boxes[:, 0], boxes[:, 1]), VI(boxes[:, 2], boxes[:, 3])
-        sp = sigma_p_batch(VI(np.concatenate([P.lo, P.hi]), np.concatenate([P.hi, P.hi])))
-        idx, pc, sc = _centers(boxes, S.hi <= sp.lo[:n], sp.lo[n:])
-        P2, S2, T2, vac2 = _with_centers(boxes, idx, pc, sc)
-        at, st = delta_sigma_terms(P2, S2, T2)
-        d2 = st.dds2
-        T, vac = _lanes(T2, slice(n)), vac2[:n]
-        lo, hi = d2.lo[:n], d2.hi[:n]
-        # the mean-value form, on the lanes it can certify: failing the
-        # natural form, with a center value above zero (the form's lower
-        # bound lies below the center's)
-        c_ok = ~(vac2[n:] | T2.invalid()[n:]) & (d2.lo[n:] > 0.0)
-        use = ~vac[idx] & ~(lo[idx] > 0.0) & c_ok
-        mv = idx[use]
-        if mv.size:
-            cq = n + np.flatnonzero(use)  # their centers' lanes
-            Pq, Sq, Tq = (_lanes(x, mv) for x in (P, S, T))
-            h_s, h_p, c1 = delta_held_slopes(Pq, Sq, Tq, (_lanes(at, mv), _lanes(st, mv)))
-            pcq, scq = pc[use], sc[use]
-            form = (
-                _lanes(d2, cq)
-                + h_s * VI(Sq.lo - scq, Sq.hi - scq)
-                + h_p * VI(Pq.lo - pcq, Pq.hi - pcq)
-                + c1 * (_lanes(st.t2, mv) - _lanes(st.t2, cq))
-            )
-            lo[mv] = np.fmax(lo[mv], form.lo)
-            hi[mv] = np.fmin(hi[mv], form.hi)
-        boxes[:, 4], boxes[:, 5] = T.lo, T.hi
-        return vac, lo > 0.0, lo, hi
-
-    return _subpave(jobs, scales, 1e-6, chunk, COLUMN_LANES)
+    """Certify d2Delta/dsigma2 > 0 over each job's box: the column form."""
+    return _subpave([("d_sigma2_column_low", job) for job in jobs])
 
 
-@_quiet
 def subpave_delta_above(jobs, side: str) -> list[Subpaving]:
-    """Certify Delta(p, sigma) > boundary(p) over each job's box by adaptive
-    subpaving of the correlated difference; all jobs run as one merged
-    subpaving (_subpave).  The width floor is 1e-7.
-
-    side "high": boundary = sigma_p(p)/2;  side "low": boundary = Delta(p, 1).
-    Each subcell is tested with the natural difference and with a mean-value
-    form centered at c = (pc, sc) (_centers, whose path from c stays in the
-    domain), f(c) + dDelta/dsigma(X)(S - sc) + (dDelta/dp(X) - boundary'(P))
-    (P - pc) for f = Delta - boundary, the gradient from the atom-formula
-    enclosures; the boundary slope is subtracted inside the p-gradient,
-    which is where the two terms cancel.  A certified job's
-    hull is that of its per-subcell difference enclosures (hull lo > 0).
-    Vacuous subcells (beyond the curve) pass.
-
-    Splitting is by absolute width: the mean-value error is roughly isotropic
-    in (p, sigma), so thin initial cells must not starve the other axis.
-
-    Each chunk of a wave (_in_chunks) makes one call of each boundary
-    function it needs on the distinct p-intervals of its box lanes, their
-    midpoints and their P.hi (_p_keys): sigma_p_batch on side "high";
-    sigma_p_batch, tau_p_enclose_batch and edge_low_batch on side "low".
-    Then it runs its box lanes and their centers through one
-    tau_enclose_batch call, and takes the gradient (delta_gradient) on the
-    lanes with a surface point and a center only; the boundary's p-slope
-    (d_sigma_p_batch, d_edge_low_batch) runs on the distinct p-intervals of
-    those lanes alone.
-    No value passes from one chunk or wave to the next; as every lane of
-    these functions is independent of the others, the result is bit for bit
-    that of evaluating every lane afresh.
-    """
-
-    def chunk(boxes):
-        n = len(boxes)
-        P, S = VI(boxes[:, 0], boxes[:, 1]), VI(boxes[:, 2], boxes[:, 3])
-        # the boundary values on the chunk's distinct p-intervals, box lanes',
-        # midpoints' and upper ends', gathered to the lanes
-        pm = 0.5 * (boxes[:, 0] + boxes[:, 1])
-        keys, key = _p_keys(P, pm, P.hi)
-        K = VI._of(keys.real, keys.imag)
-        sp = sigma_p_batch(K)
-        if side == "high":
-            edge = sp * 0.5
-        else:
-            tp = tau_p_enclose_batch(K)
-            edge = edge_low_batch(K, tp)
-        bound = _lanes(edge, key[:n])
-        inside = S.hi <= sp.lo[key[:n]]
-        idx, pc, sc = _centers(boxes, inside, sp.lo[key[2 * n :]])
-        ckey = np.where(inside, key[n : 2 * n], key[2 * n :])[idx]  # the centers' p
-        P2, S2, T2, vac2 = _with_centers(boxes, idx, pc, sc)
-        T, vac = _lanes(T2, slice(n)), vac2[:n]
-        d2 = delta_scalar(P2, S2, T2)
-        best_lo = _dn(d2.lo[:n] - bound.hi)
-        best_hi = _up(d2.hi[:n] - bound.lo)
-
-        use = ~vac[idx]
-        q = idx[use]
-        if q.size:
-            cq = n + np.flatnonzero(use)  # their centers' lanes
-            bad = vac2[cq] | T2.invalid()[cq]  # centers without a surface point
-            dc = VI(np.where(bad, np.nan, d2.lo[cq]), np.where(bad, np.nan, d2.hi[cq]))
-            Pq, Sq, Tq = (_lanes(x, q) for x in (P, S, T))
-            dds, ddp = delta_gradient(Pq, Sq, Tq)
-            # the boundary's p-slope, on the distinct box keys the form reads
-            sk, at = np.unique(key[q], return_inverse=True)
-            Ks = _lanes(K, sk)
-            if side == "high":
-                slope = d_sigma_p_batch(Ks) * 0.5
-            else:
-                slope = d_edge_low_batch(Ks, _lanes(tp, sk))
-            pcq, scq = pc[use], sc[use]
-            mvf = (
-                (dc - _lanes(edge, ckey[use]))
-                + dds * VI(Sq.lo - scq, Sq.hi - scq)
-                + (ddp - _lanes(slope, at)) * VI(Pq.lo - pcq, Pq.hi - pcq)
-            )
-            best_lo[q] = np.fmax(best_lo[q], mvf.lo)
-            best_hi[q] = np.fmin(best_hi[q], mvf.hi)
-        boxes[:, 4], boxes[:, 5] = T.lo, T.hi
-        return vac, best_lo > 0.0, best_lo, best_hi
-
-    return _subpave(jobs, [(1.0, 1.0)] * len(jobs), 1e-7, chunk, MAX_LANES)
+    """Certify Delta(p, sigma) > boundary(p) over each job's box, side "high" or "low"."""
+    return _subpave([(f"delta_minus_edge_{side}", job) for job in jobs])

@@ -134,15 +134,15 @@ def cmd_eval(args, cfg: RunConfig, out) -> int:
     except DomainError as e:
         raise CliError(str(e))
     what = args.what
-    print("quantity,value,residual", file=out)
+    rows = ["quantity,value,residual"]  # printed at the end: a refusal prints no row
     if what in ("tau", "all"):
         tau = mod.tau_point(p, sigma)
         resid = mod._f_resid(p, sigma, tau)
-        print(f"tau,{tau!r},{resid!r}", file=out)
+        rows.append(f"tau,{tau!r},{resid!r}")
     if what in ("delta", "all"):
         mp = mod.delta_point(p, sigma)
         resid = mod._f_resid(p, sigma, mp.tau)
-        print(f"delta,{mp.delta!r},{resid!r}", file=out)
+        rows.append(f"delta,{mp.delta!r},{resid!r}")
     if what in ("derivatives", "all"):
         try:
             d = mod.derivatives(p, sigma)
@@ -151,7 +151,8 @@ def cmd_eval(args, cfg: RunConfig, out) -> int:
         for name, v in zip(
             ("d_sigma", "d_sigma2", "d_p", "d_sigma_p", "d_sigma2_p"), d.as_tuple()
         ):
-            print(f"{name},{v!r},", file=out)
+            rows.append(f"{name},{v!r},")
+    print(*rows, sep="\n", file=out)
     return EXIT_OK
 
 

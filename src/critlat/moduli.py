@@ -126,7 +126,10 @@ def sigma_p(p: float) -> float:
     """(2^p - 1)^(1/p), the right edge of the sigma range."""
     if p <= 1.0:
         raise DomainError(f"sigma_p requires p > 1, got {p}")
-    return (2.0**p - 1.0) ** (1.0 / p)
+    try:
+        return (2.0**p - 1.0) ** (1.0 / p)
+    except OverflowError:  # p >= 1024: the same value as 2 (1 - 2^-p)^(1/p)
+        return 2.0 * math.exp(math.log1p(-(2.0**-p)) / p)
 
 
 def _tau_p_resid(tau: float, p: float) -> float:

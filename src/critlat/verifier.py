@@ -30,13 +30,14 @@ column.  All claims are restricted to the parameter domain 1 < sigma <
 sigma_p(p); evaluation boxes may straddle the curved upper boundary, where
 enclosures remain valid for in-domain points by inclusion isotonicity.
 
-A witness's value is the hull of its subpaving's per-sub-box enclosures.  A
-Monotone witness (fid d_sigma2_column_low or d_sigma2_column_high) takes on
-each sub-box the tighter bound of two forms of d2Delta/dsigma2: the natural
-extension and a mean-value form whose slopes hold its atom tau^(p-2) fixed,
-plus that atom's own term (batch.subpave_convex_positive); an Interior
-witness takes the natural difference and a mean-value form with the gradient
-of Delta as slopes.  A mean-value form is centered at the sub-box's midpoint
+A witness's value is the hull of its subpaving's per-sub-box enclosures,
+each from the form that its fid names in batch.FORMS.  A Monotone witness
+(fid d_sigma2_column_low or d_sigma2_column_high) takes on each sub-box the
+tighter bound of two forms of d2Delta/dsigma2: the natural extension and a
+mean-value form whose slopes hold its atom tau^(p-2) fixed, plus that atom's
+own term; an Interior witness (delta_minus_edge_high or
+delta_minus_edge_low) takes the natural difference and a mean-value form
+with the gradient of Delta as slopes.  A mean-value form is centered at the sub-box's midpoint
 when the sub-box lies inside the domain, else at (P.hi, min(sm,
 sigma_p(P.hi))); a checker of a witness evaluates the same pair (SCHEME).  A
 split leaf's column is an element of the same kind as a MonotoneLow witness,
@@ -50,18 +51,17 @@ attempts are a generator (_certify_leaf) over one table of attempts
 (interior-high, interior-low, mono-low, mono-high) in an order set by the
 leaf's band and its sampled margins.  It runs each attempt's float prescreen
 and its cost rule lazily, estimating area*(c/margin)^2 nodes against a
-multiple of the node budget, and yields the subpaving jobs of each attempt
-that gets past them: one job, or two for a split attempt.  Only a
-curve-straddling interior attempt or a convexity column can be skipped by
-cost.  Round r gathers the jobs of the next attempt of every leaf still
-undecided and runs all jobs of one kind (convex column, delta above
-sigma_p/2, delta above Delta(p, 1)) as one merged subpaving in batch.py,
-whose jobs end as they would alone; so each leaf gets the status, and the
-certificate the bytes, of certifying it on its own.  certify_box is the
-one-leaf case.  With several workers one process pool serves the run, and
-each worker certifies one contiguous chunk of the generation (sorted by leaf
-id) the same way.  A leaf record holds only what its verdict rests on: its
-id, band, box and status.
+multiple of the node budget, and yields the (fid, job) subpaving jobs of
+each attempt that gets past them: one job, or two for a split attempt.
+Only a curve-straddling interior attempt or a convexity column can be
+skipped by cost.  Round r gathers the jobs of the next attempt of every leaf
+still undecided, whatever their fids, and runs them as one merged subpaving
+(batch._subpave), whose jobs end as they would alone; so each leaf gets the
+status, and the certificate the bytes, of certifying it on its own.
+certify_box is the one-leaf case.  With several workers one process pool
+serves the run, and each worker certifies one contiguous chunk of the
+generation (sorted by leaf id) the same way.  A leaf record holds only what
+its verdict rests on: its id, band, box and status.
 """
 
 from __future__ import annotations
@@ -74,21 +74,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__ as _version
-from .batch import (
-    Job,
-    sigma_p_batch,
-    subpave_convex_positive,
-    subpave_delta_above,
-)
+from .batch import Job, _subpave, sigma_p_batch
+
+# unused here: bound for perfbench/test_perfbench.py::test_uninstall_restores_the_program,
+# which reads verifier.subpave_delta_above
+from .batch import subpave_delta_above
 from .enclosure import (
     DEFAULT_SEED,
     EifElement,
     delta_edge_high_enclosure,
     delta_edge_low_enclosure,
 )
-from .interval import Box, DomainError, Interval, IntervalOverflow
-from .jets import delta_sigma_derivs
-from .moduli import delta_edge_low, delta_point, sigma_p, tau_point
+from .interval import Box, DomainError, Interval, IntervalError, IntervalOverflow
+from .jets import SingularConstraint, delta_sigma_derivs
+from .moduli import NoRootInRange, delta_edge_low, delta_point, sigma_p, tau_point
 from .vints import VI
 
 __all__ = [
@@ -192,7 +191,7 @@ def _float_dds2(pm: float, sm: float) -> float:
         sm = min(max(sm, 1.0), sigma_p(pm) * (1.0 - 1e-9))
         _, dds2 = delta_sigma_derivs(pm, sm, tau_point(pm, sm))
         return dds2
-    except Exception:
+    except (ArithmeticError, ValueError, IntervalError, NoRootInRange, SingularConstraint):
         return float("nan")
 
 
@@ -243,19 +242,17 @@ def _split_cut(p_lo: float, p_hi: float, s_lo: float, s_hi: float) -> float | No
 
 def _certify_leaf(X, band, sigma_top, node_budget):
     """certify_box for one cell as a generator: for each attempt that needs
-    subpavings it yields the list of its (kind, batch.Job), with kind
-    "convex" (a column for subpave_convex_positive) or the side
-    "high"/"low" of subpave_delta_above, is sent the list of the jobs'
+    subpavings it yields the list of its (fid, batch.Job), fid naming the
+    form of batch.FORMS that the job subpaves, is sent the list of the jobs'
     batch.Subpaving, and returns the CertStatus.  An Undecided status's
     reason lists how each attempt ended, in order, the last one last.
 
     The attempts form one table: each plan returns why it is skipped, or
-    (verdict, parts) with parts a list of (kind, c_lo, c_hi, fid), one
-    subpaving each of the cell's p-range times [c_lo, c_hi].  The
-    attempt certifies when every part does; each part's hull becomes an
-    element of the status, the last one its witness.  Every attempt has one
-    part but a split interior-low attempt (_split_cut), whose column comes
-    first.
+    (verdict, parts) with parts a list of (fid, c_lo, c_hi), one subpaving
+    each of the cell's p-range times [c_lo, c_hi].  The attempt certifies
+    when every part does; each part's hull becomes an element of the status,
+    the last one its witness.  Every attempt has one part but a split
+    interior-low attempt (_split_cut), whose column comes first.
     """
     p_lo, p_hi = X.p.lo, X.p.hi
     s_lo, s_hi = X.sigma.lo, X.sigma.hi
@@ -269,7 +266,7 @@ def _certify_leaf(X, band, sigma_top, node_budget):
     for ps, ss in [(pm, sm), (p_lo, s_lo), (p_lo, s_hi), (p_hi, s_lo), (p_hi, s_hi)]:
         try:
             margins.append(_float_margins(ps, ss))
-        except Exception:
+        except (ArithmeticError, ValueError, IntervalError, NoRootInRange, SingularConstraint):
             margins.append((float("nan"), float("nan")))
     # each side's least sampled margin; a failed (NaN) sample rules out like
     # a non-positive one
@@ -302,19 +299,16 @@ def _certify_leaf(X, band, sigma_top, node_budget):
             return skipped
         cut = _split_cut(p_lo, p_hi, s_lo, s_hi) if side == "low" and band == "mid" else None
         if cut is None:
-            return VERDICT_INTERIOR, [(side, s_lo, s_hi, fid)]
+            return VERDICT_INTERIOR, [(fid, s_lo, s_hi)]
         # Delta > Delta(p, 1) on (1, cut] by the MonotoneLow argument (a
         # convex column from the stationary edge), on [cut, s_hi] by the
         # difference
-        return VERDICT_INTERIOR, [
-            ("convex", 1.0, cut, "d_sigma2_column_low"),
-            (side, cut, s_hi, fid),
-        ]
+        return VERDICT_INTERIOR, [("d_sigma2_column_low", 1.0, cut), (fid, cut, s_hi)]
 
     def column(verdict, fid, c_lo, c_hi, sigmas, c):
         # least second sigma-derivative over a 3 x 3 grid of the column
         m = min([_float_dds2(pp, ss) for pp in (p_lo, pm, p_hi) for ss in sigmas])
-        return skip(m, 1e-8, c, 4.0, c_lo, c_hi) or (verdict, [("convex", c_lo, c_hi, fid)])
+        return skip(m, 1e-8, c, 4.0, c_lo, c_hi) or (verdict, [(fid, c_lo, c_hi)])
 
     def mono_low():
         sigmas = (1.0 + 1e-9, 1.0 + 0.5 * (s_hi - 1.0), s_hi)
@@ -357,21 +351,19 @@ def _certify_leaf(X, band, sigma_top, node_budget):
             ends.append(f"{name}: {plan}")
             continue
         verdict, parts = plan
-        done = yield [
-            (kind, Job(p_lo, p_hi, c_lo, c_hi, node_budget)) for kind, c_lo, c_hi, _ in parts
-        ]
+        done = yield [(fid, Job(p_lo, p_hi, c_lo, c_hi, node_budget)) for fid, c_lo, c_hi in parts]
         if all(d.hull is not None for d in done):
             elements = [
                 EifElement(box=Box(X.p, Interval(c_lo, c_hi)), value=Interval(*d.hull), fid=fid)
-                for (_, c_lo, c_hi, fid), d in zip(parts, done)
+                for (fid, c_lo, c_hi), d in zip(parts, done)
             ]
             *split, witness = elements
             return CertStatus(verdict, witness, column=split[0] if split else None)
         how = [f"{d.end} ({d.nodes} nodes)" for d in done]
-        if len(parts) > 1:  # a split attempt: name each part's end
+        if len(parts) > 1:  # a split attempt, column first: name each part's end
             how = [
-                f"{'column' if kind == 'convex' else 'difference'} [{c_lo:.6g}, {c_hi:.6g}] {end}"
-                for (kind, c_lo, c_hi, _), end in zip(parts, how)
+                f"{part} [{c_lo:.6g}, {c_hi:.6g}] {end}"
+                for part, (_, c_lo, c_hi), end in zip(("column", "difference"), parts, how)
             ]
         ends.append(f"{name}: " + ", ".join(how))
     return CertStatus(verdict=VERDICT_UNDECIDED, reason="; ".join(ends))
@@ -382,10 +374,10 @@ def _certify_rounds(steps: list) -> list[CertStatus]:
 
     A round gathers the jobs of the next attempt of every cell still
     undecided (each cell's prescreens and cost-model skips run lazily, in
-    its own attempt order, when the cell reaches them) and runs all jobs of
-    one kind as one merged subpaving, whichever cell and attempt they come
-    from.  Subpaving jobs are independent of each other (batch._subpave),
-    so every cell gets the status it gets alone.
+    its own attempt order, when the cell reaches them) and runs them in one
+    batch._subpave call, whichever cell, attempt and fid they come from.
+    Subpaving jobs are independent of each other, so every cell gets the
+    status it gets alone.
     """
     status: list = [None] * len(steps)
     pending: dict = {}
@@ -399,22 +391,11 @@ def _certify_rounds(steps: list) -> list[CertStatus]:
     for i in range(len(steps)):
         advance(i, None)
     while pending:
-        round_, done = sorted(pending.items()), {}
+        round_ = sorted(pending.items())
         pending.clear()
-        # (cell, its job's index, kind, job) for every job of the round
-        flat = [(i, k, kind, job) for i, jobs in round_ for k, (kind, job) in enumerate(jobs)]
-        for kind in ("convex", "high", "low"):
-            mine = [(i, k, job) for i, k, kd, job in flat if kd == kind]
-            if not mine:
-                continue
-            jobs = [job for _, _, job in mine]
-            if kind == "convex":
-                ends = subpave_convex_positive(jobs)
-            else:
-                ends = subpave_delta_above(jobs, kind)
-            done.update(((i, k), end) for (i, k, _), end in zip(mine, ends))
+        ends = iter(_subpave([job for _, jobs in round_ for job in jobs]))
         for i, jobs in round_:
-            advance(i, [done[i, k] for k in range(len(jobs))])
+            advance(i, [next(ends) for _ in jobs])
     return status
 
 

@@ -1,8 +1,8 @@
-"""The VI-lane subpaving: each chunk evaluates the boundary functions, the
+"""The VI-lane subpaving: each slice evaluates the boundary functions, the
 tau_p search included, once per distinct p-interval of its lanes, and ends
 bit for bit as evaluating every lane afresh; the tau fixed point stops each
-lane at its exact fixed point; merged jobs end bit for bit as they would
-alone."""
+lane at its exact fixed point; merged jobs, of one fid or of several, end
+bit for bit as they would alone."""
 
 from decimal import Decimal
 
@@ -22,15 +22,15 @@ def _own_keys(P, *points):
 
 
 def _chunk_counter(monkeypatch):
-    """Counts the chunks that _in_chunks hands its evaluator."""
+    """Counts the slices that _in_chunks hands the slice evaluator."""
     chunks = [0]
-    in_chunks = B._in_chunks
+    evaluate = B._evaluate
 
-    def count(boxes, evaluate, lanes):
-        chunks[0] += -(-len(boxes) // lanes)
-        return in_chunks(boxes, evaluate, lanes)
+    def count(boxes, kinds):
+        chunks[0] += 1
+        return evaluate(boxes, kinds)
 
-    monkeypatch.setattr(B, "_in_chunks", count)
+    monkeypatch.setattr(B, "_evaluate", count)
     return chunks
 
 
@@ -69,7 +69,7 @@ def test_low_side_bisects_each_p_interval_once(monkeypatch, box, max_nodes):
 
     assert got == expected
     assert all(len(keys) == len(set(keys)) for keys in tau_p_keys)
-    # box lanes and centers in one call of each per chunk
+    # box lanes and centers in one call of each per slice
     assert chunks[0] > 1
     assert len(tau_p_keys) == calls["edge_low"] == calls["d_edge_low"] == chunks[0]
 
@@ -137,8 +137,9 @@ def test_tau_lanes_stop_early(phi_lanes):
     assert phi_lanes[0] < iters * P.lo.size
 
 
-# per kind: a job that certifies, one over its node budget, one that splits
-# down to the width floor and one wholly beyond the curve (vacuous)
+# per kind (a column fid, and the difference fid of each side): a job that
+# certifies, one over its node budget, one that splits down to the width
+# floor and one wholly beyond the curve (vacuous)
 _MIXED_JOBS = {
     "convex": [
         B.Job(2.7, 2.72, 1.0, 1.2, 30000),
@@ -159,6 +160,10 @@ _MIXED_JOBS = {
         B.Job(2.0, 2.001, 1.9, 1.95, 1000),
     ],
 }
+
+
+_FIDS = {"convex": "d_sigma2_column_low", "high": "delta_minus_edge_high",
+         "low": "delta_minus_edge_low"}
 
 
 def _subpave(kind, jobs):
@@ -187,9 +192,9 @@ def test_job_split_across_chunks_ends_as_if_alone(kind, monkeypatch):
     waves = []
     in_chunks = B._in_chunks
 
-    def spy(boxes, evaluate, lanes):
+    def spy(boxes, kinds):
         waves.append(len(boxes))
-        return in_chunks(boxes, evaluate, lanes)
+        return in_chunks(boxes, kinds)
 
     monkeypatch.setattr(B, "_in_chunks", spy)
     jobs = _MIXED_JOBS[kind]
@@ -200,6 +205,41 @@ def test_job_split_across_chunks_ends_as_if_alone(kind, monkeypatch):
     monkeypatch.setattr(B, "MAX_LANES", 37)
     monkeypatch.setattr(B, "COLUMN_LANES", 37)
     assert _subpave(kind, jobs) == alone
+
+
+def test_mixed_fids_end_as_if_alone_within_the_weighted_cap(monkeypatch):
+    # jobs of every fid in one merged subpaving, both column fids sharing a
+    # form: each job ends as alone; no slice holds more than its column lanes
+    # times MAX_LANES/COLUMN_LANES plus its difference lanes allow, and a
+    # wave cuts a run of one kind's lanes only where it fills a slice alone
+    jobs = [(_FIDS[kind], job) for kind in sorted(_MIXED_JOBS) for job in _MIXED_JOBS[kind]]
+    jobs.append(("d_sigma2_column_high", _MIXED_JOBS["convex"][0]))
+    alone = [B._subpave([job])[0] for job in jobs]
+    monkeypatch.setattr(B, "MAX_LANES", 1600)
+    monkeypatch.setattr(B, "COLUMN_LANES", 400)
+    column = B._ROWS.index(B.FORMS["d_sigma2_column_high"])
+    waves = []  # per wave, the kinds of each slice
+    evaluate, in_chunks = B._evaluate, B._in_chunks
+
+    def wave(boxes, kinds):
+        waves.append([])
+        return in_chunks(boxes, kinds)
+
+    def spy(boxes, kinds):
+        waves[-1].append(kinds.copy())
+        return evaluate(boxes, kinds)
+
+    monkeypatch.setattr(B, "_in_chunks", wave)
+    monkeypatch.setattr(B, "_evaluate", spy)
+    assert B._subpave(jobs) == alone
+    weights = [4 * np.count_nonzero(k == column) + np.count_nonzero(k != column)
+               for slices in waves for k in slices]
+    assert max(weights) <= 1600 and max(weights) > 1596  # a slice filled to the cap
+    assert any(len(set(k.tolist())) > 1 for slices in waves for k in slices)
+    for slices in waves:
+        for k, k_next in zip(slices, slices[1:]):
+            assert k[-1] != k_next[0] or (k == k[0]).all()
+    assert B._subpave(jobs[::-1]) == alone[::-1]
 
 
 @pytest.mark.parametrize("kind", sorted(_MIXED_JOBS))
@@ -239,7 +279,7 @@ def test_warm_tau_seeds_change_no_bits(kind, phi_lanes, monkeypatch):
 
 
 def test_chunks_search_each_p_interval_once_per_call(monkeypatch):
-    # waves split into chunks of 37 lanes: each chunk searches the distinct
+    # waves split into slices of 37 lanes: each slice searches the distinct
     # p-intervals of its own lanes, none twice within one call, and the job
     # ends as in whole waves
     tau_p = B.tau_p_enclose_batch
@@ -255,7 +295,7 @@ def test_chunks_search_each_p_interval_once_per_call(monkeypatch):
     monkeypatch.setattr(B, "tau_p_enclose_batch", spy)
     chunks = _chunk_counter(monkeypatch)
     assert B.subpave_delta_above(job, "low") == expected
-    assert chunks[0] > 2 * 17  # many waves span several chunks
+    assert chunks[0] > 2 * 17  # many waves span several slices
     assert len(searched) == chunks[0]
     assert all(len(keys) == len(set(keys)) for keys in searched)
 
@@ -315,14 +355,9 @@ def test_speculation_stays_within_the_node_budget(kind, monkeypatch):
     assert speculated > 0
 
 
-def _chunk(monkeypatch, kind):
-    """The evaluator of one wave's slice that subpave_convex_positive or
-    subpave_delta_above hands _subpave for `kind`."""
-    grabbed = []
-    with monkeypatch.context() as m:
-        m.setattr(B, "_subpave", lambda jobs, scales, floor, chunk, lanes: grabbed.append(chunk))
-        _subpave(kind, [])
-    return grabbed[0]
+def _evaluate(kind, boxes):
+    """(vacuous, lo, hi) of one wave's slice of boxes, all of `kind`."""
+    return B._evaluate(boxes, np.full(len(boxes), B._ROWS.index(B.FORMS[_FIDS[kind]])))
 
 
 def _straddling_boxes(seed, n=400):
@@ -365,7 +400,7 @@ def test_straddling_boxes_get_centers_in_the_domain():
 
 
 @pytest.mark.parametrize("kind", ["convex", "high", "low"])
-def test_straddle_forms_contain_the_surface(kind, monkeypatch):
+def test_straddle_forms_contain_the_surface(kind):
     # every in-domain point's float value lies in its box's enclosure, the
     # natural one narrowed by the mean-value form centered in the domain
     boxes = _straddling_boxes(62)
@@ -376,7 +411,7 @@ def test_straddle_forms_contain_the_surface(kind, monkeypatch):
             natural = delta_sigma_derivs(P, S, T)[1]
         else:
             natural = delta_scalar(P, S, T)
-    vac, _, lo, hi = _chunk(monkeypatch, kind)(boxes.copy())
+    vac, lo, hi = _evaluate(kind, boxes.copy())
     p, s, i = _in_domain_samples(boxes, 63)
     t = M.tau_point_vec(p, s)
     if kind == "convex":

@@ -60,7 +60,8 @@ class TestEval:
         assert names == {"d_sigma", "d_sigma2", "d_p", "d_sigma_p", "d_sigma2_p"}
 
     def test_overflowing_p_exit_4(self, capsys):
-        # sigma_p(1e10) overflows a float: a numeric refusal
+        # 1.5^1e10 overflows a float in the tau solve: a numeric refusal,
+        # with no row printed
         assert refused(["eval", "--p", "1e10", "--sigma", "1.5"], capsys) == 4
 
     def test_derivatives_on_the_curve_exit_4(self, capsys):
@@ -131,8 +132,15 @@ class TestLattice:
     def test_non_finite_p_exit_2(self, p, capsys):
         assert refused(["lattice", "--kind", "L0", "--p", p], capsys) == 2
 
-    def test_overflowing_p_exit_4(self, capsys):
-        assert refused(["lattice", "--kind", "L0", "--p", "1e10", "--curve"], capsys) == 4
+    def test_large_p_l0_prints_det_and_curve(self):
+        # sigma_p(p) rounds to 2 from p = 1024 on, where 2^p overflows a float
+        code, out = run(["lattice", "--kind", "L0", "--p", "1100", "--det"])
+        assert code == 0
+        det = float(critlat.moduli.sigma_p_hp(1100.0)) / 2
+        assert out.splitlines()[1] == f"det,{det!r},double rounding"
+        code, out = run(["lattice", "--kind", "L0", "--p", "1e10", "--curve"])
+        assert code == 0
+        assert all(math.isfinite(abs(complex(l.split(",")[1]))) for l in out.splitlines()[1:])
 
     @pytest.mark.parametrize("p", ["1e14", "1e15", "1e16", "1e17", "1e20"])
     def test_large_p_l1_basis_is_accurate(self, p):
@@ -269,6 +277,32 @@ class TestVerify:
         got, out = run(["--workers", "1", *argv])
         assert got == code
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    @pytest.mark.parametrize(
+        "argv, box_lanes, most_tau_calls",
+        [
+            (["verify", "--p", "2.6", "2.8", "--strip", "0.02", "--budget", "10000"], 8985, 17),
+            (["verify", "--p", "2.3", "2.4"], 7012, 10),
+            (["verify", "--p", "1.99", "2.01", "--strip", "0.02", "--budget", "24"], 9521, 39),
+        ],
+        ids=["strip_one", "p2.3-2.4", "p1.99-2.01"],
+    )
+    def test_fixture_subpaving_work(self, argv, box_lanes, most_tau_calls, monkeypatch):
+        # a round is one merged subpaving, whose waves run the tau fixed point
+        # once per slice for jobs of every fid: no box lane moves, and the
+        # runs of 2.3-2.4 and 2.6-2.8 make fewer fixed-point calls than one
+        # subpaving per fid took (14 and 17)
+        tau, calls, lanes = critlat.batch.tau_enclose_batch, [0], [0]
+
+        def counted(P, S, *a, **k):
+            calls[0] += 1
+            lanes[0] += int(((P.lo != P.hi) | (S.lo != S.hi)).sum())
+            return tau(P, S, *a, **k)
+
+        monkeypatch.setattr(critlat.batch, "tau_enclose_batch", counted)
+        run(["--workers", "1", *argv])
+        assert lanes[0] == box_lanes
+        assert 0 < calls[0] <= most_tau_calls
 
     def test_corner_pow_narrows_inside_log_exp_pow(self, tmp_path, monkeypatch):
         # VI.pow as exp(y * log x), its form before the four-corner rule:

@@ -536,8 +536,10 @@ class TestBoundaryEnclosures:
             assert lo - 1e-9 <= fd_low <= hi + 1e-9
 
     def test_tau_p_lanes_are_independent(self):
-        # subpave_delta_above reuses a tau_p bracket across waves, which is
-        # sound only if a lane's bracket ignores the other lanes of its call
+        # a subpaving slice brackets tau_p in one keyed call on the distinct
+        # p-intervals of its difference lanes, whichever jobs they come
+        # from; each job ends as it would alone only if a lane's bracket
+        # ignores the other lanes of its call
         rng = np.random.default_rng(20)
         lo = rng.uniform(1.05, 4.5, 200)
         lo[150:] = lo[rng.integers(0, 150, 50)]

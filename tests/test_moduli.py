@@ -32,6 +32,11 @@ class TestSigmaP:
     def test_hp_matches(self):
         assert abs(float(M.sigma_p_hp(2.4)) - M.sigma_p(2.4)) < 1e-14
 
+    @pytest.mark.parametrize("p", [1100.0, 1e4])
+    def test_hp_matches_where_2_pow_p_overflows(self, p):
+        # 2^p overflows a float from p = 1024 on, while sigma_p(p) rounds to 2
+        assert M.sigma_p(p) == float(M.sigma_p_hp(p))
+
 
 class TestTauP:
     def test_p2_closed_form(self):

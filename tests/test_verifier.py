@@ -100,20 +100,23 @@ class TestMergedRounds:
             alone.append(V.certify_box(X, band=band, sigma_top=top, node_budget=nb))
         alone_lanes, lanes[0] = lanes[0], 0
 
-        rounds = []
-        for name in ("subpave_convex_positive", "subpave_delta_above"):
-            def spy(jobs, *a, _fn=getattr(V, name)):
-                out = _fn(jobs, *a)
-                rounds.append([o.end for o in out])
-                return out
+        rounds = []  # per round, the fids of its jobs and how they ended
+        subpave = V._subpave
 
-            monkeypatch.setattr(V, name, spy)
+        def spy(jobs):
+            out = subpave(jobs)
+            rounds.append(({fid for fid, _ in jobs}, {o.end for o in out}))
+            return out
+
+        monkeypatch.setattr(V, "_subpave", spy)
         merged = V._certify_chunk(tasks)
 
         assert merged == alone
         # each lane stops at its own fixed point: merging adds no work
         assert lanes[0] == alone_lanes
-        first_round = {e for ends in rounds[:3] for e in ends}
+        # the first round is one subpaving, of jobs of every fid
+        fids, first_round = rounds[0]
+        assert fids == set(B.FORMS)
         assert first_round == {B.CERTIFIED, B.BUDGET_HIT, B.FLOOR_HIT, B.VACUOUS}
         assert [st.verdict for st in alone[:3]] == [
             V.VERDICT_MONO_LOW, V.VERDICT_INTERIOR, V.VERDICT_INTERIOR]
@@ -122,7 +125,8 @@ class TestMergedRounds:
         assert alone[4].reason.startswith("interior-low: node budget hit")
         assert "width floor hit" in alone[5].reason
         assert "no in-domain subcell" in alone[6].reason
-        # the split leaf's two jobs ran in the first round, one of each kind
+        # the split leaf's two jobs ran in the first round, a column and a
+        # difference
         split = alone[8]
         assert split.verdict == V.VERDICT_INTERIOR
         assert (split.column.fid, split.witness.fid) == (
@@ -153,6 +157,22 @@ class TestMergedRounds:
 
 
 class TestPrescreen:
+    @pytest.mark.parametrize(
+        "name, box, band",
+        [
+            ("delta_point", (2.3, 2.35, 1.3, 1.35), "mid"),  # in _float_margins
+            ("tau_point", (2.7, 2.72, 1.0, 1.02), "low"),  # in _float_dds2
+        ],
+    )
+    def test_programming_error_propagates(self, monkeypatch, name, box, band):
+        # a prescreen treats only numeric failures as ruling an attempt out
+        def broken(*a):
+            raise TypeError("broken")
+
+        monkeypatch.setattr(V, name, broken)
+        with pytest.raises(TypeError, match="broken"):
+            V.certify_box(Box.of(*box), band=band)
+
     def test_failed_sample_rules_out_like_a_non_positive_one(self, monkeypatch):
         # a NaN margin from any sample, not only the first, skips the
         # attempt: min() drops a NaN that does not come first
@@ -219,7 +239,7 @@ class TestSplit:
         for band in ("low", "high"):
             steps = V._certify_leaf(X, band, V._sigma_p_range(2.75, 2.76)[1], 100)
             jobs = next(steps)
-            while not any(k == "low" for k, _ in jobs):
+            while not any(fid == "delta_minus_edge_low" for fid, _ in jobs):
                 jobs = steps.send([B.Subpaving(None, B.BUDGET_HIT, 0)] * len(jobs))
             assert len(jobs) == 1 and (jobs[0][1].s_lo, jobs[0][1].s_hi) == (1.02, 1.2)
 
