@@ -45,9 +45,9 @@ on P x [1, s*], with s* < sigma_p(P.lo) verified on the VI lane so that the
 column lies in the domain; its witness is the difference on P x [s*, s_hi].
 
 A leaf is a Box plus its id, the bisection path from its initial cell (the
-parent id plus "0" or "1").  Every certificate comes from subpaving jobs:
-each generation of leaves is certified in rounds (_certify_rounds).  A leaf's
-attempts are a generator (_certify_leaf) over one table of attempts
+parent id plus "0" or "1"; initial ids share one zero-padded length).  Every
+certificate comes from subpaving jobs, run in rounds (_certify_rounds).  A
+leaf's attempts are a generator (_certify_leaf) over one table of attempts
 (interior-high, interior-low, mono-low, mono-high) in an order set by the
 leaf's band and its sampled margins.  It runs each attempt's float prescreen
 and its cost rule lazily, estimating area*(c/margin)^2 nodes against a
@@ -58,18 +58,25 @@ skipped by cost.  Round r gathers the jobs of the next attempt of every leaf
 still undecided, whatever their fids, and runs them as one merged subpaving
 (batch._subpave), whose jobs end as they would alone; so each leaf gets the
 status, and the certificate the bytes, of certifying it on its own.
-certify_box is the one-leaf case.  With several workers one process pool
-serves the run, and each worker certifies one contiguous chunk of the
-generation (sorted by leaf id) the same way.  A leaf record holds only what
-its verdict rests on: its id, band, box and status.
+certify_box is the one-leaf case.  A leaf that ends Undecided starts its two
+halves in the next round of the same loop whenever the leaf budget is
+certain to allow that split (_split_is_certain), so one wave schedule
+serves a run's generations; verify_strip still commits the splits
+generation by generation, in id order.  With several workers one process
+pool serves the run, and each worker certifies one contiguous chunk of the
+cells to certify (sorted by leaf id) the same way.  A leaf record holds
+only what its verdict rests on: its id, band, box and status.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -195,6 +202,25 @@ def _float_dds2(pm: float, sm: float) -> float:
         return float("nan")
 
 
+class _Prescreens(dict):
+    """The float prescreens of many cells, each sample point solved once:
+    they depend on the point alone, and neighbouring cells share corners, a
+    cell's halves its samples.  One is made per _certify_chunk call, never
+    kept between runs; a solve that raises is not kept."""
+
+    def margins(self, pm: float, sm: float) -> tuple[float, float]:
+        key = ("margins", pm, sm)
+        if key not in self:
+            self[key] = _float_margins(pm, sm)
+        return self[key]
+
+    def dds2(self, pm: float, sm: float) -> float:
+        key = ("dds2", pm, sm)
+        if key not in self:
+            self[key] = _float_dds2(pm, sm)
+        return self[key]
+
+
 def certify_box(
     X: Box,
     band: str = "mid",
@@ -210,7 +236,9 @@ def certify_box(
     return _certify_rounds([_certify_leaf(X, band, sigma_top, node_budget)])[0]
 
 
-def _split_cut(p_lo: float, p_hi: float, s_lo: float, s_hi: float) -> float | None:
+def _split_cut(
+    p_lo: float, p_hi: float, s_lo: float, s_hi: float, pre: _Prescreens | None = None
+) -> float | None:
     """Where a mid-band cell's interior-low attempt splits: s* = 1 + (z - 1)/2,
     z the first sign change of the float d2Delta/dsigma2 on [1, s_hi] at the
     cell's p midpoint, from SPLIT_STEPS bisection steps that keep a positive
@@ -219,19 +247,21 @@ def _split_cut(p_lo: float, p_hi: float, s_lo: float, s_hi: float) -> float | No
     d2Delta/dsigma2 <= 0 at sigma = 1, when s* misses (s_lo, s_hi), when the
     column's 3 x 3 float samples do not all exceed 1e-8, or when s* <
     sigma_p(p_lo) cannot be verified on the VI lane.  All but that check
-    only tune cost, and everything here depends on the cell alone."""
+    only tune cost, and everything here depends on the cell alone.  pre
+    holds the run's prescreens (a fresh one when None)."""
+    dds2 = (pre if pre is not None else _Prescreens()).dds2
     pm = 0.5 * (p_lo + p_hi)
     a, b = 1.0, s_hi
-    if not _float_dds2(pm, a) > 0.0:
+    if not dds2(pm, a) > 0.0:
         return None
     for _ in range(SPLIT_STEPS):
         m = 0.5 * (a + b)
-        a, b = (m, b) if _float_dds2(pm, m) > 0.0 else (a, m)
+        a, b = (m, b) if dds2(pm, m) > 0.0 else (a, m)
     cut = 1.0 + 0.5 * (a - 1.0)
     if not s_lo < cut < s_hi:
         return None
     sigmas = (1.0 + 1e-9, 1.0 + 0.5 * (cut - 1.0), cut)
-    if not all(_float_dds2(pp, ss) > 1e-8 for pp in (p_lo, pm, p_hi) for ss in sigmas):
+    if not all(dds2(pp, ss) > 1e-8 for pp in (p_lo, pm, p_hi) for ss in sigmas):
         return None
     # the column must lie in the domain for every p of the cell: sigma_p
     # increases (tests/test_sigma_p_increasing.py), so sigma_p(p_lo) bounds it
@@ -240,12 +270,13 @@ def _split_cut(p_lo: float, p_hi: float, s_lo: float, s_hi: float) -> float | No
     return cut
 
 
-def _certify_leaf(X, band, sigma_top, node_budget):
+def _certify_leaf(X, band, sigma_top, node_budget, pre=None):
     """certify_box for one cell as a generator: for each attempt that needs
     subpavings it yields the list of its (fid, batch.Job), fid naming the
     form of batch.FORMS that the job subpaves, is sent the list of the jobs'
     batch.Subpaving, and returns the CertStatus.  An Undecided status's
-    reason lists how each attempt ended, in order, the last one last.
+    reason lists how each attempt ended, in order, the last one last.  pre
+    holds the run's prescreens (a fresh _Prescreens when None).
 
     The attempts form one table: each plan returns why it is skipped, or
     (verdict, parts) with parts a list of (fid, c_lo, c_hi), one subpaving
@@ -256,6 +287,7 @@ def _certify_leaf(X, band, sigma_top, node_budget):
     """
     p_lo, p_hi = X.p.lo, X.p.hi
     s_lo, s_hi = X.sigma.lo, X.sigma.hi
+    pre = pre if pre is not None else _Prescreens()
 
     # float prescreens at corners and midpoint: a sampled point with a
     # non-positive margin rules the corresponding certificate out for this
@@ -265,7 +297,7 @@ def _certify_leaf(X, band, sigma_top, node_budget):
     margins = []
     for ps, ss in [(pm, sm), (p_lo, s_lo), (p_lo, s_hi), (p_hi, s_lo), (p_hi, s_hi)]:
         try:
-            margins.append(_float_margins(ps, ss))
+            margins.append(pre.margins(ps, ss))
         except (ArithmeticError, ValueError, IntervalError, NoRootInRange, SingularConstraint):
             margins.append((float("nan"), float("nan")))
     # each side's least sampled margin; a failed (NaN) sample rules out like
@@ -297,7 +329,7 @@ def _certify_leaf(X, band, sigma_top, node_budget):
         skipped = skip(margin, 1e-7, 2.5 if straddles else 0.0, 3.0, s_lo, s_hi)
         if skipped:
             return skipped
-        cut = _split_cut(p_lo, p_hi, s_lo, s_hi) if side == "low" and band == "mid" else None
+        cut = _split_cut(p_lo, p_hi, s_lo, s_hi, pre) if side == "low" and band == "mid" else None
         if cut is None:
             return VERDICT_INTERIOR, [(fid, s_lo, s_hi)]
         # Delta > Delta(p, 1) on (1, cut] by the MonotoneLow argument (a
@@ -307,7 +339,7 @@ def _certify_leaf(X, band, sigma_top, node_budget):
 
     def column(verdict, fid, c_lo, c_hi, sigmas, c):
         # least second sigma-derivative over a 3 x 3 grid of the column
-        m = min([_float_dds2(pp, ss) for pp in (p_lo, pm, p_hi) for ss in sigmas])
+        m = min([pre.dds2(pp, ss) for pp in (p_lo, pm, p_hi) for ss in sigmas])
         return skip(m, 1e-8, c, 4.0, c_lo, c_hi) or (verdict, [(fid, c_lo, c_hi)])
 
     def mono_low():
@@ -369,7 +401,7 @@ def _certify_leaf(X, band, sigma_top, node_budget):
     return CertStatus(verdict=VERDICT_UNDECIDED, reason="; ".join(ends))
 
 
-def _certify_rounds(steps: list) -> list[CertStatus]:
+def _certify_rounds(steps, grow=lambda ended: ()) -> list[CertStatus]:
     """Run the _certify_leaf generators of many cells in rounds.
 
     A round gathers the jobs of the next attempt of every cell still
@@ -378,31 +410,123 @@ def _certify_rounds(steps: list) -> list[CertStatus]:
     batch._subpave call, whichever cell, attempt and fid they come from.
     Subpaving jobs are independent of each other, so every cell gets the
     status it gets alone.
+
+    grow is called with the (index, status) of the cells that ended since
+    its last call, once they are all started and after each round.  The
+    generators it returns are started at once, so that their first jobs join
+    the next round; their statuses follow the others', in the order grown.
     """
-    status: list = [None] * len(steps)
+    gens: list = []
+    status: list = []
     pending: dict = {}
+    ended: list = []
 
     def advance(i: int, sent) -> None:
         try:
-            pending[i] = steps[i].send(sent)
+            pending[i] = gens[i].send(sent)
         except StopIteration as done:
             status[i] = done.value
+            ended.append((i, done.value))
 
-    for i in range(len(steps)):
-        advance(i, None)
-    while pending:
+    def start(new) -> None:
+        for step in new:
+            gens.append(step)
+            status.append(None)
+            advance(len(gens) - 1, None)
+
+    start(steps)
+    while True:
+        while ended:
+            done, ended[:] = ended[:], []
+            start(grow(done))
+        if not pending:
+            return status
         round_ = sorted(pending.items())
         pending.clear()
         ends = iter(_subpave([job for _, jobs in round_ for job in jobs]))
         for i, jobs in round_:
             advance(i, [next(ends) for _ in jobs])
-    return status
 
 
-def _certify_chunk(tasks) -> list[CertStatus]:
-    """The status of each (X, band, sigma_top, node_budget) task, all leaves
-    certified together in rounds of merged subpavings."""
-    return _certify_rounds([_certify_leaf(*t) for t in tasks])
+class _Run(NamedTuple):
+    """What every cell of one verify_strip run shares: the sigma_p bound of
+    the monotone-high columns, each job's node budget, the leaf budget and
+    the region's (p, sigma) widths that choose a split's axis."""
+
+    s_sup: float
+    node_budget: int
+    budget: int
+    scales: tuple[float, float]
+
+
+def _halves(X: Box, band: str, scales: tuple[float, float]) -> list[Box] | None:
+    """The two halves an undecided cell splits into, on its axis widest
+    relative to scales; a high-band cell keeps covering the curve, so it
+    splits on p only.  None when the axis cannot split thinner than floats
+    allow."""
+    on_p = band == "high" or X.p.width / scales[0] >= X.sigma.width / scales[1]
+    iv = X.p if on_p else X.sigma
+    mid = iv.mid
+    if mid == iv.lo or mid == iv.hi:
+        return None
+    pieces = (Interval(iv.lo, mid), Interval(mid, iv.hi))
+    return [Box(piece, X.sigma) if on_p else Box(X.p, piece) for piece in pieces]
+
+
+def _split_is_certain(leaves: int, open_: Counter, depth: int, budget: int) -> bool:
+    """Whether verify_strip's commit order will split an undecided cell whose
+    id has length depth (a generation plus the initial ids' one length).
+
+    leaves counts the initial cells and every split made or started; open_
+    counts by id length the open cells, this one among them: a cell is open
+    while it runs, or when it ended Undecided and its split is neither made
+    nor started.  Only cells of earlier generations, and earlier ids of its
+    own, split before a cell, and an open cell d generations up can split,
+    with its descendants, at most 2^(d + 1) - 1 times by then; the splits
+    started so far are all ones that order makes.  So when the bound fits
+    the budget, starting the halves now wastes no work."""
+    bound = sum(n * (2 ** (depth - d + 1) - 1) for d, n in open_.items() if d <= depth)
+    return leaves + bound <= budget
+
+
+def _certify_chunk(cells, run: _Run, leaves: int, open_: Counter) -> dict[str, CertStatus]:
+    """The status by id of each cell (id, X, band), and of the halves of
+    every one that ends Undecided when _split_is_certain allows the split:
+    they start in the round after, in the same rounds (_certify_rounds).
+    leaves and open_ are as there, open_ counting the cells outside this
+    chunk; each cell of a batch counts as open before any of them starts,
+    since one whose attempts are all skipped ends at once.  The prescreens
+    are solved once per point for all cells (_Prescreens)."""
+    cells = list(cells)
+    open_ = Counter(open_)
+    open_.update(len(cid) for cid, _, _ in cells)
+    pre = _Prescreens()
+    waiting: list = []  # (cell, halves): ended Undecided, their split not started
+
+    def grow(ended):
+        nonlocal leaves
+        for i, status in ended:
+            cid, X, band = cells[i]
+            halves = _halves(X, band, run.scales) if status.verdict == VERDICT_UNDECIDED else None
+            if halves is None:  # never splits
+                open_[len(cid)] -= 1
+            else:
+                waiting.append((cells[i], halves))
+        new = []
+        for item in list(waiting):
+            (cid, _, band), halves = item
+            if _split_is_certain(leaves, open_, len(cid), run.budget):
+                waiting.remove(item)
+                leaves += 1
+                open_[len(cid)] -= 1
+                open_[len(cid) + 1] += 2
+                new += [(cid + tag, half, band) for tag, half in zip("01", halves)]
+        cells.extend(new)
+        return [_certify_leaf(X, band, run.s_sup, run.node_budget, pre) for _, X, band in new]
+
+    steps = [_certify_leaf(X, band, run.s_sup, run.node_budget, pre) for _, X, band in cells]
+    statuses = _certify_rounds(steps, grow)
+    return {cid: status for (cid, _, _), status in zip(cells, statuses)}
 
 
 def verify_strip(
@@ -416,11 +540,16 @@ def verify_strip(
     """Adaptive certification over {p in p_range, 1 <= sigma <= sigma_p(p)}.
 
     sigma_policy "full" covers the whole domain with boundary bands of width
-    `strip`; "interior" covers only [1 + strip, sigma_p - strip].  Leaves are
-    certified generation by generation (a work queue; `workers` only shards
-    the generation into contiguous chunks, results merge by leaf id, so
-    output is worker-count independent), undecided leaves split on their
-    widest relative axis until certification or `budget` total leaves.
+    `strip`; "interior" covers only [1 + strip, sigma_p - strip].  Undecided
+    leaves split on their widest relative axis until certification or
+    `budget` total leaves.  Splits are committed generation by generation,
+    in id order, from statuses that may be known already: a cell certified
+    in rounds (_certify_chunk) starts the halves of each of its cells that
+    ends Undecided, in the next round, whenever that order is certain to
+    make the split (_split_is_certain); the others' halves are certified
+    with the next generation.  `workers` only shards the cells to certify
+    into contiguous chunks, each counting the others' cells as open, and
+    results merge by leaf id, so output is worker-count independent.
 
     Raises BudgetExhausted (carrying the partial certificate) when the budget
     runs out with undecided leaves.
@@ -454,20 +583,24 @@ def verify_strip(
     p_cuts = [p_lo + (p_hi - p_lo) * k / p_slices for k in range(p_slices + 1)]
     p_cuts[0], p_cuts[-1] = p_lo, p_hi
 
-    frontier = []  # (id, box, band) per leaf to certify
+    # initial ids are zero-padded to one length, so that no child id ("0" or
+    # "1" appended) names another initial cell, and an id's length is its
+    # generation plus that length
+    width = len(str(len(bands) * p_slices - 1))
+    frontier = []  # (id, box, band) per cell of the generation
     for band, a, b in bands:
         for k in range(p_slices):
             box = Box(Interval(p_cuts[k], p_cuts[k + 1]), Interval(a, b))
-            frontier.append((f"c{len(frontier)}", box, band))
+            frontier.append((f"c{len(frontier):0{width}d}", box, band))
 
     leaves: dict[str, LeafRecord] = {}
     n_leaves = len(frontier)
-    scale_p = p_hi - p_lo
-    scale_s = region.sigma.hi - region.sigma.lo
+    run = _Run(s_sup, node_budget, budget, (p_hi - p_lo, region.sigma.hi - region.sigma.lo))
+    statuses: dict[str, CertStatus] = {}  # of the cells certified, not yet committed
 
     # one pool for the run (spawned workers: fork is unsafe once threads
-    # exist); each generation is cut into one contiguous chunk per worker,
-    # certified there in merged rounds like the serial path
+    # exist); the cells to certify are cut into one contiguous chunk per
+    # worker, certified there in merged rounds like the serial path
     pool = None
     if workers > 1:
         import multiprocessing  # imported here: ~1.5 MB a serial run need not pay
@@ -477,32 +610,36 @@ def verify_strip(
     with pool or nullcontext():
         while frontier:
             frontier.sort(key=lambda w: w[0])
-            tasks = [(X, band, s_sup, node_budget) for _, X, band in frontier]
-            if pool is None or len(tasks) < 2:
-                results = _certify_chunk(tasks)
-            else:
-                size = -(-len(tasks) // workers)
-                chunks = [tasks[k : k + size] for k in range(0, len(tasks), size)]
-                results = [r for part in pool.map(_certify_chunk, chunks) for r in part]
+            todo = [cell for cell in frontier if cell[0] not in statuses]
+            if todo:
+                # a split started early counts as made (this order makes it);
+                # a cell certified early that ended Undecided without one is open
+                started = sum(k + "0" in statuses for k in statuses)
+                open_ = Counter(
+                    len(k) for k, status in statuses.items()
+                    if status.verdict == VERDICT_UNDECIDED and k + "0" not in statuses
+                )
+                if pool is None or len(todo) < 2:
+                    statuses.update(_certify_chunk(todo, run, n_leaves + started, open_))
+                else:
+                    size = -(-len(todo) // workers)
+                    chunks = [todo[k : k + size] for k in range(0, len(todo), size)]
+                    others = [open_ + Counter({len(todo[0][0]): len(todo) - len(c)}) for c in chunks]
+                    parts = pool.map(_certify_chunk, chunks, repeat(run), repeat(n_leaves + started), others)
+                    for part in parts:
+                        statuses.update(part)
 
             next_frontier = []
-            for (cid, X, band), status in zip(frontier, results):
-                leaves[cid] = LeafRecord(id=cid, box=X, band=band, status=status)
-                if status.verdict != VERDICT_UNDECIDED:
+            for cid, X, band in frontier:
+                status = statuses.pop(cid)
+                halves = None
+                if status.verdict == VERDICT_UNDECIDED and n_leaves + 1 <= budget:
+                    halves = _halves(X, band, run.scales)  # None: too thin for floats
+                if halves is None:  # a leaf
+                    leaves[cid] = LeafRecord(id=cid, box=X, band=band, status=status)
                     continue
-                if n_leaves + 1 > budget:
-                    continue  # cannot split further: stays undecided
-                # split: high band keeps covering the curve, so p only there
-                on_p = band == "high" or X.p.width / scale_p >= X.sigma.width / scale_s
-                iv = X.p if on_p else X.sigma
-                mid = iv.mid
-                if mid == iv.lo or mid == iv.hi:
-                    continue  # cannot split thinner than floats allow
-                del leaves[cid]
                 n_leaves += 1
-                for tag, piece in (("0", Interval(iv.lo, mid)), ("1", Interval(mid, iv.hi))):
-                    child = Box(piece, X.sigma) if on_p else Box(X.p, piece)
-                    next_frontier.append((cid + tag, child, band))
+                next_frontier += [(cid + tag, half, band) for tag, half in zip("01", halves)]
             frontier = next_frontier
 
     ordered = [leaves[k] for k in sorted(leaves)]

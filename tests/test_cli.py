@@ -243,6 +243,9 @@ class TestVerify:
             ["--p", "2.33", "2.345", "--policy", "interior", "--budget", "400"],
             ["--p", "2.33", "2.35", "--budget", "600"],  # three leaves to shard
             ["--p", "2.75", "2.8", "--budget", "100"],  # split leaves in each shard
+            # strip_one: halves certified in the rounds after their cell, in
+            # two generations
+            ["--p", "2.6", "2.8", "--strip", "0.02", "--budget", "10000"],
         ],
     )
     def test_worker_count_keeps_documents(self, tmp_path, argv):
@@ -258,9 +261,9 @@ class TestVerify:
         "argv, code, sha256",
         [
             (["verify", "--p", "2.6", "2.8", "--strip", "0.02", "--budget", "10000"], 0,
-             "79dc95580da715d330e78bcbe0a55740a8c424a84e69392bbc511eccad8211de"),
+             "bf510ae2dfc2ae62b27c9c1698c1e46ad8027d1c7846b5e524d5b126bb80381f"),
             (["verify", "--p", "2.3", "2.4"], 0,
-             "6ad09aea28f56ce3b52d96a86092bd96a46ba439b01574c20dde03037c0316cf"),
+             "8a21ecea67500aaaced79a226f77dbaafad076539071f7893e2c4cfa209260aa"),
             (["p0", "--tol", "1e-6"], 0,
              "750f1da8eaa56387a5a06154ed72b37ca7a76e7b2a9fd68b0f9080a0d75413a6"),
             # the one fixture whose reasons show prescreen skips and
@@ -281,17 +284,18 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv, box_lanes, most_tau_calls",
         [
-            (["verify", "--p", "2.6", "2.8", "--strip", "0.02", "--budget", "10000"], 8985, 17),
-            (["verify", "--p", "2.3", "2.4"], 7012, 10),
-            (["verify", "--p", "1.99", "2.01", "--strip", "0.02", "--budget", "24"], 9521, 39),
+            (["verify", "--p", "2.6", "2.8", "--strip", "0.02", "--budget", "10000"], 6867, 11),
+            (["verify", "--p", "2.3", "2.4"], 6250, 10),
+            (["verify", "--p", "1.99", "2.01", "--strip", "0.02", "--budget", "24"], 8809, 28),
         ],
         ids=["strip_one", "p2.3-2.4", "p1.99-2.01"],
     )
     def test_fixture_subpaving_work(self, argv, box_lanes, most_tau_calls, monkeypatch):
         # a round is one merged subpaving, whose waves run the tau fixed point
-        # once per slice for jobs of every fid: no box lane moves, and the
-        # runs of 2.3-2.4 and 2.6-2.8 make fewer fixed-point calls than one
-        # subpaving per fid took (14 and 17)
+        # once per slice for jobs of every fid, and an undecided cell's halves
+        # join the rounds after it: the box lanes are those of 64-lane
+        # speculation, in as few fixed-point calls as 128-lane speculation
+        # took generation by generation (16, 9 and 28)
         tau, calls, lanes = critlat.batch.tau_enclose_batch, [0], [0]
 
         def counted(P, S, *a, **k):

@@ -2,7 +2,10 @@
 enclosure, and certificate documents."""
 
 import json
+import re
 import sys
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -109,7 +112,7 @@ class TestMergedRounds:
             return out
 
         monkeypatch.setattr(V, "_subpave", spy)
-        merged = V._certify_chunk(tasks)
+        merged = V._certify_rounds([V._certify_leaf(*t) for t in tasks])
 
         assert merged == alone
         # each lane stops at its own fixed point: merging adds no work
@@ -154,6 +157,81 @@ class TestMergedRounds:
         cert = V.verify_strip(Interval(2.31, 2.34), "interior", budget=500)
         assert cert.complete
         assert calls == []
+
+
+# runs whose leaf budget binds: only some undecided cells split
+_BINDING_BUDGETS = [
+    *((Interval(1.99, 2.01), "full", b) for b in (13, 14, 16, 18, 20, 24, 30, 40)),
+    *((Interval(1.995, 2.005), "interior", b) for b in (12, 20)),
+]
+
+
+def _document_and_work(p_range, policy, budget):
+    """The certificate document of a verify run, complete or not."""
+    try:
+        cert = V.verify_strip(p_range, policy, budget=budget)
+    except V.BudgetExhausted as e:
+        cert = e.certificate
+    return V.emit_certificate(cert)
+
+
+class TestSchedule:
+    # an undecided cell's halves start in the rounds that follow it when the
+    # generation-synchronous commit order is certain to make the split
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        counts = {"calls": 0, "lanes": 0}
+        tau = B.tau_enclose_batch
+
+        def counted(P, S, *a, **k):
+            counts["calls"] += 1
+            counts["lanes"] += int(((P.lo != P.hi) | (S.lo != S.hi)).sum())
+            return tau(P, S, *a, **k)
+
+        monkeypatch.setattr(B, "tau_enclose_batch", counted)
+        return counts
+
+    def test_early_splits_change_no_document_and_waste_no_lane(self, work, monkeypatch):
+        early = []
+        for run in _BINDING_BUDGETS:
+            work.update(calls=0, lanes=0)
+            early.append((_document_and_work(*run), dict(work)))
+        monkeypatch.setattr(V, "_split_is_certain", lambda *a: False)
+        fewer_calls = 0
+        for run, (doc, counts) in zip(_BINDING_BUDGETS, early):
+            work.update(calls=0, lanes=0)
+            assert _document_and_work(*run) == doc, run
+            assert work["lanes"] == counts["lanes"], run
+            assert counts["calls"] <= work["calls"], run
+            fewer_calls += counts["calls"] < work["calls"]
+        assert fewer_calls > 0  # some halves did start early
+
+    def test_rule_counts_every_split_that_can_come_first(self):
+        # L + sum over open cells r of (2^(g - g_r + 1) - 1) <= budget, the
+        # cell itself among the open ones; deeper cells do not count
+        open_ = Counter({3: 2, 4: 1, 5: 7})
+        assert V._split_is_certain(10, open_, 4, 10 + 2 * 3 + 1)
+        assert not V._split_is_certain(10, open_, 4, 10 + 2 * 3)
+        assert V._split_is_certain(10, open_, 3, 12)
+
+    def test_initial_ids_are_padded_so_leaves_tile_the_region(self):
+        # 24 initial cells: a split of c1 once made c10, an initial cell's id,
+        # and its record overwrote that cell's
+        with pytest.raises(V.BudgetExhausted) as ei:
+            V.verify_strip(Interval(1.95, 2.15), "full", strip=0.02, budget=40)
+        cert = ei.value.certificate
+        ids = [r.id for r in cert.leaves]
+        assert len(ids) == len(set(ids)) == 40
+        assert all(re.fullmatch(r"c\d\d[01]*", i) for i in ids)
+        boxes = [tuple(map(Fraction, (r.box.p.lo, r.box.p.hi, r.box.sigma.lo, r.box.sigma.hi)))
+                 for r in cert.leaves]
+        for i, a in enumerate(boxes):
+            for b in boxes[i + 1:]:
+                assert not (max(a[0], b[0]) < min(a[1], b[1]) and max(a[2], b[2]) < min(a[3], b[3]))
+        reg = cert.region
+        area = (Fraction(reg.p.hi) - Fraction(reg.p.lo)) * (Fraction(reg.sigma.hi) - Fraction(reg.sigma.lo))
+        assert sum((b[1] - b[0]) * (b[3] - b[2]) for b in boxes) == area
 
 
 class TestPrescreen:
