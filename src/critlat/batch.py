@@ -19,9 +19,10 @@ jobs, with their next split levels (_speculate), into one VI array, which
 keeps numpy busy on wide arrays instead of many narrow ones.  A wave costs
 a few milliseconds of numpy calls whatever its width, so a narrow job ends
 in fewer waves; the lanes whose parent passed are wasted, and the `nodes`
-that the benchmark counts include them.  Since a verify run certifies an
-undecided cell's halves in the rounds that follow it, many jobs share each
-wave, and a job speculates only up to SPECULATE_LANES lanes.
+that the benchmark counts include them.  In a verify run an undecided
+cell's halves join the round after it, so many jobs share each wave, and
+a job speculates only up to SPECULATE_LANES lanes; a pool's workers run
+contiguous chunks of a round's jobs, one _subpave call each.
 
 A slice of a wave (_evaluate) runs each boundary function once on the
 distinct p-intervals that its lanes read (_p_keys): the boundary values
@@ -225,7 +226,7 @@ MAX_LANES = 4096  # lanes evaluated at once; wider waves only cost memory
 COLUMN_LANES = 768
 # a job's lanes in one wave, its speculative levels included.  Speculation
 # trades lanes that the level replay never reads for waves: with early splits
-# (verifier._certify_chunk) a verify run's jobs fill its waves, and on
+# (verifier.verify_strip) a verify run's jobs fill its waves, and on
 # strip_one 64 reads 6,867 box lanes in 11 slices against 8,985 in 10 at 128;
 # 32 and 48 save little more and add a slice to the 2.3-2.4 strip
 SPECULATE_LANES = 64

@@ -1,9 +1,9 @@
 """Command-line front end: eval, verify, p0, and lattice subcommands.
 
 Exit codes: 0 success / complete certificate, 2 input error (a non-finite
-number or tolerance and a bad config value included), 3 incomplete
-certification (partial certificate still written), 4 numeric failure (an
-overflow included).
+number or tolerance, a bad config value and an unwritable --out included),
+3 incomplete certification (partial certificate still written), 4 numeric
+failure (an overflow included).
 Configuration precedence: flags > environment variables > config file.
 Environment: CRITLAT_WORKERS (default worker count), CRITLAT_CONFIG (config
 file path).  Rigorous bounds are printed with stated rounding direction
@@ -183,8 +183,11 @@ def cmd_verify(args, cfg: RunConfig, out) -> int:
         raise CliError(str(e))
     doc = ver.emit_certificate(cert, format=cfg.format)
     if cfg.output:
-        with open(cfg.output, "w") as fh:
-            fh.write(doc)
+        try:
+            with open(cfg.output, "w") as fh:
+                fh.write(doc)
+        except OSError as e:
+            raise CliError(f"cannot write certificate file {cfg.output}: {e.strerror}")
     else:
         out.write(doc)
     for k in sorted(cert.totals):

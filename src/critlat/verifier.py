@@ -58,25 +58,23 @@ skipped by cost.  Round r gathers the jobs of the next attempt of every leaf
 still undecided, whatever their fids, and runs them as one merged subpaving
 (batch._subpave), whose jobs end as they would alone; so each leaf gets the
 status, and the certificate the bytes, of certifying it on its own.
-certify_box is the one-leaf case.  A leaf that ends Undecided starts its two
-halves in the next round of the same loop whenever the leaf budget is
-certain to allow that split (_split_is_certain), so one wave schedule
-serves a run's generations; verify_strip still commits the splits
-generation by generation, in id order.  With several workers one process
-pool serves the run, and each worker certifies one contiguous chunk of the
-cells to certify (sorted by leaf id) the same way.  A leaf record holds
-only what its verdict rests on: its id, band, box and status.
+certify_box is the one-leaf case, and verify_strip one loop of rounds for
+a whole run: it commits cells in breadth-first order as their statuses
+come in, and a cell that ends Undecided starts its halves in the next
+round whenever that order is certain to split it (_split_is_certain).
+With several workers a process pool runs each round's jobs in contiguous
+chunks.  A leaf record holds only what its verdict rests on: its id,
+band, box and status.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import time
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -205,7 +203,7 @@ def _float_dds2(pm: float, sm: float) -> float:
 class _Prescreens(dict):
     """The float prescreens of many cells, each sample point solved once:
     they depend on the point alone, and neighbouring cells share corners, a
-    cell's halves its samples.  One is made per _certify_chunk call, never
+    cell's halves its samples.  One is made per verify_strip run, never
     kept between runs; a solve that raises is not kept."""
 
     def margins(self, pm: float, sm: float) -> tuple[float, float]:
@@ -401,15 +399,15 @@ def _certify_leaf(X, band, sigma_top, node_budget, pre=None):
     return CertStatus(verdict=VERDICT_UNDECIDED, reason="; ".join(ends))
 
 
-def _certify_rounds(steps, grow=lambda ended: ()) -> list[CertStatus]:
+def _certify_rounds(steps, grow=lambda ended: (), subpave=None) -> list[CertStatus]:
     """Run the _certify_leaf generators of many cells in rounds.
 
     A round gathers the jobs of the next attempt of every cell still
     undecided (each cell's prescreens and cost-model skips run lazily, in
     its own attempt order, when the cell reaches them) and runs them in one
-    batch._subpave call, whichever cell, attempt and fid they come from.
-    Subpaving jobs are independent of each other, so every cell gets the
-    status it gets alone.
+    subpave call (batch._subpave when None), whichever cell, attempt and
+    fid they come from.  Subpaving jobs are independent of each other, so
+    every cell gets the status it gets alone.
 
     grow is called with the (index, status) of the cells that ended since
     its last call, once they are all started and after each round.  The
@@ -443,20 +441,9 @@ def _certify_rounds(steps, grow=lambda ended: ()) -> list[CertStatus]:
             return status
         round_ = sorted(pending.items())
         pending.clear()
-        ends = iter(_subpave([job for _, jobs in round_ for job in jobs]))
+        ends = iter((subpave or _subpave)([job for _, jobs in round_ for job in jobs]))
         for i, jobs in round_:
             advance(i, [next(ends) for _ in jobs])
-
-
-class _Run(NamedTuple):
-    """What every cell of one verify_strip run shares: the sigma_p bound of
-    the monotone-high columns, each job's node budget, the leaf budget and
-    the region's (p, sigma) widths that choose a split's axis."""
-
-    s_sup: float
-    node_budget: int
-    budget: int
-    scales: tuple[float, float]
 
 
 def _halves(X: Box, band: str, scales: tuple[float, float]) -> list[Box] | None:
@@ -489,46 +476,6 @@ def _split_is_certain(leaves: int, open_: Counter, depth: int, budget: int) -> b
     return leaves + bound <= budget
 
 
-def _certify_chunk(cells, run: _Run, leaves: int, open_: Counter) -> dict[str, CertStatus]:
-    """The status by id of each cell (id, X, band), and of the halves of
-    every one that ends Undecided when _split_is_certain allows the split:
-    they start in the round after, in the same rounds (_certify_rounds).
-    leaves and open_ are as there, open_ counting the cells outside this
-    chunk; each cell of a batch counts as open before any of them starts,
-    since one whose attempts are all skipped ends at once.  The prescreens
-    are solved once per point for all cells (_Prescreens)."""
-    cells = list(cells)
-    open_ = Counter(open_)
-    open_.update(len(cid) for cid, _, _ in cells)
-    pre = _Prescreens()
-    waiting: list = []  # (cell, halves): ended Undecided, their split not started
-
-    def grow(ended):
-        nonlocal leaves
-        for i, status in ended:
-            cid, X, band = cells[i]
-            halves = _halves(X, band, run.scales) if status.verdict == VERDICT_UNDECIDED else None
-            if halves is None:  # never splits
-                open_[len(cid)] -= 1
-            else:
-                waiting.append((cells[i], halves))
-        new = []
-        for item in list(waiting):
-            (cid, _, band), halves = item
-            if _split_is_certain(leaves, open_, len(cid), run.budget):
-                waiting.remove(item)
-                leaves += 1
-                open_[len(cid)] -= 1
-                open_[len(cid) + 1] += 2
-                new += [(cid + tag, half, band) for tag, half in zip("01", halves)]
-        cells.extend(new)
-        return [_certify_leaf(X, band, run.s_sup, run.node_budget, pre) for _, X, band in new]
-
-    steps = [_certify_leaf(X, band, run.s_sup, run.node_budget, pre) for _, X, band in cells]
-    statuses = _certify_rounds(steps, grow)
-    return {cid: status for (cid, _, _), status in zip(cells, statuses)}
-
-
 def verify_strip(
     p_range: Interval,
     sigma_policy: str = "full",
@@ -542,14 +489,15 @@ def verify_strip(
     sigma_policy "full" covers the whole domain with boundary bands of width
     `strip`; "interior" covers only [1 + strip, sigma_p - strip].  Undecided
     leaves split on their widest relative axis until certification or
-    `budget` total leaves.  Splits are committed generation by generation,
-    in id order, from statuses that may be known already: a cell certified
-    in rounds (_certify_chunk) starts the halves of each of its cells that
-    ends Undecided, in the next round, whenever that order is certain to
-    make the split (_split_is_certain); the others' halves are certified
-    with the next generation.  `workers` only shards the cells to certify
-    into contiguous chunks, each counting the others' cells as open, and
-    results merge by leaf id, so output is worker-count independent.
+    `budget` total leaves.  All cells are certified in one run of rounds
+    (_certify_rounds).  After each round the cells are committed in
+    breadth-first order (generation, then id) as far as their statuses are
+    known: an Undecided cell splits while the leaves stay within `budget`,
+    any other becomes a leaf.  A cell past the committed ones that ended
+    Undecided starts its halves in the next round whenever that order is
+    certain to split it (_split_is_certain).  `workers` only runs each
+    round's subpaving jobs in contiguous chunks on a process pool; jobs end
+    as they would alone, so output is worker-count independent.
 
     Raises BudgetExhausted (carrying the partial certificate) when the budget
     runs out with undecided leaves.
@@ -587,65 +535,86 @@ def verify_strip(
     # "1" appended) names another initial cell, and an id's length is its
     # generation plus that length
     width = len(str(len(bands) * p_slices - 1))
-    frontier = []  # (id, box, band) per cell of the generation
+    initial = []  # (id, box, band) per initial cell
     for band, a, b in bands:
         for k in range(p_slices):
             box = Box(Interval(p_cuts[k], p_cuts[k + 1]), Interval(a, b))
-            frontier.append((f"c{len(frontier):0{width}d}", box, band))
+            initial.append((f"c{len(initial):0{width}d}", box, band))
 
-    leaves: dict[str, LeafRecord] = {}
-    n_leaves = len(frontier)
-    run = _Run(s_sup, node_budget, budget, (p_hi - p_lo, region.sigma.hi - region.sigma.lo))
-    statuses: dict[str, CertStatus] = {}  # of the cells certified, not yet committed
+    scales = (p_hi - p_lo, region.sigma.hi - region.sigma.lo)
+    pre = _Prescreens()
+    started: list = []  # every cell (id, box, band), in the order it started
+    order: list = []  # the same cells in commit order; the first `head` committed
+    head = 0
+    # the cells ended, not yet committed: id -> (status, the cells it splits
+    # into, or None if it never splits)
+    statuses: dict[str, tuple] = {}
+    early: set[str] = set()  # cells whose halves started before they committed
+    n_leaves = len(initial)  # the initial cells plus every split made
+    leaves: list[LeafRecord] = []
+
+    def start(cells) -> list:
+        started.extend(cells)
+        for cell in cells:
+            bisect.insort(order, cell, key=lambda c: (len(c[0]), c[0]))
+        return [_certify_leaf(X, band, s_sup, node_budget, pre) for _, X, band in cells]
+
+    def grow(ended) -> list:
+        nonlocal head, n_leaves
+        for i, status in ended:
+            cid, X, band = started[i]
+            two = _halves(X, band, scales) if status.verdict == VERDICT_UNDECIDED else None
+            statuses[cid] = status, two and [(cid + tag, half, band) for tag, half in zip("01", two)]
+        new = []
+        while head < len(order) and order[head][0] in statuses:
+            cell = order[head]
+            head += 1
+            status, two = statuses.pop(cell[0])
+            if two is None or n_leaves + 1 > budget:
+                leaves.append(LeafRecord(*cell, status))
+                continue
+            n_leaves += 1
+            if cell[0] in early:
+                early.remove(cell[0])
+            else:
+                new += start(two)
+        # start the halves of the cells that the commit order is certain to
+        # split: a cell is open while it runs, or when it ended Undecided
+        # and its split is neither made nor started
+        waiting = [cid for cid, _, _ in order[head:] if cid not in early]
+        open_ = Counter(len(cid) for cid in waiting if cid not in statuses or statuses[cid][1])
+        n_started = n_leaves + len(early)  # and the splits started early
+        for cid in waiting:
+            two = statuses[cid][1] if cid in statuses else None
+            if two and _split_is_certain(n_started, open_, len(cid), budget):
+                early.add(cid)
+                n_started += 1
+                open_[len(cid)] -= 1
+                open_[len(cid) + 1] += 2
+                new += start(two)
+        return new
 
     # one pool for the run (spawned workers: fork is unsafe once threads
-    # exist); the cells to certify are cut into one contiguous chunk per
-    # worker, certified there in merged rounds like the serial path
-    pool = None
+    # exist); a round's jobs are cut into one contiguous chunk per worker
+    pool = subpave = None
     if workers > 1:
         import multiprocessing  # imported here: ~1.5 MB a serial run need not pay
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+
+        def subpave(jobs):
+            if len(jobs) < 2:
+                return _subpave(jobs)
+            size = -(-len(jobs) // workers)
+            parts = pool.map(_subpave, [jobs[k : k + size] for k in range(0, len(jobs), size)])
+            return [end for part in parts for end in part]
+
     with pool or nullcontext():
-        while frontier:
-            frontier.sort(key=lambda w: w[0])
-            todo = [cell for cell in frontier if cell[0] not in statuses]
-            if todo:
-                # a split started early counts as made (this order makes it);
-                # a cell certified early that ended Undecided without one is open
-                started = sum(k + "0" in statuses for k in statuses)
-                open_ = Counter(
-                    len(k) for k, status in statuses.items()
-                    if status.verdict == VERDICT_UNDECIDED and k + "0" not in statuses
-                )
-                if pool is None or len(todo) < 2:
-                    statuses.update(_certify_chunk(todo, run, n_leaves + started, open_))
-                else:
-                    size = -(-len(todo) // workers)
-                    chunks = [todo[k : k + size] for k in range(0, len(todo), size)]
-                    others = [open_ + Counter({len(todo[0][0]): len(todo) - len(c)}) for c in chunks]
-                    parts = pool.map(_certify_chunk, chunks, repeat(run), repeat(n_leaves + started), others)
-                    for part in parts:
-                        statuses.update(part)
+        _certify_rounds(start(initial), grow, subpave)
 
-            next_frontier = []
-            for cid, X, band in frontier:
-                status = statuses.pop(cid)
-                halves = None
-                if status.verdict == VERDICT_UNDECIDED and n_leaves + 1 <= budget:
-                    halves = _halves(X, band, run.scales)  # None: too thin for floats
-                if halves is None:  # a leaf
-                    leaves[cid] = LeafRecord(id=cid, box=X, band=band, status=status)
-                    continue
-                n_leaves += 1
-                next_frontier += [(cid + tag, half, band) for tag, half in zip("01", halves)]
-            frontier = next_frontier
-
-    ordered = [leaves[k] for k in sorted(leaves)]
-    totals: dict[str, int] = {}
-    for r in ordered:
-        totals[r.status.verdict] = totals.get(r.status.verdict, 0) + 1
+    ordered = sorted(leaves, key=lambda r: r.id)
+    totals = dict(Counter(r.status.verdict for r in ordered))
     complete = totals.get(VERDICT_UNDECIDED, 0) == 0
     cert = Certificate(
         region=region,

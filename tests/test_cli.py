@@ -218,6 +218,14 @@ class TestVerify:
         # sigma_p overflows a float on these strips: a numeric refusal
         assert refused(["verify", "--p", *p_range], capsys) == 4
 
+    @pytest.mark.parametrize("where", ["missing_dir", "a_directory"])
+    def test_unwritable_out_exit_2_names_the_path(self, where, tmp_path, capsys):
+        path = tmp_path / "no" / "x.json" if where == "missing_dir" else tmp_path
+        code, out = run(["verify", "--p", "2.33", "2.345", "--policy", "interior", "--out", str(path)])
+        err = capsys.readouterr().err
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err.startswith(f"error: cannot write certificate file {path}: "), err
+
     def test_budget_exhaustion_exit_3(self, tmp_path):
         path = tmp_path / "partial.json"
         code, _ = run(
@@ -238,24 +246,26 @@ class TestVerify:
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, code",
         [
-            ["--p", "2.33", "2.345", "--policy", "interior", "--budget", "400"],
-            ["--p", "2.33", "2.35", "--budget", "600"],  # three leaves to shard
-            ["--p", "2.75", "2.8", "--budget", "100"],  # split leaves in each shard
-            # strip_one: halves certified in the rounds after their cell, in
-            # two generations
-            ["--p", "2.6", "2.8", "--strip", "0.02", "--budget", "10000"],
+            (["--p", "2.33", "2.345", "--policy", "interior", "--budget", "400"], 0),
+            (["--p", "2.33", "2.35", "--budget", "600"], 0),  # three leaves
+            (["--p", "2.75", "2.8", "--budget", "100"], 0),  # split leaves
+            # strip_one: halves certified in the rounds after their cell
+            (["--p", "2.6", "2.8", "--strip", "0.02", "--budget", "10000"], 0),
+            # the leaf budget binds: only some undecided cells split
+            (["--p", "1.99", "2.01", "--strip", "0.02", "--budget", "24"], 3),
         ],
+        ids=[f"argv{i}" for i in range(5)],
     )
-    def test_worker_count_keeps_documents(self, tmp_path, argv):
+    def test_worker_count_keeps_documents(self, tmp_path, argv, code):
         docs = []
-        for workers in ("1", "2"):
+        for workers in ("1", "2", "3"):
             path = tmp_path / f"w{workers}.json"
             argv_w = ["--workers", workers, "verify", *argv, "--out", str(path)]
-            assert run(argv_w)[0] == 0
+            assert run(argv_w)[0] == code
             docs.append(path.read_bytes())
-        assert docs[0] == docs[1]
+        assert docs[0] == docs[1] == docs[2]
 
     @pytest.mark.parametrize(
         "argv, code, sha256",
@@ -286,16 +296,17 @@ class TestVerify:
         [
             (["verify", "--p", "2.6", "2.8", "--strip", "0.02", "--budget", "10000"], 6867, 11),
             (["verify", "--p", "2.3", "2.4"], 6250, 10),
-            (["verify", "--p", "1.99", "2.01", "--strip", "0.02", "--budget", "24"], 8809, 28),
+            (["verify", "--p", "1.99", "2.01", "--strip", "0.02", "--budget", "24"], 8809, 27),
         ],
         ids=["strip_one", "p2.3-2.4", "p1.99-2.01"],
     )
     def test_fixture_subpaving_work(self, argv, box_lanes, most_tau_calls, monkeypatch):
         # a round is one merged subpaving, whose waves run the tau fixed point
-        # once per slice for jobs of every fid, and an undecided cell's halves
-        # join the rounds after it: the box lanes are those of 64-lane
-        # speculation, in as few fixed-point calls as 128-lane speculation
-        # took generation by generation (16, 9 and 28)
+        # once per slice for jobs of every fid, and a run is one loop of
+        # rounds, in which an undecided cell's halves join the round after
+        # it whenever the commit order is certain to split it: the box lanes
+        # are those of 64-lane speculation, each job as if alone, in at most
+        # these fixed-point calls
         tau, calls, lanes = critlat.batch.tau_enclose_batch, [0], [0]
 
         def counted(P, S, *a, **k):

@@ -176,8 +176,10 @@ def _document_and_work(p_range, policy, budget):
 
 
 class TestSchedule:
-    # an undecided cell's halves start in the rounds that follow it when the
-    # generation-synchronous commit order is certain to make the split
+    # a run is one loop of rounds: after each round the cells are committed
+    # in breadth-first order as far as their statuses are known, and an
+    # undecided cell past them starts its halves in the next round when that
+    # order is certain to make the split
 
     @pytest.fixture
     def work(self, monkeypatch):
@@ -206,6 +208,20 @@ class TestSchedule:
             assert counts["calls"] <= work["calls"], run
             fewer_calls += counts["calls"] < work["calls"]
         assert fewer_calls > 0  # some halves did start early
+
+    @pytest.mark.parametrize("p_range, budget", [((1.99, 2.01), 24), ((1.95, 2.15), 40)])
+    def test_one_loop_of_rounds_per_run(self, p_range, budget, monkeypatch):
+        calls = []
+        rounds = V._certify_rounds
+
+        def spy(*a, **k):
+            calls.append(1)
+            return rounds(*a, **k)
+
+        monkeypatch.setattr(V, "_certify_rounds", spy)
+        with pytest.raises(V.BudgetExhausted):
+            V.verify_strip(Interval(*p_range), "full", strip=0.02, budget=budget)
+        assert len(calls) == 1
 
     def test_rule_counts_every_split_that_can_come_first(self):
         # L + sum over open cells r of (2^(g - g_r + 1) - 1) <= budget, the
