@@ -13,10 +13,14 @@ or leaves its domain is poisoned or stepped outward instead.
 FORMS is one table from fid to the form that a subpaving certifies
 positive, with its split scales and width floor: Delta minus each boundary
 value, and d2Delta/dsigma2 for the columns up from sigma = 1 and down from
-the curve (one row for both).  _subpave runs (fid, Job) jobs of any fids as
-one merged subpaving: every wave concatenates the boxes of all running
-jobs, with their next split levels (_speculate), into one VI array, which
-keeps numpy busy on wide arrays instead of many narrow ones.  A wave costs
+the curve (one row for both).  Each narrows the natural extension by a
+mean-value form; a difference also narrows a box inside the domain that
+both leave uncertified by a form second-order in sigma, whose path runs in
+p at fixed sigma and then in sigma at the center's p (_delta_minus).
+_subpave runs (fid, Job) jobs of any fids as one merged subpaving: every
+wave concatenates the boxes of all running jobs, with their next split
+levels (_speculate), into one VI array, which keeps numpy busy on wide
+arrays instead of many narrow ones.  A wave costs
 a few milliseconds of numpy calls whatever its width, so a narrow job ends
 in fewer waves; the lanes whose parent passed are wasted, and the `nodes`
 that the benchmark counts include them.  In a verify run an undecided
@@ -48,14 +52,17 @@ from .jets import (
     d_delta_edge_low_scalar,
     d_sigma_p_scalar,
     delta_edge_low_scalar,
-    delta_gradient,
-    delta_scalar,
     delta_sigma_terms,
     delta_held_slopes,
     phi_consts,
     phi_scalar,
     sigma_p_scalar,
     tau_p_scalar,
+    _delta_p,
+    _p_slope,
+    _power_atoms,
+    _sigma_slope,
+    _sigma_terms,
 )
 from .vints import VI, _dn, _up
 
@@ -261,8 +268,10 @@ class Subpaving(NamedTuple):
 
 class Lanes(NamedTuple):
     """A form's lanes of one slice: its n boxes, then the centers of its boxes
-    idx (point lanes), as P, S, tau enclosure T and vacuous mask; key indexes
-    each lane's p-interval in the slice's keys K, and sp = sigma_p_batch(K)."""
+    idx (point lanes), as P, S, tau enclosure T and vacuous mask; inside marks
+    the boxes inside the domain (centered at their midpoints, _centers); key
+    indexes each lane's p-interval in the slice's keys K, and
+    sp = sigma_p_batch(K)."""
 
     n: int
     P: VI
@@ -270,6 +279,7 @@ class Lanes(NamedTuple):
     T: VI
     vac: np.ndarray
     idx: np.ndarray
+    inside: np.ndarray
     key: np.ndarray
     K: VI
     sp: VI
@@ -316,40 +326,92 @@ def _column(L: Lanes):
     return vac, lo, hi
 
 
+def _delta_slopes(P: VI, S: VI, T: VI, q: np.ndarray):
+    """(Delta and _sigma_slope on every lane, dDelta/dp on the lanes q, the
+    power atoms) from one _power_atoms pass.  Delta has the bits of
+    delta_scalar, which runs the same ops, and dDelta/dsigma (the slope's
+    last field) and dDelta/dp those of delta_gradient."""
+    at = _power_atoms(P, S, T)
+    Pq, Sq, Tq, atq = (_lanes(x, q) for x in (P, S, T, at))
+    ddp = _delta_p(Pq, Sq, Tq, atq, _p_slope(Pq, Sq, Tq, atq))
+    return (T + S) * at.a0 * at.b0, _sigma_slope(P, S, T, at), ddp, at
+
+
 def _delta_minus(boundary):
     """The form of f = Delta(p, sigma) - boundary(p) per box X: the natural
     difference, intersected on the boxes with a surface point and a center
-    with the mean-value form f(c) + dDelta/dsigma(X)(S - sc) +
-    (dDelta/dp(X) - boundary'(P))(P - pc), the gradient from the
-    atom-formula enclosures (delta_gradient); the boundary slope is
-    subtracted inside the p-gradient, which is where the two terms cancel.
-    boundary(K, sp) gives the boundary and its p-slope on the distinct
-    p-intervals K of the form's lanes, sp being sigma_p on them."""
+    c = (pc, sc) with the mean-value form
+
+        f(c) + dDelta/dsigma(X)(S - sc) + (dDelta/dp(X) - boundary'(P))(P - pc);
+
+    the boundary slope is subtracted inside the p-gradient, which is where
+    the two terms cancel.  A box inside the domain that both leave
+    uncertified is intersected too with the form second-order in sigma
+
+        f(c) + (dDelta/dp(X) - boundary'(P))(P - pc) + dDelta/dsigma(c)(S - sc)
+             + 1/2 d2Delta/dsigma2(X) [0, r^2],
+
+    c its midpoint, r = max(sc - S.lo, S.hi - sc) and r^2 rounded up.  Its
+    path runs from (p, sigma) in p at fixed sigma to (pc, sigma), then in
+    sigma at pc to c: f(p, sigma) - f(pc, sigma) is the p-slope at a point
+    of X times p - pc, and f(pc, sigma) - f(c), where the boundary terms
+    cancel, is Taylor's formula in sigma with the second derivative at a
+    point of X.  Both legs lie in X, so in the domain; a box across the
+    curve, centered off its midpoint, keeps the first two forms.  Only the
+    second derivative is taken over the box, so the sigma part's excess
+    shrinks with the cube of the box's width instead of its square (a
+    second-order centered form: Cornelius & Lohner, Computing 33, 1984;
+    Neumaier, Interval Methods for Systems of Equations, 1990, ch. 2).
+
+    One atoms pass (_delta_slopes) on all the form's lanes gives Delta on
+    boxes and centers, dDelta/dsigma on both and dDelta/dp on the boxes;
+    d2Delta/dsigma2 (_sigma_terms, on those atoms and slopes) runs only on
+    the boxes that reach the second-order form.  boundary(K, sp) gives the
+    boundary and its p-slope on the distinct p-intervals K of the form's
+    lanes, sp being sigma_p on them."""
 
     def form(L: Lanes):
         n, idx = L.n, L.idx
         u, k = np.unique(L.key, return_inverse=True)  # each lane's key in u
         edge, slope = boundary(_lanes(L.K, u), _lanes(L.sp, u))
         bound = _lanes(edge, k[:n])
-        d2 = delta_scalar(L.P, L.S, L.T)
-        best_lo = _dn(d2.lo[:n] - bound.hi)
-        best_hi = _up(d2.hi[:n] - bound.lo)
         use = ~L.vac[idx]
         q = idx[use]
+        d2, ss, ddp, at = _delta_slopes(L.P, L.S, L.T, q)
+        best_lo = _dn(d2.lo[:n] - bound.hi)
+        best_hi = _up(d2.hi[:n] - bound.lo)
         if q.size:
             cq = n + np.flatnonzero(use)  # their centers' lanes
             bad = L.vac[cq] | L.T.invalid()[cq]  # centers without a surface point
             dc = VI(np.where(bad, np.nan, d2.lo[cq]), np.where(bad, np.nan, d2.hi[cq]))
-            Pq, Sq, Tq = (_lanes(x, q) for x in (L.P, L.S, L.T))
-            dds, ddp = delta_gradient(Pq, Sq, Tq)
+            dc = dc - _lanes(edge, k[cq])
+            ddp = ddp - _lanes(slope, k[q])
+            dds = ss[-1]
             pcq, scq = L.P.lo[cq], L.S.lo[cq]
-            mvf = (
-                (dc - _lanes(edge, k[cq]))
-                + dds * VI(Sq.lo - scq, Sq.hi - scq)
-                + (ddp - _lanes(slope, k[q])) * VI(Pq.lo - pcq, Pq.hi - pcq)
-            )
+            dP = VI(L.P.lo[q] - pcq, L.P.hi[q] - pcq)
+            # exact by Sterbenz's lemma: S.lo, sc and S.hi lie in [1, 2)
+            dS = VI(L.S.lo[q] - scq, L.S.hi[q] - scq)
+            mvf = dc + _lanes(dds, q) * dS + ddp * dP
             best_lo[q] = np.fmax(best_lo[q], mvf.lo)
             best_hi[q] = np.fmin(best_hi[q], mvf.hi)
+            # the inside boxes that both forms leave uncertified
+            j = np.flatnonzero(L.inside[q] & ~(best_lo[q] > 0.0))
+            if j.size:
+                qj = q[j]
+                dds2 = _sigma_terms(
+                    *(_lanes(x, qj) for x in (L.P, L.S, L.T, at)),
+                    tuple(_lanes(x, qj) for x in ss),
+                ).dds2
+                r = np.maximum(dS.hi[j], -dS.lo[j])
+                half_r2 = _up(0.5 * r * r)
+                sof = (
+                    _lanes(dc, j)
+                    + _lanes(ddp, j) * _lanes(dP, j)
+                    + _lanes(dds, cq[j]) * _lanes(dS, j)
+                    + dds2 * VI(np.zeros(j.size), half_r2)
+                )
+                best_lo[qj] = np.fmax(best_lo[qj], sof.lo)
+                best_hi[qj] = np.fmin(best_hi[qj], sof.hi)
         return L.vac[:n], best_lo, best_hi
 
     return form
@@ -556,6 +618,7 @@ def _evaluate(boxes: np.ndarray, kinds: np.ndarray) -> tuple:
             *(_lanes(x, lanes) for x in (P2, S2, T2)),
             vac2[lanes],
             (np.cumsum(mine) - 1)[idx[has]],  # those boxes among the form's
+            inside[mine],
             key[lanes],
             K,
             sp,

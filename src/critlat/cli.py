@@ -13,6 +13,7 @@ file path).  Rigorous bounds are printed with stated rounding direction
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -156,6 +157,19 @@ def cmd_eval(args, cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
+def _refuse_unwritable(path: str) -> None:
+    """CliError when open(path, "w") must fail: path is a directory, or its
+    directory does not exist.  Opens nothing, so it creates and truncates
+    nothing; the write after the run keeps its own check."""
+    err = None
+    if os.path.isdir(path):
+        err = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(path) or "."):
+        err = errno.ENOENT
+    if err is not None:
+        raise CliError(f"cannot write certificate file {path}: {os.strerror(err)}")
+
+
 def cmd_verify(args, cfg: RunConfig, out) -> int:
     p_lo, p_hi = map(_finite_p, args.p)
     if not (1.0 < p_lo < p_hi):
@@ -164,6 +178,8 @@ def cmd_verify(args, cfg: RunConfig, out) -> int:
         raise CliError("strip width must be positive")
     if args.budget < 1:
         raise CliError("budget must be >= 1")
+    if cfg.output:
+        _refuse_unwritable(cfg.output)
     try:
         cert = ver.verify_strip(
             Interval(p_lo, p_hi),

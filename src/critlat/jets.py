@@ -371,41 +371,43 @@ class _SigmaTerms(NamedTuple):
     dds2: object
 
 
-def _sigma_terms(p, sigma, tau, at: _Atoms) -> _SigmaTerms:
+def _sigma_terms(p, sigma, tau, at: _Atoms, slope=None) -> _SigmaTerms:
     """_SigmaTerms by implicit differentiation:
-    tau'' = -(F_ss + 2 F_st tau' + F_tt tau'^2)/F_tau."""
+    tau'' = -(F_ss + 2 F_st tau' + F_tt tau'^2)/F_tau.  slope is
+    _sigma_slope(p, sigma, tau, at), computed here when None."""
     one = 1
     inv_p, s1, t1, a1, b1 = at.inv_p, at.s1, at.t1, at.a1, at.b1
     alpha1, beta1 = at.alpha1, at.beta1
-    s2 = spow(sigma, p - 2)
-    t2 = tpow(tau, p - 2)
-    a2 = spow(at.us, -2 - inv_p)
-    b2 = spow(at.ut, -2 - inv_p)
-    alpha2 = spow(at.A, p - 2)
-    beta2 = spow(at.B, p - 2)
-    tau1, H, H_t, dH, dds = _sigma_slope(p, sigma, tau, at)
+    pm1, pm2, pp1, e2 = p - one, p - 2, p + one, -2 - inv_p
+    s2 = spow(sigma, pm2)
+    t2 = tpow(tau, pm2)
+    a2 = spow(at.us, e2)
+    b2 = spow(at.ut, e2)
+    alpha2 = spow(at.A, pm2)
+    beta2 = spow(at.B, pm2)
+    tau1, H, H_t, dH, dds = slope or _sigma_slope(p, sigma, tau, at)
 
     A_s = s1 * a1
     A_t = -t1 * b1
     B_s = a1
     B_t = b1
-    A_ss = (p - one) * s2 * a1 - (p + one) * s1 * s1 * a2
-    A_tt = -(p - one) * t2 * b1 + (p + one) * t1 * t1 * b2
-    B_ss = -(p + one) * s1 * a2
-    B_tt = -(p + one) * t1 * b2
+    A_ss = pm1 * s2 * a1 - pp1 * s1 * s1 * a2
+    A_tt = -pm1 * t2 * b1 + pp1 * t1 * t1 * b2
+    B_ss = -pp1 * s1 * a2
+    B_tt = -pp1 * t1 * b2
 
     q_ss = (
-        (p - one) * alpha2 * A_s * A_s
+        pm1 * alpha2 * A_s * A_s
         + alpha1 * A_ss
-        + (p - one) * beta2 * B_s * B_s
+        + pm1 * beta2 * B_s * B_s
         + beta1 * B_ss
     )
     f_ss = p * q_ss
-    f_st = p * (p - one) * a1 * b1 * (beta2 - alpha2 * s1 * t1)
+    f_st = p * pm1 * a1 * b1 * (beta2 - alpha2 * s1 * t1)
     q_tt = (
-        (p - one) * alpha2 * A_t * A_t
+        pm1 * alpha2 * A_t * A_t
         + alpha1 * A_tt
-        + (p - one) * beta2 * B_t * B_t
+        + pm1 * beta2 * B_t * B_t
         + beta1 * B_tt
     )
     f_tt = p * q_tt

@@ -5,7 +5,8 @@ the parameter domain by adaptive covering.  Three certificate kinds per leaf:
 
   CertifiedInterior      Delta exceeds one boundary value outright: the
                          correlated difference Delta - boundary(p) is
-                         subpaved (natural + mean-value forms).  A mid-band
+                         subpaved (natural, mean-value and second-order
+                         forms).  A mid-band
                          cell's difference from Delta(p, 1) may be split at
                          a cut s*: on [1, s*] a convexity column gives
                          Delta > Delta(p, 1) as for CertifiedMonotoneLow,
@@ -37,12 +38,18 @@ tighter bound of two forms of d2Delta/dsigma2: the natural extension and a
 mean-value form whose slopes hold its atom tau^(p-2) fixed, plus that atom's
 own term; an Interior witness (delta_minus_edge_high or
 delta_minus_edge_low) takes the natural difference and a mean-value form
-with the gradient of Delta as slopes.  A mean-value form is centered at the sub-box's midpoint
-when the sub-box lies inside the domain, else at (P.hi, min(sm,
-sigma_p(P.hi))); a checker of a witness evaluates the same pair (SCHEME).  A
-split leaf's column is an element of the same kind as a MonotoneLow witness,
-on P x [1, s*], with s* < sigma_p(P.lo) verified on the VI lane so that the
-column lies in the domain; its witness is the difference on P x [s*, s_hi].
+with the gradient of Delta as slopes.  A mean-value form is centered at the
+sub-box's midpoint when the sub-box lies inside the domain, else at (P.hi,
+min(sm, sigma_p(P.hi))).  An Interior witness's sub-box inside the domain
+that both forms leave uncertified takes a third, second-order in sigma: the
+p-slope over the sub-box, dDelta/dsigma at the midpoint and half of
+d2Delta/dsigma2 over the sub-box times the squared sigma offset, along the
+path in p at fixed sigma and then in sigma at the midpoint's p, which stays
+in the sub-box (batch._delta_minus).  A checker of a witness evaluates the
+same forms under the same gates (SCHEME).  A split leaf's column is an
+element of the same kind as a MonotoneLow witness, on P x [1, s*], with s* <
+sigma_p(P.lo) verified on the VI lane so that the column lies in the
+domain; its witness is the difference on P x [s*, s_hi].
 
 A leaf is a Box plus its id, the bisection path from its initial cell (the
 parent id plus "0" or "1"; initial ids share one zero-padded length).  Every
@@ -110,7 +117,7 @@ __all__ = [
     "replay_leaf",
 ]
 
-SCHEME = "convex-column-2"
+SCHEME = "convex-column-3"
 SPLIT_STEPS = 6  # bisection steps locating a split attempt's cut (_split_cut)
 
 VERDICT_INTERIOR = "CertifiedInterior"

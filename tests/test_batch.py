@@ -5,13 +5,14 @@ lane at its exact fixed point; merged jobs, of one fid or of several, end
 bit for bit as they would alone."""
 
 from decimal import Decimal
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from critlat import batch as B
 from critlat import moduli as M
-from critlat.jets import TAU_SEED, TAU_STEPS, delta_scalar, delta_sigma_derivs
+from critlat.jets import TAU_SEED, TAU_STEPS, delta_gradient, delta_scalar, delta_sigma_derivs
 from critlat.vints import VI
 
 
@@ -213,7 +214,7 @@ def test_mixed_fids_end_as_if_alone_within_the_weighted_cap(monkeypatch):
     # times MAX_LANES/COLUMN_LANES plus its difference lanes allow, and a
     # wave cuts a run of one kind's lanes only where it fills a slice alone
     jobs = [(_FIDS[kind], job) for kind in sorted(_MIXED_JOBS) for job in _MIXED_JOBS[kind]]
-    jobs.append(("d_sigma2_column_high", _MIXED_JOBS["convex"][0]))
+    jobs += [("d_sigma2_column_high", job) for job in _MIXED_JOBS["convex"]]
     alone = [B._subpave([job])[0] for job in jobs]
     monkeypatch.setattr(B, "MAX_LANES", 1600)
     monkeypatch.setattr(B, "COLUMN_LANES", 400)
@@ -289,7 +290,7 @@ def test_chunks_search_each_p_interval_once_per_call(monkeypatch):
         searched.append(list(zip(P.lo.tolist(), P.hi.tolist())))
         return tau_p(P)
 
-    job = [B.Job(2.6, 2.625, 1.02, 1.1, 40000)]
+    job = [B.Job(2.6, 2.625, 1.01, 1.1, 40000)]
     expected = B.subpave_delta_above(job, "low")
     monkeypatch.setattr(B, "MAX_LANES", 37)
     monkeypatch.setattr(B, "tau_p_enclose_batch", spy)
@@ -427,3 +428,83 @@ def test_straddle_forms_contain_the_surface(kind):
     outside = (v < lo[i] - tol) | (v > hi[i] + tol)
     assert not outside.any(), (boxes[i[outside]][:3], v[outside][:3])
     assert np.count_nonzero(narrowed) > len(boxes) // 5
+
+
+def _inside_boxes(seed, below_two, n=400):
+    """n boxes inside the domain as _evaluate tells it (S.hi at most the VI
+    lower bound of sigma_p(P)), in _subpave's rows with cold tau seeds: p lo
+    in [1.5, 1.98] or in [2.02, 3.5], p-widths 1e-7 to 1e-2 and sigma-widths
+    1e-3 to 1e-1, so that on the thin ones the sigma part of a form is most
+    of its width."""
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(1.5, 1.98, n) if below_two else rng.uniform(2.02, 3.5, n)
+    wp = 10.0 ** rng.uniform(-7.0, -2.0, n)
+    ws = 10.0 ** rng.uniform(-3.0, -1.0, n)
+    top = B.sigma_p_batch(VI(p, p + wp)).lo
+    s = 1.0 + rng.uniform(0.0, 1.0, n) * (top - 1.0 - ws)
+    return np.column_stack([p, p + wp, s, np.minimum(s + ws, top), np.full((n, 2), TAU_SEED)])
+
+
+@pytest.mark.parametrize("below_two", [True, False], ids=["p<2", "p>2"])
+@pytest.mark.parametrize("kind", ["high", "low"])
+def test_second_order_form_contains_the_surface_inside(kind, below_two, monkeypatch):
+    # on boxes inside the domain the difference form contains float
+    # Delta - boundary at sampled points, a third of them on each sigma edge,
+    # where (sigma - sc)^2 = r^2; it is never wider than the natural and
+    # first-order pair alone, narrows it on boxes that pair leaves
+    # uncertified, and leaves the others as the pair has them
+    boxes = _inside_boxes(64 + below_two, below_two)
+    assert np.all(boxes[:, 3] <= B.sigma_p_batch(VI(boxes[:, 0], boxes[:, 1])).lo)
+    with np.errstate(all="ignore"):  # as _subpave runs it
+        vac, lo, hi = _evaluate(kind, boxes.copy())
+
+    def nan_dds2(p, *terms):
+        return SimpleNamespace(dds2=VI.full_like(p, np.nan, np.nan))
+
+    with monkeypatch.context() as m, np.errstate(all="ignore"):
+        m.setattr(B, "_sigma_terms", nan_dds2)  # a NaN second derivative drops the third form
+        vac0, lo0, hi0 = _evaluate(kind, boxes.copy())
+    assert not vac.any() and not vac0.any()
+    rng = np.random.default_rng(66 + below_two)
+    i = np.repeat(np.arange(len(boxes)), 24)
+    p = rng.uniform(boxes[i, 0], boxes[i, 1])
+    s = np.choose(
+        np.arange(i.size) % 3, [rng.uniform(boxes[i, 2], boxes[i, 3]), boxes[i, 2], boxes[i, 3]]
+    )
+    t = M.tau_point_vec(p, s)
+    tp = M.tau_p_vec(p)
+    edge = (2.0**p - 1.0) ** (1.0 / p) / 2 if kind == "high" else 4.0 ** (-1.0 / p) * (1.0 + tp) / (1.0 - tp)
+    v = delta_scalar(p, s, t) - edge
+    outside = (v < lo[i] - 1e-12) | (v > hi[i] + 1e-12)
+    assert not outside.any(), (boxes[i[outside]][:3], v[outside][:3])
+    assert np.all(lo >= lo0) and np.all(hi <= hi0)
+    passed = lo0 > 0.0
+    assert _bits(lo[passed], hi[passed]) == _bits(lo0[passed], hi0[passed])
+    narrowed = (lo > lo0) | (hi < hi0)
+    assert np.count_nonzero(narrowed) > np.count_nonzero(~passed) // 2
+
+
+def test_one_atoms_pass_gives_delta_and_its_gradient_bit_for_bit():
+    # one atoms pass on boxes and then centers: Delta with the bits of
+    # delta_scalar, and dDelta/dsigma on every lane and dDelta/dp on the
+    # boxes with those of delta_gradient
+    boxes = np.concatenate(
+        [_inside_boxes(67, True), _inside_boxes(68, False), _straddling_boxes(69)]
+    )
+    n = len(boxes)
+    pm, sm = 0.5 * (boxes[:, 0] + boxes[:, 1]), 0.5 * (boxes[:, 2] + boxes[:, 3])
+    P = VI(np.concatenate([boxes[:, 0], pm]), np.concatenate([boxes[:, 1], pm]))
+    S = VI(np.concatenate([boxes[:, 2], sm]), np.concatenate([boxes[:, 3], sm]))
+    with np.errstate(all="ignore"):
+        T, _ = B.tau_enclose_batch(P, S)
+        delta, slope, ddp, _ = B._delta_slopes(P, S, T, np.arange(n))
+        dds = slope[-1]
+        natural = delta_scalar(P, S, T)
+        box = delta_gradient(*(B._lanes(x, slice(n)) for x in (P, S, T)))
+        center = delta_gradient(*(B._lanes(x, slice(n, None)) for x in (P, S, T)))
+    assert (~ddp.invalid()).sum() > n // 2 and (~dds.invalid()[n:]).sum() > n // 2
+    assert _bits(delta.lo, delta.hi) == _bits(natural.lo, natural.hi)
+    assert _bits(ddp.lo, ddp.hi) == _bits(box[1].lo, box[1].hi)
+    assert _bits(dds.lo, dds.hi) == _bits(
+        np.concatenate([box[0].lo, center[0].lo]), np.concatenate([box[0].hi, center[0].hi])
+    )

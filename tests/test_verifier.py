@@ -76,7 +76,7 @@ _MIXED_LEAVES = [
     ((2.55, 2.57, 1.0, 1.0 + 5e-7), "low", 24000),  # "high" certifies
     ((2.65, 2.66, 1.3, 1.3 + 5e-8), "mid", 24000),  # "low" certifies
     ((2.45, 2.46, 1.4, 1.821332860508517), "mid", 300),  # "high" over budget
-    ((2.75, 2.76, 1.2, 1.5), "mid", 40),  # "low" over budget (above the cut)
+    ((2.75, 2.76, 1.2, 1.5), "mid", 16),  # "low" over budget (above the cut)
     ((2.6, 2.7, 1.0, 1.0 + 5e-7), "low", 24000),  # column under its floor
     ((2.6, 2.62, 1.9, 1.95), "high", 24000),  # column beyond the curve
     ((2.3, 2.302, 1.2, 1.202), "mid", 24000),  # "high" certifies, in-domain
@@ -301,8 +301,8 @@ class TestSplit:
     def test_column_certified_alone_is_not_enough(self):
         # the column certifies, the difference does not: the leaf stays
         # Undecided, and its reason says how each part ended
-        X = Box.of(2.6, 2.625, 1.02, 1.15)
-        st = V.certify_box(X, sigma_top=V._sigma_p_range(2.6, 2.625)[1], node_budget=160)
+        X = Box.of(2.58, 2.605, 1.02, 1.13)
+        st = V.certify_box(X, sigma_top=V._sigma_p_range(2.58, 2.605)[1], node_budget=160)
         assert st.verdict == V.VERDICT_UNDECIDED
         first = st.reason.split("; ")[0]
         assert first.startswith("interior-low: column [1, ")
